@@ -56,12 +56,12 @@ class CriterionResult:
 
 def _result(number: int, name: str, started: float, passed: bool, details: dict) -> CriterionResult:
     return CriterionResult(number=number, name=name, passed=bool(passed),
-                           seconds=time.time() - started, details=details)
+                           seconds=time.perf_counter() - started, details=details)
 
 
 def check_chambers(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 1: eight maximal chambers in two orbits of four."""
-    started = time.time()
+    started = time.perf_counter()
     chambers = enumerate_chambers(4)
     orbits = chamber_orbits()
     minus, plus = orbits
@@ -86,7 +86,7 @@ def check_chambers(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> 
 
 def check_triangle(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 2: exact triangle vertices and their exact moment image."""
-    started = time.time()
+    started = time.perf_counter()
     triangle = fb.solve_moment_triangle()
     expected = {
         "X01": vector(["0", "0", "1/3", "4/9", "1/9", "1/9"]),
@@ -110,7 +110,7 @@ def check_triangle(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> 
 
 def check_curve_points(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 3: lifted sphere points hit the three edge images; curve residuals."""
-    started = time.time()
+    started = time.perf_counter()
     s6 = 1.0 / np.sqrt(6.0)
     lifted = [
         fb.lift_to_fiber(0.0, s6, s6),
@@ -133,7 +133,7 @@ def check_curve_points(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES)
 def check_fiber7(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
                  second_orbit: bool = False) -> CriterionResult:
     """Criterion 4: seeded 7-fiber samples close the moment equation and round trip."""
-    started = time.time()
+    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     max_moment = max_round = 0.0
     min_tail = float("inf")
@@ -160,7 +160,7 @@ def check_fiber7(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
 def check_regular_dichotomy(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 5: the two regularity notions coincide on the full n=4 grid
     and split at the reference n=5 point."""
-    started = time.time()
+    started = time.perf_counter()
     mismatches = 0
     total = 0
     for x in hypersimplex_grid(4, 18):
@@ -180,7 +180,7 @@ def check_regular_dichotomy(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAM
 
 def check_oracle_equivalence(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 6: bounded enumeration agrees with the all-support scan."""
-    started = time.time()
+    started = time.perf_counter()
     grid = list(hypersimplex_grid(4, 18))
     stride = max(1, len(grid) // 200)
     chosen = grid[::stride][:200]
@@ -195,7 +195,7 @@ def check_oracle_equivalence(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SA
 def check_fiber5(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
                  second_orbit: bool = False) -> CriterionResult:
     """Criterion 7: 5-fiber certificates, both parametrizations, projection facts."""
-    started = time.time()
+    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     max_plucker = max_moment = max_f_round = max_g_round = 0.0
     for _ in range(samples):
@@ -246,7 +246,7 @@ def check_fiber5(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
 def check_complete_intersection(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
                                 second_orbit: bool = False) -> CriterionResult:
     """Criterion 8: equipotential values (0, -1, 0), Jacobian rank 3, FD cross-check."""
-    started = time.time()
+    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     points = []
     for fiber in fb.edge_fibers():
@@ -281,7 +281,7 @@ def check_complete_intersection(seed: int = DEFAULT_SEED, samples: int = DEFAULT
 
 def check_bundle_structure(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 9: unimodular transition, cocycle identity, chart coverage."""
-    started = time.time()
+    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     determinant = fb.transition_determinant()
     max_cocycle = 0.0
@@ -315,7 +315,7 @@ def check_bundle_structure(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMP
 
 def check_center_parity(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 10: the center point is regular exactly for odd n, n = 4..10."""
-    started = time.time()
+    started = time.perf_counter()
     verdicts = {n: center_point_regular(n) for n in range(4, 11)}
     passed = all(verdicts[n] == (n % 2 == 1) for n in verdicts)
     details = {"verdicts": {str(n): v for n, v in verdicts.items()}}
@@ -324,7 +324,7 @@ def check_center_parity(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
 
 def check_dimension_counts(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 11: SVD tangent dimensions 7 and 5 at random fiber points."""
-    started = time.time()
+    started = time.perf_counter()
     rng = np.random.default_rng(seed)
     count = max(samples // 10, 100)
     dims7 = {fb.tangent_fiber_dimension(fb.sample_fiber7(rng)) for _ in range(count)}
@@ -337,7 +337,7 @@ def check_dimension_counts(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMP
 
 def check_second_orbit(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 12: criteria 4, 7 and 8 rerun under the coordinate swap."""
-    started = time.time()
+    started = time.perf_counter()
     sub4 = check_fiber7(seed, samples, second_orbit=True)
     sub7 = check_fiber5(seed, samples, second_orbit=True)
     sub8 = check_complete_intersection(seed, samples, second_orbit=True)

@@ -39,6 +39,13 @@ def _parse_seed(text: str) -> int:
     return int(text, 0)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _parse_tolerances(items: list[str] | None) -> dict[str, float]:
     overrides: dict[str, float] = {}
     for item in items or []:
@@ -60,7 +67,7 @@ def _json_default(value):
 
 
 def _emit(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, default=_json_default)
+    text = json.dumps(payload, indent=2, default=_json_default, allow_nan=False)
     print(text)
     if path:
         with open(path, "w", encoding="utf-8") as handle:
@@ -310,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, samples_default=1000):
         p.add_argument("--seed", type=_parse_seed, default=acceptance.DEFAULT_SEED)
-        p.add_argument("--samples", type=int, default=samples_default)
+        p.add_argument("--samples", type=_positive_int, default=samples_default)
         p.add_argument("--orbit", choices=["minus", "plus"], default="minus")
         p.add_argument("--json-out", default=None)
 
@@ -367,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="run the acceptance suite")
     p.add_argument("--seed", type=_parse_seed, default=acceptance.DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=acceptance.DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_positive_int, default=acceptance.DEFAULT_SAMPLES)
     p.add_argument("--only", default=None)
     p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_report)

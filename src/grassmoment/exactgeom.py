@@ -159,6 +159,25 @@ def _row_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list
     return rows, pivots
 
 
+def span_normal(rows: Sequence[Sequence[Fraction]]) -> Vector | None:
+    """Normal of the linear span of d-1 vectors in Q^d, or None if they are dependent.
+
+    The free coordinate is set to 1 and the others are read off the
+    reduced rows.  Reduced row echelon form depends only on the row
+    space, so every spanning set of a hyperplane gives the same normal.
+    """
+    reduced, pivots = _row_echelon(rows)
+    ncols = len(rows[0])
+    if len(pivots) != ncols - 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    normal = [Fraction(0)] * ncols
+    normal[free] = Fraction(1)
+    for row, c in zip(reduced, pivots):
+        normal[c] = -row[free]
+    return tuple(normal)
+
+
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     """Rank over Q of {v - v0 : v in points}, by exact elimination."""
     if not points:

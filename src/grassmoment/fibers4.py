@@ -25,7 +25,12 @@ import numpy as np
 
 from .exactgeom import Vector, solve_exact
 from .moment import hypersimplex_moment, weight_vectors
-from .plucker import ChartCoords4, normalize_projective, plucker_relation_residual
+from .plucker import (
+    ChartCoords4,
+    chart_from_plucker,
+    normalize_projective,
+    plucker_relation_residual,
+)
 from .regularity import CHAMBER_POINT_MINUS, CHAMBER_POINT_PLUS, DEFAULT_SEED
 
 F = Fraction
@@ -626,11 +631,7 @@ def fiber5_chart(z, second_orbit: bool = False) -> ChartCoords4:
     Ratios against the {2,3}-minor coordinate, which is bounded away from
     zero on the fiber.
     """
-    w = _first_orbit_view(z, second_orbit)
-    if abs(w[3]) <= _ZERO_TOL:
-        raise ValueError("outside chart: pivot coordinate vanishes")
-    return ChartCoords4(a1=complex(w[1] / w[3]), a2=complex(-w[5] / w[3]),
-                        a3=complex(-w[0] / w[3]), a4=complex(w[4] / w[3]))
+    return chart_from_plucker(_first_orbit_view(z, second_orbit))
 
 
 def _chart_uv(first, second=None) -> tuple[np.ndarray, np.ndarray]:

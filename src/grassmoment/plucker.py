@@ -130,11 +130,11 @@ class ChartCoords4:
         return a.real.copy(), a.imag.copy()
 
 
-def chart_coords(plane: GrassmannPoint) -> ChartCoords4:
-    """Chart coordinates a1 = P13/P23, a2 = -P34/P23, a3 = -P12/P23, a4 = P24/P23."""
-    if plane.n != 4:
-        raise ValueError("chart coordinates are defined for n = 4")
-    z = plucker_embed(plane).coords
+def chart_from_plucker(z) -> ChartCoords4:
+    """Chart coordinates a1 = P13/P23, a2 = -P34/P23, a3 = -P12/P23, a4 = P24/P23.
+
+    z holds the six Plücker coordinates in lexicographic pair order.
+    """
     if abs(z[3]) <= COORD_TOL:
         raise ValueError("outside chart: the {2,3}-minor vanishes")
     return ChartCoords4(
@@ -143,6 +143,13 @@ def chart_coords(plane: GrassmannPoint) -> ChartCoords4:
         a3=complex(-z[0] / z[3]),
         a4=complex(z[4] / z[3]),
     )
+
+
+def chart_coords(plane: GrassmannPoint) -> ChartCoords4:
+    """Chart coordinates of a plane in C^4; see chart_from_plucker."""
+    if plane.n != 4:
+        raise ValueError("chart coordinates are defined for n = 4")
+    return chart_from_plucker(plucker_embed(plane).coords)
 
 
 def from_chart(coords) -> GrassmannPoint:

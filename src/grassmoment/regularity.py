@@ -4,10 +4,10 @@ Two regularity notions live side by side.  A point of the hypersimplex is
 a regular value for the Grassmannian moment map iff it avoids the
 arrangement sum_{i in T} x_i = 1 and the boundary; it is a regular value
 for the ambient projective moment map iff it lies in no convex hull of
-vertices of dimension below n-1.  The second condition is decided by a
-Caratheodory-bounded enumeration over affinely independent vertex
-subsets, cross-checked by an exhaustive scan over all coordinate
-supports.
+vertices of dimension below n-1.  The second condition is decided over
+walls, the hyperplanes of the slice spanned by n-1 vertices: x fails iff
+it lies on a wall and in the hull of the vertices on that wall.  An
+exhaustive scan over all coordinate supports cross-checks it.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .exactgeom import (
     in_hypersimplex,
     pairs_lex,
     sign_vector,
+    span_normal,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -113,103 +114,44 @@ def is_regular_grassmann(x: Sequence[Fraction], n: int) -> bool:
     return all(h.evaluate(x) != 0 for h in arrangement_for_n(n))
 
 
-class _HullTester:
-    """Prepared exact membership test for one affinely independent vertex set."""
-
-    __slots__ = ("vertices", "pivot_rows", "other_rows", "inverse", "columns")
-
-    def __init__(self, vertices: Sequence[Vector]):
-        self.vertices = [tuple(v) for v in vertices]
-        k = len(self.vertices)
-        dim = len(self.vertices[0])
-        last = self.vertices[-1]
-        columns = [[v[i] - last[i] for i in range(dim)] for v in self.vertices[:-1]]
-        rows = [[col[i] for col in columns] for i in range(dim)]
-        pivot_rows: list[int] = []
-        work: list[list[Fraction]] = []
-        for i, row in enumerate(rows):
-            candidate = work + [list(row)]
-            reduced_rank = _matrix_rank(candidate)
-            if reduced_rank > len(work):
-                work.append(list(row))
-                pivot_rows.append(i)
-            if len(pivot_rows) == k - 1:
-                break
-        if len(pivot_rows) != k - 1:
-            raise ValueError("vertex set is not affinely independent")
-        square = [rows[i] for i in pivot_rows]
-        self.inverse = _invert(square)
-        self.pivot_rows = pivot_rows
-        self.other_rows = [i for i in range(dim) if i not in pivot_rows]
-        self.columns = rows
-
-    def weights(self, x: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-        last = self.vertices[-1]
-        k = len(self.vertices)
-        if k == 1:
-            return (Fraction(1),) if tuple(x) == last else None
-        diff = [x[i] - last[i] for i in range(len(last))]
-        mu = [sum(self.inverse[r][c] * diff[self.pivot_rows[c]] for c in range(k - 1))
-              for r in range(k - 1)]
-        if any(v < 0 for v in mu):
-            return None
-        tail = 1 - sum(mu)
-        if tail < 0:
-            return None
-        for i in self.other_rows:
-            if sum(self.columns[i][c] * mu[c] for c in range(k - 1)) != diff[i]:
-                return None
-        return tuple(mu) + (tail,)
-
-
-def _matrix_rank(rows: list[list[Fraction]]) -> int:
-    from .exactgeom import _row_echelon
-
-    _, pivots = _row_echelon([list(r) for r in rows])
-    return len(pivots)
-
-
-def _invert(square: list[list[Fraction]]) -> list[list[Fraction]]:
-    k = len(square)
-    identity = [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
-    from .exactgeom import _row_echelon
-
-    augmented = [list(square[i]) + identity[i] for i in range(k)]
-    reduced, pivots = _row_echelon(augmented)
-    if pivots != list(range(k)):
-        raise ValueError("matrix is singular")
-    return [row[k:] for row in reduced]
-
-
 @lru_cache(maxsize=8)
-def _prepared_testers(n: int) -> tuple[tuple[tuple[int, ...], _HullTester], ...]:
-    """All affinely independent vertex subsets of size <= n-1, smallest first."""
+def _walls(n: int) -> tuple[tuple[Vector, tuple[Vector, ...]], ...]:
+    """Each wall of the slice sum x = 2, as (normal, vertices on the wall).
+
+    A wall is the hyperplane of the slice spanned by n-1 affinely
+    independent vertices.  The vertices lie off the origin, so their
+    linear span cuts the slice in their affine hull, and the wall is
+    {x : normal . x = 0} there.  Walls are deduplicated by their normal.
+    """
     vertices = hypersimplex_vertices(n)
-    prepared = []
-    for size in range(1, n):
-        for idx in itertools.combinations(range(len(vertices)), size):
-            subset = [vertices[i] for i in idx]
-            if size > 1 and affine_rank(subset) != size - 1:
-                continue
-            prepared.append((idx, _HullTester(subset)))
-    return tuple(prepared)
+    walls: dict[Vector, tuple[Vector, ...]] = {}
+    for subset in itertools.combinations(vertices, n - 1):
+        normal = span_normal(subset)
+        if normal is not None and normal not in walls:
+            walls[normal] = tuple(v for v in vertices if _dot(normal, v) == 0)
+    return tuple(walls.items())
+
+
+def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    return sum(p * q for p, q in zip(a, b))
 
 
 def is_regular_projective(x: Sequence[Fraction], n: int) -> bool:
     """Regular value test for the ambient projective moment map, exact.
 
-    A point fails iff it lies in the convex hull of an affinely
-    independent vertex subset of size at most n-1 (such a hull spans
-    dimension at most n-2, and any witness hull of low dimension reduces
-    to one of these by Caratheodory).  Guarded to n <= 6: the subset
-    enumeration grows too fast beyond that.
+    A point fails iff it lies on some wall W and in the convex hull of
+    the vertices on W.  Such a hull has dimension n-2.  Conversely, by
+    Caratheodory a low-dimensional witness hull reduces to at most n-1
+    affinely independent vertices, which extend to n-1 independent
+    vertices spanning a wall.  Guarded to n <= 6: the wall enumeration
+    grows too fast beyond that.
     """
     if n > 6:
         raise ValueError("projective regularity test supports n <= 6")
     _require_hypersimplex(x, n)
     x = tuple(Fraction(v) for v in x)
-    for _, tester in _prepared_testers(n):
-        if tester.weights(x) is not None:
+    for normal, on_wall in _walls(n):
+        if _dot(normal, x) == 0 and convex_membership(x, on_wall) is not None:
             return False
     return True
 

@@ -71,10 +71,23 @@ def test_moment_mu(capsys):
 
 
 def test_fiber_empty_run(capsys):
-    code, payload = run_cli(capsys, ["fiber", "m2", "--samples", "0"])
-    assert code == 0
-    assert payload["certificates"] == []
-    assert payload["aggregate"]["all_passed"] is True
+    # A run with no samples would pass vacuously, so it is a usage error.
+    with pytest.raises(SystemExit) as info:
+        cli.main(["fiber", "m2", "--samples", "0"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["fiber", "mq5", "--samples", "-3"],
+    ["jacobian", "--samples", "0"],
+    ["report", "--samples", "0", "--only", "fiber7"],
+])
+def test_nonpositive_samples_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_fiber_certificates_pass(capsys):
@@ -136,6 +149,19 @@ def test_curve_command(capsys):
     code, payload = run_cli(capsys, ["curve", "--x0", "1/6", "--x1", "0"])
     assert payload["fixed_sign_residual"] > 0.4
     assert payload["closure_residual"] <= 1e-12
+
+
+def test_curve_nan_is_usage_error(capsys):
+    code = cli.main(["curve", "--x0", "nan", "--x1", "0"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_moment_nan_modulus_is_usage_error(capsys):
+    point = "[[NaN, 0]" + ", [0, 0]" * 5 + "]"
+    code = cli.main(["moment", "--map", "mu_hat", "--point", point])
+    assert code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_witness_command(capsys):

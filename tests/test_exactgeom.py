@@ -19,6 +19,7 @@ from grassmoment.exactgeom import (
     parse_vector,
     rational,
     sign_vector,
+    span_normal,
     vector,
 )
 
@@ -123,6 +124,19 @@ def test_affine_rank_bound_on_vertex_subsets():
         for idx in itertools.islice(itertools.combinations(range(10), size), 30):
             rank = affine_rank([vertices[i] for i in idx])
             assert rank <= min(size - 1, 4)
+
+
+def test_span_normal_depends_only_on_the_span():
+    # The wall x1 = 0 of the n = 5 slice, from two different spanning sets.
+    first = [_vertex(5, p) for p in [(2, 3), (2, 4), (2, 5), (3, 4)]]
+    second = [_vertex(5, p) for p in [(4, 5), (3, 5), (2, 4), (3, 4)]]
+    assert span_normal(first) == span_normal(second) == (1, 0, 0, 0, 0)
+    # On a wall that is not a coordinate facet the normal is still orthogonal to its span.
+    spanning = [_vertex(5, p) for p in [(1, 3), (1, 4), (2, 5), (1, 5)]]
+    normal = span_normal(spanning)
+    assert all(sum(a * b for a, b in zip(normal, v)) == 0 for v in spanning)
+    dependent = [_vertex(5, p) for p in [(1, 2), (1, 3), (2, 4), (3, 4)]]
+    assert span_normal(dependent) is None
 
 
 def test_convex_membership_vertex():

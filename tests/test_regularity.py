@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -156,10 +157,36 @@ def test_projective_regular_implies_grassmann_regular_n5():
     assert gap_points > 0
 
 
-def test_caratheodory_matches_bruteforce():
-    grid = list(hypersimplex_grid(4, 18))
-    for x in grid[::80]:
-        assert is_regular_projective(x, 4) == is_regular_projective_bruteforce(x, 4)
+def _simplex_interior_points(n, count, seed):
+    """Positive combinations of n-1 affinely independent vertices: all non-regular."""
+    from grassmoment.exactgeom import affine_rank, hypersimplex_vertices
+
+    vertices = hypersimplex_vertices(n)
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        subset = rng.sample(vertices, n - 1)
+        if affine_rank(subset) != n - 2:
+            continue
+        weights = [rng.randint(1, 5) for _ in subset]
+        total = sum(weights)
+        points.append(tuple(F(sum(w * v[i] for w, v in zip(weights, subset)), total)
+                            for i in range(n)))
+    return points
+
+
+def test_walls_match_bruteforce():
+    points = {
+        4: list(hypersimplex_grid(4, 18))[::80],
+        5: [x for x in hypersimplex_grid(5, 10) if all(0 < v < 1 for v in x)][::113],
+        # Regular n = 6 points take about 90 s each by brute force.
+        6: _simplex_interior_points(6, 3, seed=6),
+    }
+    expected = {4: {True, False}, 5: {True, False}, 6: {False}}
+    for n, sample in points.items():
+        verdicts = [is_regular_projective(x, n) for x in sample]
+        assert verdicts == [is_regular_projective_bruteforce(x, n) for x in sample], n
+        assert set(verdicts) == expected[n], n
 
 
 def test_gap_point_membership_structure():
