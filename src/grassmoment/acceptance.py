@@ -54,6 +54,12 @@ class CriterionResult:
         }
 
 
+def _require_samples(samples: int) -> None:
+    """Refuse a sample count that would let a sampled criterion pass vacuously."""
+    if samples <= 0:
+        raise ValueError(f"samples must be a positive integer, got {samples}")
+
+
 def _result(number: int, name: str, started: float, passed: bool, details: dict) -> CriterionResult:
     return CriterionResult(number=number, name=name, passed=bool(passed),
                            seconds=time.perf_counter() - started, details=details)
@@ -61,6 +67,7 @@ def _result(number: int, name: str, started: float, passed: bool, details: dict)
 
 def check_chambers(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 1: eight maximal chambers in two orbits of four."""
+    _require_samples(samples)
     started = time.perf_counter()
     chambers = enumerate_chambers(4)
     orbits = chamber_orbits()
@@ -86,6 +93,7 @@ def check_chambers(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> 
 
 def check_triangle(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 2: exact triangle vertices and their exact moment image."""
+    _require_samples(samples)
     started = time.perf_counter()
     triangle = fb.solve_moment_triangle()
     expected = {
@@ -110,6 +118,7 @@ def check_triangle(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> 
 
 def check_curve_points(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 3: lifted sphere points hit the three edge images; curve residuals."""
+    _require_samples(samples)
     started = time.perf_counter()
     s6 = 1.0 / np.sqrt(6.0)
     lifted = [
@@ -133,6 +142,7 @@ def check_curve_points(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES)
 def check_fiber7(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
                  second_orbit: bool = False) -> CriterionResult:
     """Criterion 4: seeded 7-fiber samples close the moment equation and round trip."""
+    _require_samples(samples)
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     max_moment = max_round = 0.0
@@ -160,6 +170,7 @@ def check_fiber7(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
 def check_regular_dichotomy(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 5: the two regularity notions coincide on the full n=4 grid
     and split at the reference n=5 point."""
+    _require_samples(samples)
     started = time.perf_counter()
     mismatches = 0
     total = 0
@@ -180,6 +191,7 @@ def check_regular_dichotomy(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAM
 
 def check_oracle_equivalence(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 6: bounded enumeration agrees with the all-support scan."""
+    _require_samples(samples)
     started = time.perf_counter()
     grid = list(hypersimplex_grid(4, 18))
     stride = max(1, len(grid) // 200)
@@ -195,6 +207,7 @@ def check_oracle_equivalence(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SA
 def check_fiber5(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
                  second_orbit: bool = False) -> CriterionResult:
     """Criterion 7: 5-fiber certificates, both parametrizations, projection facts."""
+    _require_samples(samples)
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     max_plucker = max_moment = max_f_round = max_g_round = 0.0
@@ -246,6 +259,7 @@ def check_fiber5(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
 def check_complete_intersection(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
                                 second_orbit: bool = False) -> CriterionResult:
     """Criterion 8: equipotential values (0, -1, 0), Jacobian rank 3, FD cross-check."""
+    _require_samples(samples)
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     points = []
@@ -281,6 +295,7 @@ def check_complete_intersection(seed: int = DEFAULT_SEED, samples: int = DEFAULT
 
 def check_bundle_structure(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 9: unimodular transition, cocycle identity, chart coverage."""
+    _require_samples(samples)
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     determinant = fb.transition_determinant()
@@ -315,6 +330,7 @@ def check_bundle_structure(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMP
 
 def check_center_parity(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 10: the center point is regular exactly for odd n, n = 4..10."""
+    _require_samples(samples)
     started = time.perf_counter()
     verdicts = {n: center_point_regular(n) for n in range(4, 11)}
     passed = all(verdicts[n] == (n % 2 == 1) for n in verdicts)
@@ -324,6 +340,7 @@ def check_center_parity(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES
 
 def check_dimension_counts(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 11: SVD tangent dimensions 7 and 5 at random fiber points."""
+    _require_samples(samples)
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     count = max(samples // 10, 100)
@@ -337,6 +354,7 @@ def check_dimension_counts(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMP
 
 def check_second_orbit(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 12: criteria 4, 7 and 8 rerun under the coordinate swap."""
+    _require_samples(samples)
     started = time.perf_counter()
     sub4 = check_fiber7(seed, samples, second_orbit=True)
     sub7 = check_fiber5(seed, samples, second_orbit=True)
@@ -368,10 +386,13 @@ CRITERIA = (
 
 def run_all(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
             only: str | None = None) -> list[CriterionResult]:
-    """Run the acceptance criteria, optionally filtered by short name substring."""
-    results = []
-    for name, func in CRITERIA:
-        if only is not None and only not in name:
-            continue
-        results.append(func(seed, samples))
-    return results
+    """Run the acceptance criteria, optionally filtered by short name substring.
+
+    Raises ValueError for a non-positive sample count or a filter that
+    matches no criterion: either would report a pass that checked nothing.
+    """
+    _require_samples(samples)
+    selected = [func for name, func in CRITERIA if only is None or only in name]
+    if not selected:
+        raise ValueError(f"no criterion matches {only!r}")
+    return [func(seed, samples) for func in selected]

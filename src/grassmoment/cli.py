@@ -27,6 +27,7 @@ from .exactgeom import (
 from .moment import grassmann_moment, hypersimplex_moment, simplex_moment
 from .plucker import GrassmannPoint
 from .regularity import (
+    PROJECTIVE_MAX_N,
     chamber_orbits,
     enumerate_chambers,
     is_regular_grassmann,
@@ -86,7 +87,7 @@ def _complex_vector(text: str) -> np.ndarray:
 
 def _classification(point, n: int) -> dict:
     signs = sign_vector(point, arrangement_for_n(n))
-    projective = is_regular_projective(point, n) if n <= 6 else None
+    projective = is_regular_projective(point, n) if n <= PROJECTIVE_MAX_N else None
     return {
         "n": n,
         "point": format_vector(point),
@@ -98,8 +99,8 @@ def _classification(point, n: int) -> dict:
 
 def cmd_chambers(args) -> int:
     if args.classify:
-        if args.n > 6:
-            print("classification supports n <= 6", file=sys.stderr)
+        if args.n > PROJECTIVE_MAX_N:
+            print(f"classification supports n <= {PROJECTIVE_MAX_N}", file=sys.stderr)
             return 2
         point = parse_vector(args.classify)
         _emit(_classification(point, args.n), args.json_out)

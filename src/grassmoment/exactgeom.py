@@ -3,12 +3,16 @@
 Chamber and regularity questions reduce to sign tests against hyperplanes
 sum_{i in T} x_i = 1 and to membership tests in convex hulls of 0/1
 vertices.  A sign test cannot be decided reliably in floating point, so
-everything in this module runs on fractions.Fraction and is exact.
+everything here is exact: the API takes and returns rationals
+(fractions.Fraction), and inside each call the vectors are scaled once
+by a common denominator, after which all work runs on integers and one
+fraction-free elimination.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -114,83 +118,120 @@ def arrangement_for_n(n: int) -> list[Hyperplane]:
     return hyperplanes
 
 
+def clear_denominators(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Scale rational vectors by their least common denominator.
+
+    Returns (rows, den) with integer rows[i][j] = den * vectors[i][j].
+    """
+    ratios = [[(v if type(v) in (int, Fraction) else rational(v)).as_integer_ratio()
+               for v in vec] for vec in vectors]
+    den = math.lcm(*{d for row in ratios for _, d in row})
+    return [[p * (den // d) for p, d in row] for row in ratios], den
+
+
+def cleared_sign_vector(cleared: Sequence[int], den: int,
+                        arrangement: Sequence[Hyperplane]) -> tuple[int, ...]:
+    """Sign vector of the point cleared / den, for integers cleared and den > 0.
+
+    sum_{i in T} x_i - 1 has the sign of the integer sum_{i in T} cleared_i - den.
+    """
+    signs = []
+    for h in arrangement:
+        value = sum(cleared[i - 1] for i in h.support) - den
+        signs.append((value > 0) - (value < 0))
+    return tuple(signs)
+
+
 def sign_vector(x: Sequence[Fraction], arrangement: Sequence[Hyperplane]) -> tuple[int, ...]:
     """Exact sign of sum_{i in T} x_i - 1 per hyperplane, each in {-1, 0, 1}."""
     if arrangement:
         needed = max(max(h.support) for h in arrangement)
         if len(x) < needed:
             raise ValueError(f"point of length {len(x)} too short for arrangement")
-    if sum(x) != 2:
+    (cleared,), den = clear_denominators([x])
+    if sum(cleared) != 2 * den:
         raise ValueError("point is not on the slice sum(x) = 2")
-    signs = []
-    for h in arrangement:
-        value = h.evaluate(x)
-        signs.append(0 if value == 0 else (1 if value > 0 else -1))
-    return tuple(signs)
+    return cleared_sign_vector(cleared, den, arrangement)
 
 
 def format_sign_vector(signs: Sequence[int]) -> str:
     return "[" + ",".join(str(s) for s in signs) + "]"
 
 
-def _row_echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form by exact Gauss-Jordan; returns (rows, pivot cols)."""
+def _row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination over the integers.
+
+    Returns (rows, pivot columns, det).  The first len(pivots) rows are
+    det times the reduced row echelon form and the rest are zero; det is
+    the last pivot, the determinant of the pivot minor up to sign.  Each
+    update divides by the previous pivot, and by Sylvester's identity
+    the division is exact: every entry stays a minor of the input.
+    """
     rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    det = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+        top = rows[r]
+        pivot = top[c]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            factor = row[c]
+            if factor:
+                rows[i] = [(pivot * a - factor * b) // det for a, b in zip(row, top)]
+            elif pivot != det:
+                rows[i] = [pivot * a // det for a in row]
+        det = pivot
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
-    return rows, pivots
+    return rows, pivots, det
 
 
 def span_normal(rows: Sequence[Sequence[Fraction]]) -> Vector | None:
     """Normal of the linear span of d-1 vectors in Q^d, or None if they are dependent.
 
-    The free coordinate is set to 1 and the others are read off the
-    reduced rows.  Reduced row echelon form depends only on the row
-    space, so every spanning set of a hyperplane gives the same normal.
+    The normal is primitive: integer entries with gcd 1, the first
+    nonzero one positive.  So it depends only on the span, and every
+    spanning set of a hyperplane gives the same normal.
     """
-    reduced, pivots = _row_echelon(rows)
-    ncols = len(rows[0])
+    cleared, _ = clear_denominators(rows)
+    reduced, pivots, det = _row_echelon(cleared)
+    ncols = len(cleared[0])
     if len(pivots) != ncols - 1:
         return None
     free = next(c for c in range(ncols) if c not in pivots)
-    normal = [Fraction(0)] * ncols
-    normal[free] = Fraction(1)
+    normal = [0] * ncols
+    normal[free] = det
     for row, c in zip(reduced, pivots):
         normal[c] = -row[free]
-    return tuple(normal)
+    scale = math.gcd(*normal)
+    if next(v for v in normal if v) < 0:
+        scale = -scale
+    return tuple(Fraction(v // scale) for v in normal)
+
+
+def _affine_rank(points: Sequence[Sequence[int]]) -> int:
+    base = points[0]
+    _, pivots, _ = _row_echelon([[a - b for a, b in zip(p, base)] for p in points[1:]])
+    return len(pivots)
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     """Rank over Q of {v - v0 : v in points}, by exact elimination."""
     if not points:
         raise ValueError("affine_rank of an empty set")
-    base = points[0]
-    length = len(base)
+    length = len(points[0])
     for p in points:
         if len(p) != length:
             raise ValueError("mixed vector lengths")
-    rows = [[Fraction(p[j]) - Fraction(base[j]) for j in range(length)]
-            for p in points[1:]]
-    _, pivots = _row_echelon(rows)
-    return len(pivots)
+    cleared, _ = clear_denominators(points)
+    return _affine_rank(cleared)
 
 
 def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
@@ -199,32 +240,34 @@ def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> 
     Returns None if the system is inconsistent, raises if the solution is
     not unique.  A may have more rows than columns.
     """
-    augmented = [[Fraction(v) for v in row] + [Fraction(rhs[i])]
-                 for i, row in enumerate(rows)]
-    reduced, pivots = _row_echelon(augmented)
+    augmented, _ = clear_denominators([[*row, rhs[i]] for i, row in enumerate(rows)])
+    reduced, pivots, det = _row_echelon(augmented)
     ncols = len(rows[0]) if rows else 0
     if ncols in pivots:
         return None  # a pivot in the rhs column means inconsistency
     if len(pivots) < ncols:
         raise ValueError("underdetermined system")
-    solution = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        solution[c] = reduced[r][-1]
-    return solution
+    return [Fraction(row[-1], det) for row in reduced[:ncols]]
 
 
-def _barycentric(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...] | None:
-    """Unique affine weights of x over affinely independent points, or None."""
-    if len(points) == 1:
-        return (Fraction(1),) if tuple(x) == tuple(points[0]) else None
+def _barycentric(x: Sequence[int], points: Sequence[Sequence[int]]) -> tuple[list[int], int] | None:
+    """Affine weights of integer x over integer points, as (numerators, det > 0).
+
+    None unless the points are affinely independent and x lies on their
+    affine hull; then the weights are unique.
+    """
     last = points[-1]
-    rows = [[Fraction(p[i]) - Fraction(last[i]) for p in points[:-1]]
+    rows = [[p[i] - last[i] for p in points[:-1]] + [x[i] - last[i]]
             for i in range(len(last))]
-    rhs = [Fraction(x[i]) - Fraction(last[i]) for i in range(len(last))]
-    partial = solve_exact(rows, rhs)
-    if partial is None:
-        return None
-    return tuple(partial) + (1 - sum(partial),)
+    reduced, pivots, det = _row_echelon(rows)
+    free = len(points) - 1
+    if pivots != list(range(free)):
+        return None  # dependent points, or a pivot in the rhs column
+    weights = [row[-1] for row in reduced[:free]]
+    weights.append(det - sum(weights))
+    if det < 0:
+        return [-w for w in weights], -det
+    return weights, det
 
 
 def convex_membership(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...] | None:
@@ -234,7 +277,8 @@ def convex_membership(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]
     or None.  The decision runs over affinely independent subsets of size
     rank+1 (a membership witness always reduces to one such subset), and
     each candidate subset admits at most one weight vector, found by exact
-    elimination.
+    elimination.  x and the points are scaled to integers once, by one
+    common denominator, which leaves the weights unchanged.
     """
     if not points:
         raise ValueError("membership in an empty hull")
@@ -242,22 +286,20 @@ def convex_membership(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]
     for p in points:
         if len(p) != length:
             raise ValueError("mixed vector lengths")
-    m = len(points)
-    rank = affine_rank(points)
-    size = rank + 1
+    (target, *cleared), _ = clear_denominators([x, *points])
+    m = len(cleared)
+    size = _affine_rank(cleared) + 1
     if m <= size:
         candidates: Iterable[tuple[int, ...]] = [tuple(range(m))]
     else:
         candidates = itertools.combinations(range(m), size)
     for idx in candidates:
-        subset = [points[i] for i in idx]
-        if len(subset) > 1 and affine_rank(subset) != len(subset) - 1:
+        found = _barycentric(target, [cleared[i] for i in idx])
+        if found is None or any(w < 0 for w in found[0]):
             continue
-        weights = _barycentric(x, subset)
-        if weights is None or any(w < 0 for w in weights):
-            continue
+        weights, det = found
         full = [Fraction(0)] * m
         for i, w in zip(idx, weights):
-            full[i] = w
+            full[i] = Fraction(w, det)
         return tuple(full)
     return None

@@ -23,15 +23,20 @@ from .exactgeom import (
     Vector,
     affine_rank,
     arrangement_for_n,
+    clear_denominators,
+    cleared_sign_vector,
     convex_membership,
     hypersimplex_vertices,
-    in_hypersimplex,
     pairs_lex,
     sign_vector,
     span_normal,
 )
 
 DEFAULT_SEED = 0xC0FFEE
+
+#: Largest n the projective regularity test supports: the wall
+#: enumeration grows too fast beyond it.
+PROJECTIVE_MAX_N = 6
 
 #: Canonical interior points of the two reference chambers.
 CHAMBER_POINT_MINUS: Vector = (Fraction(1, 3), Fraction(5, 9), Fraction(5, 9), Fraction(5, 9))
@@ -95,11 +100,17 @@ def stabilizer_dim(sigma: Sequence[int], n: int) -> StabilizerReport:
     return StabilizerReport(dim_polytope=polytope.dim, dim_stabilizer=n - polytope.dim)
 
 
-def _require_hypersimplex(x: Sequence[Fraction], n: int) -> None:
+def _cleared_point(x: Sequence[Fraction], n: int) -> tuple[list[int], int]:
+    """x scaled to integers by its common denominator, with that denominator.
+
+    Raises unless x is a point of the hypersimplex of length n.
+    """
     if len(x) != n:
         raise ValueError(f"expected a point of length {n}")
-    if not in_hypersimplex(x):
+    (cleared,), den = clear_denominators([x])
+    if sum(cleared) != 2 * den or not all(0 <= v <= den for v in cleared):
         raise ValueError("point lies outside the hypersimplex")
+    return cleared, den
 
 
 def is_regular_grassmann(x: Sequence[Fraction], n: int) -> bool:
@@ -108,31 +119,35 @@ def is_regular_grassmann(x: Sequence[Fraction], n: int) -> bool:
     True iff 0 < x_i < 1 for all i and x avoids every arrangement
     hyperplane, i.e. x sits in an open chamber of maximal dimension.
     """
-    _require_hypersimplex(x, n)
-    if not all(0 < v < 1 for v in x):
+    cleared, den = _cleared_point(x, n)
+    if not all(0 < v < den for v in cleared):
         return False
-    return all(h.evaluate(x) != 0 for h in arrangement_for_n(n))
+    return 0 not in cleared_sign_vector(cleared, den, arrangement_for_n(n))
 
 
 @lru_cache(maxsize=8)
-def _walls(n: int) -> tuple[tuple[Vector, tuple[Vector, ...]], ...]:
+def _walls(n: int) -> tuple[tuple[tuple[int, ...], tuple[Vector, ...]], ...]:
     """Each wall of the slice sum x = 2, as (normal, vertices on the wall).
 
     A wall is the hyperplane of the slice spanned by n-1 affinely
     independent vertices.  The vertices lie off the origin, so their
     linear span cuts the slice in their affine hull, and the wall is
-    {x : normal . x = 0} there.  Walls are deduplicated by their normal.
+    {x : normal . x = 0} there.  The normal is the primitive integer
+    normal of the span, which also deduplicates the walls.
     """
     vertices = hypersimplex_vertices(n)
-    walls: dict[Vector, tuple[Vector, ...]] = {}
+    walls: dict[tuple[int, ...], tuple[Vector, ...]] = {}
     for subset in itertools.combinations(vertices, n - 1):
-        normal = span_normal(subset)
-        if normal is not None and normal not in walls:
+        spanned = span_normal(subset)
+        if spanned is None:
+            continue
+        normal = tuple(v.numerator for v in spanned)
+        if normal not in walls:
             walls[normal] = tuple(v for v in vertices if _dot(normal, v) == 0)
     return tuple(walls.items())
 
 
-def _dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(p * q for p, q in zip(a, b))
 
 
@@ -143,15 +158,14 @@ def is_regular_projective(x: Sequence[Fraction], n: int) -> bool:
     the vertices on W.  Such a hull has dimension n-2.  Conversely, by
     Caratheodory a low-dimensional witness hull reduces to at most n-1
     affinely independent vertices, which extend to n-1 independent
-    vertices spanning a wall.  Guarded to n <= 6: the wall enumeration
-    grows too fast beyond that.
+    vertices spanning a wall.  x is scaled to integers once, so each
+    wall costs one integer dot product.  Guarded to n <= PROJECTIVE_MAX_N.
     """
-    if n > 6:
-        raise ValueError("projective regularity test supports n <= 6")
-    _require_hypersimplex(x, n)
-    x = tuple(Fraction(v) for v in x)
+    if n > PROJECTIVE_MAX_N:
+        raise ValueError(f"projective regularity test supports n <= {PROJECTIVE_MAX_N}")
+    cleared, _ = _cleared_point(x, n)
     for normal, on_wall in _walls(n):
-        if _dot(normal, x) == 0 and convex_membership(x, on_wall) is not None:
+        if _dot(normal, cleared) == 0 and convex_membership(x, on_wall) is not None:
             return False
     return True
 
@@ -163,7 +177,7 @@ def is_regular_projective_bruteforce(x: Sequence[Fraction], n: int) -> bool:
     at most n-2 whose hull contains x.  Kept deliberately independent of
     the bounded enumeration above so the two can cross-check each other.
     """
-    _require_hypersimplex(x, n)
+    _cleared_point(x, n)
     vertices = hypersimplex_vertices(n)
     x = tuple(Fraction(v) for v in x)
     for size in range(1, len(vertices) + 1):

@@ -109,3 +109,19 @@ def test_full_suite_wall_time_budget():
     assert all(r.passed for r in results)
     assert len(results) == 12
     assert elapsed < 60.0
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_nonpositive_samples_are_refused(samples):
+    # With no samples the sampled criteria would pass on nothing (an
+    # infinite minimum tail modulus), so every entry point refuses them.
+    with pytest.raises(ValueError):
+        acceptance.run_all(SEED, samples, only="fiber7")
+    for _, check in acceptance.CRITERIA:
+        with pytest.raises(ValueError):
+            check(SEED, samples)
+
+
+def test_filter_matching_nothing_is_refused():
+    with pytest.raises(ValueError, match="nosuch"):
+        acceptance.run_all(SEED, SAMPLES, only="nosuch")

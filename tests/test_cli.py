@@ -179,6 +179,15 @@ def test_report_only_filter(capsys):
     assert payload["all_passed"] is True
 
 
+def test_report_filter_matching_nothing_is_usage_error(capsys):
+    # An empty selection would report all_passed over no criteria at all.
+    code = cli.main(["report", "--only", "nosuch"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "nosuch" in captured.err
+
+
 def test_report_seed_independent_verdicts(capsys):
     _, first = run_cli(capsys, ["report", "--only", "fiber", "--samples", "40"])
     _, second = run_cli(capsys, ["report", "--only", "fiber", "--samples", "40",

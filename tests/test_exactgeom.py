@@ -1,7 +1,9 @@
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from grassmoment.exactgeom import (
     parse_vector,
     rational,
     sign_vector,
+    solve_exact,
     span_normal,
     vector,
 )
@@ -137,6 +140,78 @@ def test_span_normal_depends_only_on_the_span():
     assert all(sum(a * b for a, b in zip(normal, v)) == 0 for v in spanning)
     dependent = [_vertex(5, p) for p in [(1, 2), (1, 3), (2, 4), (3, 4)]]
     assert span_normal(dependent) is None
+
+
+_small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices with mixed denominators, often rank deficient:
+    zero rows and rational combinations of other rows are mixed in, and
+    there are often more rows than columns."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(_small_rationals, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            rows.append([F(0)] * ncols)
+        else:
+            i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            a, b = draw(_small_rationals), draw(_small_rationals)
+            rows.append([a * u + b * v for u, v in zip(rows[i], rows[j])])
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[k] for k in order]
+
+
+def _sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                         for row in rows])
+
+
+@given(rational_matrices())
+@settings(max_examples=80, deadline=None)
+def test_affine_rank_matches_sympy(rows):
+    # The affine rank of {0} and the rows is the linear rank of the rows.
+    origin = [F(0)] * len(rows[0])
+    assert affine_rank([origin] + rows) == _sympy_matrix(rows).rank()
+
+
+@given(rational_matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_solve_exact_matches_sympy(rows, data):
+    if data.draw(st.booleans()):
+        rhs = data.draw(st.lists(_small_rationals, min_size=len(rows), max_size=len(rows)))
+    else:  # a consistent right-hand side
+        x0 = data.draw(st.lists(_small_rationals, min_size=len(rows[0]),
+                                max_size=len(rows[0])))
+        rhs = [sum(a * b for a, b in zip(row, x0)) for row in rows]
+    try:
+        expected, params = _sympy_matrix(rows).gauss_jordan_solve(_sympy_matrix([[v] for v in rhs]))
+    except ValueError:  # sympy: the system has no solution
+        assert solve_exact(rows, rhs) is None
+        return
+    if params.shape[0]:
+        with pytest.raises(ValueError):
+            solve_exact(rows, rhs)
+    else:
+        assert solve_exact(rows, rhs) == [F(str(v)) for v in expected]
+
+
+@given(rational_matrices())
+@settings(max_examples=80, deadline=None)
+def test_span_normal_matches_sympy_nullspace(rows):
+    normal = span_normal(rows)
+    kernel = _sympy_matrix(rows).nullspace()
+    if len(kernel) != 1:
+        assert normal is None
+        return
+    assert normal is not None
+    assert all(v.denominator == 1 for v in normal)
+    assert math.gcd(*(v.numerator for v in normal)) == 1
+    assert next(v for v in normal if v) > 0
+    # Parallel to sympy's kernel vector.
+    assert _sympy_matrix([list(normal)]).col_join(kernel[0].T).rank() == 1
 
 
 def test_convex_membership_vertex():

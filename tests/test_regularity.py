@@ -1,11 +1,20 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from grassmoment.exactgeom import arrangement_for_n, pairs_lex, sign_vector, vector
+from grassmoment.exactgeom import (
+    affine_rank,
+    arrangement_for_n,
+    hypersimplex_vertices,
+    pairs_lex,
+    sign_vector,
+    vector,
+)
 from grassmoment.regularity import (
+    _walls,
     CHAMBER_POINT_MINUS,
     CHAMBER_POINT_PLUS,
     center_point_regular,
@@ -187,6 +196,43 @@ def test_walls_match_bruteforce():
         verdicts = [is_regular_projective(x, n) for x in sample]
         assert verdicts == [is_regular_projective_bruteforce(x, n) for x in sample], n
         assert set(verdicts) == expected[n], n
+
+
+@pytest.mark.parametrize("n, count", [(4, 11), (5, 30), (6, 112)])
+def test_wall_cache_holds_primitive_integer_normals(n, count):
+    walls = _walls(n)
+    assert len(walls) == count
+    assert len({normal for normal, _ in walls}) == count
+    vertices = hypersimplex_vertices(n)
+    for normal, on_wall in walls:
+        assert len(normal) == n and all(type(v) is int for v in normal)
+        assert math.gcd(*normal) == 1
+        assert next(v for v in normal if v) > 0
+        assert on_wall == tuple(v for v in vertices
+                                if sum(a * b for a, b in zip(normal, v)) == 0)
+
+
+def test_walls_match_bruteforce_large_coprime_denominators():
+    # Weights over 10007 and 10009 give points whose common denominator is
+    # their product: hull points of 4 affinely independent vertices (on a
+    # wall, non-regular) and positive combinations of all 10 vertices.
+    vertices = hypersimplex_vertices(5)
+    rng = random.Random(10007)
+    points = []
+    for size in (4, 4, 10, 10):
+        while True:
+            subset = rng.sample(vertices, size)
+            if size == 10 or affine_rank(subset) == 3:
+                break
+        weights = [F(rng.randint(1, 1000), (10007, 10009)[k % 2])
+                   for k in range(size - 1)]
+        weights.insert(0, 1 - sum(weights))
+        points.append(tuple(sum(w * v[i] for w, v in zip(weights, subset))
+                            for i in range(5)))
+    assert all(math.lcm(*(v.denominator for v in x)) > 10**8 for x in points)
+    verdicts = [is_regular_projective(x, 5) for x in points]
+    assert verdicts == [is_regular_projective_bruteforce(x, 5) for x in points]
+    assert set(verdicts) == {True, False}
 
 
 def test_gap_point_membership_structure():
