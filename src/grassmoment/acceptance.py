@@ -145,17 +145,14 @@ def check_fiber7(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
     _require_samples(samples)
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    max_moment = max_round = 0.0
-    min_tail = float("inf")
-    for _ in range(samples):
-        z0, z1, z2 = fb.random_sphere_triple(rng)
-        t4, t5 = fb.random_phases(rng, 2)
-        point = fb.fiber7_param(z0, z1, z2, t4, t5, second_orbit=second_orbit)
-        res = fb.fiber7_residuals(point, second_orbit=second_orbit)
-        max_moment = max(max_moment, res["moment"])
-        min_tail = min(min_tail, res["min_tail"])
-        max_round = max(max_round, fb.fiber7_roundtrip_error(z0, z1, z2, t4, t5,
-                                                             second_orbit=second_orbit))
+    z0, z1, z2 = fb.random_sphere_triple(rng, samples)
+    t4, t5 = fb.random_phases(rng, (2, samples))
+    point = fb.fiber7_param(z0, z1, z2, t4, t5, second_orbit=second_orbit)
+    res = fb.fiber7_residuals(point, second_orbit=second_orbit)
+    max_moment = float(np.max(res["moment"]))
+    min_tail = float(np.min(res["min_tail"]))
+    max_round = float(np.max(fb.fiber7_roundtrip_error(z0, z1, z2, t4, t5,
+                                                       second_orbit=second_orbit)))
     passed = max_moment <= 1e-10 and min_tail >= 0.33 and max_round <= 1e-10
     details = {
         "samples": samples,
@@ -210,36 +207,26 @@ def check_fiber5(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
     _require_samples(samples)
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    max_plucker = max_moment = max_f_round = max_g_round = 0.0
-    for _ in range(samples):
-        section = fb.sample_surface_section(rng)
-        phases = fb.random_phases(rng, 3)
-        point = fb.surface_torus_param(section, phases, second_orbit=second_orbit)
-        max_plucker = max(max_plucker, plucker_relation_residual(normalize_projective(point)))
-        max_moment = max(max_moment, fb.moment_residual(point, second_orbit=second_orbit))
-        max_f_round = max(max_f_round, fb.surface_roundtrip_error(section, phases,
-                                                                  second_orbit=second_orbit))
-    for _ in range(samples):
-        section = fb.sample_sphere_section(rng)
-        t1, t2 = fb.random_phases(rng, 2)
-        point = fb.sphere_torus_param(section, t1, t2, second_orbit=second_orbit)
-        max_plucker = max(max_plucker, plucker_relation_residual(normalize_projective(point)))
-        max_moment = max(max_moment, fb.moment_residual(point, second_orbit=second_orbit))
-        max_g_round = max(max_g_round, fb.sphere_roundtrip_error(section, t1, t2,
-                                                                 second_orbit=second_orbit))
-    target = normalize_projective([1.0, 1.0])
-    max_circle = 0.0
-    for psi in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False):
-        image = fb.base_projection(fb.surface_circle(psi))
-        max_circle = max(max_circle, projective_distance(image, target))
-    min_pair_distance = float("inf")
-    for _ in range(samples):
-        first = fb.sample_surface_section(rng)
-        second = fb.sample_surface_section(rng)
-        if abs(first.z0 - second.z0) + abs(first.z1 - second.z1) < 1e-8:
-            continue
-        dist = projective_distance(fb.base_projection(first), fb.base_projection(second))
-        min_pair_distance = min(min_pair_distance, dist)
+    surface = fb.sample_surface_section(rng, count=samples)
+    phases = fb.random_phases(rng, (samples, 3))
+    sphere = fb.sample_sphere_section(rng, count=samples)
+    t1, t2 = fb.random_phases(rng, (2, samples))
+    points = np.concatenate([fb.surface_torus_param(surface, phases, second_orbit=second_orbit),
+                             fb.sphere_torus_param(sphere, t1, t2, second_orbit=second_orbit)])
+    max_plucker = float(np.max(plucker_relation_residual(normalize_projective(points))))
+    max_moment = float(np.max(fb.moment_residual(points, second_orbit=second_orbit)))
+    max_f_round = float(np.max(fb.surface_roundtrip_error(surface, phases,
+                                                          second_orbit=second_orbit)))
+    max_g_round = float(np.max(fb.sphere_roundtrip_error(sphere, t1, t2,
+                                                         second_orbit=second_orbit)))
+    circle = fb.surface_circle(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
+    max_circle = float(np.max(projective_distance(fb.base_projection(circle),
+                                                  normalize_projective([1.0, 1.0]))))
+    first = fb.sample_surface_section(rng, count=samples)
+    second = fb.sample_surface_section(rng, count=samples)
+    distinct = np.abs(first.z0 - second.z0) + np.abs(first.z1 - second.z1) >= 1e-8
+    distances = projective_distance(fb.base_projection(first), fb.base_projection(second))
+    min_pair_distance = float(np.min(distances[distinct], initial=np.inf))
     passed = (max_plucker <= 1e-10 and max_moment <= 1e-10
               and max_f_round <= 1e-10 and max_g_round <= 1e-10
               and max_circle <= 1e-10 and min_pair_distance > 1e-12)
@@ -262,26 +249,13 @@ def check_complete_intersection(seed: int = DEFAULT_SEED, samples: int = DEFAULT
     _require_samples(samples)
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
-    points = []
-    for fiber in fb.edge_fibers():
-        base = fiber.sample(np.ones(3, dtype=complex))
-        points.append(fb.orbit_swap(base) if second_orbit else base)
-    for k in range(samples):
-        method = "surface" if k % 2 == 0 else "sphere"
-        points.append(fb.sample_fiber5(rng, method=method, second_orbit=second_orbit))
-    max_f_dev = 0.0
-    ranks_ok = True
-    max_fd_dev = 0.0
-    for index, point in enumerate(points):
-        chart = fb.fiber5_chart(point, second_orbit=second_orbit)
-        f1, f2, f3 = fb.complete_intersection_f(chart)
-        max_f_dev = max(max_f_dev, abs(f1), abs(f2 + 1.0), abs(f3))
-        u, v = chart.as_uv()
-        if fb.jacobian_rank(u, v, tol=1e-6) != 3:
-            ranks_ok = False
-        if index % 50 == 0:
-            max_fd_dev = max(max_fd_dev, float(np.max(np.abs(
-                fb.ci_jacobian(u, v) - fb.ci_jacobian_fd(u, v)))))
+    bases = np.array([fiber.sample(np.ones(3, dtype=complex)) for fiber in fb.edge_fibers()])
+    sampled = fb.sample_fiber5_mixed(rng, np.arange(samples) % 2 == 0, second_orbit=second_orbit)
+    points = np.concatenate([fb.orbit_swap(bases) if second_orbit else bases, sampled])
+    deviation, ranks, max_fd_dev = fb.complete_intersection_survey(
+        points, second_orbit=second_orbit, fd_every=50)
+    max_f_dev = float(np.max(deviation))
+    ranks_ok = bool(np.all(ranks == 3))
     passed = max_f_dev <= 1e-9 and ranks_ok and max_fd_dev <= 1e-6
     details = {
         "points": len(points),
@@ -299,24 +273,13 @@ def check_bundle_structure(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMP
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     determinant = fb.transition_determinant()
-    max_cocycle = 0.0
-    for _ in range(max(samples // 10, 10)):
-        t = fb.random_phases(rng, 3)
-        forward = fb.bundle_transition(fb.bundle_transition(t, "01"), "10")
-        backward = fb.bundle_transition(fb.bundle_transition(t, "10"), "01")
-        max_cocycle = max(max_cocycle,
-                          max(abs(a - b) for a, b in zip(forward, t)),
-                          max(abs(a - b) for a, b in zip(backward, t)))
-    coverage_ok = True
-    for _ in range(samples // 2):
-        cov = fb.chart_coverage(fb.sample_fiber5(rng))
-        if not cov.ok:
-            coverage_ok = False
+    max_cocycle = fb.cocycle_error(fb.random_phases(rng, (max(samples // 10, 10), 3)))
+    coverage_ok = bool(np.all(fb.chart_coverage(fb.sample_fiber5(rng, count=samples // 2)).ok))
     fibers = fb.edge_fibers()
     cov0 = fb.chart_coverage(fibers[0].base)
     cov1 = fb.chart_coverage(fibers[1].base)
-    classification_ok = (cov0.in_chart_m0 and not cov0.in_chart_m1
-                         and cov1.in_chart_m1 and not cov1.in_chart_m0)
+    classification_ok = bool(cov0.in_chart_m0 and not cov0.in_chart_m1
+                             and cov1.in_chart_m1 and not cov1.in_chart_m0)
     passed = (determinant == -1 and max_cocycle <= 1e-12
               and coverage_ok and classification_ok)
     details = {
@@ -344,9 +307,9 @@ def check_dimension_counts(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMP
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     count = max(samples // 10, 100)
-    dims7 = {fb.tangent_fiber_dimension(fb.sample_fiber7(rng)) for _ in range(count)}
-    dims5 = {fb.tangent_fiber_dimension(fb.sample_fiber5(rng), include_quadric=True)
-             for _ in range(count)}
+    dims7 = set(fb.tangent_fiber_dimension(fb.sample_fiber7(rng, count=count)).tolist())
+    dims5 = set(fb.tangent_fiber_dimension(fb.sample_fiber5(rng, count=count),
+                                           include_quadric=True).tolist())
     passed = dims7 == {7} and dims5 == {5}
     details = {"points_each": count, "dims7": sorted(dims7), "dims5": sorted(dims5)}
     return _result(11, "tangent dimension counts", started, passed, details)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -50,39 +52,29 @@ def _positive_int(text: str) -> int:
 def _parse_tolerances(items: list[str] | None) -> dict[str, float]:
     overrides: dict[str, float] = {}
     for item in items or []:
-        if "=" not in item:
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep:
             raise ValueError(f"tolerance override must look like name=value, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = float(value)
+        if key not in fb.DEFAULT_TOLERANCES:
+            raise ValueError(f"unknown tolerance {key!r}, known: {list(fb.DEFAULT_TOLERANCES)}")
+        overrides[key] = float(value)
+        if not math.isfinite(overrides[key]):
+            raise ValueError(f"tolerance {key} must be finite, got {value!r}")
     return overrides
 
 
-def _json_default(value):
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
+def _rank_histogram(ranks: np.ndarray) -> dict[str, int]:
+    """Count of each Jacobian rank, in order of first appearance."""
+    return {str(rank): count for rank, count in Counter(ranks.tolist()).items()}
 
 
 def _emit(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, default=_json_default, allow_nan=False)
+    text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
     print(text)
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-
-
-def _complex_matrix(text: str) -> np.ndarray:
-    data = json.loads(text)
-    return np.array([[complex(entry[0], entry[1]) for entry in row] for row in data])
-
-
-def _complex_vector(text: str) -> np.ndarray:
-    data = json.loads(text)
-    return np.array([complex(entry[0], entry[1]) for entry in data])
 
 
 def _classification(point, n: int) -> dict:
@@ -142,19 +134,18 @@ def cmd_regular(args) -> int:
 
 
 def cmd_moment(args) -> int:
-    name = args.map
-    if name == "mu":
-        matrix = _complex_matrix(args.point)
-        plane = GrassmannPoint(matrix)
-        output = grassmann_moment(plane, args.n)
-        echo = json.loads(args.point)
-    elif name in ("mu_tilde", "mu_hat"):
-        coords = _complex_vector(args.point)
-        output = hypersimplex_moment(coords, args.n) if name == "mu_tilde" else simplex_moment(coords)
-        echo = json.loads(args.point)
-    else:  # pragma: no cover - argparse guards the choices
-        return 2
-    _emit({"map": name, "n": args.n, "input": echo, "output": [float(v) for v in output]},
+    echo = json.loads(args.point)
+    pairs = np.array(echo, dtype=float)
+    if pairs.ndim != (3 if args.map == "mu" else 2) or pairs.shape[-1] != 2:
+        raise ValueError("--point takes [re, im] pairs, a 2 x n matrix of them for mu")
+    coords = pairs[..., 0] + 1j * pairs[..., 1]
+    if args.map == "mu":
+        output = grassmann_moment(GrassmannPoint(coords), args.n)
+    elif args.map == "mu_tilde":
+        output = hypersimplex_moment(coords, args.n)
+    else:
+        output = simplex_moment(coords)
+    _emit({"map": args.map, "n": args.n, "input": echo, "output": output.tolist()},
           args.json_out)
     return 0
 
@@ -163,26 +154,10 @@ def cmd_fiber(args) -> int:
     overrides = _parse_tolerances(args.tol)
     second_orbit = args.orbit == "plus"
     rng = np.random.default_rng(args.seed)
-    certificates = []
-    failing = None
-    all_passed = True
-    max_residuals: dict[str, float] = {}
-    rank_histogram: dict[str, int] = {}
-    for _ in range(args.samples):
-        point = fb.sample_for_kind(args.kind, rng, second_orbit=second_orbit)
-        cert, passed = fb.build_certificate(args.kind, point, second_orbit=second_orbit,
-                                            tolerances=overrides)
-        certificates.append(cert)
-        for key, value in cert["residuals"].items():
-            if value is not None:
-                max_residuals[key] = max(max_residuals.get(key, 0.0), value)
-        if cert["jacobian_rank"] is not None:
-            rank_histogram[str(cert["jacobian_rank"])] = rank_histogram.get(
-                str(cert["jacobian_rank"]), 0) + 1
-        if not passed:
-            all_passed = False
-            if failing is None:
-                failing = cert
+    points = fb.sample_for_kind(args.kind, rng, args.samples, second_orbit=second_orbit)
+    batch = fb.certify(args.kind, points, second_orbit=second_orbit, tolerances=overrides)
+    certificates = batch.to_json()
+    failing = np.flatnonzero(~batch.passed)
     payload = {
         "kind": args.kind,
         "samples": args.samples,
@@ -190,40 +165,30 @@ def cmd_fiber(args) -> int:
         "second_orbit": second_orbit,
         "certificates": certificates,
         "aggregate": {
-            "max_residuals": max_residuals,
-            "rank_histogram": rank_histogram,
-            "all_passed": all_passed,
+            "max_residuals": {key: max(0.0, float(np.max(batch.residuals[key])))
+                              for key in fb.EMITTED_RESIDUALS if key in batch.residuals},
+            "rank_histogram": {} if batch.ranks is None else _rank_histogram(batch.ranks),
+            "all_passed": failing.size == 0,
         },
-        "failing_sample": failing,
+        "failing_sample": certificates[failing[0]] if failing.size else None,
     }
     _emit(payload, args.json_out)
-    return 0 if all_passed else 1
+    return 0 if failing.size == 0 else 1
 
 
 def cmd_jacobian(args) -> int:
     second_orbit = args.orbit == "plus"
     rng = np.random.default_rng(args.seed)
-    rank_histogram: dict[str, int] = {}
-    max_f = [0.0, 0.0, 0.0]
-    max_fd = 0.0
-    for index in range(args.samples):
-        point = fb.sample_fiber5(rng, method="surface" if index % 2 == 0 else "sphere",
-                                 second_orbit=second_orbit)
-        chart = fb.fiber5_chart(point, second_orbit=second_orbit)
-        f1, f2, f3 = fb.complete_intersection_f(chart)
-        max_f = [max(max_f[0], abs(f1)), max(max_f[1], abs(f2 + 1.0)), max(max_f[2], abs(f3))]
-        u, v = chart.as_uv()
-        rank = fb.jacobian_rank(u, v)
-        rank_histogram[str(rank)] = rank_histogram.get(str(rank), 0) + 1
-        if index % 25 == 0:
-            max_fd = max(max_fd, float(np.max(np.abs(fb.ci_jacobian(u, v) - fb.ci_jacobian_fd(u, v)))))
+    points = fb.sample_fiber5_mixed(rng, np.arange(args.samples) % 2 == 0, second_orbit)
+    deviation, ranks, max_fd = fb.complete_intersection_survey(points, second_orbit=second_orbit)
+    rank_histogram = _rank_histogram(ranks)
     all_rank3 = set(rank_histogram) <= {"3"}
     payload = {
         "samples": args.samples,
         "seed": args.seed,
         "second_orbit": second_orbit,
         "rank_histogram": rank_histogram,
-        "max_f_deviation": max_f,
+        "max_f_deviation": np.max(deviation, axis=0).tolist(),
         "max_fd_deviation": max_fd,
         "all_rank_3": all_rank3,
     }
@@ -233,14 +198,7 @@ def cmd_jacobian(args) -> int:
 
 def cmd_transition(args) -> int:
     rng = np.random.default_rng(args.seed)
-    max_cocycle = 0.0
-    for _ in range(args.samples):
-        t = fb.random_phases(rng, 3)
-        forward = fb.bundle_transition(fb.bundle_transition(t, "01"), "10")
-        backward = fb.bundle_transition(fb.bundle_transition(t, "10"), "01")
-        max_cocycle = max(max_cocycle,
-                          max(abs(a - b) for a, b in zip(forward, t)),
-                          max(abs(a - b) for a, b in zip(backward, t)))
+    max_cocycle = fb.cocycle_error(fb.random_phases(rng, (args.samples, 3)))
     determinant = fb.transition_determinant()
     ok = determinant == -1 and max_cocycle <= 1e-12
     payload = {
@@ -320,18 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_parse_seed, default=acceptance.DEFAULT_SEED)
         p.add_argument("--samples", type=_positive_int, default=samples_default)
         p.add_argument("--orbit", choices=["minus", "plus"], default="minus")
-        p.add_argument("--json-out", default=None)
 
     p = sub.add_parser("chambers", help="enumerate n=4 chambers or classify a point")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--classify", default=None, help="comma separated rational point")
-    p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_chambers)
 
     p = sub.add_parser("regular", help="regularity report for one rational point")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--classify", required=True)
-    p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_regular)
 
     p = sub.add_parser("moment", help="evaluate one of the three moment maps")
@@ -339,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--point", required=True,
                    help="JSON [re,im] pairs; a 2 x n matrix of pairs for mu")
-    p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_moment)
 
     p = sub.add_parser("fiber", help="sample a fiber and emit residual certificates")
@@ -358,28 +312,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("triangle", help="exact solution triangle of the moment system")
     p.add_argument("--orbit", choices=["minus", "plus"], default="minus")
-    p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("curve", help="edge curve residuals at one parameter point")
     p.add_argument("--x0", required=True)
     p.add_argument("--x1", required=True)
-    p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("witness", help="largest chamber witness point")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=_parse_seed, default=acceptance.DEFAULT_SEED)
-    p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("report", help="run the acceptance suite")
     p.add_argument("--seed", type=_parse_seed, default=acceptance.DEFAULT_SEED)
     p.add_argument("--samples", type=_positive_int, default=acceptance.DEFAULT_SAMPLES)
     p.add_argument("--only", default=None)
-    p.add_argument("--json-out", default=None)
     p.set_defaults(func=cmd_report)
 
+    for p in sub.choices.values():
+        p.add_argument("--json-out", default=None, help="also write the JSON to this file")
     return parser
 
 

@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -97,12 +98,14 @@ class Hyperplane:
         return sum(x[i - 1] for i in self.support) - 1
 
 
-def arrangement_for_n(n: int) -> list[Hyperplane]:
+@lru_cache(maxsize=16)
+def arrangement_for_n(n: int) -> tuple[Hyperplane, ...]:
     """All hyperplanes sum_{i in T} x_i = 1 with 2 <= |T| <= n//2.
 
     Canonical order: by support size, then lexicographic.  For even n and
     |T| = n/2, T and its complement cut the same hyperplane on the slice
     sum x = 2, so only the lexicographically smaller support is kept.
+    Built once per n; the tuple of frozen hyperplanes is shared.
     """
     if n < 4:
         raise ValueError(f"arrangement needs n >= 4, got {n}")
@@ -115,7 +118,7 @@ def arrangement_for_n(n: int) -> list[Hyperplane]:
                 if complement < support:
                     continue
             hyperplanes.append(Hyperplane(support))
-    return hyperplanes
+    return tuple(hyperplanes)
 
 
 def clear_denominators(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:

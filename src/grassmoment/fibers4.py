@@ -13,12 +13,17 @@ certificates for all of it.
 The fiber over the mirror point (2/3, 4/9, 4/9, 4/9) is obtained from
 the first one by the coordinate swap (z0,z1,z2) <-> (z3,z4,z5); every
 operation takes a ``second_orbit`` flag instead of duplicating code.
+
+All numerics work along the last axis: one point has shape (6,), N
+points (N, 6), and sections hold scalars or arrays.  A run is drawn by one
+``sample_for_kind(kind, rng, count)`` and certified by one ``certify``;
+the one-point helpers are the N = 1 case of the same code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +32,7 @@ from .exactgeom import Vector, solve_exact
 from .moment import hypersimplex_moment, weight_vectors
 from .plucker import (
     ChartCoords4,
+    chart_array,
     chart_from_plucker,
     normalize_projective,
     plucker_relation_residual,
@@ -61,37 +67,53 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "rank_tol": 1e-6,
 }
 
+#: Residuals a certificate emits, in order; 'mq7' has only the first.
+EMITTED_RESIDUALS = ("moment", "plucker", "surface")
+
 _UNIT_TOL = 1e-12
 _ZERO_TOL = 1e-12
+_COVERAGE_TOL = 1e-10
+#: Equipotential values (f1, f2, f3) of the chart quadrics on the fiber.
+_F_TARGET = np.array([0.0, -1.0, 0.0])
 
 
-def _chamber_target(second_orbit: bool) -> np.ndarray:
-    point = CHAMBER_POINT_PLUS if second_orbit else CHAMBER_POINT_MINUS
-    return np.array([float(v) for v in point])
+def _shape(count: int | None, *tail: int) -> tuple[int, ...]:
+    """Array shape of one draw (count None) or of count draws."""
+    return tail if count is None else (count, *tail)
+
+
+def _split(x) -> tuple:
+    """The entries along the last axis, one scalar or array each."""
+    return tuple(np.moveaxis(np.asarray(x), -1, 0))
+
+
+def _stack(*values) -> np.ndarray:
+    """Broadcast complex values to one shape and stack them along a new last axis."""
+    return np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in values)), -1)
 
 
 def _as_coords6(point) -> np.ndarray:
     if isinstance(point, (SurfaceSection, SphereSection)):
         return point.coords
     z = np.asarray(point, dtype=complex)
-    if z.shape != (6,):
+    if z.shape[-1:] != (6,):
         raise ValueError("expected six homogeneous coordinates")
     return z
 
 
 def orbit_swap(z) -> np.ndarray:
     """Apply the coordinate swap between the two chamber orbits."""
-    return _as_coords6(z)[ORBIT_SWAP]
+    return _as_coords6(z)[..., ORBIT_SWAP]
 
 
 def _first_orbit_view(z, second_orbit: bool) -> np.ndarray:
     z = _as_coords6(z)
-    return z[ORBIT_SWAP] if second_orbit else z
+    return z[..., ORBIT_SWAP] if second_orbit else z
 
 
 def _check_unit_phases(phases) -> np.ndarray:
     t = np.asarray(phases, dtype=complex)
-    if np.max(np.abs(np.abs(t) - 1.0)) > _UNIT_TOL:
+    if not np.all(np.abs(np.abs(t) - 1.0) <= _UNIT_TOL):
         raise ValueError("torus element has non-unit modulus")
     return t
 
@@ -100,71 +122,62 @@ def _check_unit_phases(phases) -> np.ndarray:
 # The 7-dimensional fiber in CP^5
 # ---------------------------------------------------------------------------
 
-def tail_magnitudes(z0: complex, z1: complex, z2: complex,
-                    tol: float = 1e-10) -> tuple[float, float, float]:
-    """Moduli of the last three fiber coordinates from the first three.
+def tail_magnitudes(z0, z1, z2, tol: float = 1e-10) -> tuple:
+    """Moduli (|z3|, |z4|, |z5|) of the fiber coordinates from the first three.
 
-    Requires |z0|^2 + |z1|^2 + |z2|^2 = 1/3.  On that sphere the symmetric
-    form used here agrees identically with the short form
-    |z4|^2 = |z1|^2 + 1/9, |z5|^2 = |z0|^2 + 1/9, |z3|^2 = 4/9 - |z0|^2 - |z1|^2.
+    Requires |z0|^2 + |z1|^2 + |z2|^2 = 1/3 to within tol.  The one tail
+    formula, |z_(5-k)|^2 = |z_k|^2 + 1/9, agrees identically on that sphere
+    with the magnitude system |z3|^2 = (|z0|^2 + |z1|^2 + 4|z2|^2)/3 (cyclic).
     """
-    s0, s1, s2 = abs(z0) ** 2, abs(z1) ** 2, abs(z2) ** 2
-    if abs(s0 + s1 + s2 - 1.0 / 3.0) > tol:
+    s = np.abs(_stack(z0, z1, z2)) ** 2
+    if not np.all(np.abs(np.sum(s, axis=-1) - 1.0 / 3.0) <= tol):
         raise ValueError("head coordinates do not satisfy the sphere constraint")
-    m3 = math.sqrt((s0 + s1 + 4.0 * s2) / 3.0)
-    m4 = math.sqrt((s0 + 4.0 * s1 + s2) / 3.0)
-    m5 = math.sqrt((4.0 * s0 + s1 + s2) / 3.0)
-    return m3, m4, m5
+    return _split(np.sqrt(s[..., ::-1] + 1.0 / 9.0))
 
 
-def lift_to_fiber(z0: complex, z1: complex, z2: complex) -> np.ndarray:
-    """Lift a sphere triple to the fiber point (z0, z1, z2, |z3|, |z4|, |z5|)."""
-    m3, m4, m5 = tail_magnitudes(z0, z1, z2)
-    return np.array([z0, z1, z2, m3, m4, m5], dtype=complex)
+def lift_to_fiber(z0, z1, z2, tol: float = 1e-10) -> np.ndarray:
+    """Lift sphere triples to the fiber points (z0, z1, z2, |z3|, |z4|, |z5|)."""
+    return _stack(z0, z1, z2, *tail_magnitudes(z0, z1, z2, tol))
 
 
-def fiber7_param(z0: complex, z1: complex, z2: complex,
-                 t4: complex, t5: complex, second_orbit: bool = False) -> np.ndarray:
+def fiber7_param(z0, z1, z2, t4, t5, second_orbit: bool = False) -> np.ndarray:
     """Sphere x torus parametrization of the 7-fiber."""
-    t4, t5 = _check_unit_phases([t4, t5])
     z = lift_to_fiber(z0, z1, z2)
-    z[4] *= t4
-    z[5] *= t5
+    z[..., 4:] *= _check_unit_phases(_stack(t4, t5))
     return orbit_swap(z) if second_orbit else z
 
 
 def fiber7_preimage(z, second_orbit: bool = False):
     """Recover (z0, z1, z2, t4, t5); unique because z4, z5 never vanish."""
-    w = _first_orbit_view(z, second_orbit).copy()
-    phase = w[3] / abs(w[3])
-    w *= np.conj(phase)
-    t4 = w[4] / abs(w[4])
-    t5 = w[5] / abs(w[5])
-    return complex(w[0]), complex(w[1]), complex(w[2]), complex(t4), complex(t5)
+    w = _first_orbit_view(z, second_orbit)
+    w = w * (np.conj(w[..., 3]) / np.abs(w[..., 3]))[..., None]
+    z0, z1, z2, _, z4, z5 = _split(w)
+    return z0, z1, z2, z4 / np.abs(z4), z5 / np.abs(z5)
 
 
-def random_sphere_triple(rng: np.random.Generator) -> tuple[complex, complex, complex]:
-    """Uniform point of the radius 1/sqrt(3) sphere in C^3."""
-    v = rng.normal(size=3) + 1j * rng.normal(size=3)
-    v *= 1.0 / (math.sqrt(3.0) * np.linalg.norm(v))
-    return complex(v[0]), complex(v[1]), complex(v[2])
+def random_sphere_triple(rng: np.random.Generator, count: int | None = None) -> tuple:
+    """Uniform point (or count points) of the radius 1/sqrt(3) sphere in C^3."""
+    v = rng.normal(size=_shape(count, 3)) + 1j * rng.normal(size=_shape(count, 3))
+    v *= 1.0 / (math.sqrt(3.0) * np.linalg.norm(v, axis=-1, keepdims=True))
+    return _split(v)
 
 
-def random_phases(rng: np.random.Generator, count: int) -> np.ndarray:
+def random_phases(rng: np.random.Generator, count) -> np.ndarray:
+    """Uniform unit phases; count is a length or an array shape."""
     return np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=count))
 
 
-def sample_fiber7(rng: np.random.Generator, second_orbit: bool = False) -> np.ndarray:
-    z0, z1, z2 = random_sphere_triple(rng)
-    t4, t5 = random_phases(rng, 2)
+def sample_fiber7(rng: np.random.Generator, second_orbit: bool = False,
+                  count: int | None = None) -> np.ndarray:
+    z0, z1, z2 = random_sphere_triple(rng, count)
+    t4, t5 = _split(random_phases(rng, _shape(count, 2)))
     return fiber7_param(z0, z1, z2, t4, t5, second_orbit=second_orbit)
 
 
-def fiber7_roundtrip_error(z0, z1, z2, t4, t5, second_orbit: bool = False) -> float:
+def fiber7_roundtrip_error(z0, z1, z2, t4, t5, second_orbit: bool = False):
     point = fiber7_param(z0, z1, z2, t4, t5, second_orbit=second_orbit)
-    recovered = fiber7_preimage(point, second_orbit=second_orbit)
-    original = (z0, z1, z2, t4, t5)
-    return max(abs(a - b) for a, b in zip(recovered, original))
+    recovered = _stack(*fiber7_preimage(point, second_orbit=second_orbit))
+    return np.max(np.abs(recovered - _stack(z0, z1, z2, t4, t5)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +282,25 @@ def _curve_products(x0: float, x1: float) -> tuple[float, float, float]:
 # Cross sections of the 5-dimensional Grassmannian fiber
 # ---------------------------------------------------------------------------
 
-def _section_tail(s0: float, s1: float) -> tuple[float, float, float, float]:
-    s2 = max(0.0, 1.0 / 3.0 - s0 - s1)
-    m2 = math.sqrt(s2)
-    m3 = math.sqrt(s2 + 1.0 / 9.0)
-    m4 = math.sqrt(s1 + 1.0 / 9.0)
-    m5 = math.sqrt(s0 + 1.0 / 9.0)
-    return m2, m3, m4, m5
+@dataclass(frozen=True)
+class _Section:
+    """Head coordinates, complex for one point or equal-shape arrays for a
+    batch, checked on the sphere |z|^2 = 1/3 (1e-9) and the surface (1e-10)."""
+
+    def __post_init__(self):
+        names = [f.name for f in fields(self)]
+        heads = np.broadcast_arrays(*(np.asarray(getattr(self, n), dtype=complex) for n in names))
+        for name, value in zip(names, heads):
+            object.__setattr__(self, name, complex(value) if value.ndim == 0 else value)
+        if not np.all(self.surface_residual() <= 1e-10):
+            raise ValueError("point does not satisfy the surface equation")
+
+    def surface_residual(self):
+        return plucker_relation_residual(self.coords)
 
 
 @dataclass(frozen=True)
-class SurfaceSection:
+class SurfaceSection(_Section):
     """Point of the two-dimensional section: third coordinate real nonnegative.
 
     Carries (z0, z1); the remaining moduli are determined.  Valid points
@@ -289,64 +310,59 @@ class SurfaceSection:
     z0: complex
     z1: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "z0", complex(self.z0))
-        object.__setattr__(self, "z1", complex(self.z1))
-        s0, s1 = abs(self.z0) ** 2, abs(self.z1) ** 2
-        if s0 + s1 > 1.0 / 3.0 + 1e-9:
-            raise ValueError("head moduli leave no room for the third coordinate")
-        if self.surface_residual() > 1e-10:
-            raise ValueError("point does not satisfy the surface equation")
-
-    def magnitudes(self) -> tuple[float, float, float, float]:
-        return _section_tail(abs(self.z0) ** 2, abs(self.z1) ** 2)
-
-    def surface_residual(self) -> float:
-        m2, m3, m4, m5 = self.magnitudes()
-        return abs(self.z0 * m5 + m2 * m3 - self.z1 * m4)
+    def magnitudes(self) -> tuple:
+        """(|z2|, |z3|, |z4|, |z5|)."""
+        return _split(self.coords[..., 2:].real)
 
     @property
     def coords(self) -> np.ndarray:
-        m2, m3, m4, m5 = self.magnitudes()
-        return np.array([self.z0, self.z1, m2, m3, m4, m5], dtype=complex)
+        s2 = _third_square(np.abs(self.z0) ** 2, np.abs(self.z1) ** 2)
+        return lift_to_fiber(self.z0, self.z1, np.sqrt(s2), tol=1e-9)
 
     @property
-    def on_circle(self) -> bool:
-        return abs(self.z0) ** 2 + abs(self.z1) ** 2 > 1.0 / 3.0 - 1e-9
+    def on_circle(self):
+        return np.abs(self.z0) ** 2 + np.abs(self.z1) ** 2 > 1.0 / 3.0 - 1e-9
 
 
 @dataclass(frozen=True)
-class SphereSection:
+class SphereSection(_Section):
     """Point of the three-dimensional section: all three head coordinates complex."""
 
     z0: complex
     z1: complex
     z2: complex
 
-    def __post_init__(self):
-        for name in ("z0", "z1", "z2"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        total = abs(self.z0) ** 2 + abs(self.z1) ** 2 + abs(self.z2) ** 2
-        if abs(total - 1.0 / 3.0) > 1e-9:
-            raise ValueError("head coordinates must lie on the radius 1/sqrt(3) sphere")
-        if self.surface_residual() > 1e-10:
-            raise ValueError("point does not satisfy the surface equation")
-
-    def magnitudes(self) -> tuple[float, float, float]:
-        s2 = abs(self.z2) ** 2
-        m3 = math.sqrt(s2 + 1.0 / 9.0)
-        m4 = math.sqrt(abs(self.z1) ** 2 + 1.0 / 9.0)
-        m5 = math.sqrt(abs(self.z0) ** 2 + 1.0 / 9.0)
-        return m3, m4, m5
-
-    def surface_residual(self) -> float:
-        m3, m4, m5 = self.magnitudes()
-        return abs(self.z0 * m5 + self.z2 * m3 - self.z1 * m4)
-
     @property
     def coords(self) -> np.ndarray:
-        m3, m4, m5 = self.magnitudes()
-        return np.array([self.z0, self.z1, self.z2, m3, m4, m5], dtype=complex)
+        return lift_to_fiber(self.z0, self.z1, self.z2, tol=1e-9)
+
+
+def _third_square(s0, s1):
+    """|z2|^2 = 1/3 - |z0|^2 - |z1|^2 on a surface point, with values up to
+    1e-15 taken as 0: that is rounding noise, whose square root (up to 3e-8)
+    would break the 1e-10 surface equation next to the circle z2 = 0."""
+    s2 = 1.0 / 3.0 - s0 - s1
+    return np.where(s2 > 1e-15, s2, 0.0)
+
+
+def _closure_terms(r0, r1):
+    """Products |z0||z5|, |z1||z4|, |z2||z3| of the surface equation and the
+    cosine of the relative phase that closes it (law of cosines)."""
+    big0 = r0 * np.sqrt(r0 * r0 + 1.0 / 9.0)
+    big1 = r1 * np.sqrt(r1 * r1 + 1.0 / 9.0)
+    s2 = _third_square(r0 * r0, r1 * r1)
+    middle = np.sqrt(s2 * (s2 + 1.0 / 9.0))
+    with np.errstate(all="ignore"):
+        cos_phi = (big1 * big1 - big0 * big0 - middle * middle) / (2.0 * big0 * middle)
+    return big0, big1, middle, cos_phi
+
+
+def _close_phase(r0, r1, branch) -> SurfaceSection:
+    """Surface point R0*e^(i*phi) + C = R1*e^(i*psi), sin(phi) of sign branch."""
+    big0, _, middle, cos_phi = _closure_terms(r0, r1)
+    rotation = np.exp(1j * branch * np.arccos(np.clip(cos_phi, -1.0, 1.0)))
+    closing = middle + big0 * rotation
+    return SurfaceSection(r0 * rotation, r1 * closing / np.abs(closing))
 
 
 def surface_section(r0: float, r1: float, branch: int = 1) -> SurfaceSection:
@@ -358,180 +374,162 @@ def surface_section(r0: float, r1: float, branch: int = 1) -> SurfaceSection:
     three magnitudes zero) are accepted when the other two balance.
     """
     r0, r1 = float(r0), float(r1)
-    if r0 < 0 or r1 < 0:
+    if not (r0 >= 0 and r1 >= 0):
         raise ValueError("magnitudes must be nonnegative")
-    if r0 * r0 + r1 * r1 > 1.0 / 3.0 + 1e-12:
+    if not r0 * r0 + r1 * r1 <= 1.0 / 3.0 + 1e-12:
         raise ValueError("head moduli exceed the sphere bound")
     if branch not in (1, -1):
         raise ValueError("branch must be +1 or -1")
-    big0 = r0 * math.sqrt(r0 * r0 + 1.0 / 9.0)
-    big1 = r1 * math.sqrt(r1 * r1 + 1.0 / 9.0)
-    s2 = max(0.0, 1.0 / 3.0 - r0 * r0 - r1 * r1)
-    middle = math.sqrt(s2 * (s2 + 1.0 / 9.0))
+    big0, big1, middle, cos_phi = _closure_terms(r0, r1)
 
-    if middle <= _ZERO_TOL:
-        if abs(big0 - big1) > 1e-10:
-            raise ValueError("no phase closure: circle case needs equal head products")
-        return SurfaceSection(r0, r1)
-    if big0 <= _ZERO_TOL:
-        if abs(middle - big1) > 1e-10:
-            raise ValueError("no phase closure with a vanishing first coordinate")
-        return SurfaceSection(0.0, r1)
-    if big1 <= _ZERO_TOL:
-        if abs(middle - big0) > 1e-10:
-            raise ValueError("no phase closure with a vanishing second coordinate")
-        return SurfaceSection(-r0, 0.0)
-
-    cos_phi = (big1 * big1 - big0 * big0 - middle * middle) / (2.0 * big0 * middle)
-    if abs(cos_phi) > 1.0 + 1e-9:
+    for small, gap, heads, case in ((middle, big0 - big1, (r0, r1), "circle"),
+                                    (big0, middle - big1, (0.0, r1), "vanishing z0"),
+                                    (big1, middle - big0, (-r0, 0.0), "vanishing z1")):
+        if small <= _ZERO_TOL:
+            if not abs(gap) <= 1e-10:
+                raise ValueError(f"no phase closure in the {case} case: the other two "
+                                 "products must balance")
+            return SurfaceSection(*heads)
+    if not abs(cos_phi) <= 1.0 + 1e-9:
         raise ValueError("no phase closure: the three products violate the triangle bound")
-    cos_phi = min(1.0, max(-1.0, cos_phi))
-    phi = branch * math.acos(cos_phi)
-    z0 = r0 * complex(math.cos(phi), math.sin(phi))
-    closing = middle + big0 * complex(math.cos(phi), math.sin(phi))
-    z1 = r1 * closing / abs(closing)
-    return SurfaceSection(z0, z1)
+    return _close_phase(r0, r1, branch)
 
 
-def surface_circle(psi: float) -> SurfaceSection:
+def surface_circle(psi) -> SurfaceSection:
     """Circle of surface points with z0 = z1 = e^(i*psi)/sqrt(6).
 
     Here |z2| = 0 and |z3| = 1/3, forced by |z3|^2 = |z2|^2 + 1/9.
     """
-    z = complex(math.cos(psi), math.sin(psi)) / math.sqrt(6.0)
+    z = np.exp(1j * np.asarray(psi, dtype=float)) / math.sqrt(6.0)
     return SurfaceSection(z, z)
 
 
-def sample_surface_section(rng: np.random.Generator, max_trials: int = 10000) -> SurfaceSection:
-    """Rejection sampler over the feasible magnitude region, off the circle."""
-    bound = math.sqrt(1.0 / 3.0)
-    for _ in range(max_trials):
-        r0 = rng.uniform(0.0, bound)
-        r1 = rng.uniform(0.0, bound)
-        if r0 * r0 + r1 * r1 > 1.0 / 3.0:
-            continue
-        big0 = r0 * math.sqrt(r0 * r0 + 1.0 / 9.0)
-        big1 = r1 * math.sqrt(r1 * r1 + 1.0 / 9.0)
-        s2 = 1.0 / 3.0 - r0 * r0 - r1 * r1
-        middle = math.sqrt(s2 * (s2 + 1.0 / 9.0))
-        if middle < 1e-6 or big0 < 1e-9:
-            continue
-        cos_phi = (big1 * big1 - big0 * big0 - middle * middle) / (2.0 * big0 * middle)
-        if abs(cos_phi) > 1.0 - 1e-9:
-            continue
-        branch = 1 if rng.uniform() < 0.5 else -1
-        return surface_section(r0, r1, branch)
-    raise RuntimeError("surface sampler exhausted its trial budget")
+def sample_surface_section(rng: np.random.Generator, max_trials: int = 10000,
+                           count: int | None = None) -> SurfaceSection:
+    """Rejection sampler over the feasible magnitude region, off the circle.
+
+    Uniform pairs (r0, r1) are drawn in blocks and kept where r0^2 + r1^2
+    <= 1/3, |z2||z3| >= 1e-6, |z0||z5| >= 1e-9 and |cos(phi)| <= 1 - 1e-9,
+    each with a random branch.  One section, or a batch of count; after
+    max_trials candidates per section asked for, RuntimeError.
+    """
+    wanted = 1 if count is None else count
+    kept, trials = np.empty((0, 2)), 0
+    while len(kept) < wanted:
+        if trials >= max_trials * wanted:
+            raise RuntimeError("surface sampler exhausted its trial budget")
+        block = rng.uniform(0.0, math.sqrt(1.0 / 3.0), size=(2 * (wanted - len(kept)) + 16, 2))
+        trials += len(block)
+        r0, r1 = block.T
+        big0, _, middle, cos_phi = _closure_terms(r0, r1)
+        ok = ((r0 * r0 + r1 * r1 <= 1.0 / 3.0) & (middle >= 1e-6) & (big0 >= 1e-9)
+              & (np.abs(cos_phi) <= 1.0 - 1e-9))
+        kept = np.concatenate([kept, block[ok]])
+    r0, r1 = kept[:wanted].T
+    branch = np.where(rng.uniform(size=wanted) < 0.5, 1.0, -1.0)
+    if count is None:
+        r0, r1, branch = r0[0], r1[0], branch[0]
+    return _close_phase(r0, r1, branch)
 
 
-def rotate_section(section: SurfaceSection, phase: complex) -> SphereSection:
+def rotate_section(section: SurfaceSection, phase) -> SphereSection:
     """Apply a common phase to the head coordinates of a surface point."""
-    (phase,) = _check_unit_phases([phase])
-    m2 = section.magnitudes()[0]
-    return SphereSection(section.z0 * phase, section.z1 * phase, m2 * phase)
+    phase = _check_unit_phases(phase)
+    return SphereSection(section.z0 * phase, section.z1 * phase, section.coords[..., 2] * phase)
 
 
-def sample_sphere_section(rng: np.random.Generator) -> SphereSection:
+def sample_sphere_section(rng: np.random.Generator,
+                          count: int | None = None) -> SphereSection:
     """Surface sample pushed around by a uniform common phase."""
-    return rotate_section(sample_surface_section(rng), random_phases(rng, 1)[0])
+    section = sample_surface_section(rng, count=count)
+    return rotate_section(section, random_phases(rng, _shape(count)))
 
 
 # ---------------------------------------------------------------------------
 # Torus parametrizations of the 5-dimensional fiber
 # ---------------------------------------------------------------------------
 
-def surface_torus_param(section: SurfaceSection, phases,
-                        second_orbit: bool = False) -> np.ndarray:
-    """Image of (section, t1, t2, t3) under (t1, t2, t3, 1, t3/t2, t3/t1)."""
-    t1, t2, t3 = _check_unit_phases(phases)
-    z0, z1, m2, m3, m4, m5 = section.coords
-    out = np.array([t1 * z0, t2 * z1, t3 * m2, m3, (t3 / t2) * m4, (t3 / t1) * m5])
+def surface_torus_param(section, phases, second_orbit: bool = False) -> np.ndarray:
+    """Image of (section or its coordinates, t1, t2, t3) under (t1, t2, t3, 1, t3/t2, t3/t1)."""
+    t1, t2, t3 = _split(_check_unit_phases(phases))
+    z0, z1, m2, m3, m4, m5 = _split(_as_coords6(section))
+    out = _stack(t1 * z0, t2 * z1, t3 * m2, m3, (t3 / t2) * m4, (t3 / t1) * m5)
     return orbit_swap(out) if second_orbit else out
 
 
 def surface_torus_preimage(z, second_orbit: bool = False):
     """Invert the surface parametrization; on the circle the t3 = 1 branch is used."""
-    w = _first_orbit_view(z, second_orbit)
-    if abs(w[2]) > _ZERO_TOL:
-        t3 = w[2] / abs(w[2])
-        t1 = t3 * abs(w[5]) / w[5]
-        t2 = t3 * abs(w[4]) / w[4]
-    else:
-        t3 = 1.0 + 0.0j
-        t1 = abs(w[5]) / w[5]
-        t2 = abs(w[4]) / w[4]
-    section = SurfaceSection(w[0] / t1, w[1] / t2)
-    return section, np.array([t1, t2, t3], dtype=complex)
+    w0, w1, w2, _, w4, w5 = _split(_first_orbit_view(z, second_orbit))
+    off_circle = np.abs(w2) > _ZERO_TOL
+    t3 = np.where(off_circle, w2 / np.where(off_circle, np.abs(w2), 1.0), 1.0 + 0.0j)
+    t1 = t3 * np.abs(w5) / w5
+    t2 = t3 * np.abs(w4) / w4
+    return SurfaceSection(w0 / t1, w1 / t2), _stack(t1, t2, t3)
 
 
-def sphere_torus_param(section: SphereSection, t1: complex, t2: complex,
-                       second_orbit: bool = False) -> np.ndarray:
-    """Image of (section, t1, t2) under (t1, t2, 1, 1, 1/t2, 1/t1)."""
-    t1, t2 = _check_unit_phases([t1, t2])
-    z0, z1, z2, m3, m4, m5 = section.coords
-    out = np.array([t1 * z0, t2 * z1, z2, m3, m4 / t2, m5 / t1])
+def sphere_torus_param(section, t1, t2, second_orbit: bool = False) -> np.ndarray:
+    """Image of (section or its coordinates, t1, t2) under (t1, t2, 1, 1, 1/t2, 1/t1)."""
+    t1, t2 = _split(_check_unit_phases(_stack(t1, t2)))
+    z0, z1, z2, m3, m4, m5 = _split(_as_coords6(section))
+    out = _stack(t1 * z0, t2 * z1, z2, m3, m4 / t2, m5 / t1)
     return orbit_swap(out) if second_orbit else out
 
 
 def sphere_torus_preimage(z, second_orbit: bool = False):
     """Invert the sphere parametrization by reading phases off z4 and z5."""
-    w = _first_orbit_view(z, second_orbit)
-    t2 = abs(w[4]) / w[4]
-    t1 = abs(w[5]) / w[5]
-    section = SphereSection(w[0] / t1, w[1] / t2, w[2])
-    return section, complex(t1), complex(t2)
+    w0, w1, w2, _, w4, w5 = _split(_first_orbit_view(z, second_orbit))
+    t2 = np.abs(w4) / w4
+    t1 = np.abs(w5) / w5
+    return SphereSection(w0 / t1, w1 / t2, w2), t1, t2
 
 
 def sample_fiber5(rng: np.random.Generator, method: str = "surface",
-                  second_orbit: bool = False) -> np.ndarray:
+                  second_orbit: bool = False, count: int | None = None) -> np.ndarray:
     if method == "surface":
-        return surface_torus_param(sample_surface_section(rng), random_phases(rng, 3),
-                                   second_orbit=second_orbit)
+        return surface_torus_param(sample_surface_section(rng, count=count),
+                                   random_phases(rng, _shape(count, 3)), second_orbit=second_orbit)
     if method == "sphere":
-        t1, t2 = random_phases(rng, 2)
-        return sphere_torus_param(sample_sphere_section(rng), t1, t2,
+        t1, t2 = _split(random_phases(rng, _shape(count, 2)))
+        return sphere_torus_param(sample_sphere_section(rng, count=count), t1, t2,
                                   second_orbit=second_orbit)
     raise ValueError("method must be 'surface' or 'sphere'")
 
 
-def surface_roundtrip_error(section: SurfaceSection, phases,
-                            second_orbit: bool = False) -> float:
+def sample_fiber5_mixed(rng: np.random.Generator, surface,
+                        second_orbit: bool = False) -> np.ndarray:
+    """One 5-fiber point per entry of the boolean mask ``surface``: from the
+    surface parametrization where it is True, the sphere one where False."""
+    surface = np.asarray(surface, dtype=bool)
+    out = np.empty(surface.shape + (6,), dtype=complex)
+    out[surface] = sample_fiber5(rng, "surface", second_orbit, count=int(surface.sum()))
+    out[~surface] = sample_fiber5(rng, "sphere", second_orbit, count=int((~surface).sum()))
+    return out
+
+
+def surface_roundtrip_error(section: SurfaceSection, phases, second_orbit: bool = False):
     """Parameter recovery error off the circle, reconstruction error on it."""
+    phases = np.asarray(phases, dtype=complex)
     point = surface_torus_param(section, phases, second_orbit=second_orbit)
     recovered, t = surface_torus_preimage(point, second_orbit=second_orbit)
     rebuilt = surface_torus_param(recovered, t, second_orbit=second_orbit)
-    err = float(np.max(np.abs(rebuilt - point)))
-    if abs(section.coords[2]) > 1e-9:
-        err = max(err,
-                  abs(recovered.z0 - section.z0),
-                  abs(recovered.z1 - section.z1),
-                  float(np.max(np.abs(t - np.asarray(phases, dtype=complex)))))
-    return err
+    error = np.max(np.abs(rebuilt - point), axis=-1)
+    recovery = np.max(np.abs(np.concatenate(
+        [_stack(recovered.z0 - section.z0, recovered.z1 - section.z1), t - phases],
+        axis=-1)), axis=-1)
+    off_circle = np.abs(section.coords[..., 2]) > 1e-9
+    return np.where(off_circle, np.maximum(error, recovery), error)[()]
 
 
-def sphere_roundtrip_error(section: SphereSection, t1: complex, t2: complex,
-                           second_orbit: bool = False) -> float:
+def sphere_roundtrip_error(section: SphereSection, t1, t2, second_orbit: bool = False):
     point = sphere_torus_param(section, t1, t2, second_orbit=second_orbit)
     recovered, s1, s2 = sphere_torus_preimage(point, second_orbit=second_orbit)
-    return max(abs(recovered.z0 - section.z0),
-               abs(recovered.z1 - section.z1),
-               abs(recovered.z2 - section.z2),
-               abs(s1 - t1), abs(s2 - t2))
+    return np.max(np.abs(_stack(recovered.z0 - section.z0, recovered.z1 - section.z1,
+                                recovered.z2 - section.z2, s1 - t1, s2 - t2)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # Projections to CP^1, CP^2 and the 3-sphere
 # ---------------------------------------------------------------------------
-
-def base_projection(point) -> np.ndarray:
-    """Bundle projection to CP^1: (z1*|z4| : z0*|z5|), canonically normalized."""
-    z = _as_coords6(point)
-    c0 = z[1] * abs(z[4])
-    c1 = z[0] * abs(z[5])
-    if max(abs(c0), abs(c1)) < 1e-14:
-        raise ValueError("degenerate projection: both products vanish")
-    return normalize_projective(np.array([c0, c1]))
-
 
 def hopf_projection(point) -> np.ndarray:
     """Hopf-style projection to CP^2: (z1*|z4| : z0*|z5| : z2*|z3|).
@@ -539,21 +537,32 @@ def hopf_projection(point) -> np.ndarray:
     Images of section points satisfy c0 - c1 - c2 = 0.
     """
     z = _as_coords6(point)
-    c = np.array([z[1] * abs(z[4]), z[0] * abs(z[5]), z[2] * abs(z[3])])
+    return normalize_projective(z[..., [1, 0, 2]] * np.abs(z[..., [4, 5, 3]]))
+
+
+def _base_products(point) -> np.ndarray:
+    z = _as_coords6(point)
+    return z[..., [1, 0]] * np.abs(z[..., [4, 5]])
+
+
+def base_projection(point) -> np.ndarray:
+    """Bundle projection to CP^1: (z1*|z4| : z0*|z5|), canonically normalized."""
+    c = _base_products(point)
+    if not np.all(np.max(np.abs(c), axis=-1) >= 1e-14):
+        raise ValueError("degenerate projection: both products vanish")
     return normalize_projective(c)
 
 
 def to_three_sphere(section) -> np.ndarray:
     """Homeomorphism of the sphere section onto the unit sphere in C^2.
 
-    Returns (z1*a(z1), z0*a(z0)) with a(w) = sqrt(1/9 + |w|^2), divided by
-    its Euclidean norm so the image lies exactly on the unit sphere.
+    Returns (z1*a(z1), z0*a(z0)) with a(w) = sqrt(1/9 + |w|^2), which is
+    (z1*|z4|, z0*|z5|) by the tail formula, divided by its Euclidean norm
+    so the image lies exactly on the unit sphere.
     """
-    z = _as_coords6(section)
-    g = np.array([z[1] * math.sqrt(1.0 / 9.0 + abs(z[1]) ** 2),
-                  z[0] * math.sqrt(1.0 / 9.0 + abs(z[0]) ** 2)])
-    norm = np.linalg.norm(g)
-    if norm == 0.0:
+    g = _base_products(section)
+    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    if not np.all(norm > 0.0):
         raise ValueError("degenerate section: z0 = z1 = 0 cannot happen on the fiber")
     return g / norm
 
@@ -597,13 +606,10 @@ def edge_fibers() -> tuple[EdgeFiber, EdgeFiber, EdgeFiber]:
         np.array([(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (-1, 0, 0)]),
         np.array([(1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1), (0, -1, 0), (-1, 0, 0)]),
     )
-    out = []
-    for k in range(3):
-        base = bases[k].copy()
+    for base in bases:
         base.setflags(write=False)
-        out.append(EdgeFiber(name=f"edge{k}", base=base,
-                             exponents=exponents[k], image=EDGE_IMAGES[k]))
-    return tuple(out)
+    return tuple(EdgeFiber(name=f"edge{k}", base=bases[k], exponents=exponents[k],
+                           image=EDGE_IMAGES[k]) for k in range(3))
 
 
 def affine_representative(z, second_orbit: bool = False) -> np.ndarray:
@@ -612,13 +618,14 @@ def affine_representative(z, second_orbit: bool = False) -> np.ndarray:
     The pivot is coordinate 3 (coordinate 0 in second-orbit position),
     which never vanishes on the fiber.
     """
-    w = _first_orbit_view(z, second_orbit).copy()
-    w /= np.linalg.norm(w)
-    if abs(w[3]) <= _ZERO_TOL:
+    w = _first_orbit_view(z, second_orbit)
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    pivot = np.abs(w[..., 3])
+    if not np.all(pivot > _ZERO_TOL):
         raise ValueError("pivot coordinate vanishes; not a fiber point")
-    w *= np.conj(w[3]) / abs(w[3])
-    w[3] = w[3].real
-    return w[ORBIT_SWAP] if second_orbit else w
+    w *= (np.conj(w[..., 3]) / pivot)[..., None]
+    w[..., 3] = w[..., 3].real
+    return w[..., ORBIT_SWAP] if second_orbit else w
 
 
 # ---------------------------------------------------------------------------
@@ -637,102 +644,121 @@ def fiber5_chart(z, second_orbit: bool = False) -> ChartCoords4:
 def _chart_uv(first, second=None) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(first, ChartCoords4):
         return first.as_uv()
-    u = np.asarray(first, dtype=float)
-    v = np.asarray(second, dtype=float)
-    if u.shape != (4,) or v.shape != (4,):
+    u, v = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
+    if u.shape[-1:] != (4,) or u.shape != v.shape:
         raise ValueError("expected two real 4-vectors")
     return u, v
 
 
-def complete_intersection_f(u, v=None) -> tuple[float, float, float]:
-    """The three defining quadrics of the fiber in the affine chart.
+#: Coefficients of |a1|^2..|a4|^2 in the three chart quadrics.
+_CI_WEIGHTS = np.array([[1.0, 1.0, -1.0, -1.0], [5.0, 0.0, 1.0, -4.0], [4.0, 0.0, 1.0, -3.0]])
+
+
+def _chart_cross(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """a = u + i*v and its cross term a1*a4 - a2*a3."""
+    a = u + 1j * v
+    return a, a[..., 0] * a[..., 3] - a[..., 1] * a[..., 2]
+
+
+def complete_intersection_f(u, v=None) -> tuple:
+    """The three defining quadrics of the fiber in the affine chart:
+    f = W |a|^2 + (0, 0, |a1*a4 - a2*a3|^2) with W = _CI_WEIGHTS.
 
     On chart coordinates of fiber points the value is (0, -1, 0).
     """
-    u, v = _chart_uv(u, v)
-    s = u * u + v * v
-    cross_re = u[0] * u[3] - v[0] * v[3] - u[1] * u[2] + v[1] * v[2]
-    cross_im = u[0] * v[3] + v[0] * u[3] - u[1] * v[2] - u[2] * v[1]
-    f1 = s[0] + s[1] - s[2] - s[3]
-    f2 = 5.0 * s[0] + s[2] - 4.0 * s[3]
-    f3 = 4.0 * s[0] + s[2] - 3.0 * s[3] + cross_re ** 2 + cross_im ** 2
-    return float(f1), float(f2), float(f3)
+    a, cross = _chart_cross(*_chart_uv(u, v))
+    f1, f2, f3 = _split(np.sum(_CI_WEIGHTS * (np.abs(a) ** 2)[..., None, :], axis=-1))
+    return f1, f2, f3 + np.abs(cross) ** 2
 
 
 def ci_jacobian(u, v=None) -> np.ndarray:
-    """Closed-form 3 x 8 Jacobian of the chart quadrics, columns (u1..u4, v1..v4)."""
+    """Closed-form 3 x 8 Jacobian of the chart quadrics, columns (u1..u4, v1..v4).
+
+    d|a_k|^2 = 2 (u_k, v_k), and d|C|^2 = 2 Re(conj(C) dC) with
+    dC/da = (a4, -a3, -a2, a1) along u and i times that along v.
+    """
     u, v = _chart_uv(u, v)
-    a = u[0] * u[3] - v[0] * v[3] - u[1] * u[2] + v[1] * v[2]
-    b = u[0] * v[3] + v[0] * u[3] - u[1] * v[2] - u[2] * v[1]
-    row1 = [2 * u[0], 2 * u[1], -2 * u[2], -2 * u[3],
-            2 * v[0], 2 * v[1], -2 * v[2], -2 * v[3]]
-    row2 = [10 * u[0], 0.0, 2 * u[2], -8 * u[3],
-            10 * v[0], 0.0, 2 * v[2], -8 * v[3]]
-    row3 = [8 * u[0] + 2 * (a * u[3] + b * v[3]),
-            -2 * (a * u[2] + b * v[2]),
-            2 * u[2] - 2 * (a * u[1] + b * v[1]),
-            -6 * u[3] + 2 * (a * u[0] + b * v[0]),
-            8 * v[0] + 2 * (-a * v[3] + b * u[3]),
-            2 * (a * v[2] - b * u[2]),
-            2 * v[2] + 2 * (a * v[1] - b * u[1]),
-            -6 * v[3] + 2 * (-a * v[0] + b * u[0])]
-    return np.array([row1, row2, row3], dtype=float)
+    a, cross = _chart_cross(u, v)
+    grad = np.conj(cross)[..., None] * a[..., ::-1] * np.array([1, -1, -1, 1])
+    squares = 2.0 * np.concatenate([u, v], axis=-1)[..., None, :] * np.tile(_CI_WEIGHTS, 2)
+    squares[..., 2, :] += 2.0 * np.concatenate([grad.real, -grad.imag], axis=-1)
+    return squares
 
 
 def ci_jacobian_fd(u, v=None, step: float = 1e-6) -> np.ndarray:
     """Central finite-difference Jacobian, the cross-check for the closed form."""
     u, v = _chart_uv(u, v)
-    packed = np.concatenate([u, v])
-    out = np.zeros((3, 8))
-    for k in range(8):
-        forward = packed.copy()
-        backward = packed.copy()
-        forward[k] += step
-        backward[k] -= step
-        f_plus = complete_intersection_f(forward[:4], forward[4:])
-        f_minus = complete_intersection_f(backward[:4], backward[4:])
-        out[:, k] = (np.array(f_plus) - np.array(f_minus)) / (2.0 * step)
-    return out
+    forward = np.concatenate([u, v]) + step * np.eye(8)
+    backward = forward - 2.0 * step * np.eye(8)
+    f_plus = np.array(complete_intersection_f(forward[:, :4], forward[:, 4:]))
+    f_minus = np.array(complete_intersection_f(backward[:, :4], backward[:, 4:]))
+    return (f_plus - f_minus) / (2.0 * step)
 
 
-def jacobian_rank(u, v=None, tol: float = 1e-6) -> int:
+def _chart_checks(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f-values, their max-norm distance from (0, -1, 0), and the chart
+    Jacobian's singular values; raises ValueError for a point further than
+    1e-8 from (0, -1, 0), where no rank is meant (NaN included)."""
+    f = np.stack(complete_intersection_f(u, v), axis=-1)
+    off = np.max(np.abs(f - _F_TARGET), axis=-1)
+    if not np.all(off <= 1e-8):
+        raise ValueError("point is not on the equipotential surface (0, -1, 0)")
+    return f, off, np.linalg.svd(ci_jacobian(u, v), compute_uv=False)
+
+
+def _rank(singular: np.ndarray, tol: float):
+    return np.sum(singular > tol * singular[..., :1], axis=-1)
+
+
+def jacobian_rank(u, v=None, tol: float = 1e-6):
     """Numerical rank of the chart Jacobian at a fiber chart point.
 
     Requires the equipotential values (0, -1, 0) to hold to 1e-8 first;
     rank is counted by singular values above tol times the largest.
     """
-    u, v = _chart_uv(u, v)
-    f1, f2, f3 = complete_intersection_f(u, v)
-    if max(abs(f1), abs(f2 + 1.0), abs(f3)) > 1e-8:
-        raise ValueError("point is not on the equipotential surface (0, -1, 0)")
-    singular = np.linalg.svd(ci_jacobian(u, v), compute_uv=False)
-    return int(np.sum(singular > tol * singular[0]))
+    return _rank(_chart_checks(*_chart_uv(u, v))[2], tol)
+
+
+def complete_intersection_survey(points, second_orbit: bool = False, fd_every: int = 25):
+    """The complete-intersection claim over fiber points: the deviations
+    (|f1|, |f2 + 1|, |f3|), the Jacobian ranks at relative threshold 1e-6,
+    and the largest gap between the closed-form and the finite-difference
+    Jacobian over every fd_every-th point."""
+    a = chart_array(_first_orbit_view(points, second_orbit))
+    u, v = a.real, a.imag
+    f, _, singular = _chart_checks(u, v)
+    fd = max((float(np.max(np.abs(ci_jacobian(u[k], v[k]) - ci_jacobian_fd(u[k], v[k]))))
+              for k in range(0, len(a), fd_every)), default=0.0)
+    return np.abs(f - _F_TARGET), _rank(singular, 1e-6), fd
 
 
 # ---------------------------------------------------------------------------
 # Chart transition cocycle and chart coverage
 # ---------------------------------------------------------------------------
 
-def _apply_exponents(matrix, t) -> tuple[complex, complex, complex]:
+def bundle_transition(t, direction: str = "01"):
+    """Chart transition on the torus fiber; '01' and '10' are mutually inverse.
+
+    Works along the last axis; one element of shape (3,) comes back as a
+    tuple of three complex numbers.
+    """
+    if direction not in ("01", "10"):
+        raise ValueError("direction must be '01' or '10'")
     t = _check_unit_phases(t)
-    if t.shape != (3,):
+    if t.shape[-1:] != (3,):
         raise ValueError("expected a three-torus element")
-    out = []
-    for row in matrix:
-        value = 1.0 + 0.0j
-        for exponent, phase in zip(row, t):
-            value *= phase ** exponent
-        out.append(complex(value))
-    return tuple(out)
+    matrix = TRANSITION_EXPONENTS if direction == "01" else TRANSITION_EXPONENTS_INVERSE
+    out = np.prod(t[..., None, :] ** np.array(matrix), axis=-1)
+    return tuple(complex(value) for value in out) if out.ndim == 1 else out
 
 
-def bundle_transition(t, direction: str = "01") -> tuple[complex, complex, complex]:
-    """Chart transition on the torus fiber; '01' and '10' are mutually inverse."""
-    if direction == "01":
-        return _apply_exponents(TRANSITION_EXPONENTS, t)
-    if direction == "10":
-        return _apply_exponents(TRANSITION_EXPONENTS_INVERSE, t)
-    raise ValueError("direction must be '01' or '10'")
+def cocycle_error(t) -> float:
+    """Largest deviation from the identity of the round trips '01' then '10'
+    and '10' then '01', over torus elements t of shape (N, 3)."""
+    t = np.asarray(t, dtype=complex)
+    forward = bundle_transition(bundle_transition(t, "01"), "10")
+    backward = bundle_transition(bundle_transition(t, "10"), "01")
+    return float(np.max(np.abs(np.concatenate([forward - t, backward - t], axis=-1)), initial=0.0))
 
 
 def transition_determinant() -> int:
@@ -744,33 +770,37 @@ def transition_determinant() -> int:
 
 @dataclass(frozen=True)
 class ChartCoverage:
-    """Which standard charts of the base CP^1 a fiber point sits over."""
+    """Which standard charts of the base CP^1 a fiber point sits over; for a
+    batch, arrays, with ``vanishing_head`` a boolean mask.  Covered (ok) iff
+    margin = min(min_tail, max(|z0|, |z1|)) exceeds the tolerance."""
 
     min_tail: float
     vanishing_head: tuple[int, ...]
     in_chart_m0: bool
     in_chart_m1: bool
+    margin: float
     ok: bool
 
 
-def chart_coverage(z, second_orbit: bool = False, tol: float = 1e-10) -> ChartCoverage:
+def chart_coverage(z, second_orbit: bool = False, tol: float = _COVERAGE_TOL) -> ChartCoverage:
     """Certify the chart picture: the tail minors never vanish, and the point
     lies over chart 0 iff z1 is nonzero, over chart 1 iff z0 is nonzero."""
-    w = _first_orbit_view(z, second_orbit)
-    min_tail = float(min(abs(w[3]), abs(w[4]), abs(w[5])))
-    vanishing = tuple(i for i in range(3) if abs(w[i]) <= tol)
-    in_m0 = abs(w[1]) > tol
-    in_m1 = abs(w[0]) > tol
+    w = np.abs(_first_orbit_view(z, second_orbit))
+    min_tail = np.min(w[..., 3:], axis=-1)
+    margin = np.minimum(min_tail, np.maximum(w[..., 0], w[..., 1]))
+    vanishing = ~(w[..., :3] > tol)
+    if vanishing.ndim == 1:
+        vanishing = tuple(np.flatnonzero(vanishing).tolist())
     return ChartCoverage(min_tail=min_tail, vanishing_head=vanishing,
-                         in_chart_m0=in_m0, in_chart_m1=in_m1,
-                         ok=min_tail > tol and (in_m0 or in_m1))
+                         in_chart_m0=w[..., 1] > tol, in_chart_m1=w[..., 0] > tol,
+                         margin=margin, ok=margin > tol)
 
 
 # ---------------------------------------------------------------------------
 # Tangent dimension by rank-nullity
 # ---------------------------------------------------------------------------
 
-def tangent_fiber_dimension(z, include_quadric: bool = False, tol: float = 1e-6) -> int:
+def tangent_fiber_dimension(z, include_quadric: bool = False, tol: float = 1e-6):
     """Fiber dimension at z from the rank of the real constraint differential.
 
     The constraints on the unit sphere of C^6 are the four moment
@@ -779,133 +809,148 @@ def tangent_fiber_dimension(z, include_quadric: bool = False, tol: float = 1e-6)
     dimension is 12 minus the rank minus 1 for the Hopf circle.
     """
     z = _as_coords6(z)
-    z = z / np.linalg.norm(z)
-    weights = weight_vectors(4).astype(float)
-    rows = []
-    for j in range(4):
-        rows.append(np.concatenate([2.0 * z.real * weights[:, j],
-                                    2.0 * z.imag * weights[:, j]]))
-    rows.append(np.concatenate([2.0 * z.real, 2.0 * z.imag]))
+    z = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    rows = [np.concatenate([2.0 * z.real * w, 2.0 * z.imag * w], axis=-1)
+            for w in list(weight_vectors(4).T.astype(float)) + [np.ones(6)]]
     if include_quadric:
-        qprime = np.array([z[5], -z[4], z[3], z[2], -z[1], z[0]])
-        rows.append(np.concatenate([qprime.real, -qprime.imag]))
-        rows.append(np.concatenate([qprime.imag, qprime.real]))
-    jacobian = np.array(rows)
-    singular = np.linalg.svd(jacobian, compute_uv=False)
-    rank = int(np.sum(singular > tol * singular[0]))
-    return 12 - rank - 1
+        qprime = z[..., ::-1] * np.array([1, -1, 1, 1, -1, 1])
+        rows.append(np.concatenate([qprime.real, -qprime.imag], axis=-1))
+        rows.append(np.concatenate([qprime.imag, qprime.real], axis=-1))
+    singular = np.linalg.svd(np.stack(rows, axis=-2), compute_uv=False)
+    return 12 - _rank(singular, tol) - 1
 
 
 # ---------------------------------------------------------------------------
 # Residuals and certificates
 # ---------------------------------------------------------------------------
 
-def moment_residual(z, second_orbit: bool = False) -> float:
+def moment_residual(z, second_orbit: bool = False):
     """Max-norm distance of the moment image from the chamber point."""
-    image = hypersimplex_moment(_as_coords6(z), 4)
-    return float(np.max(np.abs(image - _chamber_target(second_orbit))))
+    target = np.array(CHAMBER_POINT_PLUS if second_orbit else CHAMBER_POINT_MINUS, dtype=float)
+    return np.max(np.abs(hypersimplex_moment(_as_coords6(z), 4) - target), axis=-1)
 
 
-def magnitude_residual(z, second_orbit: bool = False) -> float:
-    """Deviation from the tail magnitude system, after unit normalization."""
-    w = _first_orbit_view(z, second_orbit)
-    w = w / np.linalg.norm(w)
-    s = np.abs(w) ** 2
-    return float(max(
-        abs(s[3] - (s[0] + s[1] + 4.0 * s[2]) / 3.0),
-        abs(s[4] - (s[0] + 4.0 * s[1] + s[2]) / 3.0),
-        abs(s[5] - (4.0 * s[0] + s[1] + s[2]) / 3.0),
-    ))
-
-
-def affine_relation_residual(z, second_orbit: bool = False) -> float:
-    """Residual of z0*z5 + z2*|z3| - z1*z4 on the affine representative."""
-    w = affine_representative(z, second_orbit=second_orbit)
-    w = _first_orbit_view(w, second_orbit)
-    return float(abs(w[0] * w[5] + w[2] * abs(w[3]) - w[1] * w[4]))
-
-
-def fiber7_residuals(z, second_orbit: bool = False) -> dict[str, float]:
+def fiber7_residuals(z, second_orbit: bool = False) -> dict:
+    """Norm and moment residuals, the deviation from the tail magnitude
+    system after unit normalization, and the smallest tail modulus."""
     z = _as_coords6(z)
     w = _first_orbit_view(z, second_orbit)
+    s0, s1, s2, s3, s4, s5 = _split(np.abs(w / np.linalg.norm(w, axis=-1, keepdims=True)) ** 2)
+    magnitudes = np.stack([s3 - (s0 + s1 + 4.0 * s2) / 3.0, s4 - (s0 + 4.0 * s1 + s2) / 3.0,
+                           s5 - (4.0 * s0 + s1 + s2) / 3.0], axis=-1)
     return {
-        "norm": float(abs(np.linalg.norm(z) - 1.0)),
+        "norm": np.abs(np.linalg.norm(z, axis=-1) - 1.0),
         "moment": moment_residual(z, second_orbit),
-        "magnitudes": magnitude_residual(z, second_orbit),
-        "min_tail": float(min(abs(w[3]), abs(w[4]), abs(w[5]))),
+        "magnitudes": np.max(np.abs(magnitudes), axis=-1),
+        "min_tail": np.min(np.abs(w[..., 3:]), axis=-1),
     }
 
 
-def fiber5_residuals(z, second_orbit: bool = False) -> dict[str, float]:
+def fiber5_residuals(z, second_orbit: bool = False) -> dict:
+    """fiber7_residuals plus the quadric residual, on the point as given
+    ('plucker') and on its affine representative ('surface')."""
     out = fiber7_residuals(z, second_orbit)
     out["plucker"] = plucker_relation_residual(_as_coords6(z))
-    out["surface"] = affine_relation_residual(z, second_orbit)
+    out["surface"] = plucker_relation_residual(affine_representative(z, second_orbit))
     return out
+
+
+@dataclass(frozen=True)
+class Certificates:
+    """Certificates of N fiber points as arrays.
+
+    ``checks`` maps each check to (value, tolerance, pass mask): residuals and
+    'f_values' (distance from (0, -1, 0)) pass at or below tolerance, 'min_tail'
+    at or above, 'rank' (sigma3/sigma1) and 'coverage' (ChartCoverage.margin) above.
+    """
+
+    points: np.ndarray
+    residuals: dict[str, np.ndarray]
+    f_values: np.ndarray | None
+    ranks: np.ndarray | None
+    checks: dict[str, tuple[np.ndarray, float, np.ndarray]]
+
+    @property
+    def passed(self) -> np.ndarray:
+        return np.logical_and.reduce([ok for _, _, ok in self.checks.values()])
+
+    def to_json(self) -> list[dict]:
+        """One JSON-ready certificate per point; failing ones add ``failed_checks``."""
+        def column(values):
+            return [None] * len(self.points) if values is None else values.tolist()
+
+        moment, plucker, surface = (column(self.residuals.get(key)) for key in EMITTED_RESIDUALS)
+        ranks, f_values = column(self.ranks), column(self.f_values)
+        points = np.stack([self.points.real, self.points.imag], axis=-1).tolist()
+        certs = [{"point": p, "residuals": {"moment": m, "plucker": q, "surface": s},
+                  "jacobian_rank": r, "f_values": f}
+                 for p, m, q, s, r, f in zip(points, moment, plucker, surface, ranks, f_values)]
+        for index in np.flatnonzero(~self.passed):
+            certs[index]["failed_checks"] = [
+                {"check": name, "value": float(value[index]), "tolerance": tolerance}
+                for name, (value, tolerance, ok) in self.checks.items() if not ok[index]]
+        return certs
+
+
+def certify(kind: str, z, second_orbit: bool = False,
+            tolerances: dict[str, float] | None = None) -> Certificates:
+    """Residual certificates for an (N, 6) batch of sampled points.
+
+    Kinds: 'mq7' (the 7-fiber in CP^5), 'mq5' (the Grassmannian 5-fiber),
+    'm2' and 'm3' (its surface and sphere sections as fiber points).
+    Tolerances override DEFAULT_TOLERANCES per key.  Non-finite points, and
+    5-fiber points off the chart or the equipotential surface, raise
+    ValueError.
+    """
+    if kind not in ("mq7", "mq5", "m2", "m3"):
+        raise ValueError(f"unknown fiber kind {kind!r}")
+    tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    z = _as_coords6(z)
+    if z.ndim != 2:
+        raise ValueError("expected an (N, 6) array of fiber points")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("fiber point has non-finite coordinates")
+    res = fiber7_residuals(z, second_orbit) if kind == "mq7" else fiber5_residuals(z, second_orbit)
+    checks = {key: (value, tol[key], value <= tol[key])
+              for key, value in res.items() if key != "min_tail"}
+    checks["min_tail"] = (res["min_tail"], tol["min_tail"], res["min_tail"] >= tol["min_tail"])
+    if kind == "mq7":
+        return Certificates(z, res, None, None, checks)
+    w = _first_orbit_view(z, second_orbit)
+    chart = chart_array(w)
+    f_values, off, singular = _chart_checks(chart.real, chart.imag)
+    ranks = _rank(singular, tol["rank_tol"])
+    margin = singular[:, 2] / np.where(singular[:, 0] > 0.0, singular[:, 0], 1.0)
+    coverage = chart_coverage(w)
+    checks["f_values"] = (off, tol["f_values"], off <= tol["f_values"])
+    checks["rank"] = (margin, tol["rank_tol"], ranks == 3)
+    checks["coverage"] = (coverage.margin, _COVERAGE_TOL, coverage.ok)
+    return Certificates(z, res, f_values, ranks, checks)
 
 
 def build_certificate(kind: str, z, second_orbit: bool = False,
                       tolerances: dict[str, float] | None = None) -> tuple[dict, bool]:
-    """Residual certificate for one sampled point, JSON-ready.
-
-    Kinds: 'mq7' (the 7-fiber in CP^5), 'mq5' (the Grassmannian 5-fiber),
-    'm2' and 'm3' (its surface and sphere sections, embedded as fiber
-    points).  Exit criteria follow the per-key tolerances.
-    """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
-    z = _as_coords6(z)
-    point_json = [[float(c.real), float(c.imag)] for c in z]
-    if kind == "mq7":
-        res = fiber7_residuals(z, second_orbit)
-        passed = (res["norm"] <= tol["norm"] and res["moment"] <= tol["moment"]
-                  and res["magnitudes"] <= tol["magnitudes"]
-                  and res["min_tail"] >= tol["min_tail"])
-        cert = {
-            "point": point_json,
-            "residuals": {"moment": res["moment"], "plucker": None, "surface": None},
-            "jacobian_rank": None,
-            "f_values": None,
-        }
-        return cert, passed
-    if kind in ("mq5", "m2", "m3"):
-        res = fiber5_residuals(z, second_orbit)
-        chart = fiber5_chart(z, second_orbit=second_orbit)
-        f_values = complete_intersection_f(chart)
-        rank = jacobian_rank(*chart.as_uv(), tol=tol["rank_tol"])
-        coverage = chart_coverage(z, second_orbit=second_orbit)
-        passed = (res["norm"] <= tol["norm"] and res["moment"] <= tol["moment"]
-                  and res["magnitudes"] <= tol["magnitudes"]
-                  and res["plucker"] <= tol["plucker"]
-                  and res["surface"] <= tol["surface"]
-                  and res["min_tail"] >= tol["min_tail"]
-                  and abs(f_values[0]) <= tol["f_values"]
-                  and abs(f_values[1] + 1.0) <= tol["f_values"]
-                  and abs(f_values[2]) <= tol["f_values"]
-                  and rank == 3 and coverage.ok)
-        cert = {
-            "point": point_json,
-            "residuals": {"moment": res["moment"], "plucker": res["plucker"],
-                          "surface": res["surface"]},
-            "jacobian_rank": rank,
-            "f_values": [f_values[0], f_values[1], f_values[2]],
-        }
-        return cert, passed
-    raise ValueError(f"unknown fiber kind {kind!r}")
+    """Certificate of one point, JSON-ready: ``certify`` at N = 1."""
+    batch = certify(kind, _as_coords6(z)[None], second_orbit, tolerances)
+    return batch.to_json()[0], bool(batch.passed[0])
 
 
-def sample_for_kind(kind: str, rng: np.random.Generator,
+def sample_for_kind(kind: str, rng: np.random.Generator, count: int | None = None,
                     second_orbit: bool = False) -> np.ndarray:
-    """Draw one fiber point of the given kind."""
+    """Draw one fiber point of the given kind, shape (6,), or count points, (count, 6).
+
+    For 'mq5' each point comes from the surface or the sphere
+    parametrization with equal odds.
+    """
     if kind == "mq7":
-        return sample_fiber7(rng, second_orbit=second_orbit)
+        return sample_fiber7(rng, second_orbit=second_orbit, count=count)
     if kind == "mq5":
-        method = "surface" if rng.uniform() < 0.5 else "sphere"
-        return sample_fiber5(rng, method=method, second_orbit=second_orbit)
+        surface = rng.uniform(size=_shape(count)) < 0.5
+        return sample_fiber5_mixed(rng, surface, second_orbit=second_orbit)
     if kind == "m2":
-        z = sample_surface_section(rng).coords
-        return orbit_swap(z) if second_orbit else z
-    if kind == "m3":
-        z = sample_sphere_section(rng).coords
-        return orbit_swap(z) if second_orbit else z
-    raise ValueError(f"unknown fiber kind {kind!r}")
+        z = sample_surface_section(rng, count=count).coords
+    elif kind == "m3":
+        z = sample_sphere_section(rng, count=count).coords
+    else:
+        raise ValueError(f"unknown fiber kind {kind!r}")
+    return orbit_swap(z) if second_orbit else z

@@ -44,8 +44,8 @@ def symmetric_power_phases(t: Sequence[complex], n: int) -> np.ndarray:
 def _squared_profile(point) -> np.ndarray:
     coords = point.coords if isinstance(point, ProjectivePoint) else np.asarray(point, dtype=complex)
     profile = np.abs(coords) ** 2
-    total = profile.sum()
-    if total == 0.0:
+    total = profile.sum(axis=-1, keepdims=True)
+    if np.any(total == 0.0):
         raise ValueError("zero vector has no moment image")
     return profile / total
 
@@ -56,13 +56,18 @@ def simplex_moment(point) -> np.ndarray:
 
 
 def hypersimplex_moment(point, n: int) -> np.ndarray:
-    """Moment map CP^N -> hypersimplex: weight-vector average of |z_i|^2."""
+    """Moment map CP^N -> hypersimplex: weight-vector average of |z_i|^2.
+
+    Works along the last axis, so an (N, C(n,2)) batch gives (N, n) images.
+    """
     profile = _squared_profile(point)
     weights = weight_vectors(n)
-    if profile.shape[0] != weights.shape[0]:
+    if profile.shape[-1] != weights.shape[0]:
         raise ValueError(
-            f"point has {profile.shape[0]} coordinates, expected {weights.shape[0]} for n={n}")
-    return profile @ weights
+            f"point has {profile.shape[-1]} coordinates, expected {weights.shape[0]} for n={n}")
+    # An elementwise sum rather than a matrix product, so that a batch
+    # row equals the same point's image bit for bit.
+    return np.sum(profile[..., :, None] * weights, axis=-2)
 
 
 def grassmann_moment(plane: GrassmannPoint, n: int) -> np.ndarray:

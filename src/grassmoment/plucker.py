@@ -20,20 +20,24 @@ COORD_TOL = 1e-12
 
 
 def normalize_projective(coords, tol: float = COORD_TOL) -> np.ndarray:
-    """Canonical representative: unit norm, first nonzero entry real positive."""
-    v = np.asarray(coords, dtype=complex).copy()
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("projective point must be a nonempty 1-d vector")
-    norm = np.linalg.norm(v)
-    if not np.isfinite(norm) or norm == 0.0:
+    """Canonical representative: unit norm, first nonzero entry real positive.
+
+    Works along the last axis: an (N, k) array gives N representatives.
+    """
+    v = np.array(coords, dtype=complex)
+    if v.ndim == 0 or v.shape[-1] == 0:
+        raise ValueError("projective point must be a nonempty vector")
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(norm) & (norm > 0.0)):
         raise ValueError("cannot normalize the zero vector")
     v /= norm
-    nonzero = np.nonzero(np.abs(v) > tol)[0]
-    if nonzero.size == 0:
+    nonzero = np.abs(v) > tol
+    if not np.all(nonzero.any(axis=-1)):
         raise ValueError("all coordinates below tolerance")
-    k = int(nonzero[0])
-    v *= np.conj(v[k]) / abs(v[k])
-    v[k] = v[k].real
+    first = np.argmax(nonzero, axis=-1)[..., None]
+    pivot = np.take_along_axis(v, first, axis=-1)
+    v *= np.conj(pivot) / np.abs(pivot)
+    np.put_along_axis(v, first, np.take_along_axis(v, first, axis=-1).real, axis=-1)
     return v
 
 
@@ -42,13 +46,14 @@ def projective_distance(u, v) -> float:
 
     Computed as the norm of the component of u orthogonal to v, which is
     the same number but does not lose precision when the classes agree.
+    Works along the last axis, so batches of points broadcast.
     """
     a = np.asarray(u, dtype=complex)
     b = np.asarray(v, dtype=complex)
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
-    orthogonal = a - np.vdot(b, a) * b
-    return float(np.linalg.norm(orthogonal))
+    a = a / np.linalg.norm(a, axis=-1, keepdims=True)
+    b = b / np.linalg.norm(b, axis=-1, keepdims=True)
+    inner = np.sum(np.conj(b) * a, axis=-1, keepdims=True)
+    return np.linalg.norm(a - inner * b, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ def plucker_embed(plane: GrassmannPoint) -> ProjectivePoint:
 
 
 def plucker_relation_residual(point, n: int = 4) -> float:
-    """|z0*z5 + z2*z3 - z1*z4| on the given representative.
+    """|z0*z5 + z2*z3 - z1*z4| on the given representative(s), along the last axis.
 
     The value is scale dependent, so callers pass a normalized point; the
     coordinates are used exactly as handed in.
@@ -108,9 +113,9 @@ def plucker_relation_residual(point, n: int = 4) -> float:
     if n != 4:
         raise ValueError("the quadric relation is implemented for n = 4 only")
     z = point.coords if isinstance(point, ProjectivePoint) else np.asarray(point, dtype=complex)
-    if z.shape != (6,):
+    if z.shape[-1:] != (6,):
         raise ValueError("expected 6 homogeneous coordinates")
-    return float(abs(z[0] * z[5] + z[2] * z[3] - z[1] * z[4]))
+    return np.abs(z[..., 0] * z[..., 5] + z[..., 2] * z[..., 3] - z[..., 1] * z[..., 4])
 
 
 @dataclass(frozen=True)
@@ -130,19 +135,21 @@ class ChartCoords4:
         return a.real.copy(), a.imag.copy()
 
 
-def chart_from_plucker(z) -> ChartCoords4:
+def chart_array(z) -> np.ndarray:
     """Chart coordinates a1 = P13/P23, a2 = -P34/P23, a3 = -P12/P23, a4 = P24/P23.
 
-    z holds the six Plücker coordinates in lexicographic pair order.
+    z holds the six Plücker coordinates in lexicographic pair order along
+    its last axis: shape (6,) gives (4,), shape (N, 6) gives (N, 4).
     """
-    if abs(z[3]) <= COORD_TOL:
+    z = np.asarray(z, dtype=complex)
+    if not np.all(np.abs(z[..., 3]) > COORD_TOL):
         raise ValueError("outside chart: the {2,3}-minor vanishes")
-    return ChartCoords4(
-        a1=complex(z[1] / z[3]),
-        a2=complex(-z[5] / z[3]),
-        a3=complex(-z[0] / z[3]),
-        a4=complex(z[4] / z[3]),
-    )
+    return np.stack([z[..., 1], -z[..., 5], -z[..., 0], z[..., 4]], axis=-1) / z[..., 3:4]
+
+
+def chart_from_plucker(z) -> ChartCoords4:
+    """Chart coordinates of one Plücker vector; see chart_array."""
+    return ChartCoords4(*(complex(a) for a in chart_array(z)))
 
 
 def chart_coords(plane: GrassmannPoint) -> ChartCoords4:

@@ -110,6 +110,27 @@ def test_fiber_tolerance_override_fails(capsys):
                                      "--tol", "moment=1e-30"])
     assert code == 1
     assert payload["failing_sample"] is not None
+    failed = payload["failing_sample"]["failed_checks"]
+    moment = [entry for entry in failed if entry["check"] == "moment"]
+    assert len(moment) == 1 and moment[0]["tolerance"] == 1e-30
+    assert moment[0]["value"] == payload["failing_sample"]["residuals"]["moment"] > 1e-30
+
+
+@pytest.mark.parametrize("override", ["momnet=1e-30", "rank_tol=nan", "moment=inf", "moment"])
+def test_bad_tolerance_is_usage_error(capsys, override):
+    # A misspelt name or a non-finite value would otherwise change nothing
+    # or compare False everywhere, and the run would still report a verdict.
+    code = cli.main(["fiber", "mq5", "--samples", "3", "--tol", override])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_output_is_compact_json(capsys):
+    code = cli.main(["fiber", "mq5", "--samples", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == json.dumps(json.loads(out), separators=(",", ":")) + "\n"
+    assert "failed_checks" not in out
 
 
 def test_fiber_byte_stability(capsys):

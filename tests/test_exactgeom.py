@@ -79,6 +79,13 @@ def test_complement_sign_identity_even_n(raw):
         assert left == -right
 
 
+def test_arrangement_is_built_once_per_n():
+    first = arrangement_for_n(6)
+    assert isinstance(first, tuple) and len(first) == 25
+    assert arrangement_for_n(6) is first
+    assert arrangement_for_n(5) is not first
+
+
 def test_sign_vector_examples():
     arrangement = arrangement_for_n(4)
     assert sign_vector(vector(["1/2"] * 4), arrangement) == (0, 0, 0)

@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassmoment import fibers4 as fb
 from grassmoment.moment import hypersimplex_moment, simplex_moment
@@ -638,3 +640,171 @@ def test_sample_for_kind(rng):
         assert point.shape == (6,)
     with pytest.raises(ValueError):
         fb.sample_for_kind("mq3", rng)
+
+
+# -- the batch kernel and its one-point views ---------------------------------
+
+KINDS = ("mq7", "mq5", "m2", "m3")
+
+
+@pytest.mark.parametrize("kind,second_orbit", [(kind, False) for kind in KINDS] + [("mq5", True)])
+def test_certify_batch_equals_one_point_views(kind, second_orbit):
+    rng = np.random.default_rng(20261018)
+    points = fb.sample_for_kind(kind, rng, 1000, second_orbit=second_orbit)
+    assert points.shape == (1000, 6)
+    batch = fb.certify(kind, points, second_orbit=second_orbit)
+    certificates = batch.to_json()
+    assert batch.passed.all()
+    for point, batched in zip(points, certificates):
+        single, passed = fb.build_certificate(kind, point, second_orbit=second_orbit)
+        assert passed
+        assert single["point"] == batched["point"]
+        assert single["jacobian_rank"] == batched["jacobian_rank"]
+        for key, value in single["residuals"].items():
+            if value is None:
+                assert batched["residuals"][key] is None
+            else:
+                assert abs(value - batched["residuals"][key]) <= 1e-15
+        if kind != "mq7":
+            assert max(abs(a - b) for a, b in zip(single["f_values"], batched["f_values"])) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sampler_one_point_view(kind):
+    # Without a count the sampler is the count = 1 case: same draws, same point.
+    for seed in range(20):
+        one = fb.sample_for_kind(kind, np.random.default_rng(seed))
+        batch = fb.sample_for_kind(kind, np.random.default_rng(seed), 1)
+        assert one.shape == (6,) and batch.shape == (1, 6)
+        assert np.array_equal(one, batch[0])
+
+
+def test_batched_helpers_equal_their_one_point_views(rng):
+    points = fb.sample_fiber5_mixed(rng, np.arange(200) % 2 == 0)
+    deviation, ranks, _ = fb.complete_intersection_survey(points)
+    dims = fb.tangent_fiber_dimension(points, include_quadric=True)
+    coverage = fb.chart_coverage(points)
+    for k, point in enumerate(points):
+        f1, f2, f3 = fb.complete_intersection_f(fb.fiber5_chart(point))
+        assert np.array_equal(deviation[k], np.abs([f1, f2 + 1.0, f3]))
+        assert ranks[k] == fb.jacobian_rank(*fb.fiber5_chart(point).as_uv()) == 3
+        assert dims[k] == fb.tangent_fiber_dimension(point, include_quadric=True) == 5
+        single = fb.chart_coverage(point)
+        assert single.ok == coverage.ok[k] and single.margin == coverage.margin[k]
+    t = fb.random_phases(rng, (100, 3))
+    forward = fb.bundle_transition(t, "01")
+    for k in range(100):
+        assert np.array_equal(forward[k], fb.bundle_transition(t[k], "01"))
+    assert fb.cocycle_error(t) <= 1e-12
+
+
+def test_certificate_names_failed_checks(rng):
+    point = fb.sample_fiber5(rng)
+    cert, passed = fb.build_certificate("mq5", point, tolerances={"moment": -1.0, "rank_tol": 0.5})
+    assert not passed
+    named = {entry["check"]: entry for entry in cert["failed_checks"]}
+    assert set(named) == {"moment", "rank"}
+    assert named["moment"]["tolerance"] == -1.0
+    assert named["moment"]["value"] == cert["residuals"]["moment"]
+    assert named["rank"]["tolerance"] == 0.5 and 0.0 < named["rank"]["value"] <= 0.5
+    passing, ok = fb.build_certificate("mq5", point)
+    assert ok and "failed_checks" not in passing
+
+
+def test_surface_sampler_batch_keeps_thresholds(rng):
+    sections = fb.sample_surface_section(rng, count=3000)
+    assert sections.z0.shape == (3000,)
+    assert not np.any(sections.on_circle)
+    assert np.max(sections.surface_residual()) <= 1e-10
+    assert np.min(np.abs(sections.z0)) > 0.0 and np.min(np.abs(sections.coords[:, 2])) > 0.0
+    with pytest.raises(RuntimeError):
+        fb.sample_surface_section(rng, max_trials=0)
+
+
+# -- NaN never passes a guard ---------------------------------------------------
+
+def test_nan_phase_is_refused():
+    with pytest.raises(ValueError):
+        fb.fiber7_param(0.0, S6, S6, float("nan"), 1.0)
+
+
+def test_nan_head_is_refused():
+    with pytest.raises(ValueError):
+        fb.tail_magnitudes(float("nan"), 0.0, 0.0)
+    with pytest.raises(ValueError):
+        fb.SurfaceSection(float("nan"), 0.0)
+    with pytest.raises(ValueError):
+        fb.surface_section(float("nan"), 0.1)
+
+
+def test_nan_chart_point_is_refused_by_jacobian_rank():
+    with pytest.raises(ValueError):
+        fb.jacobian_rank(np.full(4, np.nan), np.zeros(4))
+
+
+def test_nan_point_is_refused_by_certificates(rng):
+    points = fb.sample_for_kind("mq5", rng, 3)
+    points[1, 2] = np.nan
+    for kind in ("mq7", "mq5"):
+        with pytest.raises(ValueError):
+            fb.certify(kind, points)
+    with pytest.raises(ValueError):
+        fb.build_certificate("mq5", points[1])
+
+
+# -- degenerate branches of surface_section ------------------------------------
+
+ROOT_SIXTH = math.sqrt(1 / 6)
+near_root = st.one_of(st.just(ROOT_SIXTH),
+                      st.floats(ROOT_SIXTH - 1e-10, ROOT_SIXTH + 1e-10),
+                      st.floats(0.0, math.sqrt(1 / 3)))
+
+
+def _check_section(section, r0, r1):
+    assert abs(abs(section.z0) - r0) <= 1e-11 and abs(abs(section.z1) - r1) <= 1e-11
+    assert section.surface_residual() <= 1e-10
+
+
+@given(r0=st.floats(0.0, 0.6), r1=st.floats(0.0, 0.6), branch=st.sampled_from([1, -1]))
+@settings(max_examples=200, deadline=None)
+def test_surface_section_valid_or_refused(r0, r1, branch):
+    try:
+        section = fb.surface_section(r0, r1, branch)
+    except ValueError:
+        return
+    _check_section(section, r0, r1)
+
+
+@given(theta=st.one_of(st.just(math.pi / 4), st.floats(0.0, math.pi / 2),
+                       st.floats(math.pi / 4 - 1e-12, math.pi / 4 + 1e-12)))
+@settings(max_examples=100, deadline=None)
+def test_surface_section_circle_branch(theta):
+    # On r0^2 + r1^2 = 1/3 the middle product vanishes; closure needs r0 = r1.
+    r0, r1 = math.sqrt(1 / 3) * math.cos(theta), math.sqrt(1 / 3) * math.sin(theta)
+    try:
+        section = fb.surface_section(r0, r1)
+    except ValueError:
+        assert abs(r0 - r1) > 1e-12
+        return
+    _check_section(section, r0, r1)
+    assert section.on_circle and abs(section.coords[2]) <= 1e-8
+    target = normalize_projective([1.0, 1.0])
+    assert projective_distance(fb.base_projection(section), target) <= 1e-9
+
+
+@given(r=near_root, vanishing=st.sampled_from([0, 1]))
+@settings(max_examples=150, deadline=None)
+def test_surface_section_vanishing_head_branch(r, vanishing):
+    # With one head modulus 0 the closure forces the other to |z|^2 = 1/6,
+    # and the base projection lands on (1 : 0) or (0 : 1).
+    r0, r1 = (0.0, r) if vanishing == 0 else (r, 0.0)
+    try:
+        section = fb.surface_section(r0, r1)
+    except ValueError:
+        assert abs(r * r - 1 / 6) > 1e-12
+        return
+    _check_section(section, r0, r1)
+    assert abs(r * r - 1 / 6) <= 1e-9
+    assert (section.z0, section.z1)[vanishing] == 0
+    target = [1.0, 0.0] if vanishing == 0 else [0.0, 1.0]
+    assert projective_distance(fb.base_projection(section), normalize_projective(target)) <= 1e-12
