@@ -49,7 +49,6 @@ class CriterionResult:
             "number": self.number,
             "name": self.name,
             "passed": self.passed,
-            "seconds": round(self.seconds, 3),
             "details": self.details,
         }
 
@@ -345,6 +344,11 @@ CRITERIA = (
     ("dimensions", check_dimension_counts),
     ("secondorbit", check_second_orbit),
 )
+
+
+def short_name(number: int) -> str:
+    """The CRITERIA name of criterion ``number``; the table is in criterion order."""
+    return CRITERIA[number - 1][0]
 
 
 def run_all(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,

@@ -264,6 +264,9 @@ def cmd_report(args) -> int:
         "criteria": [r.to_json() for r in results],
         "all_passed": all(r.passed for r in results),
     }
+    if not args.no_timings:
+        payload["timings"] = {acceptance.short_name(r.number): round(r.seconds, 3)
+                              for r in results}
     _emit(payload, args.json_out)
     return 0 if payload["all_passed"] else 1
 
@@ -328,6 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_parse_seed, default=acceptance.DEFAULT_SEED)
     p.add_argument("--samples", type=_positive_int, default=acceptance.DEFAULT_SAMPLES)
     p.add_argument("--only", default=None)
+    p.add_argument("--no-timings", action="store_true",
+                   help="omit per-criterion seconds, so the output is byte-stable")
     p.set_defaults(func=cmd_report)
 
     for p in sub.choices.values():

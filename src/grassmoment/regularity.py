@@ -6,7 +6,10 @@ arrangement sum_{i in T} x_i = 1 and the boundary; it is a regular value
 for the ambient projective moment map iff it lies in no convex hull of
 vertices of dimension below n-1.  The second condition is decided over
 walls, the hyperplanes of the slice spanned by n-1 vertices: x fails iff
-it lies on a wall and in the hull of the vertices on that wall.  An
+it lies on a wall W and in the hull P_W of the vertices on W.  Each facet
+of P_W, joined with any vertex off W, spans another wall, so P_W is the
+part of W on the inner side of those walls.  One integer dot product of
+x with every wall normal therefore decides both conditions.  An
 exhaustive scan over all coordinate supports cross-checks it.
 """
 
@@ -133,39 +136,102 @@ def _walls(n: int) -> tuple[tuple[tuple[int, ...], tuple[Vector, ...]], ...]:
     independent vertices.  The vertices lie off the origin, so their
     linear span cuts the slice in their affine hull, and the wall is
     {x : normal . x = 0} there.  The normal is the primitive integer
-    normal of the span, which also deduplicates the walls.
+    normal of the span.  A subset whose vertices all lie on a wall found
+    before spans that wall or nothing, so it is skipped unseen: every
+    elimination left finds a new wall, in the order of the first subset
+    that spans it.
+
+    A vertex is e_a + e_b, so the normal y of a wall has y_a = -y_b on
+    every edge {a, b} of the graph of its vertices: y is +-1 on the two
+    sides of the one bipartite component of that graph and 0 elsewhere.
+
+    Each wall W also bounds the hull P_W of its vertices, inside W: a
+    facet F of P_W together with any vertex off W spans another wall W',
+    and W' cuts W in the affine hull of F.  So P_W is cut out of W by the
+    walls that leave every vertex of W on one side; ``_facet_table``
+    keeps one such wall per facet.
     """
     vertices = hypersimplex_vertices(n)
-    walls: dict[tuple[int, ...], tuple[Vector, ...]] = {}
-    for subset in itertools.combinations(vertices, n - 1):
-        spanned = span_normal(subset)
+    pairs = list(itertools.combinations(range(n), 2))
+    walls: list[tuple[tuple[int, ...], tuple[Vector, ...]]] = []
+    masks: list[int] = []
+    for subset in itertools.combinations(range(len(vertices)), n - 1):
+        mask = sum(1 << k for k in subset)
+        if any(mask & m == mask for m in masks):
+            continue
+        spanned = span_normal([vertices[k] for k in subset])
         if spanned is None:
             continue
         normal = tuple(v.numerator for v in spanned)
-        if normal not in walls:
-            walls[normal] = tuple(v for v in vertices if _dot(normal, v) == 0)
-    return tuple(walls.items())
+        on_wall = [k for k, (a, b) in enumerate(pairs) if normal[a] + normal[b] == 0]
+        masks.append(sum(1 << k for k in on_wall))
+        walls.append((normal, tuple(vertices[k] for k in on_wall)))
+    return tuple(walls)
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(p * q for p, q in zip(a, b))
+@lru_cache(maxsize=8)
+def _facet_table(n: int) -> tuple[tuple[tuple[int, int], ...],
+                                  tuple[tuple[tuple[int, int], ...], ...]]:
+    """Per wall, its normal as coordinate bitmasks (plus, minus) and the
+    facets of its hull as pairs (j, s).
+
+    The normal is +1 on plus and -1 on minus, so normal . x is a
+    difference of two coordinate sums.  The hull of the vertices on wall
+    i is {x on wall i : s * (normal_j . x) >= 0 for every (j, s) of row i}.
+    Candidates are the walls j that leave all vertices of wall i on
+    their side s; each touches the hull in the face of the vertices it
+    holds.  The facets are the maximal such faces, so one wall is kept
+    per maximal vertex set (the first in wall order).  Integers only: a
+    vertex {a, b} has normal . v = normal[a] + normal[b].
+    """
+    walls = _walls(n)
+    signed = []
+    for normal, _ in walls:
+        if not set(normal) <= {-1, 0, 1}:
+            raise ValueError(f"wall normal {normal} is not a signed 0/1 vector")
+        signed.append((sum(1 << k for k, v in enumerate(normal) if v > 0),
+                       sum(1 << k for k, v in enumerate(normal) if v < 0)))
+    pairs = list(itertools.combinations(range(n), 2))
+    dots = [[normal[a] + normal[b] for a, b in pairs] for normal, _ in walls]
+    facets = []
+    for i, row in enumerate(dots):
+        on_wall = [k for k, value in enumerate(row) if value == 0]
+        faces: dict[int, tuple[int, int]] = {}
+        for j, other in enumerate(dots):
+            values = [other[k] for k in on_wall]
+            side = 1 if min(values) >= 0 else -1 if max(values) <= 0 else 0
+            if j != i and side:
+                face = sum(1 << k for k in on_wall if other[k] == 0)
+                faces.setdefault(face, (j, side))
+        facets.append(tuple(entry for face, entry in faces.items()
+                            if not any(face != f and face & f == face for f in faces)))
+    return tuple(signed), tuple(facets)
 
 
 def is_regular_projective(x: Sequence[Fraction], n: int) -> bool:
     """Regular value test for the ambient projective moment map, exact.
 
-    A point fails iff it lies on some wall W and in the convex hull of
-    the vertices on W.  Such a hull has dimension n-2.  Conversely, by
+    A point fails iff it lies on some wall W and in the convex hull P_W
+    of the vertices on W.  Such a hull has dimension n-2.  Conversely, by
     Caratheodory a low-dimensional witness hull reduces to at most n-1
     affinely independent vertices, which extend to n-1 independent
-    vertices spanning a wall.  x is scaled to integers once, so each
-    wall costs one integer dot product.  Guarded to n <= PROJECTIVE_MAX_N.
+    vertices spanning a wall.  Each facet of P_W lies on another wall
+    (see ``_walls``), so membership in P_W is a sign test against those
+    walls.  x is scaled to integers once, its 2^n coordinate subset sums
+    give the dot product with every wall normal, and the verdict reads
+    that one integer vector, with no elimination.  Guarded to
+    n <= PROJECTIVE_MAX_N.
     """
     if n > PROJECTIVE_MAX_N:
         raise ValueError(f"projective regularity test supports n <= {PROJECTIVE_MAX_N}")
     cleared, _ = _cleared_point(x, n)
-    for normal, on_wall in _walls(n):
-        if _dot(normal, cleared) == 0 and convex_membership(x, on_wall) is not None:
+    signed, facets = _facet_table(n)
+    sums = [0]  # sums[mask]: the sum of the cleared coordinates in mask
+    for value in cleared:
+        sums += [s + value for s in sums]
+    dots = [sums[plus] - sums[minus] for plus, minus in signed]
+    for i, value in enumerate(dots):
+        if value == 0 and all(s * dots[j] >= 0 for j, s in facets[i]):
             return False
     return True
 

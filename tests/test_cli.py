@@ -200,6 +200,26 @@ def test_report_only_filter(capsys):
     assert payload["all_passed"] is True
 
 
+def test_report_timings_sit_apart_from_verdicts(capsys):
+    code, payload = run_cli(capsys, ["report", "--only", "fiber", "--samples", "40"])
+    assert code == 0
+    assert [c["number"] for c in payload["criteria"]] == [4, 7]
+    assert all("seconds" not in c for c in payload["criteria"])
+    assert list(payload["timings"]) == ["fiber7", "fiber5"]
+    assert all(type(v) is float and v >= 0 for v in payload["timings"].values())
+
+
+def test_report_without_timings_is_byte_stable(capsys):
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["report", "--only", "dichotomy", "--no-timings"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    payload = json.loads(outputs[0])
+    assert "timings" not in payload
+    assert payload["criteria"][0]["number"] == 5
+
+
 def test_report_filter_matching_nothing_is_usage_error(capsys):
     # An empty selection would report all_passed over no criteria at all.
     code = cli.main(["report", "--only", "nosuch"])

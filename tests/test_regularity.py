@@ -5,9 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from grassmoment import exactgeom, regularity
 from grassmoment.exactgeom import (
     affine_rank,
     arrangement_for_n,
+    convex_membership,
     hypersimplex_vertices,
     pairs_lex,
     sign_vector,
@@ -233,6 +235,86 @@ def test_walls_match_bruteforce_large_coprime_denominators():
     verdicts = [is_regular_projective(x, 5) for x in points]
     assert verdicts == [is_regular_projective_bruteforce(x, 5) for x in points]
     assert set(verdicts) == {True, False}
+
+
+def _on_wall_points(n, count, seed):
+    """Seeded points of the hypersimplex on walls, inside and outside the hulls.
+
+    Half are affine combinations of all vertices of one wall with some
+    weights negative; half push a point of the hull of n-2 vertices of
+    one wall (often a facet) away from the wall's centre.
+    """
+    walls = _walls(n)
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        _, on_wall = rng.choice(walls)
+        centre = [sum(v[i] for v in on_wall) / len(on_wall) for i in range(n)]
+        if len(points) % 2:
+            subset, weights = on_wall, [rng.randint(-2, 6) for _ in on_wall]
+            push = F(0)
+        else:
+            subset = rng.sample(on_wall, n - 2)
+            weights = [rng.randint(1, 9) for _ in subset]
+            push = F(1, rng.randint(2, 40))
+        total = sum(weights)
+        if total == 0:
+            continue
+        y = [F(sum(w * v[i] for w, v in zip(weights, subset)), total) for i in range(n)]
+        x = tuple(a + push * (a - c) for a, c in zip(y, centre))
+        if all(0 <= v <= 1 for v in x):
+            points.append(x)
+    return points
+
+
+def _on_some_wall(x, n):
+    return any(sum(a * b for a, b in zip(normal, x)) == 0 for normal, _ in _walls(n))
+
+
+def _outside_every_wall_hull(x, n):
+    """The definition: x is regular iff no wall holds it inside its hull."""
+    return not any(sum(a * b for a, b in zip(normal, x)) == 0
+                   and convex_membership(x, on_wall) is not None
+                   for normal, on_wall in _walls(n))
+
+
+@pytest.mark.parametrize("n, count, seed", [(5, 160, 55), (6, 100, 66)])
+def test_facet_signs_decide_on_wall_points(n, count, seed):
+    points = _on_wall_points(n, count, seed)
+    assert all(_on_some_wall(x, n) for x in points)
+    verdicts = [is_regular_projective(x, n) for x in points]
+    assert verdicts == [_outside_every_wall_hull(x, n) for x in points]
+    # Regular points on a wall are the ones only the facet signs decide.
+    assert set(verdicts) == {True, False}
+    if n == 5:
+        # The oracle is slow on regular points, so it sees a prefix that
+        # holds both verdicts.
+        sample = points[:40]
+        assert {is_regular_projective(x, 5) for x in sample} == {True, False}
+        assert ([is_regular_projective(x, 5) for x in sample]
+                == [is_regular_projective_bruteforce(x, 5) for x in sample])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_warm_projective_query_runs_no_elimination(monkeypatch, n):
+    vertices = hypersimplex_vertices(n)
+    hull_point = _simplex_interior_points(n, 1, seed=n)[0]
+    # A point off every wall: the centre moved by small unequal steps.
+    steps = [F(k * k, 997) for k in range(n)]
+    generic = tuple(F(2, n) + step - sum(steps) / n for step in steps)
+    assert not _on_some_wall(generic, n)
+    points = [generic, hull_point, vertices[0]] + _on_wall_points(n, 6, seed=n)
+    expected = [_outside_every_wall_hull(x, n) for x in points]
+    assert expected[:3] == [True, False, False]
+    is_regular_projective(generic, n)  # warm the wall and facet caches
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm projective query ran an elimination")
+
+    for module in (exactgeom, regularity):
+        monkeypatch.setattr(module, "convex_membership", refuse)
+    monkeypatch.setattr(exactgeom, "_row_echelon", refuse)
+    assert [is_regular_projective(x, n) for x in points] == expected
 
 
 def test_gap_point_membership_structure():
