@@ -91,12 +91,7 @@ def _classification(point, n: int) -> dict:
 
 def cmd_chambers(args) -> int:
     if args.classify:
-        if args.n > PROJECTIVE_MAX_N:
-            print(f"classification supports n <= {PROJECTIVE_MAX_N}", file=sys.stderr)
-            return 2
-        point = parse_vector(args.classify)
-        _emit(_classification(point, args.n), args.json_out)
-        return 0
+        return cmd_regular(args)
     if args.n != 4:
         print("chamber enumeration supports n = 4 only", file=sys.stderr)
         return 2

@@ -26,13 +26,17 @@ def rational(value: Fraction | int | str) -> Fraction:
     """Coerce an int, a string like '5/9', or a Fraction to a Fraction.
 
     Floats are rejected on purpose: a float has already lost exactness.
+    A zero denominator is a ValueError, like any other malformed text.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value.strip()!r}") from None
     raise TypeError(f"cannot build an exact rational from {type(value).__name__}")
 
 
@@ -132,19 +136,6 @@ def clear_denominators(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list
     return [[p * (den // d) for p, d in row] for row in ratios], den
 
 
-def cleared_sign_vector(cleared: Sequence[int], den: int,
-                        arrangement: Sequence[Hyperplane]) -> tuple[int, ...]:
-    """Sign vector of the point cleared / den, for integers cleared and den > 0.
-
-    sum_{i in T} x_i - 1 has the sign of the integer sum_{i in T} cleared_i - den.
-    """
-    signs = []
-    for h in arrangement:
-        value = sum(cleared[i - 1] for i in h.support) - den
-        signs.append((value > 0) - (value < 0))
-    return tuple(signs)
-
-
 def sign_vector(x: Sequence[Fraction], arrangement: Sequence[Hyperplane]) -> tuple[int, ...]:
     """Exact sign of sum_{i in T} x_i - 1 per hyperplane, each in {-1, 0, 1}."""
     if arrangement:
@@ -154,7 +145,9 @@ def sign_vector(x: Sequence[Fraction], arrangement: Sequence[Hyperplane]) -> tup
     (cleared,), den = clear_denominators([x])
     if sum(cleared) != 2 * den:
         raise ValueError("point is not on the slice sum(x) = 2")
-    return cleared_sign_vector(cleared, den, arrangement)
+    # sum_T x - 1 has the sign of sum_T cleared - den.
+    values = (sum(cleared[i - 1] for i in h.support) - den for h in arrangement)
+    return tuple((v > 0) - (v < 0) for v in values)
 
 
 def format_sign_vector(signs: Sequence[int]) -> str:
@@ -194,29 +187,6 @@ def _row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int
         if len(pivots) == len(rows):
             break
     return rows, pivots, det
-
-
-def span_normal(rows: Sequence[Sequence[Fraction]]) -> Vector | None:
-    """Normal of the linear span of d-1 vectors in Q^d, or None if they are dependent.
-
-    The normal is primitive: integer entries with gcd 1, the first
-    nonzero one positive.  So it depends only on the span, and every
-    spanning set of a hyperplane gives the same normal.
-    """
-    cleared, _ = clear_denominators(rows)
-    reduced, pivots, det = _row_echelon(cleared)
-    ncols = len(cleared[0])
-    if len(pivots) != ncols - 1:
-        return None
-    free = next(c for c in range(ncols) if c not in pivots)
-    normal = [0] * ncols
-    normal[free] = det
-    for row, c in zip(reduced, pivots):
-        normal[c] = -row[free]
-    scale = math.gcd(*normal)
-    if next(v for v in normal if v) < 0:
-        scale = -scale
-    return tuple(Fraction(v // scale) for v in normal)
 
 
 def _affine_rank(points: Sequence[Sequence[int]]) -> int:

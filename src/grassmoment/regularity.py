@@ -4,13 +4,19 @@ Two regularity notions live side by side.  A point of the hypersimplex is
 a regular value for the Grassmannian moment map iff it avoids the
 arrangement sum_{i in T} x_i = 1 and the boundary; it is a regular value
 for the ambient projective moment map iff it lies in no convex hull of
-vertices of dimension below n-1.  The second condition is decided over
-walls, the hyperplanes of the slice spanned by n-1 vertices: x fails iff
-it lies on a wall W and in the hull P_W of the vertices on W.  Each facet
-of P_W, joined with any vertex off W, spans another wall, so P_W is the
-part of W on the inner side of those walls.  One integer dot product of
-x with every wall normal therefore decides both conditions.  An
-exhaustive scan over all coordinate supports cross-checks it.
+vertices of dimension below n-1.  The second condition has a closed form
+(the hypersimplex faces of Gelfand-Goresky-MacPherson-Serganova): x is
+critical iff some x_i = 0, or [n] = A + B + C with A and B nonempty,
+|C| = 0 or 3 <= |C| <= n-2, sum_A x = sum_B x and 2 max_C x <= sum_C x.
+Sketch: a wall, a hyperplane of the slice spanned by n-1 vertices, has
+normal e_a or 1_A - 1_B; the vertices on the latter form the graph
+K_{A,B} + K_C, which has the single bipartite component a spanning set
+needs only for those |C|, and on the wall their hull is cut out by
+x_c <= 1 - sum_A x.  The C = {} walls are the arrangement, so
+every Grassmann-critical point is projective-critical, and for n = 4 no
+|C| >= 3 fits, so there the two notions coincide.  Both verdicts read the
+2^n integer subset sums of x, cleared once.  An exhaustive scan over all
+coordinate supports cross-checks them.
 """
 
 from __future__ import annotations
@@ -27,19 +33,17 @@ from .exactgeom import (
     affine_rank,
     arrangement_for_n,
     clear_denominators,
-    cleared_sign_vector,
     convex_membership,
     hypersimplex_vertices,
     pairs_lex,
     sign_vector,
-    span_normal,
 )
 
 DEFAULT_SEED = 0xC0FFEE
 
-#: Largest n the projective regularity test supports: the wall
-#: enumeration grows too fast beyond it.
-PROJECTIVE_MAX_N = 6
+#: Largest n the projective regularity test supports: its split table
+#: grows like 3^n / 2, to 19,725 entries (2.3 MB) at n = 10.
+PROJECTIVE_MAX_N = 10
 
 #: Canonical interior points of the two reference chambers.
 CHAMBER_POINT_MINUS: Vector = (Fraction(1, 3), Fraction(5, 9), Fraction(5, 9), Fraction(5, 9))
@@ -103,17 +107,32 @@ def stabilizer_dim(sigma: Sequence[int], n: int) -> StabilizerReport:
     return StabilizerReport(dim_polytope=polytope.dim, dim_stabilizer=n - polytope.dim)
 
 
-def _cleared_point(x: Sequence[Fraction], n: int) -> tuple[list[int], int]:
-    """x scaled to integers by its common denominator, with that denominator.
+def _subset_sums(x: Sequence[Fraction], n: int) -> tuple[list[int], int, list[int]]:
+    """x scaled to integers by its common denominator, that denominator, and
+    the 2^n coordinate subset sums: sums[mask] adds the cleared coordinates
+    whose bits are set in mask.
 
     Raises unless x is a point of the hypersimplex of length n.
     """
     if len(x) != n:
         raise ValueError(f"expected a point of length {n}")
     (cleared,), den = clear_denominators([x])
-    if sum(cleared) != 2 * den or not all(0 <= v <= den for v in cleared):
+    if sum(cleared) != 2 * den or min(cleared) < 0 or max(cleared) > den:
         raise ValueError("point lies outside the hypersimplex")
-    return cleared, den
+    sums = [0]
+    for value in cleared:
+        sums += [s + value for s in sums]
+    return cleared, den, sums
+
+
+def _off_arrangement(cleared: Sequence[int], den: int, sums: Sequence[int]) -> bool:
+    """0 < x_i < 1 for all i and no coordinate sum of x equals 1.
+
+    A singleton T and its complement give the boundary x_i = 1, so
+    sums[T] == den for some T is exactly a hit on the arrangement or on
+    that boundary.
+    """
+    return min(cleared) > 0 and den not in sums
 
 
 def is_regular_grassmann(x: Sequence[Fraction], n: int) -> bool:
@@ -122,116 +141,56 @@ def is_regular_grassmann(x: Sequence[Fraction], n: int) -> bool:
     True iff 0 < x_i < 1 for all i and x avoids every arrangement
     hyperplane, i.e. x sits in an open chamber of maximal dimension.
     """
-    cleared, den = _cleared_point(x, n)
-    if not all(0 < v < den for v in cleared):
-        return False
-    return 0 not in cleared_sign_vector(cleared, den, arrangement_for_n(n))
+    return _off_arrangement(*_subset_sums(x, n))
 
 
 @lru_cache(maxsize=8)
-def _walls(n: int) -> tuple[tuple[tuple[int, ...], tuple[Vector, ...]], ...]:
-    """Each wall of the slice sum x = 2, as (normal, vertices on the wall).
+def _splits(n: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+    """Every split [n] = A + B + C with A and B nonempty, A < B as bitmasks
+    and 3 <= |C|, as (A, B, C, members of C).
 
-    A wall is the hyperplane of the slice spanned by n-1 affinely
-    independent vertices.  The vertices lie off the origin, so their
-    linear span cuts the slice in their affine hull, and the wall is
-    {x : normal . x = 0} there.  The normal is the primitive integer
-    normal of the span.  A subset whose vertices all lie on a wall found
-    before spans that wall or nothing, so it is skipped unseen: every
-    elimination left finds a new wall, in the order of the first subset
-    that spans it.
-
-    A vertex is e_a + e_b, so the normal y of a wall has y_a = -y_b on
-    every edge {a, b} of the graph of its vertices: y is +-1 on the two
-    sides of the one bipartite component of that graph and 0 elsewhere.
-
-    Each wall W also bounds the hull P_W of its vertices, inside W: a
-    facet F of P_W together with any vertex off W spans another wall W',
-    and W' cuts W in the affine hull of F.  So P_W is cut out of W by the
-    walls that leave every vertex of W on one side; ``_facet_table``
-    keeps one such wall per facet.
+    Each is a wall 1_A . x = 1_B . x beyond the arrangement; there are
+    0, 10, 75, 371 and 1,526 of them for n = 4..8.
     """
-    vertices = hypersimplex_vertices(n)
-    pairs = list(itertools.combinations(range(n), 2))
-    walls: list[tuple[tuple[int, ...], tuple[Vector, ...]]] = []
-    masks: list[int] = []
-    for subset in itertools.combinations(range(len(vertices)), n - 1):
-        mask = sum(1 << k for k in subset)
-        if any(mask & m == mask for m in masks):
+    full = (1 << n) - 1
+    splits = []
+    for c in range(full + 1):
+        members = tuple(i for i in range(n) if c >> i & 1)
+        if len(members) < 3:
             continue
-        spanned = span_normal([vertices[k] for k in subset])
-        if spanned is None:
-            continue
-        normal = tuple(v.numerator for v in spanned)
-        on_wall = [k for k, (a, b) in enumerate(pairs) if normal[a] + normal[b] == 0]
-        masks.append(sum(1 << k for k in on_wall))
-        walls.append((normal, tuple(vertices[k] for k in on_wall)))
-    return tuple(walls)
-
-
-@lru_cache(maxsize=8)
-def _facet_table(n: int) -> tuple[tuple[tuple[int, int], ...],
-                                  tuple[tuple[tuple[int, int], ...], ...]]:
-    """Per wall, its normal as coordinate bitmasks (plus, minus) and the
-    facets of its hull as pairs (j, s).
-
-    The normal is +1 on plus and -1 on minus, so normal . x is a
-    difference of two coordinate sums.  The hull of the vertices on wall
-    i is {x on wall i : s * (normal_j . x) >= 0 for every (j, s) of row i}.
-    Candidates are the walls j that leave all vertices of wall i on
-    their side s; each touches the hull in the face of the vertices it
-    holds.  The facets are the maximal such faces, so one wall is kept
-    per maximal vertex set (the first in wall order).  Integers only: a
-    vertex {a, b} has normal . v = normal[a] + normal[b].
-    """
-    walls = _walls(n)
-    signed = []
-    for normal, _ in walls:
-        if not set(normal) <= {-1, 0, 1}:
-            raise ValueError(f"wall normal {normal} is not a signed 0/1 vector")
-        signed.append((sum(1 << k for k, v in enumerate(normal) if v > 0),
-                       sum(1 << k for k, v in enumerate(normal) if v < 0)))
-    pairs = list(itertools.combinations(range(n), 2))
-    dots = [[normal[a] + normal[b] for a, b in pairs] for normal, _ in walls]
-    facets = []
-    for i, row in enumerate(dots):
-        on_wall = [k for k, value in enumerate(row) if value == 0]
-        faces: dict[int, tuple[int, int]] = {}
-        for j, other in enumerate(dots):
-            values = [other[k] for k in on_wall]
-            side = 1 if min(values) >= 0 else -1 if max(values) <= 0 else 0
-            if j != i and side:
-                face = sum(1 << k for k in on_wall if other[k] == 0)
-                faces.setdefault(face, (j, side))
-        facets.append(tuple(entry for face, entry in faces.items()
-                            if not any(face != f and face & f == face for f in faces)))
-    return tuple(signed), tuple(facets)
+        rest = a = full ^ c
+        while a:
+            a = (a - 1) & rest
+            if a and a < rest ^ a:
+                splits.append((a, rest ^ a, c, members))
+    return tuple(splits)
 
 
 def is_regular_projective(x: Sequence[Fraction], n: int) -> bool:
     """Regular value test for the ambient projective moment map, exact.
 
-    A point fails iff it lies on some wall W and in the convex hull P_W
-    of the vertices on W.  Such a hull has dimension n-2.  Conversely, by
-    Caratheodory a low-dimensional witness hull reduces to at most n-1
-    affinely independent vertices, which extend to n-1 independent
-    vertices spanning a wall.  Each facet of P_W lies on another wall
-    (see ``_walls``), so membership in P_W is a sign test against those
-    walls.  x is scaled to integers once, its 2^n coordinate subset sums
-    give the dot product with every wall normal, and the verdict reads
-    that one integer vector, with no elimination.  Guarded to
+    x fails iff it lies on a wall W, a hyperplane of the slice spanned by
+    n-1 vertices, and in the hull of the vertices on W.  The walls are the
+    facets x_a = 0 and the hyperplanes sum_A x = sum_B x of the splits
+    [n] = A + B + C with A, B nonempty and |C| = 0 or |C| >= 3: the
+    vertices on such a wall form the graph K_{A,B} + K_C, which has one
+    bipartite component, so they span it.  On the wall their hull is
+    conv(Delta_A x Delta_B, Delta(2, C)), cut out by x_c <= 1 - sum_A x,
+    that is 2 max_C x <= sum_C x.  The C = {} walls are the arrangement,
+    so x must first be Grassmann-regular; then the |C| >= 3 splits are
+    scanned on the integer subset sums, with no elimination.  For n = 4
+    there are none, so there the two notions coincide.  Guarded to
     n <= PROJECTIVE_MAX_N.
     """
     if n > PROJECTIVE_MAX_N:
         raise ValueError(f"projective regularity test supports n <= {PROJECTIVE_MAX_N}")
-    cleared, _ = _cleared_point(x, n)
-    signed, facets = _facet_table(n)
-    sums = [0]  # sums[mask]: the sum of the cleared coordinates in mask
-    for value in cleared:
-        sums += [s + value for s in sums]
-    dots = [sums[plus] - sums[minus] for plus, minus in signed]
-    for i, value in enumerate(dots):
-        if value == 0 and all(s * dots[j] >= 0 for j, s in facets[i]):
+    cleared, den, sums = _subset_sums(x, n)
+    if not _off_arrangement(cleared, den, sums):
+        return False
+    if len(set(sums)) == len(sums):
+        return True  # no two subsets share a sum, so no split has sum_A = sum_B
+    for a, b, c, members in _splits(n):
+        if sums[a] == sums[b] and 2 * max(cleared[i] for i in members) <= sums[c]:
             return False
     return True
 
@@ -243,7 +202,7 @@ def is_regular_projective_bruteforce(x: Sequence[Fraction], n: int) -> bool:
     at most n-2 whose hull contains x.  Kept deliberately independent of
     the bounded enumeration above so the two can cross-check each other.
     """
-    _cleared_point(x, n)
+    _subset_sums(x, n)
     vertices = hypersimplex_vertices(n)
     x = tuple(Fraction(v) for v in x)
     for size in range(1, len(vertices) + 1):

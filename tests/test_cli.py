@@ -54,6 +54,30 @@ def test_regular_command(capsys):
     assert payload["id"] == "[1,1,1]"
 
 
+def test_regular_answers_beyond_n6(capsys):
+    code, payload = run_cli(capsys, ["regular", "--n", "8", "--classify", ",".join(["1/4"] * 8)])
+    assert code == 0
+    assert payload["regular_mu"] is False
+    assert payload["regular_mu_tilde"] is False
+
+
+def test_chambers_classify_checks_the_length(capsys):
+    code = cli.main(["chambers", "--n", "5", "--classify", "1/2,1/2,1/2,1/2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "point length does not match --n" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["regular", "--n", "4", "--classify", "1/3,5/9,5/9,5/0"],
+    ["curve", "--x0", "1/0", "--x1", "0"],
+])
+def test_zero_denominator_is_usage_error(capsys, argv):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_moment_mu_hat(capsys):
     point = json.dumps([[1.0, 0.0]] + [[0.0, 0.0]] * 5)
     code, payload = run_cli(capsys, ["moment", "--map", "mu_hat", "--point", point])

@@ -1,5 +1,4 @@
 import itertools
-import math
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +21,6 @@ from grassmoment.exactgeom import (
     rational,
     sign_vector,
     solve_exact,
-    span_normal,
     vector,
 )
 
@@ -136,19 +134,6 @@ def test_affine_rank_bound_on_vertex_subsets():
             assert rank <= min(size - 1, 4)
 
 
-def test_span_normal_depends_only_on_the_span():
-    # The wall x1 = 0 of the n = 5 slice, from two different spanning sets.
-    first = [_vertex(5, p) for p in [(2, 3), (2, 4), (2, 5), (3, 4)]]
-    second = [_vertex(5, p) for p in [(4, 5), (3, 5), (2, 4), (3, 4)]]
-    assert span_normal(first) == span_normal(second) == (1, 0, 0, 0, 0)
-    # On a wall that is not a coordinate facet the normal is still orthogonal to its span.
-    spanning = [_vertex(5, p) for p in [(1, 3), (1, 4), (2, 5), (1, 5)]]
-    normal = span_normal(spanning)
-    assert all(sum(a * b for a, b in zip(normal, v)) == 0 for v in spanning)
-    dependent = [_vertex(5, p) for p in [(1, 2), (1, 3), (2, 4), (3, 4)]]
-    assert span_normal(dependent) is None
-
-
 _small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 
@@ -203,22 +188,6 @@ def test_solve_exact_matches_sympy(rows, data):
             solve_exact(rows, rhs)
     else:
         assert solve_exact(rows, rhs) == [F(str(v)) for v in expected]
-
-
-@given(rational_matrices())
-@settings(max_examples=80, deadline=None)
-def test_span_normal_matches_sympy_nullspace(rows):
-    normal = span_normal(rows)
-    kernel = _sympy_matrix(rows).nullspace()
-    if len(kernel) != 1:
-        assert normal is None
-        return
-    assert normal is not None
-    assert all(v.denominator == 1 for v in normal)
-    assert math.gcd(*(v.numerator for v in normal)) == 1
-    assert next(v for v in normal if v) > 0
-    # Parallel to sympy's kernel vector.
-    assert _sympy_matrix([list(normal)]).col_join(kernel[0].T).rank() == 1
 
 
 def test_convex_membership_vertex():

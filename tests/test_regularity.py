@@ -1,14 +1,18 @@
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from grassmoment import exactgeom, regularity
 from grassmoment.exactgeom import (
+    _row_echelon,
     affine_rank,
     arrangement_for_n,
+    clear_denominators,
     convex_membership,
     hypersimplex_vertices,
     pairs_lex,
@@ -16,7 +20,7 @@ from grassmoment.exactgeom import (
     vector,
 )
 from grassmoment.regularity import (
-    _walls,
+    PROJECTIVE_MAX_N,
     CHAMBER_POINT_MINUS,
     CHAMBER_POINT_PLUS,
     center_point_regular,
@@ -30,6 +34,7 @@ from grassmoment.regularity import (
     stabilizer_dim,
     support_from_pairs,
 )
+from test_exactgeom import _sympy_matrix, _vertex, rational_matrices
 
 N5_GAP_POINT = vector(["7/10", "6/10", "5/10", "1/10", "1/10"])
 
@@ -64,8 +69,11 @@ def test_is_regular_projective_examples():
     assert is_regular_projective(CHAMBER_POINT_MINUS, 4)
     assert not is_regular_projective(N5_GAP_POINT, 5)
     assert not is_regular_projective(vector([1, 1, 0, 0]), 4)
+    # The centre of the n = 7 slice lies in the hull of a wall x1 + x2 = x3 + x4.
+    assert not is_regular_projective(tuple(F(2, 7) for _ in range(7)), 7)
+    n = PROJECTIVE_MAX_N + 1
     with pytest.raises(ValueError):
-        is_regular_projective(tuple(F(2, 7) for _ in range(7)), 7)
+        is_regular_projective(tuple(F(2, n) for _ in range(n)), n)
 
 
 def test_enumerate_chambers():
@@ -200,9 +208,121 @@ def test_walls_match_bruteforce():
         assert set(verdicts) == expected[n], n
 
 
-@pytest.mark.parametrize("n, count", [(4, 11), (5, 30), (6, 112)])
+def span_normal(rows):
+    """Normal of the linear span of d-1 vectors in Q^d, or None if they are dependent.
+
+    The normal is primitive: integer entries with gcd 1, the first
+    nonzero one positive.  So it depends only on the span, and every
+    spanning set of a hyperplane gives the same normal.
+    """
+    cleared, _ = clear_denominators(rows)
+    reduced, pivots, det = _row_echelon(cleared)
+    ncols = len(cleared[0])
+    if len(pivots) != ncols - 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    normal = [0] * ncols
+    normal[free] = det
+    for row, c in zip(reduced, pivots):
+        normal[c] = -row[free]
+    scale = math.gcd(*normal)
+    if next(v for v in normal if v) < 0:
+        scale = -scale
+    return tuple(F(v // scale) for v in normal)
+
+
+def test_span_normal_depends_only_on_the_span():
+    # The wall x1 = 0 of the n = 5 slice, from two different spanning sets.
+    first = [_vertex(5, p) for p in [(2, 3), (2, 4), (2, 5), (3, 4)]]
+    second = [_vertex(5, p) for p in [(4, 5), (3, 5), (2, 4), (3, 4)]]
+    assert span_normal(first) == span_normal(second) == (1, 0, 0, 0, 0)
+    # On a wall that is not a coordinate facet the normal is still orthogonal to its span.
+    spanning = [_vertex(5, p) for p in [(1, 3), (1, 4), (2, 5), (1, 5)]]
+    normal = span_normal(spanning)
+    assert all(sum(a * b for a, b in zip(normal, v)) == 0 for v in spanning)
+    dependent = [_vertex(5, p) for p in [(1, 2), (1, 3), (2, 4), (3, 4)]]
+    assert span_normal(dependent) is None
+
+
+@given(rational_matrices())
+@settings(max_examples=80, deadline=None)
+def test_span_normal_matches_sympy_nullspace(rows):
+    normal = span_normal(rows)
+    kernel = _sympy_matrix(rows).nullspace()
+    if len(kernel) != 1:
+        assert normal is None
+        return
+    assert normal is not None
+    assert all(v.denominator == 1 for v in normal)
+    assert math.gcd(*(v.numerator for v in normal)) == 1
+    assert next(v for v in normal if v) > 0
+    # Parallel to sympy's kernel vector.
+    assert _sympy_matrix([list(normal)]).col_join(kernel[0].T).rank() == 1
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_walls(n):
+    """Each wall of the slice sum x = 2, as (normal, vertices on the wall),
+    found by exact elimination.
+
+    A wall is the hyperplane of the slice spanned by n-1 affinely
+    independent vertices; its normal is the primitive integer normal of
+    their linear span.  A subset whose vertices all lie on a wall found
+    before spans that wall or nothing, so it is skipped unseen.
+    """
+    vertices = hypersimplex_vertices(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    walls = []
+    masks = []
+    for subset in itertools.combinations(range(len(vertices)), n - 1):
+        mask = sum(1 << k for k in subset)
+        if any(mask & m == mask for m in masks):
+            continue
+        spanned = span_normal([vertices[k] for k in subset])
+        if spanned is None:
+            continue
+        normal = tuple(v.numerator for v in spanned)
+        on_wall = [k for k, (a, b) in enumerate(pairs) if normal[a] + normal[b] == 0]
+        masks.append(sum(1 << k for k in on_wall))
+        walls.append((normal, tuple(vertices[k] for k in on_wall)))
+    return tuple(walls)
+
+
+def _closed_form_walls(n):
+    """The walls in closed form, as {primitive normal: vertices on the wall}.
+
+    The facets x_a = 0 hold the vertices avoiding a.  A split
+    [n] = A + B + C with A, B nonempty and |C| = 0 (every subset A) or
+    |C| >= 3 (the library's table) gives the normal 1_A - 1_B, which holds
+    the vertices {a, b} with a in A and b in B, and those inside C.
+    """
+    full = (1 << n) - 1
+    splits = [(a, full ^ a, 0) for a in range(1, full)]
+    splits += [(a, b, c) for a, b, c, _ in regularity._splits(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    walls = {tuple(int(i == a) for i in range(n)): [p for p in pairs if a not in p]
+             for a in range(n)}
+    for a, b, c in splits:
+        sign = 1 if a & -a < b & -b else -1  # the lowest index of A + B gets +1
+        side = tuple(sign * ((a >> i & 1) - (b >> i & 1)) for i in range(n))
+        walls[side] = [(i, j) for i, j in pairs
+                       if side[i] * side[j] == -1 or c >> i & c >> j & 1]
+    vertices = dict(zip(pairs, hypersimplex_vertices(n)))
+    return {normal: tuple(vertices[p] for p in on_wall) for normal, on_wall in walls.items()}
+
+
+def _walls(n):
+    """The oracle's walls up to n = 7, the closed form beyond."""
+    return _oracle_walls(n) if n <= 7 else tuple(_closed_form_walls(n).items())
+
+
+def test_split_table_sizes():
+    assert [len(regularity._splits(n)) for n in range(4, 9)] == [0, 10, 75, 371, 1526]
+
+
+@pytest.mark.parametrize("n, count", [(4, 11), (5, 30), (6, 112), (7, 441)])
 def test_wall_cache_holds_primitive_integer_normals(n, count):
-    walls = _walls(n)
+    walls = _oracle_walls(n)
     assert len(walls) == count
     assert len({normal for normal, _ in walls}) == count
     vertices = hypersimplex_vertices(n)
@@ -212,6 +332,8 @@ def test_wall_cache_holds_primitive_integer_normals(n, count):
         assert next(v for v in normal if v) > 0
         assert on_wall == tuple(v for v in vertices
                                 if sum(a * b for a, b in zip(normal, v)) == 0)
+    # The closed form has the same walls with the same vertices on them.
+    assert _closed_form_walls(n) == dict(walls)
 
 
 def test_walls_match_bruteforce_large_coprime_denominators():
@@ -267,15 +389,21 @@ def _on_wall_points(n, count, seed):
     return points
 
 
+def _walls_through(x, n):
+    """The walls on which x lies, by their normals' dot product with x."""
+    (cleared,), _ = clear_denominators([x])
+    return [(normal, on_wall) for normal, on_wall in _walls(n)
+            if sum(a * b for a, b in zip(normal, cleared)) == 0]
+
+
 def _on_some_wall(x, n):
-    return any(sum(a * b for a, b in zip(normal, x)) == 0 for normal, _ in _walls(n))
+    return bool(_walls_through(x, n))
 
 
 def _outside_every_wall_hull(x, n):
     """The definition: x is regular iff no wall holds it inside its hull."""
-    return not any(sum(a * b for a, b in zip(normal, x)) == 0
-                   and convex_membership(x, on_wall) is not None
-                   for normal, on_wall in _walls(n))
+    return not any(convex_membership(x, on_wall) is not None
+                   for _, on_wall in _walls_through(x, n))
 
 
 @pytest.mark.parametrize("n, count, seed", [(5, 160, 55), (6, 100, 66)])
@@ -284,7 +412,7 @@ def test_facet_signs_decide_on_wall_points(n, count, seed):
     assert all(_on_some_wall(x, n) for x in points)
     verdicts = [is_regular_projective(x, n) for x in points]
     assert verdicts == [_outside_every_wall_hull(x, n) for x in points]
-    # Regular points on a wall are the ones only the facet signs decide.
+    # Regular points on a wall are the ones only the hull inequality decides.
     assert set(verdicts) == {True, False}
     if n == 5:
         # The oracle is slow on regular points, so it sees a prefix that
@@ -295,25 +423,61 @@ def test_facet_signs_decide_on_wall_points(n, count, seed):
                 == [is_regular_projective_bruteforce(x, 5) for x in sample])
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+def _split_wall_points(n, count, seed):
+    """Seeded points on walls sum_A x = sum_B x with |C| >= 3, near the hull's edge.
+
+    x_A and x_B are random points of t * Delta_A and t * Delta_B, and x_C a
+    random point of (1 - t) * Delta(2, C) whose first weight is near the
+    sum of the others; the hull holds x iff that weight is at most the sum.
+    |C| stays at most 5, which keeps the definition's hull search fast.
+    """
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        order = rng.sample(range(n), n)
+        size = rng.randint(3, min(n - 2, 5))  # at most 12 vertices on the wall
+        cut = rng.randint(size + 1, n - 1)
+        t = F(rng.randint(1, 19), 20)
+        x = [F(0)] * n
+        for part, scale in ((order[size:cut], t), (order[cut:], t), (order[:size], 2 - 2 * t)):
+            weights = [rng.randint(1, 97) for _ in part]
+            if scale == 2 - 2 * t:
+                weights[0] = sum(weights[1:]) + rng.randint(-2, 1)
+            for i, w in zip(part, weights):
+                x[i] = scale * F(w, sum(weights))
+        if all(0 < v < 1 for v in x):
+            points.append(tuple(x))
+    return points
+
+
+@pytest.mark.parametrize("n, count, seed", [(7, 100, 77), (8, 40, 86)])
+def test_split_walls_decide_like_the_hull_definition(n, count, seed):
+    points = _split_wall_points(n, count, seed)
+    assert all(_on_some_wall(x, n) for x in points)
+    verdicts = [is_regular_projective(x, n) for x in points]
+    assert verdicts == [_outside_every_wall_hull(x, n) for x in points]
+    assert set(verdicts) == {True, False}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_warm_projective_query_runs_no_elimination(monkeypatch, n):
     vertices = hypersimplex_vertices(n)
     hull_point = _simplex_interior_points(n, 1, seed=n)[0]
     # A point off every wall: the centre moved by small unequal steps.
-    steps = [F(k * k, 997) for k in range(n)]
+    steps = [F(k ** 3, 997) for k in range(n)]
     generic = tuple(F(2, n) + step - sum(steps) / n for step in steps)
     assert not _on_some_wall(generic, n)
     points = [generic, hull_point, vertices[0]] + _on_wall_points(n, 6, seed=n)
     expected = [_outside_every_wall_hull(x, n) for x in points]
     assert expected[:3] == [True, False, False]
-    is_regular_projective(generic, n)  # warm the wall and facet caches
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a warm projective query ran an elimination")
+        raise AssertionError("a projective query ran an elimination")
 
     for module in (exactgeom, regularity):
         monkeypatch.setattr(module, "convex_membership", refuse)
     monkeypatch.setattr(exactgeom, "_row_echelon", refuse)
+    regularity._splits.cache_clear()  # the first query builds the split table
     assert [is_regular_projective(x, n) for x in points] == expected
 
 
