@@ -3,7 +3,6 @@ numerical verification of the explicit n=4 moment fibers."""
 
 from . import acceptance, fibers4
 from .exactgeom import (
-    Hyperplane,
     affine_rank,
     arrangement_for_n,
     convex_membership,
@@ -47,6 +46,7 @@ from .regularity import (
     center_point_regular,
     polytope_of_support,
     chamber_orbits,
+    classify_point,
     enumerate_chambers,
     hypersimplex_grid,
     is_regular_grassmann,

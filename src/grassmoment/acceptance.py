@@ -23,9 +23,9 @@ from .regularity import (
     CHAMBER_POINT_PLUS,
     center_point_regular,
     chamber_orbits,
+    classify_point,
     enumerate_chambers,
     hypersimplex_grid,
-    is_regular_grassmann,
     is_regular_projective,
     is_regular_projective_bruteforce,
 )
@@ -172,10 +172,11 @@ def check_regular_dichotomy(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAM
     total = 0
     for x in hypersimplex_grid(4, 18):
         total += 1
-        if is_regular_grassmann(x, 4) != is_regular_projective(x, 4):
-            mismatches += 1
+        _, regular_mu, regular_mu_tilde = classify_point(x, 4)
+        mismatches += regular_mu != regular_mu_tilde
     gap_point = vector(["7/10", "6/10", "5/10", "1/10", "1/10"])
-    gap_ok = is_regular_grassmann(gap_point, 5) and not is_regular_projective(gap_point, 5)
+    _, regular_mu, regular_mu_tilde = classify_point(gap_point, 5)
+    gap_ok = regular_mu and not regular_mu_tilde
     passed = mismatches == 0 and gap_ok
     details = {
         "grid_points": total,

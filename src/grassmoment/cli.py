@@ -18,22 +18,13 @@ import numpy as np
 
 from . import acceptance
 from . import fibers4 as fb
-from .exactgeom import (
-    arrangement_for_n,
-    format_sign_vector,
-    format_vector,
-    parse_vector,
-    rational,
-    sign_vector,
-)
+from .exactgeom import format_sign_vector, format_vector, parse_vector, rational
 from .moment import grassmann_moment, hypersimplex_moment, simplex_moment
 from .plucker import GrassmannPoint
 from .regularity import (
-    PROJECTIVE_MAX_N,
     chamber_orbits,
+    classify_point,
     enumerate_chambers,
-    is_regular_grassmann,
-    is_regular_projective,
     largest_chamber_witness,
 )
 
@@ -78,14 +69,13 @@ def _emit(payload: dict, path: str | None) -> None:
 
 
 def _classification(point, n: int) -> dict:
-    signs = sign_vector(point, arrangement_for_n(n))
-    projective = is_regular_projective(point, n) if n <= PROJECTIVE_MAX_N else None
+    signs, regular_mu, regular_mu_tilde = classify_point(point, n)
     return {
         "n": n,
         "point": format_vector(point),
         "id": format_sign_vector(signs),
-        "regular_mu": is_regular_grassmann(point, n),
-        "regular_mu_tilde": projective,
+        "regular_mu": regular_mu,
+        "regular_mu_tilde": regular_mu_tilde,
     }
 
 

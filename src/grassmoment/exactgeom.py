@@ -1,24 +1,24 @@
 """Exact rational geometry on the hypersimplex slice sum(x) = 2.
 
-Chamber and regularity questions reduce to sign tests against hyperplanes
-sum_{i in T} x_i = 1 and to membership tests in convex hulls of 0/1
-vertices.  A sign test cannot be decided reliably in floating point, so
-everything here is exact: the API takes and returns rationals
-(fractions.Fraction), and inside each call the vectors are scaled once
-by a common denominator, after which all work runs on integers and one
-fraction-free elimination.
+Chamber and regularity questions reduce to signs of coordinate subset
+sums of one point x (sum_T x = 1, sum_A x = sum_B x) and to membership
+tests in convex hulls of 0/1 vertices.  A sign test cannot be decided
+reliably in floating point, so everything here is exact: the API takes
+and returns rationals (fractions.Fraction).  A point query validates and
+clears x once, in _subset_sums, and reads every sign from its 2^n
+integer subset sums; a hyperplane is the bitmask of its support.  Other
+calls scale their vectors once by a common denominator, after which all
+work runs on integers and one fraction-free elimination.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 
@@ -83,46 +83,22 @@ def in_hypersimplex(x: Sequence[Fraction]) -> bool:
     return all(0 <= v <= 1 for v in x) and sum(x) == 2
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """The hyperplane sum_{i in support} x_i = 1, with 1-based support."""
-
-    support: tuple[int, ...]
-
-    def __post_init__(self):
-        support = tuple(sorted(self.support))
-        if len(support) < 2:
-            raise ValueError("hyperplane support needs at least two indices")
-        if len(set(support)) != len(support) or support[0] < 1:
-            raise ValueError(f"bad hyperplane support {support}")
-        object.__setattr__(self, "support", support)
-
-    def evaluate(self, x: Sequence[Fraction]) -> Fraction:
-        """sum_{i in support} x_i - 1, exactly."""
-        return sum(x[i - 1] for i in self.support) - 1
-
-
 @lru_cache(maxsize=16)
-def arrangement_for_n(n: int) -> tuple[Hyperplane, ...]:
-    """All hyperplanes sum_{i in T} x_i = 1 with 2 <= |T| <= n//2.
+def arrangement_for_n(n: int) -> tuple[int, ...]:
+    """All hyperplanes sum_{i in T} x_i = 1 with 2 <= |T| <= n//2, each as
+    the bitmask of T (bit i-1 for coordinate i).
 
     Canonical order: by support size, then lexicographic.  For even n and
     |T| = n/2, T and its complement cut the same hyperplane on the slice
-    sum x = 2, so only the lexicographically smaller support is kept.
-    Built once per n; the tuple of frozen hyperplanes is shared.
+    sum x = 2, so only the lexicographically smaller support, the one
+    holding coordinate 1, is kept.  Built once per n.
     """
     if n < 4:
         raise ValueError(f"arrangement needs n >= 4, got {n}")
-    half = n // 2
-    hyperplanes = []
-    for size in range(2, half + 1):
-        for support in itertools.combinations(range(1, n + 1), size):
-            if n % 2 == 0 and size == half:
-                complement = tuple(sorted(set(range(1, n + 1)) - set(support)))
-                if complement < support:
-                    continue
-            hyperplanes.append(Hyperplane(support))
-    return tuple(hyperplanes)
+    return tuple(sum(1 << i for i in support)
+                 for size in range(2, n // 2 + 1)
+                 for support in itertools.combinations(range(n), size)
+                 if 2 * size < n or support[0] == 0)
 
 
 def clear_denominators(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
@@ -136,18 +112,38 @@ def clear_denominators(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list
     return [[p * (den // d) for p, d in row] for row in ratios], den
 
 
-def sign_vector(x: Sequence[Fraction], arrangement: Sequence[Hyperplane]) -> tuple[int, ...]:
-    """Exact sign of sum_{i in T} x_i - 1 per hyperplane, each in {-1, 0, 1}."""
-    if arrangement:
-        needed = max(max(h.support) for h in arrangement)
-        if len(x) < needed:
-            raise ValueError(f"point of length {len(x)} too short for arrangement")
+def _subset_sums(x: Sequence[Fraction], n: int) -> tuple[list[int], int, list[int]]:
+    """x scaled to integers by its common denominator, that denominator, and
+    the 2^n coordinate subset sums: sums[mask] adds the cleared coordinates
+    whose bits are set in mask.
+
+    The one validation and clearing of an exact point query: raises
+    unless x is a point of the hypersimplex of length n.
+    """
+    if len(x) != n:
+        raise ValueError(f"expected a point of length {n}")
     (cleared,), den = clear_denominators([x])
-    if sum(cleared) != 2 * den:
-        raise ValueError("point is not on the slice sum(x) = 2")
-    # sum_T x - 1 has the sign of sum_T cleared - den.
-    values = (sum(cleared[i - 1] for i in h.support) - den for h in arrangement)
-    return tuple((v > 0) - (v < 0) for v in values)
+    if sum(cleared) != 2 * den or min(cleared) < 0 or max(cleared) > den:
+        raise ValueError("point lies outside the hypersimplex")
+    sums = [0]
+    for value in cleared:
+        sums += [s + value for s in sums]
+    return cleared, den, sums
+
+
+def _signs(den: int, sums: Sequence[int], arrangement: Sequence[int]) -> tuple[int, ...]:
+    # sum_T x - 1 has the sign of sums[T] - den.
+    return tuple((sums[t] > den) - (sums[t] < den) for t in arrangement)
+
+
+def sign_vector(x: Sequence[Fraction], arrangement: Sequence[int]) -> tuple[int, ...]:
+    """Exact sign of sum_{i in T} x_i - 1 per mask T of arrangement_for_n(n),
+    each in {-1, 0, 1}.
+
+    Raises unless x is a point of the hypersimplex of length n.
+    """
+    _, den, sums = _subset_sums(x, max(arrangement).bit_length())
+    return _signs(den, sums, arrangement)
 
 
 def format_sign_vector(signs: Sequence[int]) -> str:

@@ -61,7 +61,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "surface": 1e-10,
     "magnitudes": 1e-10,
     "norm": 1e-10,
-    "roundtrip": 1e-10,
     "min_tail": 0.33,
     "f_values": 1e-9,
     "rank_tol": 1e-6,

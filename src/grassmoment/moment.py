@@ -97,7 +97,7 @@ def weight_map(x: Sequence, n: int):
     return np.asarray(x, dtype=float) @ weight_vectors(n)
 
 
-def hypersimplex_residual(x, n: int, tol_sum: float = 1e-10) -> float:
+def hypersimplex_residual(x, n: int) -> float:
     """How far a real vector is from {0 <= x_i <= 1, sum = 2}, in max norm."""
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):

@@ -14,8 +14,9 @@ K_{A,B} + K_C, which has the single bipartite component a spanning set
 needs only for those |C|, and on the wall their hull is cut out by
 x_c <= 1 - sum_A x.  The C = {} walls are the arrangement, so
 every Grassmann-critical point is projective-critical, and for n = 4 no
-|C| >= 3 fits, so there the two notions coincide.  Both verdicts read the
-2^n integer subset sums of x, cleared once.  An exhaustive scan over all
+|C| >= 3 fits, so there the two notions coincide.  classify_point reads
+the chamber id and both verdicts from one table of the 2^n integer subset
+sums of x (exactgeom._subset_sums).  An exhaustive scan over all
 coordinate supports cross-checks them.
 """
 
@@ -30,9 +31,10 @@ from typing import Iterator, Sequence
 
 from .exactgeom import (
     Vector,
+    _signs,
+    _subset_sums,
     affine_rank,
     arrangement_for_n,
-    clear_denominators,
     convex_membership,
     hypersimplex_vertices,
     pairs_lex,
@@ -107,24 +109,6 @@ def stabilizer_dim(sigma: Sequence[int], n: int) -> StabilizerReport:
     return StabilizerReport(dim_polytope=polytope.dim, dim_stabilizer=n - polytope.dim)
 
 
-def _subset_sums(x: Sequence[Fraction], n: int) -> tuple[list[int], int, list[int]]:
-    """x scaled to integers by its common denominator, that denominator, and
-    the 2^n coordinate subset sums: sums[mask] adds the cleared coordinates
-    whose bits are set in mask.
-
-    Raises unless x is a point of the hypersimplex of length n.
-    """
-    if len(x) != n:
-        raise ValueError(f"expected a point of length {n}")
-    (cleared,), den = clear_denominators([x])
-    if sum(cleared) != 2 * den or min(cleared) < 0 or max(cleared) > den:
-        raise ValueError("point lies outside the hypersimplex")
-    sums = [0]
-    for value in cleared:
-        sums += [s + value for s in sums]
-    return cleared, den, sums
-
-
 def _off_arrangement(cleared: Sequence[int], den: int, sums: Sequence[int]) -> bool:
     """0 < x_i < 1 for all i and no coordinate sum of x equals 1.
 
@@ -185,14 +169,28 @@ def is_regular_projective(x: Sequence[Fraction], n: int) -> bool:
     if n > PROJECTIVE_MAX_N:
         raise ValueError(f"projective regularity test supports n <= {PROJECTIVE_MAX_N}")
     cleared, den, sums = _subset_sums(x, n)
-    if not _off_arrangement(cleared, den, sums):
-        return False
+    return _off_arrangement(cleared, den, sums) and _off_split_walls(cleared, sums, n)
+
+
+def _off_split_walls(cleared: Sequence[int], sums: Sequence[int], n: int) -> bool:
+    """x is in the hull on no wall of a split with |C| >= 3."""
     if len(set(sums)) == len(sums):
         return True  # no two subsets share a sum, so no split has sum_A = sum_B
     for a, b, c, members in _splits(n):
         if sums[a] == sums[b] and 2 * max(cleared[i] for i in members) <= sums[c]:
             return False
     return True
+
+
+def classify_point(x: Sequence[Fraction], n: int) -> tuple[tuple[int, ...], bool, bool | None]:
+    """The chamber id sign_vector(x, arrangement_for_n(n)), then
+    is_regular_grassmann(x, n), then is_regular_projective(x, n), or None
+    for n > PROJECTIVE_MAX_N: all three from one validation and clearing.
+    """
+    cleared, den, sums = _subset_sums(x, n)
+    regular = _off_arrangement(cleared, den, sums)
+    projective = regular and _off_split_walls(cleared, sums, n) if n <= PROJECTIVE_MAX_N else None
+    return _signs(den, sums, arrangement_for_n(n)), regular, projective
 
 
 def is_regular_projective_bruteforce(x: Sequence[Fraction], n: int) -> bool:
@@ -231,15 +229,11 @@ def enumerate_chambers(n: int = 4) -> list[ChamberReport]:
     """The eight maximal chambers of the n=4 decomposition, with exact representatives."""
     if n != 4:
         raise ValueError("chamber enumeration is implemented for n = 4 only")
-    arrangement = arrangement_for_n(4)
     found: dict[tuple[int, ...], Vector] = {}
     for x in _representative_candidates():
-        if not all(0 < v < 1 for v in x):
-            continue
-        signs = sign_vector(x, arrangement)
-        if 0 in signs:
-            continue
-        found.setdefault(signs, x)
+        signs, regular, _ = classify_point(x, 4)
+        if regular:
+            found.setdefault(signs, x)
         if len(found) == 8:
             break
     return [ChamberReport(id=signs, dimension=3, representative=x)
@@ -314,18 +308,11 @@ def largest_chamber_witness(n: int, seed: int = DEFAULT_SEED, max_trials: int = 
     if not 4 <= n <= 8:
         raise ValueError("witness search supports 4 <= n <= 8")
     strict_bound = n // 2 if n % 2 == 1 else n // 2 - 1
-    arrangement = arrangement_for_n(n)
+    small = [t for t in arrangement_for_n(n) if t.bit_count() <= strict_bound]
 
     def qualifies(x: Vector) -> bool:
-        if not all(0 < v < 1 for v in x):
-            return False
-        for h in arrangement:
-            value = h.evaluate(x)
-            if value == 0:
-                return False
-            if len(h.support) <= strict_bound and value >= 0:
-                return False
-        return True
+        cleared, den, sums = _subset_sums(x, n)
+        return _off_arrangement(cleared, den, sums) and all(sums[t] < den for t in small)
 
     center = tuple(Fraction(2, n) for _ in range(n))
     if qualifies(center):
@@ -337,7 +324,7 @@ def largest_chamber_witness(n: int, seed: int = DEFAULT_SEED, max_trials: int = 
         raw = [rng.randrange(-97, 98) for _ in range(n)]
         total = sum(raw)
         candidate = tuple(Fraction(2, n) + Fraction(n * r - total, n * scale) for r in raw)
-        if sum(candidate) == 2 and qualifies(candidate):
+        if qualifies(candidate):
             return candidate
     raise RuntimeError(f"witness search exhausted after {max_trials} trials")
 

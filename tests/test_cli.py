@@ -54,6 +54,26 @@ def test_regular_command(capsys):
     assert payload["id"] == "[1,1,1]"
 
 
+def test_regular_clears_its_point_once(capsys, monkeypatch):
+    # The chamber id and both verdicts read one validation and clearing.
+    from grassmoment import exactgeom, regularity
+
+    clear = exactgeom.clear_denominators
+    calls = []
+
+    def counting(vectors):
+        calls.append(vectors)
+        return clear(vectors)
+
+    for module in (exactgeom, regularity):  # wherever the name is bound
+        monkeypatch.setattr(module, "clear_denominators", counting, raising=False)
+    code, payload = run_cli(
+        capsys, ["regular", "--n", "5", "--classify", "7/10,6/10,5/10,1/10,1/10"])
+    assert code == 0
+    assert (payload["regular_mu"], payload["regular_mu_tilde"]) == (True, False)
+    assert len(calls) == 1
+
+
 def test_regular_answers_beyond_n6(capsys):
     code, payload = run_cli(capsys, ["regular", "--n", "8", "--classify", ",".join(["1/4"] * 8)])
     assert code == 0
@@ -140,7 +160,8 @@ def test_fiber_tolerance_override_fails(capsys):
     assert moment[0]["value"] == payload["failing_sample"]["residuals"]["moment"] > 1e-30
 
 
-@pytest.mark.parametrize("override", ["momnet=1e-30", "rank_tol=nan", "moment=inf", "moment"])
+@pytest.mark.parametrize("override", ["momnet=1e-30", "rank_tol=nan", "moment=inf", "moment",
+                                      "roundtrip=1e-300"])
 def test_bad_tolerance_is_usage_error(capsys, override):
     # A misspelt name or a non-finite value would otherwise change nothing
     # or compare False everywhere, and the run would still report a verdict.

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassmoment.exactgeom import (
-    Hyperplane,
     affine_rank,
     arrangement_for_n,
     convex_membership,
@@ -29,19 +28,33 @@ def _vertex(n, pair):
     return hypersimplex_vertices(n)[pairs_lex(n).index(pair)]
 
 
+def _support(mask):
+    """The 1-based coordinates T of a hyperplane mask (bit i-1 for coordinate i)."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _defect(mask, x):
+    """The oracle for a hyperplane: sum_{i in T} x_i - 1, in Fractions."""
+    return sum(x[i - 1] for i in _support(mask)) - 1
+
+
+def _mask(support):
+    return sum(1 << (i - 1) for i in support)
+
+
 def test_arrangement_n4():
-    supports = [h.support for h in arrangement_for_n(4)]
+    supports = [_support(h) for h in arrangement_for_n(4)]
     assert supports == [(1, 2), (1, 3), (1, 4)]
 
 
 def test_arrangement_n5():
-    supports = [h.support for h in arrangement_for_n(5)]
+    supports = [_support(h) for h in arrangement_for_n(5)]
     assert len(supports) == 10
     assert all(len(s) == 2 for s in supports)
 
 
 def test_arrangement_n6_complement_dedup():
-    supports = [h.support for h in arrangement_for_n(6)]
+    supports = [_support(h) for h in arrangement_for_n(6)]
     assert len(supports) == 25
     triples = [s for s in supports if len(s) == 3]
     assert len(triples) == 10
@@ -56,7 +69,7 @@ def test_arrangement_rejects_small_n():
 
 
 def test_arrangement_canonical_order():
-    supports = [h.support for h in arrangement_for_n(8)]
+    supports = [_support(h) for h in arrangement_for_n(8)]
     keys = [(len(s), s) for s in supports]
     assert keys == sorted(keys)
 
@@ -72,9 +85,7 @@ def test_complement_sign_identity_even_n(raw):
     assert sum(x) == 2
     for support in itertools.combinations(range(1, 7), 3):
         complement = tuple(sorted(set(range(1, 7)) - set(support)))
-        left = Hyperplane(support).evaluate(x)
-        right = Hyperplane(complement).evaluate(x)
-        assert left == -right
+        assert _defect(_mask(support), x) == -_defect(_mask(complement), x)
 
 
 def test_arrangement_is_built_once_per_n():
@@ -97,6 +108,12 @@ def test_sign_vector_rejects_bad_input():
         sign_vector(vector(["1/2", "1/2", "1/2"]), arrangement)
     with pytest.raises(ValueError):
         sign_vector(vector(["1/2", "1/2", "1/2", "1/3"]), arrangement)
+    # On the slice but outside the hypersimplex.
+    with pytest.raises(ValueError):
+        sign_vector(vector(["4/3", "-1/3", "1/2", "1/2"]), arrangement)
+    # A point of Delta(2, 5) against the n = 4 arrangement.
+    with pytest.raises(ValueError):
+        sign_vector(vector(["1/2", "1/2", "1/2", "1/2", "0"]), arrangement)
 
 
 @given(st.permutations(range(4)), st.lists(st.integers(0, 9), min_size=4, max_size=4))
@@ -108,8 +125,8 @@ def test_sign_vector_equivariance(perm, raw):
     x = tuple(F(2 * r, total) for r in raw)
     permuted_x = tuple(x[perm[i]] for i in range(4))
     for h in arrangement_for_n(4):
-        permuted_support = tuple(sorted(perm.index(i - 1) + 1 for i in h.support))
-        assert Hyperplane(permuted_support).evaluate(permuted_x) == h.evaluate(x)
+        permuted_support = tuple(perm.index(i - 1) + 1 for i in _support(h))
+        assert _defect(_mask(permuted_support), permuted_x) == _defect(h, x)
 
 
 def test_affine_rank_examples():

@@ -25,6 +25,7 @@ from grassmoment.regularity import (
     CHAMBER_POINT_PLUS,
     center_point_regular,
     chamber_orbits,
+    classify_point,
     enumerate_chambers,
     hypersimplex_grid,
     is_regular_grassmann,
@@ -34,7 +35,7 @@ from grassmoment.regularity import (
     stabilizer_dim,
     support_from_pairs,
 )
-from test_exactgeom import _sympy_matrix, _vertex, rational_matrices
+from test_exactgeom import _defect, _sympy_matrix, _vertex, rational_matrices
 
 N5_GAP_POINT = vector(["7/10", "6/10", "5/10", "1/10", "1/10"])
 
@@ -457,6 +458,40 @@ def test_split_walls_decide_like_the_hull_definition(n, count, seed):
     verdicts = [is_regular_projective(x, n) for x in points]
     assert verdicts == [_outside_every_wall_hull(x, n) for x in points]
     assert set(verdicts) == {True, False}
+
+
+def _classify_points(n):
+    """The hypersimplex_grid points for n = 5 and 6.  Beyond, the centre and
+    seeded random points, and up to n = 8 also the half-integer points (most
+    on the arrangement) and points on both sides of |C| >= 3 wall hulls."""
+    if n <= 6:
+        return list(hypersimplex_grid(n, {5: 10, 6: 5}[n]))
+    rng = random.Random(n)
+    points = [tuple(F(2, n) for _ in range(n))]
+    while len(points) < 40:
+        weights = [rng.randint(10, 30) for _ in range(n)]  # so 2 w_i <= sum(w)
+        points.append(tuple(F(2 * w, sum(weights)) for w in weights))
+    if n > 8:
+        return points
+    return points + list(hypersimplex_grid(n, 2)) + _split_wall_points(n, 40, seed=n)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, PROJECTIVE_MAX_N + 1])
+def test_classify_point_matches_the_views_and_the_oracle(n):
+    arrangement = arrangement_for_n(n)
+    answers = set()
+    for x in _classify_points(n):
+        signs, regular_mu, regular_mu_tilde = classify_point(x, n)
+        assert signs == sign_vector(x, arrangement)
+        assert signs == tuple((d > 0) - (d < 0) for d in (_defect(t, x) for t in arrangement))
+        assert regular_mu == is_regular_grassmann(x, n)
+        if n <= PROJECTIVE_MAX_N:
+            assert regular_mu_tilde == is_regular_projective(x, n)
+        else:
+            assert regular_mu_tilde is None
+        answers.add((regular_mu, regular_mu_tilde))
+    if n in (5, 7, 8):  # at n = 6 every grid point has a subset of numerators summing to 5
+        assert answers == {(False, False), (True, False), (True, True)}
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
