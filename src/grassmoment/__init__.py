@@ -53,6 +53,7 @@ from .regularity import (
     is_regular_projective,
     is_regular_projective_bruteforce,
     largest_chamber_witness,
+    projective_bruteforce_verdicts,
     stabilizer_dim,
     support_from_pairs,
 )

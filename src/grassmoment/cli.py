@@ -24,7 +24,6 @@ from .plucker import GrassmannPoint
 from .regularity import (
     chamber_orbits,
     classify_point,
-    enumerate_chambers,
     largest_chamber_witness,
 )
 
@@ -62,10 +61,13 @@ def _rank_histogram(ranks: np.ndarray) -> dict[str, int]:
 
 def _emit(payload: dict, path: str | None) -> None:
     text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
-    print(text)
     if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as error:
+            raise ValueError(f"cannot write --json-out: {error}") from None
+    print(text)
 
 
 def _classification(point, n: int) -> dict:
@@ -86,18 +88,15 @@ def cmd_chambers(args) -> int:
         print("chamber enumeration supports n = 4 only", file=sys.stderr)
         return 2
     orbits = chamber_orbits()
-    label_of = {}
-    for orbit in orbits:
-        for chamber in orbit.chambers:
-            label_of[chamber.id] = orbit.label
     chambers = [
         {
             "id": format_sign_vector(c.id),
             "dim": c.dimension,
             "representative": format_vector(c.representative),
-            "orbit": label_of[c.id],
+            "orbit": label,
         }
-        for c in enumerate_chambers(4)
+        for c, label in sorted(((c, o.label) for o in orbits for c in o.chambers),
+                               key=lambda item: item[0].id)
     ]
     payload = {
         "n": 4,

@@ -219,16 +219,19 @@ def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> 
     return [Fraction(row[-1], det) for row in reduced[:ncols]]
 
 
+def _hull_system(x: Sequence[int], points: Sequence[Sequence[int]]) -> list[list[int]]:
+    """One row per coordinate: p - last for each point p but the last, then x - last."""
+    last = points[-1]
+    return [[p[i] - last[i] for p in points[:-1]] + [x[i] - last[i]] for i in range(len(last))]
+
+
 def _barycentric(x: Sequence[int], points: Sequence[Sequence[int]]) -> tuple[list[int], int] | None:
     """Affine weights of integer x over integer points, as (numerators, det > 0).
 
     None unless the points are affinely independent and x lies on their
     affine hull; then the weights are unique.
     """
-    last = points[-1]
-    rows = [[p[i] - last[i] for p in points[:-1]] + [x[i] - last[i]]
-            for i in range(len(last))]
-    reduced, pivots, det = _row_echelon(rows)
+    reduced, pivots, det = _row_echelon(_hull_system(x, points))
     free = len(points) - 1
     if pivots != list(range(free)):
         return None  # dependent points, or a pivot in the rhs column
@@ -243,11 +246,13 @@ def convex_membership(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]
     """Exact test for x in conv(points).
 
     Returns exact weights lambda >= 0 with sum 1 and sum lambda_i v_i = x,
-    or None.  The decision runs over affinely independent subsets of size
-    rank+1 (a membership witness always reduces to one such subset), and
-    each candidate subset admits at most one weight vector, found by exact
-    elimination.  x and the points are scaled to integers once, by one
-    common denominator, which leaves the weights unchanged.
+    or None.  One elimination of [p - last | x - last] gives the affine
+    rank of the points and returns None at once when x is off their affine
+    hull.  Otherwise the decision runs over affinely independent subsets of
+    size rank+1 (a membership witness always reduces to one such subset),
+    and each candidate subset admits at most one weight vector, found by
+    exact elimination.  x and the points are scaled to integers once, by
+    one common denominator, which leaves the weights unchanged.
     """
     if not points:
         raise ValueError("membership in an empty hull")
@@ -257,7 +262,10 @@ def convex_membership(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]
             raise ValueError("mixed vector lengths")
     (target, *cleared), _ = clear_denominators([x, *points])
     m = len(cleared)
-    size = _affine_rank(cleared) + 1
+    _, pivots, _ = _row_echelon(_hull_system(target, cleared))
+    if m - 1 in pivots:
+        return None  # x is off the affine hull of the points
+    size = len(pivots) + 1
     if m <= size:
         candidates: Iterable[tuple[int, ...]] = [tuple(range(m))]
     else:

@@ -303,3 +303,42 @@ def test_json_out_writes_file(tmp_path, capsys):
     assert code == 0
     on_disk = json.loads(target.read_text())
     assert on_disk["vertices"]["X12"] == ["1/3", "0", "0", "1/9", "1/9", "4/9"]
+
+
+def test_unwritable_json_out_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = cli.main(["regular", "--n", "4", "--classify", "1/3,5/9,5/9,5/9",
+                     "--json-out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--json-out" in captured.err and str(target) in captured.err
+    assert not target.parent.exists()
+
+
+CHAMBERS_N4_STDOUT = (
+    '{"n":4,"chambers":['
+    '{"id":"[-1,-1,-1]","dim":3,"representative":["1/3","5/9","5/9","5/9"],"orbit":"C-"},'
+    '{"id":"[-1,-1,1]","dim":3,"representative":["4/9","4/9","4/9","2/3"],"orbit":"C+"},'
+    '{"id":"[-1,1,-1]","dim":3,"representative":["4/9","4/9","2/3","4/9"],"orbit":"C+"},'
+    '{"id":"[-1,1,1]","dim":3,"representative":["5/9","1/3","5/9","5/9"],"orbit":"C-"},'
+    '{"id":"[1,-1,-1]","dim":3,"representative":["4/9","2/3","4/9","4/9"],"orbit":"C+"},'
+    '{"id":"[1,-1,1]","dim":3,"representative":["5/9","5/9","1/3","5/9"],"orbit":"C-"},'
+    '{"id":"[1,1,-1]","dim":3,"representative":["5/9","5/9","5/9","1/3"],"orbit":"C-"},'
+    '{"id":"[1,1,1]","dim":3,"representative":["2/3","4/9","4/9","4/9"],"orbit":"C+"}'
+    '],"orbit_count":2,"orbit_sizes":[4,4]}\n'
+)
+
+
+def test_chambers_stdout_is_pinned(capsys, monkeypatch):
+    # The listing reads the chambers of the two orbits; they are enumerated once.
+    from grassmoment import regularity
+
+    calls = []
+    enumerate_chambers = regularity.enumerate_chambers
+    for module in (regularity, cli):  # wherever the name is bound
+        monkeypatch.setattr(module, "enumerate_chambers",
+                            lambda n=4: calls.append(n) or enumerate_chambers(n), raising=False)
+    assert cli.main(["chambers", "--n", "4"]) == 0
+    assert capsys.readouterr().out == CHAMBERS_N4_STDOUT
+    assert calls == [4]

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -242,6 +243,52 @@ def test_convex_membership_reproduces_point(raw, idx):
     rebuilt = tuple(sum(weights[k] * subset[k][j] for k in range(len(subset)))
                     for j in range(5))
     assert rebuilt == x
+
+
+def _old_candidate_scan(x, points):
+    """convex_membership before its affine-hull early exit: the rank of the
+    points, then every affinely independent subset of size rank+1 in order,
+    each solved for barycentric weights."""
+    m, size = len(points), affine_rank(points) + 1
+    candidates = [tuple(range(m))] if m <= size else itertools.combinations(range(m), size)
+    for idx in candidates:
+        rows = [[points[i][j] for i in idx] for j in range(len(x))] + [[F(1)] * len(idx)]
+        try:
+            weights = solve_exact(rows, [*x, F(1)])
+        except ValueError:  # a dependent subset
+            continue
+        if weights is None or any(w < 0 for w in weights):
+            continue
+        full = [F(0)] * m
+        for i, w in zip(idx, weights):
+            full[i] = w
+        return tuple(full)
+    return None
+
+
+def test_convex_membership_matches_the_old_candidate_scan():
+    rng = random.Random(2718)
+    seen = set()
+    for _ in range(400):
+        d, m = rng.randint(2, 5), rng.randint(1, 6)
+        points = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d))
+                  for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:  # a dependent set: repeat or average points
+            points[-1] = rng.choice([points[0], tuple((a + b) / 2 for a, b in zip(*points[:2]))])
+        weights = [F(rng.randint(-2, 5)) for _ in points]
+        if sum(weights) == 0:
+            weights[0] += 1
+        x = tuple(sum(w * p[j] for w, p in zip(weights, points)) / sum(weights)
+                  for j in range(d))
+        if rng.random() < 0.3:  # almost surely off the affine hull
+            x = tuple(v + F(rng.randint(1, 5), 7) * (j == 0) for j, v in enumerate(x))
+        expected = _old_candidate_scan(x, points)
+        assert convex_membership(x, points) == expected
+        on_hull = affine_rank([*points, x]) == affine_rank(points)
+        seen.add((expected is not None, on_hull, affine_rank(points) < len(points) - 1))
+    # Members and non-members on the hull, points off it, independent and dependent sets.
+    assert {(True, True), (False, True), (False, False)} <= {s[:2] for s in seen}
+    assert {True, False} == {s[2] for s in seen}
 
 
 def test_hypersimplex_membership():

@@ -32,6 +32,7 @@ from grassmoment.regularity import (
     is_regular_projective,
     is_regular_projective_bruteforce,
     largest_chamber_witness,
+    projective_bruteforce_verdicts,
     stabilizer_dim,
     support_from_pairs,
 )
@@ -195,18 +196,73 @@ def _simplex_interior_points(n, count, seed):
     return points
 
 
+def _generic_interior_points(n, count, seed):
+    """Seeded points 2 w / sum(w) with 10 <= w_i <= 30, so 0 < x_i < 1:
+    almost all off every wall, hence regular."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        weights = [rng.randint(10, 30) for _ in range(n)]
+        points.append(tuple(F(2 * w, sum(weights)) for w in weights))
+    return points
+
+
 def test_walls_match_bruteforce():
     points = {
         4: list(hypersimplex_grid(4, 18))[::80],
         5: [x for x in hypersimplex_grid(5, 10) if all(0 < v < 1 for v in x)][::113],
-        # Regular n = 6 points take about 90 s each by brute force.
-        6: _simplex_interior_points(6, 3, seed=6),
+        # The oracle tests each point against the 112 flats of n = 6, so
+        # regular points cost about as much as hull points.
+        6: _simplex_interior_points(6, 3, seed=6) + _generic_interior_points(6, 20, seed=60),
     }
-    expected = {4: {True, False}, 5: {True, False}, 6: {False}}
+    expected = {4: {True, False}, 5: {True, False}, 6: {True, False}}
     for n, sample in points.items():
         verdicts = [is_regular_projective(x, n) for x in sample]
-        assert verdicts == [is_regular_projective_bruteforce(x, n) for x in sample], n
+        assert verdicts == projective_bruteforce_verdicts(sample, n), n
         assert set(verdicts) == expected[n], n
+
+
+def _all_supports_scan(x, n):
+    """The definition scanned over every nonempty support of vertices: x is
+    regular iff no support of affine rank at most n-2 holds it in its hull."""
+    vertices = hypersimplex_vertices(n)
+    for size in range(1, len(vertices) + 1):
+        for subset in itertools.combinations(vertices, size):
+            if affine_rank(subset) <= n - 2 and convex_membership(x, subset) is not None:
+                return False
+    return True
+
+
+def _criterion_6_points():
+    grid = list(hypersimplex_grid(4, 18))
+    return grid[::max(1, len(grid) // 200)][:200]
+
+
+def test_flat_oracle_matches_the_all_supports_scan():
+    chosen = _criterion_6_points()
+    assert len(chosen) == 200
+    assert projective_bruteforce_verdicts(chosen, 4) == [_all_supports_scan(x, 4) for x in chosen]
+    sample = random.Random(505).sample(list(hypersimplex_grid(5, 10)), 24)
+    verdicts = projective_bruteforce_verdicts(sample, 5)
+    assert verdicts == [_all_supports_scan(x, 5) for x in sample]
+    assert set(verdicts) == {True, False}
+
+
+def test_flat_oracle_enumerates_the_flats_once_per_batch(monkeypatch):
+    calls = []
+
+    def counting_rank(points):
+        calls.append(1)
+        return affine_rank(points)
+
+    monkeypatch.setattr(regularity, "affine_rank", counting_rank)
+    counts = []
+    for k in (1, 50):
+        calls.clear()
+        projective_bruteforce_verdicts(_criterion_6_points()[:k], 4)
+        counts.append(len(calls))
+    # 11 flats, each from one rank test of its sigma and one per other vertex.
+    assert counts == [44, 44]
 
 
 def span_normal(rows):
@@ -416,12 +472,7 @@ def test_facet_signs_decide_on_wall_points(n, count, seed):
     # Regular points on a wall are the ones only the hull inequality decides.
     assert set(verdicts) == {True, False}
     if n == 5:
-        # The oracle is slow on regular points, so it sees a prefix that
-        # holds both verdicts.
-        sample = points[:40]
-        assert {is_regular_projective(x, 5) for x in sample} == {True, False}
-        assert ([is_regular_projective(x, 5) for x in sample]
-                == [is_regular_projective_bruteforce(x, 5) for x in sample])
+        assert verdicts == projective_bruteforce_verdicts(points, 5)
 
 
 def _split_wall_points(n, count, seed):
