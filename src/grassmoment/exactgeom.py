@@ -112,14 +112,22 @@ def clear_denominators(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list
     return [[p * (den // d) for p, d in row] for row in ratios], den
 
 
+#: Largest n for which an exact point query builds its 2^n subset sums;
+#: past it the table no longer fits in memory.
+SUBSET_SUM_MAX_N = 20
+
+
 def _subset_sums(x: Sequence[Fraction], n: int) -> tuple[list[int], int, list[int]]:
     """x scaled to integers by its common denominator, that denominator, and
     the 2^n coordinate subset sums: sums[mask] adds the cleared coordinates
     whose bits are set in mask.
 
     The one validation and clearing of an exact point query: raises
-    unless x is a point of the hypersimplex of length n.
+    unless x is a point of the hypersimplex of length n, and for n above
+    SUBSET_SUM_MAX_N, where the table would not fit in memory.
     """
+    if n > SUBSET_SUM_MAX_N:
+        raise ValueError(f"exact point queries support n <= {SUBSET_SUM_MAX_N}, got {n}")
     if len(x) != n:
         raise ValueError(f"expected a point of length {n}")
     (cleared,), den = clear_denominators([x])

@@ -10,9 +10,10 @@ to CP^1/CP^2, the complete-intersection certificate in the affine chart,
 the chart-transition cocycle, and seeded samplers with residual
 certificates for all of it.
 
-The fiber over the mirror point (2/3, 4/9, 4/9, 4/9) is obtained from
-the first one by the coordinate swap (z0,z1,z2) <-> (z3,z4,z5); every
-operation takes a ``second_orbit`` flag instead of duplicating code.
+Every function here describes the fiber over q, in the chamber orbit C-.
+The fiber over the mirror point (2/3, 4/9, 4/9, 4/9) in C+ is its image
+under the coordinate swap (z0,z1,z2) <-> (z3,z4,z5), ``orbit_swap``:
+callers swap points once, at the boundary.
 
 All numerics work along the last axis: one point has shape (6,), N
 points (N, 6), and sections hold scalars or arrays.  A run is drawn by one
@@ -37,7 +38,7 @@ from .plucker import (
     normalize_projective,
     plucker_relation_residual,
 )
-from .regularity import CHAMBER_POINT_MINUS, CHAMBER_POINT_PLUS, DEFAULT_SEED
+from .regularity import CHAMBER_POINT_MINUS, DEFAULT_SEED
 
 F = Fraction
 
@@ -105,11 +106,6 @@ def orbit_swap(z) -> np.ndarray:
     return _as_coords6(z)[..., ORBIT_SWAP]
 
 
-def _first_orbit_view(z, second_orbit: bool) -> np.ndarray:
-    z = _as_coords6(z)
-    return z[..., ORBIT_SWAP] if second_orbit else z
-
-
 def _check_unit_phases(phases) -> np.ndarray:
     t = np.asarray(phases, dtype=complex)
     if not np.all(np.abs(np.abs(t) - 1.0) <= _UNIT_TOL):
@@ -139,16 +135,16 @@ def lift_to_fiber(z0, z1, z2, tol: float = 1e-10) -> np.ndarray:
     return _stack(z0, z1, z2, *tail_magnitudes(z0, z1, z2, tol))
 
 
-def fiber7_param(z0, z1, z2, t4, t5, second_orbit: bool = False) -> np.ndarray:
+def fiber7_param(z0, z1, z2, t4, t5) -> np.ndarray:
     """Sphere x torus parametrization of the 7-fiber."""
     z = lift_to_fiber(z0, z1, z2)
     z[..., 4:] *= _check_unit_phases(_stack(t4, t5))
-    return orbit_swap(z) if second_orbit else z
+    return z
 
 
-def fiber7_preimage(z, second_orbit: bool = False):
+def fiber7_preimage(z):
     """Recover (z0, z1, z2, t4, t5); unique because z4, z5 never vanish."""
-    w = _first_orbit_view(z, second_orbit)
+    w = _as_coords6(z)
     w = w * (np.conj(w[..., 3]) / np.abs(w[..., 3]))[..., None]
     z0, z1, z2, _, z4, z5 = _split(w)
     return z0, z1, z2, z4 / np.abs(z4), z5 / np.abs(z5)
@@ -166,16 +162,15 @@ def random_phases(rng: np.random.Generator, count) -> np.ndarray:
     return np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=count))
 
 
-def sample_fiber7(rng: np.random.Generator, second_orbit: bool = False,
-                  count: int | None = None) -> np.ndarray:
+def sample_fiber7(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
     z0, z1, z2 = random_sphere_triple(rng, count)
     t4, t5 = _split(random_phases(rng, _shape(count, 2)))
-    return fiber7_param(z0, z1, z2, t4, t5, second_orbit=second_orbit)
+    return fiber7_param(z0, z1, z2, t4, t5)
 
 
-def fiber7_roundtrip_error(z0, z1, z2, t4, t5, second_orbit: bool = False):
-    point = fiber7_param(z0, z1, z2, t4, t5, second_orbit=second_orbit)
-    recovered = _stack(*fiber7_preimage(point, second_orbit=second_orbit))
+def fiber7_roundtrip_error(z0, z1, z2, t4, t5):
+    point = fiber7_param(z0, z1, z2, t4, t5)
+    recovered = _stack(*fiber7_preimage(point))
     return np.max(np.abs(recovered - _stack(z0, z1, z2, t4, t5)), axis=-1)
 
 
@@ -448,17 +443,16 @@ def sample_sphere_section(rng: np.random.Generator,
 # Torus parametrizations of the 5-dimensional fiber
 # ---------------------------------------------------------------------------
 
-def surface_torus_param(section, phases, second_orbit: bool = False) -> np.ndarray:
+def surface_torus_param(section, phases) -> np.ndarray:
     """Image of (section or its coordinates, t1, t2, t3) under (t1, t2, t3, 1, t3/t2, t3/t1)."""
     t1, t2, t3 = _split(_check_unit_phases(phases))
     z0, z1, m2, m3, m4, m5 = _split(_as_coords6(section))
-    out = _stack(t1 * z0, t2 * z1, t3 * m2, m3, (t3 / t2) * m4, (t3 / t1) * m5)
-    return orbit_swap(out) if second_orbit else out
+    return _stack(t1 * z0, t2 * z1, t3 * m2, m3, (t3 / t2) * m4, (t3 / t1) * m5)
 
 
-def surface_torus_preimage(z, second_orbit: bool = False):
+def surface_torus_preimage(z):
     """Invert the surface parametrization; on the circle the t3 = 1 branch is used."""
-    w0, w1, w2, _, w4, w5 = _split(_first_orbit_view(z, second_orbit))
+    w0, w1, w2, _, w4, w5 = _split(_as_coords6(z))
     off_circle = np.abs(w2) > _ZERO_TOL
     t3 = np.where(off_circle, w2 / np.where(off_circle, np.abs(w2), 1.0), 1.0 + 0.0j)
     t1 = t3 * np.abs(w5) / w5
@@ -466,51 +460,48 @@ def surface_torus_preimage(z, second_orbit: bool = False):
     return SurfaceSection(w0 / t1, w1 / t2), _stack(t1, t2, t3)
 
 
-def sphere_torus_param(section, t1, t2, second_orbit: bool = False) -> np.ndarray:
+def sphere_torus_param(section, t1, t2) -> np.ndarray:
     """Image of (section or its coordinates, t1, t2) under (t1, t2, 1, 1, 1/t2, 1/t1)."""
     t1, t2 = _split(_check_unit_phases(_stack(t1, t2)))
     z0, z1, z2, m3, m4, m5 = _split(_as_coords6(section))
-    out = _stack(t1 * z0, t2 * z1, z2, m3, m4 / t2, m5 / t1)
-    return orbit_swap(out) if second_orbit else out
+    return _stack(t1 * z0, t2 * z1, z2, m3, m4 / t2, m5 / t1)
 
 
-def sphere_torus_preimage(z, second_orbit: bool = False):
+def sphere_torus_preimage(z):
     """Invert the sphere parametrization by reading phases off z4 and z5."""
-    w0, w1, w2, _, w4, w5 = _split(_first_orbit_view(z, second_orbit))
+    w0, w1, w2, _, w4, w5 = _split(_as_coords6(z))
     t2 = np.abs(w4) / w4
     t1 = np.abs(w5) / w5
     return SphereSection(w0 / t1, w1 / t2, w2), t1, t2
 
 
 def sample_fiber5(rng: np.random.Generator, method: str = "surface",
-                  second_orbit: bool = False, count: int | None = None) -> np.ndarray:
+                  count: int | None = None) -> np.ndarray:
     if method == "surface":
         return surface_torus_param(sample_surface_section(rng, count=count),
-                                   random_phases(rng, _shape(count, 3)), second_orbit=second_orbit)
+                                   random_phases(rng, _shape(count, 3)))
     if method == "sphere":
         t1, t2 = _split(random_phases(rng, _shape(count, 2)))
-        return sphere_torus_param(sample_sphere_section(rng, count=count), t1, t2,
-                                  second_orbit=second_orbit)
+        return sphere_torus_param(sample_sphere_section(rng, count=count), t1, t2)
     raise ValueError("method must be 'surface' or 'sphere'")
 
 
-def sample_fiber5_mixed(rng: np.random.Generator, surface,
-                        second_orbit: bool = False) -> np.ndarray:
+def sample_fiber5_mixed(rng: np.random.Generator, surface) -> np.ndarray:
     """One 5-fiber point per entry of the boolean mask ``surface``: from the
     surface parametrization where it is True, the sphere one where False."""
     surface = np.asarray(surface, dtype=bool)
     out = np.empty(surface.shape + (6,), dtype=complex)
-    out[surface] = sample_fiber5(rng, "surface", second_orbit, count=int(surface.sum()))
-    out[~surface] = sample_fiber5(rng, "sphere", second_orbit, count=int((~surface).sum()))
+    out[surface] = sample_fiber5(rng, "surface", count=int(surface.sum()))
+    out[~surface] = sample_fiber5(rng, "sphere", count=int((~surface).sum()))
     return out
 
 
-def surface_roundtrip_error(section: SurfaceSection, phases, second_orbit: bool = False):
+def surface_roundtrip_error(section: SurfaceSection, phases):
     """Parameter recovery error off the circle, reconstruction error on it."""
     phases = np.asarray(phases, dtype=complex)
-    point = surface_torus_param(section, phases, second_orbit=second_orbit)
-    recovered, t = surface_torus_preimage(point, second_orbit=second_orbit)
-    rebuilt = surface_torus_param(recovered, t, second_orbit=second_orbit)
+    point = surface_torus_param(section, phases)
+    recovered, t = surface_torus_preimage(point)
+    rebuilt = surface_torus_param(recovered, t)
     error = np.max(np.abs(rebuilt - point), axis=-1)
     recovery = np.max(np.abs(np.concatenate(
         [_stack(recovered.z0 - section.z0, recovered.z1 - section.z1), t - phases],
@@ -519,9 +510,9 @@ def surface_roundtrip_error(section: SurfaceSection, phases, second_orbit: bool 
     return np.where(off_circle, np.maximum(error, recovery), error)[()]
 
 
-def sphere_roundtrip_error(section: SphereSection, t1, t2, second_orbit: bool = False):
-    point = sphere_torus_param(section, t1, t2, second_orbit=second_orbit)
-    recovered, s1, s2 = sphere_torus_preimage(point, second_orbit=second_orbit)
+def sphere_roundtrip_error(section: SphereSection, t1, t2):
+    point = sphere_torus_param(section, t1, t2)
+    recovered, s1, s2 = sphere_torus_preimage(point)
     return np.max(np.abs(_stack(recovered.z0 - section.z0, recovered.z1 - section.z1,
                                 recovered.z2 - section.z2, s1 - t1, s2 - t2)), axis=-1)
 
@@ -611,33 +602,32 @@ def edge_fibers() -> tuple[EdgeFiber, EdgeFiber, EdgeFiber]:
                            image=EDGE_IMAGES[k]) for k in range(3))
 
 
-def affine_representative(z, second_orbit: bool = False) -> np.ndarray:
+def affine_representative(z) -> np.ndarray:
     """Unit-norm representative with the pivot coordinate real positive.
 
-    The pivot is coordinate 3 (coordinate 0 in second-orbit position),
-    which never vanishes on the fiber.
+    The pivot is coordinate 3, which never vanishes on the fiber.
     """
-    w = _first_orbit_view(z, second_orbit)
+    w = _as_coords6(z)
     w = w / np.linalg.norm(w, axis=-1, keepdims=True)
     pivot = np.abs(w[..., 3])
     if not np.all(pivot > _ZERO_TOL):
         raise ValueError("pivot coordinate vanishes; not a fiber point")
     w *= (np.conj(w[..., 3]) / pivot)[..., None]
     w[..., 3] = w[..., 3].real
-    return w[..., ORBIT_SWAP] if second_orbit else w
+    return w
 
 
 # ---------------------------------------------------------------------------
 # Chart coordinates, complete intersection, Jacobian
 # ---------------------------------------------------------------------------
 
-def fiber5_chart(z, second_orbit: bool = False) -> ChartCoords4:
+def fiber5_chart(z) -> ChartCoords4:
     """Affine chart coordinates of a Grassmannian fiber point.
 
     Ratios against the {2,3}-minor coordinate, which is bounded away from
     zero on the fiber.
     """
-    return chart_from_plucker(_first_orbit_view(z, second_orbit))
+    return chart_from_plucker(_as_coords6(z))
 
 
 def _chart_uv(first, second=None) -> tuple[np.ndarray, np.ndarray]:
@@ -718,12 +708,12 @@ def jacobian_rank(u, v=None, tol: float = 1e-6):
     return _rank(_chart_checks(*_chart_uv(u, v))[2], tol)
 
 
-def complete_intersection_survey(points, second_orbit: bool = False, fd_every: int = 25):
+def complete_intersection_survey(points, fd_every: int = 25):
     """The complete-intersection claim over fiber points: the deviations
     (|f1|, |f2 + 1|, |f3|), the Jacobian ranks at relative threshold 1e-6,
     and the largest gap between the closed-form and the finite-difference
     Jacobian over every fd_every-th point."""
-    a = chart_array(_first_orbit_view(points, second_orbit))
+    a = chart_array(_as_coords6(points))
     u, v = a.real, a.imag
     f, _, singular = _chart_checks(u, v)
     fd = max((float(np.max(np.abs(ci_jacobian(u[k], v[k]) - ci_jacobian_fd(u[k], v[k]))))
@@ -781,10 +771,10 @@ class ChartCoverage:
     ok: bool
 
 
-def chart_coverage(z, second_orbit: bool = False, tol: float = _COVERAGE_TOL) -> ChartCoverage:
+def chart_coverage(z, tol: float = _COVERAGE_TOL) -> ChartCoverage:
     """Certify the chart picture: the tail minors never vanish, and the point
     lies over chart 0 iff z1 is nonzero, over chart 1 iff z0 is nonzero."""
-    w = np.abs(_first_orbit_view(z, second_orbit))
+    w = np.abs(_as_coords6(z))
     min_tail = np.min(w[..., 3:], axis=-1)
     margin = np.minimum(min_tail, np.maximum(w[..., 0], w[..., 1]))
     vanishing = ~(w[..., :3] > tol)
@@ -823,34 +813,33 @@ def tangent_fiber_dimension(z, include_quadric: bool = False, tol: float = 1e-6)
 # Residuals and certificates
 # ---------------------------------------------------------------------------
 
-def moment_residual(z, second_orbit: bool = False):
-    """Max-norm distance of the moment image from the chamber point."""
-    target = np.array(CHAMBER_POINT_PLUS if second_orbit else CHAMBER_POINT_MINUS, dtype=float)
+def moment_residual(z, target):
+    """Max-norm distance of the moment image from the chamber point target."""
+    target = np.array(target, dtype=float)
     return np.max(np.abs(hypersimplex_moment(_as_coords6(z), 4) - target), axis=-1)
 
 
-def fiber7_residuals(z, second_orbit: bool = False) -> dict:
+def fiber7_residuals(z) -> dict:
     """Norm and moment residuals, the deviation from the tail magnitude
     system after unit normalization, and the smallest tail modulus."""
     z = _as_coords6(z)
-    w = _first_orbit_view(z, second_orbit)
-    s0, s1, s2, s3, s4, s5 = _split(np.abs(w / np.linalg.norm(w, axis=-1, keepdims=True)) ** 2)
+    s0, s1, s2, s3, s4, s5 = _split(np.abs(z / np.linalg.norm(z, axis=-1, keepdims=True)) ** 2)
     magnitudes = np.stack([s3 - (s0 + s1 + 4.0 * s2) / 3.0, s4 - (s0 + 4.0 * s1 + s2) / 3.0,
                            s5 - (4.0 * s0 + s1 + s2) / 3.0], axis=-1)
     return {
         "norm": np.abs(np.linalg.norm(z, axis=-1) - 1.0),
-        "moment": moment_residual(z, second_orbit),
+        "moment": moment_residual(z, CHAMBER_POINT_MINUS),
         "magnitudes": np.max(np.abs(magnitudes), axis=-1),
-        "min_tail": np.min(np.abs(w[..., 3:]), axis=-1),
+        "min_tail": np.min(np.abs(z[..., 3:]), axis=-1),
     }
 
 
-def fiber5_residuals(z, second_orbit: bool = False) -> dict:
+def fiber5_residuals(z) -> dict:
     """fiber7_residuals plus the quadric residual, on the point as given
     ('plucker') and on its affine representative ('surface')."""
-    out = fiber7_residuals(z, second_orbit)
+    out = fiber7_residuals(z)
     out["plucker"] = plucker_relation_residual(_as_coords6(z))
-    out["surface"] = plucker_relation_residual(affine_representative(z, second_orbit))
+    out["surface"] = plucker_relation_residual(affine_representative(z))
     return out
 
 
@@ -891,8 +880,7 @@ class Certificates:
         return certs
 
 
-def certify(kind: str, z, second_orbit: bool = False,
-            tolerances: dict[str, float] | None = None) -> Certificates:
+def certify(kind: str, z, tolerances: dict[str, float] | None = None) -> Certificates:
     """Residual certificates for an (N, 6) batch of sampled points.
 
     Kinds: 'mq7' (the 7-fiber in CP^5), 'mq5' (the Grassmannian 5-fiber),
@@ -909,47 +897,42 @@ def certify(kind: str, z, second_orbit: bool = False,
         raise ValueError("expected an (N, 6) array of fiber points")
     if not np.all(np.isfinite(z)):
         raise ValueError("fiber point has non-finite coordinates")
-    res = fiber7_residuals(z, second_orbit) if kind == "mq7" else fiber5_residuals(z, second_orbit)
+    res = fiber7_residuals(z) if kind == "mq7" else fiber5_residuals(z)
     checks = {key: (value, tol[key], value <= tol[key])
               for key, value in res.items() if key != "min_tail"}
     checks["min_tail"] = (res["min_tail"], tol["min_tail"], res["min_tail"] >= tol["min_tail"])
     if kind == "mq7":
         return Certificates(z, res, None, None, checks)
-    w = _first_orbit_view(z, second_orbit)
-    chart = chart_array(w)
+    chart = chart_array(z)
     f_values, off, singular = _chart_checks(chart.real, chart.imag)
     ranks = _rank(singular, tol["rank_tol"])
     margin = singular[:, 2] / np.where(singular[:, 0] > 0.0, singular[:, 0], 1.0)
-    coverage = chart_coverage(w)
+    coverage = chart_coverage(z)
     checks["f_values"] = (off, tol["f_values"], off <= tol["f_values"])
     checks["rank"] = (margin, tol["rank_tol"], ranks == 3)
     checks["coverage"] = (coverage.margin, _COVERAGE_TOL, coverage.ok)
     return Certificates(z, res, f_values, ranks, checks)
 
 
-def build_certificate(kind: str, z, second_orbit: bool = False,
-                      tolerances: dict[str, float] | None = None) -> tuple[dict, bool]:
+def build_certificate(kind: str, z, tolerances: dict[str, float] | None = None) -> tuple[dict, bool]:
     """Certificate of one point, JSON-ready: ``certify`` at N = 1."""
-    batch = certify(kind, _as_coords6(z)[None], second_orbit, tolerances)
+    batch = certify(kind, _as_coords6(z)[None], tolerances)
     return batch.to_json()[0], bool(batch.passed[0])
 
 
-def sample_for_kind(kind: str, rng: np.random.Generator, count: int | None = None,
-                    second_orbit: bool = False) -> np.ndarray:
+def sample_for_kind(kind: str, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
     """Draw one fiber point of the given kind, shape (6,), or count points, (count, 6).
 
     For 'mq5' each point comes from the surface or the sphere
     parametrization with equal odds.
     """
     if kind == "mq7":
-        return sample_fiber7(rng, second_orbit=second_orbit, count=count)
+        return sample_fiber7(rng, count=count)
     if kind == "mq5":
         surface = rng.uniform(size=_shape(count)) < 0.5
-        return sample_fiber5_mixed(rng, surface, second_orbit=second_orbit)
+        return sample_fiber5_mixed(rng, surface)
     if kind == "m2":
-        z = sample_surface_section(rng, count=count).coords
-    elif kind == "m3":
-        z = sample_sphere_section(rng, count=count).coords
-    else:
-        raise ValueError(f"unknown fiber kind {kind!r}")
-    return orbit_swap(z) if second_orbit else z
+        return sample_surface_section(rng, count=count).coords
+    if kind == "m3":
+        return sample_sphere_section(rng, count=count).coords
+    raise ValueError(f"unknown fiber kind {kind!r}")

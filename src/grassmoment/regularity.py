@@ -262,43 +262,22 @@ def enumerate_chambers(n: int = 4) -> list[ChamberReport]:
 
 
 def chamber_orbits() -> tuple[ChamberOrbit, ChamberOrbit]:
-    """Partition of the eight chambers under coordinate permutations.
+    """The orbits of the eight chambers under coordinate permutations.
 
     Two orbits of four chambers each; the orbit of the all-minus chamber
-    is labeled C- and the orbit of the all-plus chamber C+.
+    is labeled C- and the orbit of the all-plus chamber C+.  An orbit is
+    the set of chambers the 24 permutations carry its representative to,
+    closed because S_4 is a group.
     """
-    chambers = enumerate_chambers(4)
-    by_id = {c.id: c for c in chambers}
+    by_id = {c.id: c for c in enumerate_chambers(4)}
     arrangement = arrangement_for_n(4)
-
-    parent = {c.id: c.id for c in chambers}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for chamber in chambers:
-        for perm in itertools.permutations(range(4)):
-            image = tuple(chamber.representative[p] for p in perm)
-            union(chamber.id, sign_vector(image, arrangement))
-
-    groups: dict[tuple[int, ...], list[ChamberReport]] = {}
-    for chamber in chambers:
-        groups.setdefault(find(chamber.id), []).append(chamber)
-
-    minus_id = (-1, -1, -1)
-    plus_id = (1, 1, 1)
     orbits = []
-    for label, rep_id in (("C-", minus_id), ("C+", plus_id)):
-        members = tuple(sorted(groups[find(rep_id)], key=lambda c: c.id))
-        orbits.append(ChamberOrbit(label=label, representative=by_id[rep_id], chambers=members))
+    for label, rep_id in (("C-", (-1, -1, -1)), ("C+", (1, 1, 1))):
+        representative = by_id[rep_id].representative
+        ids = {sign_vector(tuple(representative[p] for p in perm), arrangement)
+               for perm in itertools.permutations(range(4))}
+        orbits.append(ChamberOrbit(label=label, representative=by_id[rep_id],
+                                   chambers=tuple(by_id[i] for i in sorted(ids))))
     return tuple(orbits)
 
 

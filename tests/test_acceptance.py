@@ -25,6 +25,20 @@ def test_criterion_01_chambers_and_orbits():
     assert result.passed
 
 
+def test_criterion_01_enumerates_the_chambers_once(monkeypatch):
+    # The count and the orbits come from one chamber_orbits() call.
+    from grassmoment import regularity
+
+    calls = []
+    enumerate_chambers = regularity.enumerate_chambers
+    for module in (regularity, acceptance):  # wherever the name is bound
+        monkeypatch.setattr(module, "enumerate_chambers",
+                            lambda n=4: calls.append(n) or enumerate_chambers(n), raising=False)
+    result = acceptance.check_chambers(SEED, SAMPLES)
+    assert result.passed and result.details["chamber_count"] == 8
+    assert calls == [4]
+
+
 def test_criterion_02_solution_triangle():
     result = _run(acceptance.check_triangle)
     assert result.passed

@@ -1,8 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from grassmoment import cli
+from grassmoment.exactgeom import vector
+from grassmoment.moment import hypersimplex_moment, weight_map
+
+Q_PLUS = np.array([2 / 3, 4 / 9, 4 / 9, 4 / 9])
+SWAP = (3, 4, 5, 0, 1, 2)  # (z0, z1, z2) <-> (z3, z4, z5)
 
 
 def run_cli(capsys, argv):
@@ -143,10 +149,33 @@ def test_fiber_certificates_pass(capsys):
 
 
 def test_fiber_second_orbit(capsys):
-    code, payload = run_cli(capsys, ["fiber", "mq7", "--samples", "5",
-                                     "--orbit", "plus"])
-    assert code == 0
-    assert payload["second_orbit"] is True
+    # `--orbit plus` emits the swap images of the C- points drawn at the same
+    # seed, each checked here against q+ without the library's residuals.
+    for kind in ("mq7", "mq5", "m2", "m3"):
+        argv = ["fiber", kind, "--samples", "20", "--seed", "11"]
+        code_minus, minus = run_cli(capsys, argv)
+        code, payload = run_cli(capsys, argv + ["--orbit", "plus"])
+        assert code == code_minus == 0
+        assert payload["second_orbit"] is True
+        assert payload["aggregate"]["rank_histogram"] == minus["aggregate"]["rank_histogram"]
+        for mirror, cert in zip(payload["certificates"], minus["certificates"], strict=True):
+            assert mirror["point"] == [cert["point"][k] for k in SWAP]
+            assert (mirror["jacobian_rank"], mirror["f_values"]) == (cert["jacobian_rank"],
+                                                                     cert["f_values"])
+            z = np.array([complex(re, im) for re, im in mirror["point"]])
+            assert abs(np.linalg.norm(z) - 1.0) <= 1e-10
+            assert np.max(np.abs(hypersimplex_moment(z, 4) - Q_PLUS)) <= 1e-10
+            s = np.abs(z) ** 2  # the mirror magnitude system, head from tail
+            assert max(abs(s[0] - (s[3] + s[4] + 4 * s[5]) / 3),
+                       abs(s[1] - (s[3] + 4 * s[4] + s[5]) / 3),
+                       abs(s[2] - (4 * s[3] + s[4] + s[5]) / 3)) <= 1e-10
+            if kind != "mq7":
+                assert abs(z[0] * z[5] + z[2] * z[3] - z[1] * z[4]) <= 1e-10
+    argv = ["jacobian", "--samples", "10", "--seed", "11", "--orbit"]
+    _, minus = run_cli(capsys, argv + ["minus"])
+    _, plus = run_cli(capsys, argv + ["plus"])
+    assert (minus.pop("second_orbit"), plus.pop("second_orbit")) == (False, True)
+    assert plus == minus
 
 
 def test_fiber_tolerance_override_fails(capsys):
@@ -206,6 +235,32 @@ def test_triangle_command(capsys):
     assert code == 0
     assert payload["vertices"]["X01"] == ["0", "0", "1/3", "4/9", "1/9", "1/9"]
     assert payload["solution"]["constant"] == ["-1/9", "-1/9", "5/9", "2/3"]
+
+
+def test_triangle_points_map_to_target(capsys):
+    code, payload = run_cli(capsys, ["triangle"])
+    assert code == 0
+    points = list(payload["vertices"].values())
+    points += [p for edge in payload["edges"].values() for p in edge["endpoints"]]
+    assert len(points) == 9
+    assert all(weight_map(vector(p), 4) == vector(payload["target"]) for p in points)
+
+
+@pytest.mark.parametrize("argv", [["triangle", "--orbit", "plus"],
+                                  ["transition", "--orbit", "minus"]])
+def test_orbit_is_only_for_fiber_and_jacobian(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_regular_refuses_n_above_twenty(capsys):
+    code = cli.main(["regular", "--n", "21", "--classify", ",".join(["2/21"] * 21)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "n <= 20" in captured.err
 
 
 def test_curve_command(capsys):

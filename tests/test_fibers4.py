@@ -404,7 +404,7 @@ def test_edge_fiber_bases():
         expected = np.array([float(v) for v in fiber.image])
         assert np.max(np.abs(simplex_moment(fiber.base) - expected)) < 1e-12
         assert plucker_relation_residual(fiber.base) <= 1e-12
-        assert fb.moment_residual(fiber.base) <= 1e-12
+        assert fb.moment_residual(fiber.base, Q_MINUS) <= 1e-12
 
 
 def test_edge_fiber_samples(rng):
@@ -563,24 +563,27 @@ def test_affine_representative_idempotent(rng):
     fixed = fb.affine_representative(skewed)
     assert np.max(np.abs(fixed - point)) <= 1e-12
     assert np.max(np.abs(fb.affine_representative(fixed) - fixed)) <= 1e-15
+    # The mirror representative, taken through the swap, pivots on slot 0.
     swapped = fb.orbit_swap(skewed)
-    back = fb.affine_representative(swapped, second_orbit=True)
+    back = fb.orbit_swap(fb.affine_representative(fb.orbit_swap(swapped)))
     assert np.max(np.abs(back - fb.orbit_swap(point))) <= 1e-12
+    assert back[0].imag == 0.0 and back[0].real > 0.0
+    assert abs(np.linalg.norm(back) - 1.0) <= 1e-15
 
 
 def test_second_orbit_moment_target(rng):
-    point = fb.sample_fiber7(rng, second_orbit=True)
+    point = fb.orbit_swap(fb.sample_fiber7(rng))
     image = hypersimplex_moment(point, 4)
     assert np.max(np.abs(image - Q_PLUS)) <= 1e-10
-    res = fb.fiber7_residuals(point, second_orbit=True)
-    assert res["moment"] <= 1e-10 and res["magnitudes"] <= 1e-10
+    assert fb.moment_residual(point, Q_PLUS) <= 1e-10
+    assert fb.fiber7_residuals(fb.orbit_swap(point))["magnitudes"] <= 1e-10
 
 
 def test_second_orbit_satisfies_mirror_system(rng):
     # In its own coordinates the mirror fiber fixes the head moduli in
     # terms of the tail: |z0|^2 = (|z3|^2 + |z4|^2 + 4|z5|^2)/3 and cyclic.
     for _ in range(50):
-        z = fb.sample_fiber7(rng, second_orbit=True)
+        z = fb.orbit_swap(fb.sample_fiber7(rng))
         s = np.abs(z / np.linalg.norm(z)) ** 2
         assert abs(s[0] - (s[3] + s[4] + 4 * s[5]) / 3) <= 1e-10
         assert abs(s[1] - (s[3] + 4 * s[4] + s[5]) / 3) <= 1e-10
@@ -589,25 +592,33 @@ def test_second_orbit_satisfies_mirror_system(rng):
 
 def test_second_orbit_fiber5(rng):
     for method in ("surface", "sphere"):
-        point = fb.sample_fiber5(rng, method=method, second_orbit=True)
-        res = fb.fiber5_residuals(point, second_orbit=True)
-        assert res["plucker"] <= 1e-10
-        assert res["moment"] <= 1e-10
-        chart = fb.fiber5_chart(point, second_orbit=True)
+        point = fb.orbit_swap(fb.sample_fiber5(rng, method=method))
+        assert plucker_relation_residual(point) <= 1e-10
+        assert fb.moment_residual(point, Q_PLUS) <= 1e-10
+        chart = fb.fiber5_chart(fb.orbit_swap(point))
         f1, f2, f3 = fb.complete_intersection_f(chart)
         assert max(abs(f1), abs(f2 + 1), abs(f3)) <= 1e-9
 
 
 def test_second_orbit_roundtrips(rng):
+    # A mirror point swapped back recovers the parameters it was built from.
     section = fb.sample_surface_section(rng)
     phases = fb.random_phases(rng, 3)
-    assert fb.surface_roundtrip_error(section, phases, second_orbit=True) <= 1e-10
+    mirror = fb.orbit_swap(fb.surface_torus_param(section, phases))
+    recovered, t = fb.surface_torus_preimage(fb.orbit_swap(mirror))
+    assert max(abs(recovered.z0 - section.z0), abs(recovered.z1 - section.z1)) <= 1e-10
+    assert np.max(np.abs(t - phases)) <= 1e-10
     sphere = fb.sample_sphere_section(rng)
     t1, t2 = fb.random_phases(rng, 2)
-    assert fb.sphere_roundtrip_error(sphere, t1, t2, second_orbit=True) <= 1e-10
+    mirror = fb.orbit_swap(fb.sphere_torus_param(sphere, t1, t2))
+    recovered, s1, s2 = fb.sphere_torus_preimage(fb.orbit_swap(mirror))
+    assert max(abs(recovered.z0 - sphere.z0), abs(recovered.z1 - sphere.z1),
+               abs(recovered.z2 - sphere.z2), abs(s1 - t1), abs(s2 - t2)) <= 1e-10
     z0, z1, z2 = fb.random_sphere_triple(rng)
     t4, t5 = fb.random_phases(rng, 2)
-    assert fb.fiber7_roundtrip_error(z0, z1, z2, t4, t5, second_orbit=True) <= 1e-10
+    mirror = fb.orbit_swap(fb.fiber7_param(z0, z1, z2, t4, t5))
+    recovered = fb.fiber7_preimage(fb.orbit_swap(mirror))
+    assert max(abs(a - b) for a, b in zip(recovered, (z0, z1, z2, t4, t5))) <= 1e-10
 
 
 # -- certificates -------------------------------------------------------------
@@ -647,16 +658,23 @@ def test_sample_for_kind(rng):
 KINDS = ("mq7", "mq5", "m2", "m3")
 
 
-@pytest.mark.parametrize("kind,second_orbit", [(kind, False) for kind in KINDS] + [("mq5", True)])
-def test_certify_batch_equals_one_point_views(kind, second_orbit):
+@pytest.mark.parametrize("kind,mirror", [(kind, False) for kind in KINDS] + [("mq5", True)])
+def test_certify_batch_equals_one_point_views(kind, mirror):
     rng = np.random.default_rng(20261018)
-    points = fb.sample_for_kind(kind, rng, 1000, second_orbit=second_orbit)
+    points = fb.sample_for_kind(kind, rng, 1000)
     assert points.shape == (1000, 6)
-    batch = fb.certify(kind, points, second_orbit=second_orbit)
+    batch = fb.certify(kind, points)
     certificates = batch.to_json()
     assert batch.passed.all()
+    if mirror:
+        # `fiber --orbit plus` emits the swap images of certified C- points:
+        # the swap is exact, and their moment residuals against q+ agree.
+        mirrored = fb.orbit_swap(points)
+        assert np.array_equal(fb.orbit_swap(mirrored), points)
+        residual = fb.moment_residual(mirrored, Q_PLUS)
+        assert np.max(np.abs(residual - batch.residuals["moment"])) <= 1e-15
     for point, batched in zip(points, certificates):
-        single, passed = fb.build_certificate(kind, point, second_orbit=second_orbit)
+        single, passed = fb.build_certificate(kind, point)
         assert passed
         assert single["point"] == batched["point"]
         assert single["jacobian_rank"] == batched["jacobian_rank"]

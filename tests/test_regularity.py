@@ -59,6 +59,12 @@ def test_stabilizer_always_contains_diagonal_circle():
             assert stabilizer_dim(sigma, 4).dim_stabilizer >= 1
 
 
+def test_exact_queries_refuse_n_above_twenty():
+    # The subset-sum table has 2^n entries; n = 21 would build only 2M of them.
+    with pytest.raises(ValueError, match="n <= 20"):
+        is_regular_grassmann(vector(["2/21"] * 21), 21)
+
+
 def test_is_regular_grassmann_examples():
     assert is_regular_grassmann(CHAMBER_POINT_MINUS, 4)
     assert not is_regular_grassmann(vector(["1/2"] * 4), 4)
