@@ -15,16 +15,17 @@ from fractions import Fraction
 import numpy as np
 
 from . import fibers4 as fb
-from .exactgeom import format_vector, vector
+from .exactgeom import _integer_subset_sums, format_vector, vector
 from .moment import simplex_moment, weight_map
 from .plucker import normalize_projective, plucker_relation_residual, projective_distance
 from .regularity import (
     CHAMBER_POINT_MINUS,
     CHAMBER_POINT_PLUS,
+    _grid_numerators,
+    _verdicts,
     center_point_regular,
     chamber_orbits,
     classify_point,
-    hypersimplex_grid,
     is_regular_projective,
     projective_bruteforce_verdicts,
 )
@@ -168,15 +169,13 @@ def check_fiber7(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
 
 def check_regular_dichotomy(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 5: the two regularity notions coincide on the full n=4 grid
-    and split at the reference n=5 point."""
+    and split at the reference n=5 point.  The grid points k/18 are read
+    as their numerators k at denominator 18, unreduced."""
     _require_samples(samples)
     started = time.perf_counter()
-    mismatches = 0
-    total = 0
-    for x in hypersimplex_grid(4, 18):
-        total += 1
-        _, regular_mu, regular_mu_tilde = classify_point(x, 4)
-        mismatches += regular_mu != regular_mu_tilde
+    verdicts = [_verdicts(*_integer_subset_sums(k, 18, 4), 4) for k in _grid_numerators(4, 18)]
+    total = len(verdicts)
+    mismatches = sum(regular_mu != regular_mu_tilde for regular_mu, regular_mu_tilde in verdicts)
     gap_point = vector(["7/10", "6/10", "5/10", "1/10", "1/10"])
     _, regular_mu, regular_mu_tilde = classify_point(gap_point, 5)
     gap_ok = regular_mu and not regular_mu_tilde
@@ -191,12 +190,14 @@ def check_regular_dichotomy(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAM
 
 def check_oracle_equivalence(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 6: the closed form agrees with the brute-force oracle, one
-    batch that tests each of 200 grid points against every vertex-spanned flat."""
+    batch that tests each of 200 grid points against every vertex-spanned flat.
+    The stride runs over the grid's numerators; only the points kept become
+    Fractions."""
     _require_samples(samples)
     started = time.perf_counter()
-    grid = list(hypersimplex_grid(4, 18))
+    grid = list(_grid_numerators(4, 18))
     stride = max(1, len(grid) // 200)
-    chosen = grid[::stride][:200]
+    chosen = [tuple(F(k, 18) for k in point) for point in grid[::stride][:200]]
     oracle = projective_bruteforce_verdicts(chosen, 4)
     disagreements = sum(is_regular_projective(x, 4) != verdict
                         for x, verdict in zip(chosen, oracle))

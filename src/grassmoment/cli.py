@@ -51,8 +51,8 @@ def _parse_tolerances(items: list[str] | None) -> dict[str, float]:
         if key not in fb.DEFAULT_TOLERANCES:
             raise ValueError(f"unknown tolerance {key!r}, known: {list(fb.DEFAULT_TOLERANCES)}")
         overrides[key] = float(value)
-        if not math.isfinite(overrides[key]):
-            raise ValueError(f"tolerance {key} must be finite, got {value!r}")
+        if not math.isfinite(overrides[key]) or overrides[key] < 0:
+            raise ValueError(f"tolerance {key} must be finite and at least 0, got {value!r}")
     return overrides
 
 

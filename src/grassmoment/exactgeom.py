@@ -4,9 +4,10 @@ Chamber and regularity questions reduce to signs of coordinate subset
 sums of one point x (sum_T x = 1, sum_A x = sum_B x) and to membership
 tests in convex hulls of 0/1 vertices.  A sign test cannot be decided
 reliably in floating point, so everything here is exact: the API takes
-and returns rationals (fractions.Fraction).  A point query validates and
-clears x once, in _subset_sums, and reads every sign from its 2^n
-integer subset sums; a hyperplane is the bitmask of its support.  Other
+and returns rationals (fractions.Fraction).  A point query clears x once,
+in _subset_sums, validates it in _integer_subset_sums, which callers
+holding integer numerators use directly, and reads every sign from its
+2^n integer subset sums; a hyperplane is the bitmask of its support.  Other
 calls scale their vectors once by a common denominator, after which all
 work runs on integers and one fraction-free elimination.
 """
@@ -118,20 +119,27 @@ SUBSET_SUM_MAX_N = 20
 
 
 def _subset_sums(x: Sequence[Fraction], n: int) -> tuple[list[int], int, list[int]]:
-    """x scaled to integers by its common denominator, that denominator, and
-    the 2^n coordinate subset sums: sums[mask] adds the cleared coordinates
-    whose bits are set in mask.
+    """_integer_subset_sums of x scaled to integers by its common denominator."""
+    (cleared,), den = clear_denominators([x])
+    return _integer_subset_sums(cleared, den, n)
 
-    The one validation and clearing of an exact point query: raises
-    unless x is a point of the hypersimplex of length n, and for n above
-    SUBSET_SUM_MAX_N, where the table would not fit in memory.
+
+def _integer_subset_sums(cleared: Sequence[int], den: int, n: int) -> tuple[Sequence[int], int, list[int]]:
+    """The point cleared / den, that denominator, and the 2^n coordinate
+    subset sums: sums[mask] adds the cleared coordinates whose bits are
+    set in mask.  Every verdict read from them is invariant under
+    positive scaling of (cleared, den, sums), so den need not be the
+    least one.
+
+    The one validation of an exact point query: raises unless
+    cleared / den is a point of the hypersimplex of length n, and for n
+    above SUBSET_SUM_MAX_N, where the table would not fit in memory.
     """
     if n > SUBSET_SUM_MAX_N:
         raise ValueError(f"exact point queries support n <= {SUBSET_SUM_MAX_N}, got {n}")
-    if len(x) != n:
+    if len(cleared) != n:
         raise ValueError(f"expected a point of length {n}")
-    (cleared,), den = clear_denominators([x])
-    if sum(cleared) != 2 * den or min(cleared) < 0 or max(cleared) > den:
+    if den < 1 or sum(cleared) != 2 * den or min(cleared) < 0 or max(cleared) > den:
         raise ValueError("point lies outside the hypersimplex")
     sums = [0]
     for value in cleared:
@@ -167,13 +175,15 @@ def _row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int
     update divides by the previous pivot, and by Sylvester's identity
     the division is exact: every entry stays a minor of the input.
     """
-    rows = [list(r) for r in rows]
+    rows = list(rows)  # a shallow copy: rows are replaced, never changed in place
     pivots: list[int] = []
     det = 1
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot_row is None:
+        for pivot_row in range(r, len(rows)):
+            if rows[pivot_row][c]:
+                break
+        else:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         top = rows[r]

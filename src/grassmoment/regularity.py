@@ -182,15 +182,20 @@ def _off_split_walls(cleared: Sequence[int], sums: Sequence[int], n: int) -> boo
     return True
 
 
+def _verdicts(cleared: Sequence[int], den: int, sums: Sequence[int], n: int) -> tuple[bool, bool | None]:
+    """is_regular_grassmann, then is_regular_projective or None for
+    n > PROJECTIVE_MAX_N, read from one table of _integer_subset_sums."""
+    regular = _off_arrangement(cleared, den, sums)
+    return regular, regular and _off_split_walls(cleared, sums, n) if n <= PROJECTIVE_MAX_N else None
+
+
 def classify_point(x: Sequence[Fraction], n: int) -> tuple[tuple[int, ...], bool, bool | None]:
     """The chamber id sign_vector(x, arrangement_for_n(n)), then
     is_regular_grassmann(x, n), then is_regular_projective(x, n), or None
     for n > PROJECTIVE_MAX_N: all three from one validation and clearing.
     """
     cleared, den, sums = _subset_sums(x, n)
-    regular = _off_arrangement(cleared, den, sums)
-    projective = regular and _off_split_walls(cleared, sums, n) if n <= PROJECTIVE_MAX_N else None
-    return _signs(den, sums, arrangement_for_n(n)), regular, projective
+    return (_signs(den, sums, arrangement_for_n(n)), *_verdicts(cleared, den, sums, n))
 
 
 def projective_bruteforce_verdicts(points: Sequence[Sequence[Fraction]], n: int) -> list[bool]:
@@ -211,7 +216,7 @@ def projective_bruteforce_verdicts(points: Sequence[Sequence[Fraction]], n: int)
     """
     for x in points:
         _subset_sums(x, n)
-    vertices = hypersimplex_vertices(n)
+    vertices = [tuple(map(int, v)) for v in hypersimplex_vertices(n)]
     flats: list[int] = []
     for sigma in itertools.combinations(range(len(vertices)), n - 1):
         mask = sum(1 << i for i in sigma)
@@ -321,20 +326,18 @@ def largest_chamber_witness(n: int, seed: int = DEFAULT_SEED, max_trials: int = 
     raise RuntimeError(f"witness search exhausted after {max_trials} trials")
 
 
+def _grid_numerators(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """The integer numerators k of the points k / d of the hypersimplex,
+    in lexicographic order.  Raises for d < 1 or n < 2, which give no grid."""
+    if d < 1 or n < 2:
+        raise ValueError(f"a hypersimplex grid needs n >= 2 and d >= 1, got n={n}, d={d}")
+    # Each of the first n-1 numerators fixes the last one, 2d minus their sum.
+    return ((*head, 2 * d - sum(head)) for head in itertools.product(range(d + 1), repeat=n - 1)
+            if d <= sum(head) <= 2 * d)
+
+
 def hypersimplex_grid(n: int, denominator: int) -> Iterator[Vector]:
     """All exact points of the hypersimplex with the given denominator."""
-    d = denominator
-
-    def rec(position: int, remaining: int):
-        if position == n - 1:
-            if 0 <= remaining <= d:
-                yield (remaining,)
-            return
-        low = max(0, remaining - d * (n - 1 - position))
-        high = min(d, remaining)
-        for k in range(low, high + 1):
-            for tail in rec(position + 1, remaining - k):
-                yield (k,) + tail
-
-    for numerators in rec(0, 2 * d):
-        yield tuple(Fraction(k, d) for k in numerators)
+    numerators = _grid_numerators(n, denominator)
+    values = [Fraction(k, denominator) for k in range(denominator + 1)]
+    return (tuple(values[k] for k in point) for point in numerators)

@@ -71,6 +71,38 @@ def test_criterion_06_oracle_equivalence():
     assert result.details["points"] == 200
 
 
+def test_criterion_05_fails_when_the_projective_verdict_flips(monkeypatch):
+    from grassmoment import regularity
+
+    split_walls = regularity._off_split_walls
+    monkeypatch.setattr(regularity, "_off_split_walls", lambda *args: not split_walls(*args))
+    result = acceptance.check_regular_dichotomy(SEED, SAMPLES)
+    assert not result.passed
+    assert result.details["mismatches"] > 0
+
+
+def test_criterion_06_tests_the_strided_grid(monkeypatch):
+    from grassmoment.regularity import hypersimplex_grid
+
+    oracle = acceptance.projective_bruteforce_verdicts
+    seen = []
+
+    def recording(points, n):
+        seen.extend(points)
+        return oracle(points, n)
+
+    monkeypatch.setattr(acceptance, "projective_bruteforce_verdicts", recording)
+    assert acceptance.check_oracle_equivalence(SEED, SAMPLES).passed
+    assert seen == list(hypersimplex_grid(4, 18))[::22][:200]
+
+
+def test_criterion_06_fails_against_a_constant_closed_form(monkeypatch):
+    monkeypatch.setattr(acceptance, "is_regular_projective", lambda x, n: True)
+    result = acceptance.check_oracle_equivalence(SEED, SAMPLES)
+    assert not result.passed
+    assert result.details["disagreements"] == 86  # the critical points among the 200
+
+
 def test_criterion_07_fiber5_certificates():
     result = _run(acceptance.check_fiber5)
     assert result.passed

@@ -190,10 +190,11 @@ def test_fiber_tolerance_override_fails(capsys):
 
 
 @pytest.mark.parametrize("override", ["momnet=1e-30", "rank_tol=nan", "moment=inf", "moment",
-                                      "roundtrip=1e-300"])
+                                      "roundtrip=1e-300", "norm=-1", "min_tail=-1"])
 def test_bad_tolerance_is_usage_error(capsys, override):
-    # A misspelt name or a non-finite value would otherwise change nothing
-    # or compare False everywhere, and the run would still report a verdict.
+    # A misspelt name, a non-finite or a negative value would otherwise
+    # change nothing, fail every certificate or pass every tail check, and
+    # the run would still report a verdict.
     code = cli.main(["fiber", "mq5", "--samples", "3", "--tol", override])
     assert code == 2
     assert capsys.readouterr().out == ""

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from grassmoment.exactgeom import (
     affine_rank,
     arrangement_for_n,
+    clear_denominators,
     convex_membership,
     format_rational,
     format_sign_vector,
@@ -206,6 +207,16 @@ def test_solve_exact_matches_sympy(rows, data):
             solve_exact(rows, rhs)
     else:
         assert solve_exact(rows, rhs) == [F(str(v)) for v in expected]
+
+
+def test_clear_denominators_of_ints_and_fractions():
+    assert clear_denominators([(1, 0), (0, 2)]) == ([[1, 0], [0, 2]], 1)
+    assert clear_denominators([(1, 0), (F(1, 3), F(5, 6))]) == ([[6, 0], [2, 5]], 6)
+    assert clear_denominators([("1/2", 1)]) == ([[1, 2]], 2)
+    integer = [tuple(map(int, v)) for v in hypersimplex_vertices(5)]
+    assert affine_rank(integer) == affine_rank(hypersimplex_vertices(5)) == 4
+    x = (F(7, 10), F(6, 10), F(5, 10), F(1, 10), F(1, 10))
+    assert convex_membership(x, integer) == convex_membership(x, hypersimplex_vertices(5))
 
 
 def test_convex_membership_vertex():

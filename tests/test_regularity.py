@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from grassmoment import exactgeom, regularity
 from grassmoment.exactgeom import (
+    _integer_subset_sums,
     _row_echelon,
     affine_rank,
     arrangement_for_n,
@@ -153,6 +154,54 @@ def test_grid_size_n4():
     grid = list(hypersimplex_grid(4, 18))
     assert len(grid) == 4579
     assert all(sum(x) == 2 for x in itertools.islice(grid, 50))
+
+
+def _recursive_grid(n, d):
+    """The Fraction grid as the recursive lexicographic walk built it."""
+    def rec(position, remaining):
+        if position == n - 1:
+            if 0 <= remaining <= d:
+                yield (remaining,)
+            return
+        for k in range(max(0, remaining - d * (n - 1 - position)), min(d, remaining) + 1):
+            for tail in rec(position + 1, remaining - k):
+                yield (k,) + tail
+
+    return [tuple(F(k, d) for k in point) for point in rec(0, 2 * d)]
+
+
+@pytest.mark.parametrize("n, d", [(4, 18), (5, 10)])
+def test_grid_numerators_give_the_fraction_grid_in_order(n, d):
+    expected = _recursive_grid(n, d)
+    numerators = list(regularity._grid_numerators(n, d))
+    assert [tuple(F(k, d) for k in point) for point in numerators] == expected
+    assert list(hypersimplex_grid(n, d)) == expected
+
+
+@pytest.mark.parametrize("n, d", [(4, 0), (4, -1), (1, 5), (0, 3)])
+def test_grid_refuses_an_empty_or_undefined_grid(n, d):
+    with pytest.raises(ValueError):
+        regularity._grid_numerators(n, d)
+    with pytest.raises(ValueError):
+        hypersimplex_grid(n, d)
+
+
+@pytest.mark.parametrize("n, d", [(4, 18), (5, 10)])
+def test_unreduced_numerator_verdicts_match_classify_point(n, d):
+    reduced = 0
+    for point, x in zip(regularity._grid_numerators(n, d), hypersimplex_grid(n, d)):
+        _, den, _ = exactgeom._subset_sums(x, n)
+        reduced += den < d
+        assert regularity._verdicts(*_integer_subset_sums(point, d, n), n) == classify_point(x, n)[1:]
+    assert reduced > 0  # the scaled tables are really exercised
+
+
+def test_integer_subset_sums_validate_like_the_fraction_path():
+    assert _integer_subset_sums((9, 9, 9, 9), 18, 4)[2][0b1111] == 36
+    for point, den, n in [((9, 9, 9), 18, 4), ((9, 9, 9, 8), 18, 4), ((-1, 19, 9, 9), 18, 4),
+                          ((0, 0, 0, 0), 0, 4), ((1,) * 21, 10, 21)]:
+        with pytest.raises(ValueError):
+            _integer_subset_sums(point, den, n)
 
 
 def test_projective_regular_implies_grassmann_regular_n4():
