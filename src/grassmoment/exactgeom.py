@@ -243,14 +243,14 @@ def _hull_system(x: Sequence[int], points: Sequence[Sequence[int]]) -> list[list
     return [[p[i] - last[i] for p in points[:-1]] + [x[i] - last[i]] for i in range(len(last))]
 
 
-def _barycentric(x: Sequence[int], points: Sequence[Sequence[int]]) -> tuple[list[int], int] | None:
-    """Affine weights of integer x over integer points, as (numerators, det > 0).
+def _barycentric(reduced: list[list[int]], pivots: list[int], det: int) -> tuple[list[int], int] | None:
+    """Affine weights of x over the points, as (numerators, det > 0), read
+    from the _row_echelon of their _hull_system.
 
     None unless the points are affinely independent and x lies on their
     affine hull; then the weights are unique.
     """
-    reduced, pivots, det = _row_echelon(_hull_system(x, points))
-    free = len(points) - 1
+    free = len(reduced[0]) - 1
     if pivots != list(range(free)):
         return None  # dependent points, or a pivot in the rhs column
     weights = [row[-1] for row in reduced[:free]]
@@ -269,8 +269,9 @@ def convex_membership(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]
     hull.  Otherwise the decision runs over affinely independent subsets of
     size rank+1 (a membership witness always reduces to one such subset),
     and each candidate subset admits at most one weight vector, found by
-    exact elimination.  x and the points are scaled to integers once, by
-    one common denominator, which leaves the weights unchanged.
+    exact elimination, or read from the first one when the points
+    themselves are independent.  x and the points are scaled to integers
+    once, by one common denominator, which leaves the weights unchanged.
     """
     if not points:
         raise ValueError("membership in an empty hull")
@@ -280,7 +281,7 @@ def convex_membership(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]
             raise ValueError("mixed vector lengths")
     (target, *cleared), _ = clear_denominators([x, *points])
     m = len(cleared)
-    _, pivots, _ = _row_echelon(_hull_system(target, cleared))
+    _, pivots, _ = first = _row_echelon(_hull_system(target, cleared))
     if m - 1 in pivots:
         return None  # x is off the affine hull of the points
     size = len(pivots) + 1
@@ -289,7 +290,9 @@ def convex_membership(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]
     else:
         candidates = itertools.combinations(range(m), size)
     for idx in candidates:
-        found = _barycentric(target, [cleared[i] for i in idx])
+        # Independent points: the first elimination already holds their weights.
+        found = _barycentric(*(first if len(idx) == m else
+                               _row_echelon(_hull_system(target, [cleared[i] for i in idx]))))
         if found is None or any(w < 0 for w in found[0]):
             continue
         weights, det = found

@@ -263,6 +263,8 @@ def curve_closure_residual(x0: float, x1: float) -> float:
 
 def _curve_products(x0: float, x1: float) -> tuple[float, float, float]:
     x0, x1 = float(x0), float(x1)
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise ValueError(f"curve parameters must be finite, got x0={x0}, x1={x1}")
     if x0 < -1e-15 or x1 < -1e-15 or x0 + x1 > 1.0 / 3.0 + 1e-12:
         raise ValueError("curve parameters must satisfy x0, x1 >= 0, x0 + x1 <= 1/3")
     x0, x1 = max(x0, 0.0), max(x1, 0.0)

@@ -43,8 +43,12 @@ def symmetric_power_phases(t: Sequence[complex], n: int) -> np.ndarray:
 
 def _squared_profile(point) -> np.ndarray:
     coords = point.coords if isinstance(point, ProjectivePoint) else np.asarray(point, dtype=complex)
-    profile = np.abs(coords) ** 2
-    total = profile.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        profile = np.abs(coords) ** 2
+        total = profile.sum(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(total)):
+        raise ValueError(f"squared moduli of the point sum to {total[~np.isfinite(total)][0]}: "
+                         "coordinates must be finite and below about 1e154")
     if np.any(total == 0.0):
         raise ValueError("zero vector has no moment image")
     return profile / total

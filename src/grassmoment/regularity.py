@@ -11,9 +11,11 @@ critical iff some x_i = 0, or [n] = A + B + C with A and B nonempty,
 Sketch: a wall, a hyperplane of the slice spanned by n-1 vertices, has
 normal e_a or 1_A - 1_B; the vertices on the latter form the graph
 K_{A,B} + K_C, which has the single bipartite component a spanning set
-needs only for those |C|, and on the wall their hull is cut out by
-x_c <= 1 - sum_A x.  The C = {} walls are the arrangement, so
-every Grassmann-critical point is projective-critical, and for n = 4 no
+needs only for those |C|, and on the wall their hull,
+conv(Delta_A x Delta_B, Delta(2, C)), is cut out by x_c <= 1 - sum_A x.
+The C = {} walls are the arrangement, so every Grassmann-critical point
+is projective-critical; beyond it, _off_split_walls finds the |C| >= 3
+walls as pairs of disjoint masks of equal subset sum.  For n = 4 no
 |C| >= 3 fits, so there the two notions coincide.  classify_point reads
 the chamber id and both verdicts from one table of the 2^n integer subset
 sums of x (exactgeom._subset_sums).  A scan of the definition over every
@@ -26,7 +28,6 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .exactgeom import (
@@ -43,9 +44,10 @@ from .exactgeom import (
 
 DEFAULT_SEED = 0xC0FFEE
 
-#: Largest n the projective regularity test supports: its split table
-#: grows like 3^n / 2, to 19,725 entries (2.3 MB) at n = 10.
-PROJECTIVE_MAX_N = 10
+#: Largest n the projective regularity test supports, set by its worst known
+#: input: the regular point (1 - eps, y, ..., y) has about 3^(n-1) pairs of
+#: disjoint masks of equal sum, 0.4 s at n = 14 and 1.5 s at n = 15 (2-CPU host).
+PROJECTIVE_MAX_N = 14
 
 #: Canonical interior points of the two reference chambers.
 CHAMBER_POINT_MINUS: Vector = (Fraction(1, 3), Fraction(5, 9), Fraction(5, 9), Fraction(5, 9))
@@ -128,43 +130,13 @@ def is_regular_grassmann(x: Sequence[Fraction], n: int) -> bool:
     return _off_arrangement(*_subset_sums(x, n))
 
 
-@lru_cache(maxsize=8)
-def _splits(n: int) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
-    """Every split [n] = A + B + C with A and B nonempty, A < B as bitmasks
-    and 3 <= |C|, as (A, B, C, members of C).
-
-    Each is a wall 1_A . x = 1_B . x beyond the arrangement; there are
-    0, 10, 75, 371 and 1,526 of them for n = 4..8.
-    """
-    full = (1 << n) - 1
-    splits = []
-    for c in range(full + 1):
-        members = tuple(i for i in range(n) if c >> i & 1)
-        if len(members) < 3:
-            continue
-        rest = a = full ^ c
-        while a:
-            a = (a - 1) & rest
-            if a and a < rest ^ a:
-                splits.append((a, rest ^ a, c, members))
-    return tuple(splits)
-
-
 def is_regular_projective(x: Sequence[Fraction], n: int) -> bool:
     """Regular value test for the ambient projective moment map, exact.
 
-    x fails iff it lies on a wall W, a hyperplane of the slice spanned by
-    n-1 vertices, and in the hull of the vertices on W.  The walls are the
-    facets x_a = 0 and the hyperplanes sum_A x = sum_B x of the splits
-    [n] = A + B + C with A, B nonempty and |C| = 0 or |C| >= 3: the
-    vertices on such a wall form the graph K_{A,B} + K_C, which has one
-    bipartite component, so they span it.  On the wall their hull is
-    conv(Delta_A x Delta_B, Delta(2, C)), cut out by x_c <= 1 - sum_A x,
-    that is 2 max_C x <= sum_C x.  The C = {} walls are the arrangement,
-    so x must first be Grassmann-regular; then the |C| >= 3 splits are
-    scanned on the integer subset sums, with no elimination.  For n = 4
-    there are none, so there the two notions coincide.  Guarded to
-    n <= PROJECTIVE_MAX_N.
+    x fails iff it lies in the hull of the vertices on some wall; the
+    closed form of that condition and its sketch are in the module
+    docstring.  Read from the integer subset sums, with no elimination.
+    Guarded to n <= PROJECTIVE_MAX_N.
     """
     if n > PROJECTIVE_MAX_N:
         raise ValueError(f"projective regularity test supports n <= {PROJECTIVE_MAX_N}")
@@ -173,12 +145,28 @@ def is_regular_projective(x: Sequence[Fraction], n: int) -> bool:
 
 
 def _off_split_walls(cleared: Sequence[int], sums: Sequence[int], n: int) -> bool:
-    """x is in the hull on no wall of a split with |C| >= 3."""
+    """x is in the hull on no wall of a split with |C| >= 3: no two disjoint
+    nonempty masks A and B with |A| + |B| <= n-3 have sums[A] == sums[B]
+    while C = [n] - A - B has 2 max_C x <= sum_C x."""
     if len(set(sums)) == len(sums):
         return True  # no two subsets share a sum, so no split has sum_A = sum_B
-    for a, b, c, members in _splits(n):
-        if sums[a] == sums[b] and 2 * max(cleared[i] for i in members) <= sums[c]:
-            return False
+    full = (1 << n) - 1
+    groups: dict[int, list[int]] = {}
+    for mask in range(1, full):
+        if mask.bit_count() <= n - 4:  # B needs a coordinate and C three
+            groups.setdefault(sums[mask], []).append(mask)
+    for masks in groups.values():
+        masks.sort(key=int.bit_count)  # so a pair too large for |C| >= 3 ends the scan of a
+        for k, a in enumerate(masks):
+            room = n - 3 - a.bit_count()  # B may take this many coordinates, so |C| >= 3
+            for b in masks[k + 1:]:
+                if b.bit_count() > room:
+                    break
+                if a & b:
+                    continue
+                c = full ^ a ^ b
+                if 2 * max(cleared[i] for i in range(n) if c >> i & 1) <= sums[c]:
+                    return False
     return True
 
 

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -273,17 +274,44 @@ def test_curve_command(capsys):
     assert payload["closure_residual"] <= 1e-12
 
 
+def _usage_error_without_warnings(capsys, argv):
+    """Exit code and stderr of a run, asserting stdout stays empty and no
+    RuntimeWarning is raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, captured.err
+
+
 def test_curve_nan_is_usage_error(capsys):
-    code = cli.main(["curve", "--x0", "nan", "--x1", "0"])
+    code, err = _usage_error_without_warnings(capsys, ["curve", "--x0", "nan", "--x1", "0"])
     assert code == 2
-    assert capsys.readouterr().out == ""
+    assert "curve parameters must be finite, got x0=nan" in err
+
+
+def test_curve_infinite_parameter_is_usage_error(capsys):
+    code, err = _usage_error_without_warnings(capsys, ["curve", "--x0", "0", "--x1", "inf"])
+    assert code == 2
+    assert "curve parameters must be finite, got x0=0.0, x1=inf" in err
 
 
 def test_moment_nan_modulus_is_usage_error(capsys):
     point = "[[NaN, 0]" + ", [0, 0]" * 5 + "]"
-    code = cli.main(["moment", "--map", "mu_hat", "--point", point])
+    code, err = _usage_error_without_warnings(capsys, ["moment", "--map", "mu_hat", "--point", point])
     assert code == 2
-    assert capsys.readouterr().out == ""
+    assert "squared moduli of the point sum to nan" in err
+
+
+@pytest.mark.parametrize("map_name", ["mu_hat", "mu_tilde"])
+def test_moment_overflowed_moduli_are_usage_error(capsys, map_name):
+    point = "[[1e308, 0], [1e308, 1e308]" + ", [0, 0]" * 4 + "]"
+    code, err = _usage_error_without_warnings(
+        capsys, ["moment", "--map", map_name, "--n", "4", "--point", point])
+    assert code == 2
+    assert "squared moduli of the point sum to inf" in err
 
 
 def test_witness_command(capsys):

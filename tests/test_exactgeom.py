@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grassmoment import exactgeom
 from grassmoment.exactgeom import (
     affine_rank,
     arrangement_for_n,
@@ -229,6 +230,26 @@ def test_convex_membership_weights_example():
     x = vector(["7/10", "6/10", "5/10", "1/10", "1/10"])
     weights = convex_membership(x, subset)
     assert weights == (F(4, 10), F(3, 10), F(2, 10), F(1, 10))
+
+
+def test_an_independent_hull_is_eliminated_once(monkeypatch):
+    calls = []
+    row_echelon = exactgeom._row_echelon
+
+    def counting(rows):
+        calls.append(1)
+        return row_echelon(rows)
+
+    monkeypatch.setattr(exactgeom, "_row_echelon", counting)
+    independent = [_vertex(5, p) for p in [(1, 2), (1, 3), (2, 3), (4, 5)]]
+    x = vector(["7/10", "6/10", "5/10", "1/10", "1/10"])
+    assert convex_membership(x, independent) == (F(4, 10), F(3, 10), F(2, 10), F(1, 10))
+    assert len(calls) == 1
+    # Dependent points still solve their independent subsets one by one.
+    calls.clear()
+    square = [_vertex(4, p) for p in [(1, 2), (1, 3), (2, 4), (3, 4)]]
+    assert convex_membership(vector(["1/2"] * 4), square) is not None
+    assert len(calls) > 1
 
 
 def test_convex_membership_not_member():

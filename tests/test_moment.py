@@ -70,6 +70,16 @@ def test_hypersimplex_moment_length_mismatch():
         hypersimplex_moment(np.ones(6), 5)
 
 
+def test_a_non_finite_row_of_a_batch_is_refused():
+    batch = np.ones((3, 6), dtype=complex)
+    batch[1, 2] = np.nan
+    with pytest.raises(ValueError, match="sum to nan"):
+        hypersimplex_moment(batch, 4)
+    batch[1, 2] = 1e200
+    with pytest.raises(ValueError, match="sum to inf"):
+        simplex_moment(batch)
+
+
 def test_grassmann_moment_vertex():
     plane = GrassmannPoint(np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex))
     assert np.allclose(grassmann_moment(plane, 4), [1, 1, 0, 0])

@@ -405,12 +405,12 @@ def _closed_form_walls(n):
 
     The facets x_a = 0 hold the vertices avoiding a.  A split
     [n] = A + B + C with A, B nonempty and |C| = 0 (every subset A) or
-    |C| >= 3 (the library's table) gives the normal 1_A - 1_B, which holds
+    |C| >= 3 (_split_oracle) gives the normal 1_A - 1_B, which holds
     the vertices {a, b} with a in A and b in B, and those inside C.
     """
     full = (1 << n) - 1
     splits = [(a, full ^ a, 0) for a in range(1, full)]
-    splits += [(a, b, c) for a, b, c, _ in regularity._splits(n)]
+    splits += _split_oracle(n)
     pairs = list(itertools.combinations(range(n), 2))
     walls = {tuple(int(i == a) for i in range(n)): [p for p in pairs if a not in p]
              for a in range(n)}
@@ -428,8 +428,79 @@ def _walls(n):
     return _oracle_walls(n) if n <= 7 else tuple(_closed_form_walls(n).items())
 
 
+@functools.lru_cache(maxsize=None)
+def _split_oracle(n):
+    """Every split [n] = A + B + C with A and B nonempty, A < B as bitmasks
+    and |C| >= 3, as (A, B, C): the walls 1_A . x = 1_B . x beyond the
+    arrangement, listed from the split side."""
+    full = (1 << n) - 1
+    splits = []
+    for c in range(full + 1):
+        if c.bit_count() < 3:
+            continue
+        rest = a = full ^ c
+        while a:
+            a = (a - 1) & rest
+            if a and a < rest ^ a:
+                splits.append((a, rest ^ a, c))
+    return splits
+
+
+def _split_oracle_regular(x, n):
+    """is_regular_projective by a scan of every split wall of _split_oracle."""
+    cleared, den, sums = exactgeom._subset_sums(x, n)
+    return regularity._off_arrangement(cleared, den, sums) and not any(
+        sums[a] == sums[b] and 2 * max(cleared[i] for i in range(n) if c >> i & 1) <= sums[c]
+        for a, b, c in _split_oracle(n))
+
+
 def test_split_table_sizes():
-    assert [len(regularity._splits(n)) for n in range(4, 9)] == [0, 10, 75, 371, 1526]
+    assert [len(_split_oracle(n)) for n in range(4, 9)] == [0, 10, 75, 371, 1526]
+
+
+def _forced_collision_points(n, count, seed):
+    """Seeded Grassmann-regular points with sum_A x = sum_B x for random
+    disjoint nonempty A and B.  In half of them the first coordinate of the
+    rest C is pushed to about the sum of the others, the edge of the hull
+    of the wall when |C| >= 3."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        order = rng.sample(range(n), n)
+        size = rng.randint(1, n - 2)
+        cut = rng.randint(size + 1, n - 1)
+        a, b, c = order[size:cut], order[cut:], order[:size]
+        w = [rng.randint(1, 60) for _ in range(n)]
+        w[b[0]] += sum(w[i] for i in a) - sum(w[i] for i in b)
+        if len(points) % 2:
+            w[c[0]] = sum(w[i] for i in c[1:]) + rng.randint(-2, 2)
+        if min(w) < 1:
+            continue
+        x = tuple(F(2 * v, sum(w)) for v in w)
+        if max(x) < 1 and is_regular_grassmann(x, n):
+            points.append(x)
+    return points
+
+
+def _adversarial_point(n):
+    """(1 - eps, y, ..., y), regular, with about 3^(n-1) pairs of disjoint
+    masks of equal sum: the worst known input of the equal-sum scan."""
+    eps = F(1, 10**6)
+    return (1 - eps,) + ((1 + eps) / (n - 1),) * (n - 1)
+
+
+@pytest.mark.parametrize("n", range(5, 11))
+def test_equal_sum_scan_matches_the_split_oracle(n):
+    points = _forced_collision_points(n, 250, seed=n)
+    verdicts = [is_regular_projective(x, n) for x in points]
+    assert verdicts == [_split_oracle_regular(x, n) for x in points]
+    assert set(verdicts) == {True, False}  # regular points with a collision, and critical ones
+    if n <= 6:
+        sample = points[:12]
+        assert verdicts[:12] == projective_bruteforce_verdicts(sample, n)
+    if n >= 8:
+        assert is_regular_projective(_adversarial_point(n), n)
+        assert _split_oracle_regular(_adversarial_point(n), n)
 
 
 @pytest.mark.parametrize("n, count", [(4, 11), (5, 30), (6, 112), (7, 441)])
@@ -582,7 +653,7 @@ def _classify_points(n):
     return points + list(hypersimplex_grid(n, 2)) + _split_wall_points(n, 40, seed=n)
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 8, PROJECTIVE_MAX_N + 1])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 11])
 def test_classify_point_matches_the_views_and_the_oracle(n):
     arrangement = arrangement_for_n(n)
     answers = set()
@@ -591,13 +662,16 @@ def test_classify_point_matches_the_views_and_the_oracle(n):
         assert signs == sign_vector(x, arrangement)
         assert signs == tuple((d > 0) - (d < 0) for d in (_defect(t, x) for t in arrangement))
         assert regular_mu == is_regular_grassmann(x, n)
-        if n <= PROJECTIVE_MAX_N:
-            assert regular_mu_tilde == is_regular_projective(x, n)
-        else:
-            assert regular_mu_tilde is None
+        assert regular_mu_tilde == is_regular_projective(x, n)
         answers.add((regular_mu, regular_mu_tilde))
     if n in (5, 7, 8):  # at n = 6 every grid point has a subset of numerators summing to 5
         assert answers == {(False, False), (True, False), (True, True)}
+
+
+def test_classify_point_answers_none_past_the_guard():
+    n = PROJECTIVE_MAX_N + 1
+    x = _adversarial_point(n)
+    assert classify_point(x, n)[1:] == (True, None)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -618,7 +692,6 @@ def test_warm_projective_query_runs_no_elimination(monkeypatch, n):
     for module in (exactgeom, regularity):
         monkeypatch.setattr(module, "convex_membership", refuse)
     monkeypatch.setattr(exactgeom, "_row_echelon", refuse)
-    regularity._splits.cache_clear()  # the first query builds the split table
     assert [is_regular_projective(x, n) for x in points] == expected
 
 
