@@ -209,6 +209,26 @@ def _affine_rank(points: Sequence[Sequence[int]]) -> int:
     return len(pivots)
 
 
+def _affine_equations(points: Sequence[Sequence[int]]) -> list[tuple[list[int], int]]:
+    """Integer rows (a, c) spanning every relation a.p + c = 0 that all the
+    integer points p satisfy, d - affine rank of them: y lies on the points'
+    affine hull iff a.y + c == 0 for every row.
+
+    One _row_echelon of the rows [p | 1]; each free column f gives the
+    null vector det e_f - sum_k reduced[k][f] e_(pivot k).
+    """
+    reduced, pivots, det = _row_echelon([[*p, 1] for p in points])
+    width = len(points[0]) + 1
+    rows = []
+    for f in (f for f in range(width) if f not in pivots):
+        null = [0] * width
+        null[f] = det
+        for row, c in zip(reduced, pivots):
+            null[c] = -row[f]
+        rows.append((null[:-1], null[-1]))
+    return rows
+
+
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     """Rank over Q of {v - v0 : v in points}, by exact elimination."""
     if not points:

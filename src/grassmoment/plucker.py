@@ -81,6 +81,12 @@ class GrassmannPoint:
         m = np.asarray(self.matrix, dtype=complex).copy()
         if m.ndim != 2 or m.shape[0] != 2 or m.shape[1] < 2:
             raise ValueError(f"expected a 2 x n matrix with n >= 2, got shape {m.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            # Bounds the squared norm of the Plücker vector (Cauchy-Binet).
+            bound = np.prod(np.sum(np.abs(m) ** 2, axis=1))
+        if not np.isfinite(bound):
+            raise ValueError(f"squared moduli of the 2 x n matrix rows multiply to {bound}: "
+                             "entries must be finite and below about 1e76")
         scale = float(np.max(np.abs(m))) ** 2
         largest_minor = max(
             abs(m[0, i - 1] * m[1, j - 1] - m[0, j - 1] * m[1, i - 1])

@@ -32,6 +32,7 @@ from typing import Iterator, Sequence
 
 from .exactgeom import (
     Vector,
+    _affine_equations,
     _signs,
     _subset_sums,
     affine_rank,
@@ -186,24 +187,13 @@ def classify_point(x: Sequence[Fraction], n: int) -> tuple[tuple[int, ...], bool
     return (_signs(den, sums, arrangement_for_n(n)), *_verdicts(cleared, den, sums, n))
 
 
-def projective_bruteforce_verdicts(points: Sequence[Sequence[Fraction]], n: int) -> list[bool]:
-    """Reference verdicts of the definition: x is regular iff no support of
-    vertices spanning a polytope of dimension at most n-2 holds x in its hull.
-
-    The supports reduce to the flats, the vertex sets of the (n-2)-dimensional
-    affine spans of vertices.  conv is monotone under inclusion; a support of
-    rank at most n-2 extends one vertex at a time to rank exactly n-2, since
-    all vertices have rank n-1 and each added vertex raises the rank by at
-    most 1, and then to every vertex on its affine span; and each flat is
-    itself such a support.  The flats are listed once per call from the
-    (n-1)-subsets sigma of rank n-2 that no flat found before contains (11,
-    30 and 112 of them for n = 4, 5 and 6); a flat's members are the
-    vertices v with affine_rank(sigma + [v]) = n-2.  Each point then costs
-    one convex_membership per flat.  No wall normal, split table or subset
-    sum beyond validation is used, so this cross-checks the closed form.
+def _flat_hulls(n: int) -> list[list[tuple[int, ...]]]:
+    """The integer vertices of each flat, the vertex set of an
+    (n-2)-dimensional affine span of vertices, listed from the (n-1)-subsets
+    sigma of rank n-2 that no flat found before contains (11, 30 and 112
+    flats for n = 4, 5 and 6); a flat's members are the vertices v with
+    affine_rank(sigma + [v]) = n-2.
     """
-    for x in points:
-        _subset_sums(x, n)
     vertices = [tuple(map(int, v)) for v in hypersimplex_vertices(n)]
     flats: list[int] = []
     for sigma in itertools.combinations(range(len(vertices)), n - 1):
@@ -218,13 +208,43 @@ def projective_bruteforce_verdicts(points: Sequence[Sequence[Fraction]], n: int)
             if not mask >> j & 1 and affine_rank(subset + [v]) == n - 2:
                 flat |= 1 << j
         flats.append(flat)
-    hulls = [[v for j, v in enumerate(vertices) if flat >> j & 1] for flat in flats]
-    return [all(convex_membership(x, hull) is None for hull in hulls) for x in points]
+    return [[v for j, v in enumerate(vertices) if flat >> j & 1] for flat in flats]
+
+
+def projective_bruteforce_verdicts(points: Sequence[Sequence[Fraction]], n: int) -> list[bool]:
+    """Reference verdicts of the definition: x is regular iff no support of
+    vertices spanning a polytope of dimension at most n-2 holds x in its hull.
+
+    The supports reduce to the flats of _flat_hulls.  conv is monotone under
+    inclusion; a support of rank at most n-2 extends one vertex at a time to
+    rank exactly n-2, since all vertices have rank n-1 and each added vertex
+    raises the rank by at most 1, and then to every vertex on its affine
+    span; and each flat is itself such a support.  The flats are listed once
+    per call and each is eliminated once, into the integer equations of its
+    affine span (exactgeom._affine_equations).  A point runs
+    convex_membership on a flat only while no flat before has held it and
+    its cleared numerators satisfy those equations, since off the span the
+    hull cannot hold it.  The equations come from eliminating the flat's
+    own vertices; no split table, closed-form wall or subset sum beyond
+    validation is used, so this cross-checks the closed form.
+    """
+    cleared = [_subset_sums(x, n)[:2] for x in points]
+    regular = [True] * len(points)
+    for hull in _flat_hulls(n):
+        equations = _affine_equations(hull)
+        for k, (x, (num, den)) in enumerate(zip(points, cleared)):
+            if regular[k] and all(sum(p * q for p, q in zip(a, num)) + c * den == 0
+                                  for a, c in equations):
+                regular[k] = convex_membership(x, hull) is None
+    return regular
 
 
 def is_regular_projective_bruteforce(x: Sequence[Fraction], n: int) -> bool:
-    """projective_bruteforce_verdicts for the one point x."""
-    return projective_bruteforce_verdicts([x], n)[0]
+    """The definition, unfiltered: x lies in the hull of no flat of
+    _flat_hulls.  The reference projective_bruteforce_verdicts is tested
+    against."""
+    _subset_sums(x, n)
+    return all(convex_membership(x, hull) is None for hull in _flat_hulls(n))
 
 
 def _representative_candidates() -> Iterator[Vector]:

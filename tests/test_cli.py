@@ -314,6 +314,16 @@ def test_moment_overflowed_moduli_are_usage_error(capsys, map_name):
     assert "squared moduli of the point sum to inf" in err
 
 
+@pytest.mark.parametrize("modulus, total", [("NaN", "nan"), ("Infinity", "inf"), ("1e200", "inf")])
+def test_moment_mu_non_finite_or_overflowed_entry_is_usage_error(capsys, modulus, total):
+    point = f"[[[{modulus}, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [{modulus}, 0], [0, 0], [0, 0]]]"
+    code, err = _usage_error_without_warnings(
+        capsys, ["moment", "--map", "mu", "--n", "4", "--point", point])
+    assert code == 2
+    assert f"squared moduli of the 2 x n matrix rows multiply to {total}" in err
+    assert "Traceback" not in err
+
+
 def test_witness_command(capsys):
     code, payload = run_cli(capsys, ["witness", "--n", "5"])
     assert code == 0

@@ -323,6 +323,30 @@ def test_convex_membership_matches_the_old_candidate_scan():
     assert {True, False} == {s[2] for s in seen}
 
 
+def test_affine_equations_cut_out_the_affine_hull():
+    rng = random.Random(1414)
+    seen = set()
+    for _ in range(400):
+        d, m = rng.randint(1, 5), rng.randint(1, 6)
+        points = [tuple(2 * rng.randint(-3, 3) for _ in range(d)) for _ in range(m)]
+        if m > 1 and rng.random() < 0.3:  # a dependent set: repeat or average points
+            points[-1] = rng.choice([points[0], tuple((a + b) // 2 for a, b in zip(*points[:2]))])
+        weights = [rng.randint(-2, 3) for _ in points]
+        weights[0] = 1 - sum(weights[1:])
+        y = tuple(sum(w * p[j] for w, p in zip(weights, points)) for j in range(d))
+        if rng.random() < 0.4:  # often off the affine hull
+            y = tuple(v + rng.randint(-2, 2) for v in y)
+        rows = exactgeom._affine_equations(points)
+        rank = affine_rank(points)
+        assert len(rows) == d - rank
+        assert all(len(a) == d for a, _ in rows)
+        on_hull = affine_rank([*points, y]) == rank
+        assert all(sum(p * q for p, q in zip(a, y)) + c == 0 for a, c in rows) == on_hull
+        seen.add((on_hull, rank < m - 1))
+    # Points on and off the hull of independent and of dependent sets.
+    assert seen == {(True, False), (False, False), (True, True), (False, True)}
+
+
 def test_hypersimplex_membership():
     assert in_hypersimplex(vector(["1/3", "5/9", "5/9", "5/9"]))
     assert not in_hypersimplex(vector(["4/3", "-1/3", "1/2", "1/2"]))

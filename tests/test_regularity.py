@@ -320,6 +320,67 @@ def test_flat_oracle_enumerates_the_flats_once_per_batch(monkeypatch):
     assert counts == [44, 44]
 
 
+def _flat_points(n, count, seed):
+    """Seeded pairs (x, flat) with x on the flat's affine span, half of
+    them on flats whose vertices are affinely dependent (the squares at
+    n = 4): positive combinations of the flat's vertices, inside its hull,
+    and for n >= 5 every other pair an affine combination with a negative
+    weight, on the span and mostly outside the hull.  (At n = 4 each flat
+    is the whole slice of the hypersimplex by its span, so no point of the
+    hypersimplex lies on a span outside the hull.)"""
+    flats = regularity._flat_hulls(n)
+    groups = ([h for h in flats if len(h) == n - 1], [h for h in flats if len(h) > n - 1])
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        hull = rng.choice(groups[len(pairs) % 2])
+        weights = [rng.randint(1, 6) for _ in hull]
+        if n >= 5 and len(pairs) % 4 >= 2:
+            weights[rng.randrange(len(hull))] = -1
+        total = sum(weights)
+        x = tuple(F(sum(w * v[i] for w, v in zip(weights, hull)), total) for i in range(n))
+        if all(0 <= v <= 1 for v in x):
+            pairs.append((x, hull))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_flat_oracle_batch_matches_the_per_point_definition(n):
+    pairs = _flat_points(n, 16 if n < 6 else 8, seed=40 + n)
+    if n >= 5:  # points on a flat's span but outside its hull
+        assert any(convex_membership(x, hull) is None for x, hull in pairs)
+    points = [x for x, _ in pairs] + _generic_interior_points(n, 8 if n < 6 else 4, seed=50 + n)
+    if n == 5:
+        points += _large_coprime_points()
+    verdicts = projective_bruteforce_verdicts(points, n)
+    assert verdicts == [is_regular_projective_bruteforce(x, n) for x in points]
+    assert set(verdicts) == {True, False}
+
+
+def test_flat_oracle_solves_hulls_only_on_the_span(monkeypatch):
+    """On the criterion 6 batch, convex_membership runs once per (point,
+    flat) pair with the point on the flat's affine span, up to and
+    including the first flat whose hull holds it."""
+    points = _criterion_6_points()
+    expected = 0
+    for x in points:
+        for hull in regularity._flat_hulls(4):
+            if affine_rank([*hull, x]) == affine_rank(hull):
+                expected += 1
+                if convex_membership(x, hull) is not None:
+                    break
+    calls = []
+
+    def counting_membership(x, hull):
+        calls.append(1)
+        return convex_membership(x, hull)
+
+    monkeypatch.setattr(regularity, "convex_membership", counting_membership)
+    verdicts = projective_bruteforce_verdicts(points, 4)
+    assert len(calls) == expected == 86
+    assert verdicts.count(False) == 86
+
+
 def span_normal(rows):
     """Normal of the linear span of d-1 vectors in Q^d, or None if they are dependent.
 
@@ -519,10 +580,10 @@ def test_wall_cache_holds_primitive_integer_normals(n, count):
     assert _closed_form_walls(n) == dict(walls)
 
 
-def test_walls_match_bruteforce_large_coprime_denominators():
-    # Weights over 10007 and 10009 give points whose common denominator is
-    # their product: hull points of 4 affinely independent vertices (on a
-    # wall, non-regular) and positive combinations of all 10 vertices.
+def _large_coprime_points():
+    """Weights over 10007 and 10009 give points whose common denominator is
+    their product: hull points of 4 affinely independent vertices (on a
+    wall, non-regular) and positive combinations of all 10 vertices."""
     vertices = hypersimplex_vertices(5)
     rng = random.Random(10007)
     points = []
@@ -537,6 +598,11 @@ def test_walls_match_bruteforce_large_coprime_denominators():
         points.append(tuple(sum(w * v[i] for w, v in zip(weights, subset))
                             for i in range(5)))
     assert all(math.lcm(*(v.denominator for v in x)) > 10**8 for x in points)
+    return points
+
+
+def test_walls_match_bruteforce_large_coprime_denominators():
+    points = _large_coprime_points()
     verdicts = [is_regular_projective(x, 5) for x in points]
     assert verdicts == [is_regular_projective_bruteforce(x, 5) for x in points]
     assert set(verdicts) == {True, False}
