@@ -166,7 +166,6 @@ def cmd_fiber(args) -> int:
 
 def cmd_jacobian(args) -> int:
     rng = np.random.default_rng(args.seed)
-    # The survey reads the chart of the C- point, which is also the chart of its swap image.
     points = fb.sample_fiber5_mixed(rng, np.arange(args.samples) % 2 == 0)
     deviation, ranks, max_fd = fb.complete_intersection_survey(points)
     rank_histogram = _rank_histogram(ranks)
@@ -174,7 +173,6 @@ def cmd_jacobian(args) -> int:
     payload = {
         "samples": args.samples,
         "seed": args.seed,
-        "second_orbit": args.orbit == "plus",
         "rank_histogram": rank_histogram,
         "max_f_deviation": np.max(deviation, axis=0).tolist(),
         "max_fd_deviation": max_fd,
@@ -294,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jacobian", help="rank histogram of the chart Jacobian")
     common(p, samples_default=200)
-    p.add_argument("--orbit", choices=["minus", "plus"], default="minus")
     p.set_defaults(func=cmd_jacobian)
 
     p = sub.add_parser("transition", help="chart transition cocycle report")

@@ -27,8 +27,12 @@ def normalize_projective(coords, tol: float = COORD_TOL) -> np.ndarray:
     v = np.array(coords, dtype=complex)
     if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError("projective point must be a nonempty vector")
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    if not np.all(np.isfinite(norm) & (norm > 0.0)):
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is reported below
+        norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(norm)):
+        raise ValueError("coordinates must be finite and must not overflow the norm "
+                         "(moduli below about 1e154)")
+    if not np.all(norm > 0.0):
         raise ValueError("cannot normalize the zero vector")
     v /= norm
     nonzero = np.abs(v) > tol

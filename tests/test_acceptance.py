@@ -4,6 +4,9 @@ Each test prints a PASS/FAIL line so a plain pytest run doubles as the
 acceptance record.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from grassmoment import acceptance
@@ -127,6 +130,24 @@ def test_criterion_09_bundle_structure():
     assert result.details["max_cocycle_error"] <= 1e-12
 
 
+def test_criterion_09_checks_coverage_at_one_sample(monkeypatch):
+    # At samples = 1 the coverage batch still holds a point, so a batch whose
+    # every point is off the charts fails the criterion.
+    real = acceptance.fb.chart_coverage
+
+    def uncovered(z, *args, **kwargs):
+        coverage = real(z, *args, **kwargs)
+        if np.ndim(z) == 1:  # the two edge-fiber bases of the classification check
+            return coverage
+        return dataclasses.replace(coverage, ok=np.zeros_like(coverage.ok))
+
+    monkeypatch.setattr(acceptance.fb, "chart_coverage", uncovered)
+    result = acceptance.check_bundle_structure(SEED, 1)
+    assert not result.passed
+    assert result.details["coverage_ok"] is False
+    assert result.details["edge_classification_ok"] is True
+
+
 def test_criterion_10_center_parity():
     result = _run(acceptance.check_center_parity)
     assert result.passed
@@ -142,8 +163,20 @@ def test_criterion_11_dimension_counts():
 def test_criterion_12_second_orbit():
     result = _run(acceptance.check_second_orbit)
     assert result.passed
-    for key in ("criterion4", "criterion7", "criterion8"):
-        assert result.details[key]["passed"]
+    assert result.name == "second orbit swap images"
+    residuals = ("max_moment_residual_mq7", "max_moment_residual_mq5", "max_plucker_residual")
+    assert set(result.details) == {"samples", *residuals}
+    assert result.details["samples"] == SAMPLES
+    assert all(result.details[key] <= 1e-10 for key in residuals)
+
+
+def test_criterion_12_fails_without_the_swap(monkeypatch):
+    # The C- points themselves map to q-, a max-norm distance 1/3 from q+.
+    monkeypatch.setattr(acceptance.fb, "orbit_swap", lambda z: z)
+    result = acceptance.check_second_orbit(SEED, SAMPLES)
+    assert not result.passed
+    assert result.details["max_moment_residual_mq7"] > 0.3
+    assert result.details["max_moment_residual_mq5"] > 0.3
 
 
 def test_full_suite_wall_time_budget():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from grassmoment.moment import symmetric_power_phases
 from grassmoment.plucker import (
     ChartCoords4,
     GrassmannPoint,
+    ProjectivePoint,
     chart_coords,
     from_chart,
     normalize_projective,
@@ -114,5 +116,16 @@ def test_canonical_normalization():
     assert abs(np.linalg.norm(z) - 1.0) < 1e-14
     first = z[np.nonzero(np.abs(z) > 1e-12)[0][0]]
     assert abs(first.imag) == 0.0 and first.real > 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero vector"):
         normalize_projective(np.zeros(3))
+
+
+@pytest.mark.parametrize("coords", [[math.nan, 1.0, 0.0], [math.inf, 0.0, 0.0],
+                                    [1e200, 1.0, 0.0]])
+def test_nonfinite_coordinates_are_named(coords):
+    # A NaN, an infinity or a norm that overflows is not a zero vector, and
+    # the error says so without a numpy warning first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            ProjectivePoint(np.array(coords))
