@@ -21,6 +21,7 @@ from .plucker import normalize_projective, plucker_relation_residual, projective
 from .regularity import (
     CHAMBER_POINT_MINUS,
     CHAMBER_POINT_PLUS,
+    DEFAULT_SEED,
     _grid_numerators,
     _verdicts,
     center_point_regular,
@@ -32,7 +33,6 @@ from .regularity import (
 
 F = Fraction
 
-DEFAULT_SEED = fb.DEFAULT_SEED
 DEFAULT_SAMPLES = 1000
 
 
@@ -217,7 +217,7 @@ def check_fiber5(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> Cr
                                                   normalize_projective([1.0, 1.0]))))
     first = fb.sample_surface_section(rng, count=samples)
     second = fb.sample_surface_section(rng, count=samples)
-    distinct = np.abs(first.z0 - second.z0) + np.abs(first.z1 - second.z1) >= 1e-8
+    distinct = np.abs(first[:, 0] - second[:, 0]) + np.abs(first[:, 1] - second[:, 1]) >= 1e-8
     distances = projective_distance(fb.base_projection(first), fb.base_projection(second))
     min_pair_distance = float(np.min(distances[distinct], initial=np.inf))
     passed = (max_plucker <= 1e-10 and max_moment <= 1e-10

@@ -15,8 +15,9 @@ The fiber over the mirror point (2/3, 4/9, 4/9, 4/9) in C+ is its image
 under the coordinate swap (z0,z1,z2) <-> (z3,z4,z5), ``orbit_swap``:
 callers swap points once, at the boundary.
 
-All numerics work along the last axis: one point has shape (6,), N
-points (N, 6), and sections hold scalars or arrays.  A run is drawn by one
+All numerics work along the last axis: one point has shape (6,) and N
+points (N, 6), section points included; a chart point is its four complex
+chart coordinates, shape (4,) or (N, 4).  A run is drawn by one
 ``sample_for_kind(kind, rng, count)`` and certified by one ``certify``;
 the one-point helpers are the N = 1 case of the same code.
 """
@@ -24,21 +25,15 @@ the one-point helpers are the N = 1 case of the same code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .exactgeom import Vector, solve_exact
 from .moment import hypersimplex_moment, weight_vectors
-from .plucker import (
-    ChartCoords4,
-    chart_array,
-    chart_from_plucker,
-    normalize_projective,
-    plucker_relation_residual,
-)
-from .regularity import CHAMBER_POINT_MINUS, DEFAULT_SEED
+from .plucker import chart_array, normalize_projective, plucker_relation_residual
+from .regularity import CHAMBER_POINT_MINUS
 
 F = Fraction
 
@@ -93,8 +88,6 @@ def _stack(*values) -> np.ndarray:
 
 
 def _as_coords6(point) -> np.ndarray:
-    if isinstance(point, (SurfaceSection, SphereSection)):
-        return point.coords
     z = np.asarray(point, dtype=complex)
     if z.shape[-1:] != (6,):
         raise ValueError("expected six homogeneous coordinates")
@@ -278,59 +271,16 @@ def _curve_products(x0: float, x1: float) -> tuple[float, float, float]:
 # Cross sections of the 5-dimensional Grassmannian fiber
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Section:
-    """Head coordinates, complex for one point or equal-shape arrays for a
-    batch, checked on the sphere |z|^2 = 1/3 (1e-9) and the surface (1e-10)."""
-
-    def __post_init__(self):
-        names = [f.name for f in fields(self)]
-        heads = np.broadcast_arrays(*(np.asarray(getattr(self, n), dtype=complex) for n in names))
-        for name, value in zip(names, heads):
-            object.__setattr__(self, name, complex(value) if value.ndim == 0 else value)
-        if not np.all(self.surface_residual() <= 1e-10):
-            raise ValueError("point does not satisfy the surface equation")
-
-    def surface_residual(self):
-        return plucker_relation_residual(self.coords)
-
-
-@dataclass(frozen=True)
-class SurfaceSection(_Section):
-    """Point of the two-dimensional section: third coordinate real nonnegative.
-
-    Carries (z0, z1); the remaining moduli are determined.  Valid points
-    satisfy z0*|z5| + |z2|*|z3| = z1*|z4|.
-    """
-
-    z0: complex
-    z1: complex
-
-    def magnitudes(self) -> tuple:
-        """(|z2|, |z3|, |z4|, |z5|)."""
-        return _split(self.coords[..., 2:].real)
-
-    @property
-    def coords(self) -> np.ndarray:
-        s2 = _third_square(np.abs(self.z0) ** 2, np.abs(self.z1) ** 2)
-        return lift_to_fiber(self.z0, self.z1, np.sqrt(s2), tol=1e-9)
-
-    @property
-    def on_circle(self):
-        return np.abs(self.z0) ** 2 + np.abs(self.z1) ** 2 > 1.0 / 3.0 - 1e-9
-
-
-@dataclass(frozen=True)
-class SphereSection(_Section):
-    """Point of the three-dimensional section: all three head coordinates complex."""
-
-    z0: complex
-    z1: complex
-    z2: complex
-
-    @property
-    def coords(self) -> np.ndarray:
-        return lift_to_fiber(self.z0, self.z1, self.z2, tol=1e-9)
+def _section(z0, z1, z2=None) -> np.ndarray:
+    """Section point (z0, z1, z2, |z3|, |z4|, |z5|), checked on the sphere
+    |z|^2 = 1/3 (1e-9) and the surface (1e-10).  Without z2 it is a surface
+    point: z2 is the real nonnegative root of 1/3 - |z0|^2 - |z1|^2."""
+    if z2 is None:
+        z2 = np.sqrt(_third_square(np.abs(z0) ** 2, np.abs(z1) ** 2))
+    z = lift_to_fiber(z0, z1, z2, tol=1e-9)
+    if not np.all(plucker_relation_residual(z) <= 1e-10):
+        raise ValueError("point does not satisfy the surface equation")
+    return z
 
 
 def _third_square(s0, s1):
@@ -353,15 +303,15 @@ def _closure_terms(r0, r1):
     return big0, big1, middle, cos_phi
 
 
-def _close_phase(r0, r1, branch) -> SurfaceSection:
+def _close_phase(r0, r1, branch) -> np.ndarray:
     """Surface point R0*e^(i*phi) + C = R1*e^(i*psi), sin(phi) of sign branch."""
     big0, _, middle, cos_phi = _closure_terms(r0, r1)
     rotation = np.exp(1j * branch * np.arccos(np.clip(cos_phi, -1.0, 1.0)))
     closing = middle + big0 * rotation
-    return SurfaceSection(r0 * rotation, r1 * closing / np.abs(closing))
+    return _section(r0 * rotation, r1 * closing / np.abs(closing))
 
 
-def surface_section(r0: float, r1: float, branch: int = 1) -> SurfaceSection:
+def surface_section(r0: float, r1: float, branch: int = 1) -> np.ndarray:
     """Construct the surface point with |z0| = r0, |z1| = r1 by phase closure.
 
     Writes the surface equation as R0*e^(i*phi) + C = R1*e^(i*psi) and
@@ -385,23 +335,23 @@ def surface_section(r0: float, r1: float, branch: int = 1) -> SurfaceSection:
             if not abs(gap) <= 1e-10:
                 raise ValueError(f"no phase closure in the {case} case: the other two "
                                  "products must balance")
-            return SurfaceSection(*heads)
+            return _section(*heads)
     if not abs(cos_phi) <= 1.0 + 1e-9:
         raise ValueError("no phase closure: the three products violate the triangle bound")
     return _close_phase(r0, r1, branch)
 
 
-def surface_circle(psi) -> SurfaceSection:
+def surface_circle(psi) -> np.ndarray:
     """Circle of surface points with z0 = z1 = e^(i*psi)/sqrt(6).
 
     Here |z2| = 0 and |z3| = 1/3, forced by |z3|^2 = |z2|^2 + 1/9.
     """
     z = np.exp(1j * np.asarray(psi, dtype=float)) / math.sqrt(6.0)
-    return SurfaceSection(z, z)
+    return _section(z, z)
 
 
 def sample_surface_section(rng: np.random.Generator, max_trials: int = 10000,
-                           count: int | None = None) -> SurfaceSection:
+                           count: int | None = None) -> np.ndarray:
     """Rejection sampler over the feasible magnitude region, off the circle.
 
     Uniform pairs (r0, r1) are drawn in blocks and kept where r0^2 + r1^2
@@ -428,14 +378,14 @@ def sample_surface_section(rng: np.random.Generator, max_trials: int = 10000,
     return _close_phase(r0, r1, branch)
 
 
-def rotate_section(section: SurfaceSection, phase) -> SphereSection:
-    """Apply a common phase to the head coordinates of a surface point."""
+def rotate_section(section, phase) -> np.ndarray:
+    """Apply a common phase to the head coordinates of a section point."""
     phase = _check_unit_phases(phase)
-    return SphereSection(section.z0 * phase, section.z1 * phase, section.coords[..., 2] * phase)
+    return _section(*_split(_as_coords6(section)[..., :3] * phase[..., None]))
 
 
 def sample_sphere_section(rng: np.random.Generator,
-                          count: int | None = None) -> SphereSection:
+                          count: int | None = None) -> np.ndarray:
     """Surface sample pushed around by a uniform common phase."""
     section = sample_surface_section(rng, count=count)
     return rotate_section(section, random_phases(rng, _shape(count)))
@@ -446,7 +396,7 @@ def sample_sphere_section(rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def surface_torus_param(section, phases) -> np.ndarray:
-    """Image of (section or its coordinates, t1, t2, t3) under (t1, t2, t3, 1, t3/t2, t3/t1)."""
+    """Image of (section point, t1, t2, t3) under (t1, t2, t3, 1, t3/t2, t3/t1)."""
     t1, t2, t3 = _split(_check_unit_phases(phases))
     z0, z1, m2, m3, m4, m5 = _split(_as_coords6(section))
     return _stack(t1 * z0, t2 * z1, t3 * m2, m3, (t3 / t2) * m4, (t3 / t1) * m5)
@@ -459,11 +409,11 @@ def surface_torus_preimage(z):
     t3 = np.where(off_circle, w2 / np.where(off_circle, np.abs(w2), 1.0), 1.0 + 0.0j)
     t1 = t3 * np.abs(w5) / w5
     t2 = t3 * np.abs(w4) / w4
-    return SurfaceSection(w0 / t1, w1 / t2), _stack(t1, t2, t3)
+    return _section(w0 / t1, w1 / t2), _stack(t1, t2, t3)
 
 
 def sphere_torus_param(section, t1, t2) -> np.ndarray:
-    """Image of (section or its coordinates, t1, t2) under (t1, t2, 1, 1, 1/t2, 1/t1)."""
+    """Image of (section point, t1, t2) under (t1, t2, 1, 1, 1/t2, 1/t1)."""
     t1, t2 = _split(_check_unit_phases(_stack(t1, t2)))
     z0, z1, z2, m3, m4, m5 = _split(_as_coords6(section))
     return _stack(t1 * z0, t2 * z1, z2, m3, m4 / t2, m5 / t1)
@@ -474,7 +424,7 @@ def sphere_torus_preimage(z):
     w0, w1, w2, _, w4, w5 = _split(_as_coords6(z))
     t2 = np.abs(w4) / w4
     t1 = np.abs(w5) / w5
-    return SphereSection(w0 / t1, w1 / t2, w2), t1, t2
+    return _section(w0 / t1, w1 / t2, w2), t1, t2
 
 
 def sample_fiber5(rng: np.random.Generator, method: str = "surface",
@@ -498,25 +448,25 @@ def sample_fiber5_mixed(rng: np.random.Generator, surface) -> np.ndarray:
     return out
 
 
-def surface_roundtrip_error(section: SurfaceSection, phases):
+def surface_roundtrip_error(section, phases):
     """Parameter recovery error off the circle, reconstruction error on it."""
-    phases = np.asarray(phases, dtype=complex)
+    section, phases = _as_coords6(section), np.asarray(phases, dtype=complex)
     point = surface_torus_param(section, phases)
     recovered, t = surface_torus_preimage(point)
     rebuilt = surface_torus_param(recovered, t)
     error = np.max(np.abs(rebuilt - point), axis=-1)
     recovery = np.max(np.abs(np.concatenate(
-        [_stack(recovered.z0 - section.z0, recovered.z1 - section.z1), t - phases],
-        axis=-1)), axis=-1)
-    off_circle = np.abs(section.coords[..., 2]) > 1e-9
+        [recovered[..., :2] - section[..., :2], t - phases], axis=-1)), axis=-1)
+    off_circle = np.abs(section[..., 2]) > 1e-9
     return np.where(off_circle, np.maximum(error, recovery), error)[()]
 
 
-def sphere_roundtrip_error(section: SphereSection, t1, t2):
+def sphere_roundtrip_error(section, t1, t2):
+    section = _as_coords6(section)
     point = sphere_torus_param(section, t1, t2)
     recovered, s1, s2 = sphere_torus_preimage(point)
-    return np.max(np.abs(_stack(recovered.z0 - section.z0, recovered.z1 - section.z1,
-                                recovered.z2 - section.z2, s1 - t1, s2 - t2)), axis=-1)
+    return np.max(np.abs(np.concatenate(
+        [recovered[..., :3] - section[..., :3], _stack(s1 - t1, s2 - t2)], axis=-1)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -623,91 +573,78 @@ def affine_representative(z) -> np.ndarray:
 # Chart coordinates, complete intersection, Jacobian
 # ---------------------------------------------------------------------------
 
-def fiber5_chart(z) -> ChartCoords4:
-    """Affine chart coordinates of a Grassmannian fiber point.
-
-    Ratios against the {2,3}-minor coordinate, which is bounded away from
-    zero on the fiber.
-    """
-    return chart_from_plucker(_as_coords6(z))
-
-
-def _chart_uv(first, second=None) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(first, ChartCoords4):
-        return first.as_uv()
-    u, v = np.asarray(first, dtype=float), np.asarray(second, dtype=float)
-    if u.shape[-1:] != (4,) or u.shape != v.shape:
-        raise ValueError("expected two real 4-vectors")
-    return u, v
-
-
 #: Coefficients of |a1|^2..|a4|^2 in the three chart quadrics.
 _CI_WEIGHTS = np.array([[1.0, 1.0, -1.0, -1.0], [5.0, 0.0, 1.0, -4.0], [4.0, 0.0, 1.0, -3.0]])
 
 
-def _chart_cross(u, v) -> tuple[np.ndarray, np.ndarray]:
-    """a = u + i*v and its cross term a1*a4 - a2*a3."""
-    a = u + 1j * v
+def _chart_cross(a) -> tuple[np.ndarray, np.ndarray]:
+    """The chart point a, checked for shape (..., 4), and its cross term a1*a4 - a2*a3."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape[-1:] != (4,):
+        raise ValueError("expected four complex chart coordinates")
     return a, a[..., 0] * a[..., 3] - a[..., 1] * a[..., 2]
 
 
-def complete_intersection_f(u, v=None) -> tuple:
+def complete_intersection_f(a) -> tuple:
     """The three defining quadrics of the fiber in the affine chart:
     f = W |a|^2 + (0, 0, |a1*a4 - a2*a3|^2) with W = _CI_WEIGHTS.
 
     On chart coordinates of fiber points the value is (0, -1, 0).
     """
-    a, cross = _chart_cross(*_chart_uv(u, v))
+    a, cross = _chart_cross(a)
     f1, f2, f3 = _split(np.sum(_CI_WEIGHTS * (np.abs(a) ** 2)[..., None, :], axis=-1))
     return f1, f2, f3 + np.abs(cross) ** 2
 
 
-def ci_jacobian(u, v=None) -> np.ndarray:
-    """Closed-form 3 x 8 Jacobian of the chart quadrics, columns (u1..u4, v1..v4).
+def ci_jacobian(a) -> np.ndarray:
+    """Closed-form 3 x 8 Jacobian of the chart quadrics, columns (u1..u4, v1..v4)
+    for a = u + i*v.
 
     d|a_k|^2 = 2 (u_k, v_k), and d|C|^2 = 2 Re(conj(C) dC) with
     dC/da = (a4, -a3, -a2, a1) along u and i times that along v.
     """
-    u, v = _chart_uv(u, v)
-    a, cross = _chart_cross(u, v)
+    a, cross = _chart_cross(a)
     grad = np.conj(cross)[..., None] * a[..., ::-1] * np.array([1, -1, -1, 1])
-    squares = 2.0 * np.concatenate([u, v], axis=-1)[..., None, :] * np.tile(_CI_WEIGHTS, 2)
+    squares = 2.0 * np.concatenate([a.real, a.imag], axis=-1)[..., None, :] * np.tile(_CI_WEIGHTS, 2)
     squares[..., 2, :] += 2.0 * np.concatenate([grad.real, -grad.imag], axis=-1)
     return squares
 
 
-def ci_jacobian_fd(u, v=None, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian, the cross-check for the closed form."""
-    u, v = _chart_uv(u, v)
-    forward = np.concatenate([u, v]) + step * np.eye(8)
+def ci_jacobian_fd(a, step: float = 1e-6) -> np.ndarray:
+    """Central finite-difference Jacobian at one chart point, shape (4,): the
+    cross-check for the closed form."""
+    a = np.asarray(a, dtype=complex)
+    if a.shape != (4,):
+        raise ValueError("expected the four complex chart coordinates of one point")
+    forward = np.concatenate([a.real, a.imag]) + step * np.eye(8)
     backward = forward - 2.0 * step * np.eye(8)
-    f_plus = np.array(complete_intersection_f(forward[:, :4], forward[:, 4:]))
-    f_minus = np.array(complete_intersection_f(backward[:, :4], backward[:, 4:]))
+    f_plus = np.array(complete_intersection_f(forward[:, :4] + 1j * forward[:, 4:]))
+    f_minus = np.array(complete_intersection_f(backward[:, :4] + 1j * backward[:, 4:]))
     return (f_plus - f_minus) / (2.0 * step)
 
 
-def _chart_checks(u, v) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chart_checks(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f-values, their max-norm distance from (0, -1, 0), and the chart
     Jacobian's singular values; raises ValueError for a point further than
     1e-8 from (0, -1, 0), where no rank is meant (NaN included)."""
-    f = np.stack(complete_intersection_f(u, v), axis=-1)
+    f = np.stack(complete_intersection_f(a), axis=-1)
     off = np.max(np.abs(f - _F_TARGET), axis=-1)
     if not np.all(off <= 1e-8):
         raise ValueError("point is not on the equipotential surface (0, -1, 0)")
-    return f, off, np.linalg.svd(ci_jacobian(u, v), compute_uv=False)
+    return f, off, np.linalg.svd(ci_jacobian(a), compute_uv=False)
 
 
 def _rank(singular: np.ndarray, tol: float):
     return np.sum(singular > tol * singular[..., :1], axis=-1)
 
 
-def jacobian_rank(u, v=None, tol: float = 1e-6):
+def jacobian_rank(a, tol: float = 1e-6):
     """Numerical rank of the chart Jacobian at a fiber chart point.
 
     Requires the equipotential values (0, -1, 0) to hold to 1e-8 first;
     rank is counted by singular values above tol times the largest.
     """
-    return _rank(_chart_checks(*_chart_uv(u, v))[2], tol)
+    return _rank(_chart_checks(a)[2], tol)
 
 
 def complete_intersection_survey(points, fd_every: int = 25):
@@ -716,9 +653,8 @@ def complete_intersection_survey(points, fd_every: int = 25):
     and the largest gap between the closed-form and the finite-difference
     Jacobian over every fd_every-th point."""
     a = chart_array(_as_coords6(points))
-    u, v = a.real, a.imag
-    f, _, singular = _chart_checks(u, v)
-    fd = max((float(np.max(np.abs(ci_jacobian(u[k], v[k]) - ci_jacobian_fd(u[k], v[k]))))
+    f, _, singular = _chart_checks(a)
+    fd = max((float(np.max(np.abs(ci_jacobian(a[k]) - ci_jacobian_fd(a[k]))))
               for k in range(0, len(a), fd_every)), default=0.0)
     return np.abs(f - _F_TARGET), _rank(singular, 1e-6), fd
 
@@ -730,8 +666,7 @@ def complete_intersection_survey(points, fd_every: int = 25):
 def bundle_transition(t, direction: str = "01"):
     """Chart transition on the torus fiber; '01' and '10' are mutually inverse.
 
-    Works along the last axis; one element of shape (3,) comes back as a
-    tuple of three complex numbers.
+    Works along the last axis.
     """
     if direction not in ("01", "10"):
         raise ValueError("direction must be '01' or '10'")
@@ -739,8 +674,7 @@ def bundle_transition(t, direction: str = "01"):
     if t.shape[-1:] != (3,):
         raise ValueError("expected a three-torus element")
     matrix = TRANSITION_EXPONENTS if direction == "01" else TRANSITION_EXPONENTS_INVERSE
-    out = np.prod(t[..., None, :] ** np.array(matrix), axis=-1)
-    return tuple(complex(value) for value in out) if out.ndim == 1 else out
+    return np.prod(t[..., None, :] ** np.array(matrix), axis=-1)
 
 
 def cocycle_error(t) -> float:
@@ -762,11 +696,12 @@ def transition_determinant() -> int:
 @dataclass(frozen=True)
 class ChartCoverage:
     """Which standard charts of the base CP^1 a fiber point sits over; for a
-    batch, arrays, with ``vanishing_head`` a boolean mask.  Covered (ok) iff
-    margin = min(min_tail, max(|z0|, |z1|)) exceeds the tolerance."""
+    batch, arrays.  ``vanishing_head`` masks the head coordinates at or
+    below the tolerance.  Covered (ok) iff margin = min(min_tail,
+    max(|z0|, |z1|)) exceeds the tolerance."""
 
     min_tail: float
-    vanishing_head: tuple[int, ...]
+    vanishing_head: np.ndarray
     in_chart_m0: bool
     in_chart_m1: bool
     margin: float
@@ -779,10 +714,7 @@ def chart_coverage(z, tol: float = _COVERAGE_TOL) -> ChartCoverage:
     w = np.abs(_as_coords6(z))
     min_tail = np.min(w[..., 3:], axis=-1)
     margin = np.minimum(min_tail, np.maximum(w[..., 0], w[..., 1]))
-    vanishing = ~(w[..., :3] > tol)
-    if vanishing.ndim == 1:
-        vanishing = tuple(np.flatnonzero(vanishing).tolist())
-    return ChartCoverage(min_tail=min_tail, vanishing_head=vanishing,
+    return ChartCoverage(min_tail=min_tail, vanishing_head=~(w[..., :3] > tol),
                          in_chart_m0=w[..., 1] > tol, in_chart_m1=w[..., 0] > tol,
                          margin=margin, ok=margin > tol)
 
@@ -905,8 +837,7 @@ def certify(kind: str, z, tolerances: dict[str, float] | None = None) -> Certifi
     checks["min_tail"] = (res["min_tail"], tol["min_tail"], res["min_tail"] >= tol["min_tail"])
     if kind == "mq7":
         return Certificates(z, res, None, None, checks)
-    chart = chart_array(z)
-    f_values, off, singular = _chart_checks(chart.real, chart.imag)
+    f_values, off, singular = _chart_checks(chart_array(z))
     ranks = _rank(singular, tol["rank_tol"])
     margin = singular[:, 2] / np.where(singular[:, 0] > 0.0, singular[:, 0], 1.0)
     coverage = chart_coverage(z)
@@ -934,7 +865,7 @@ def sample_for_kind(kind: str, rng: np.random.Generator, count: int | None = Non
         surface = rng.uniform(size=_shape(count)) < 0.5
         return sample_fiber5_mixed(rng, surface)
     if kind == "m2":
-        return sample_surface_section(rng, count=count).coords
+        return sample_surface_section(rng, count=count)
     if kind == "m3":
-        return sample_sphere_section(rng, count=count).coords
+        return sample_sphere_section(rng, count=count)
     raise ValueError(f"unknown fiber kind {kind!r}")

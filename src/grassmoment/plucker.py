@@ -114,14 +114,12 @@ def plucker_embed(plane: GrassmannPoint) -> ProjectivePoint:
     return ProjectivePoint(np.array(minors, dtype=complex))
 
 
-def plucker_relation_residual(point, n: int = 4) -> float:
+def plucker_relation_residual(point) -> float:
     """|z0*z5 + z2*z3 - z1*z4| on the given representative(s), along the last axis.
 
     The value is scale dependent, so callers pass a normalized point; the
     coordinates are used exactly as handed in.
     """
-    if n != 4:
-        raise ValueError("the quadric relation is implemented for n = 4 only")
     z = point.coords if isinstance(point, ProjectivePoint) else np.asarray(point, dtype=complex)
     if z.shape[-1:] != (6,):
         raise ValueError("expected 6 homogeneous coordinates")
@@ -140,10 +138,6 @@ class ChartCoords4:
     def as_tuple(self) -> tuple[complex, complex, complex, complex]:
         return (self.a1, self.a2, self.a3, self.a4)
 
-    def as_uv(self) -> tuple[np.ndarray, np.ndarray]:
-        a = np.array(self.as_tuple(), dtype=complex)
-        return a.real.copy(), a.imag.copy()
-
 
 def chart_array(z) -> np.ndarray:
     """Chart coordinates a1 = P13/P23, a2 = -P34/P23, a3 = -P12/P23, a4 = P24/P23.
@@ -157,16 +151,11 @@ def chart_array(z) -> np.ndarray:
     return np.stack([z[..., 1], -z[..., 5], -z[..., 0], z[..., 4]], axis=-1) / z[..., 3:4]
 
 
-def chart_from_plucker(z) -> ChartCoords4:
-    """Chart coordinates of one Plücker vector; see chart_array."""
-    return ChartCoords4(*(complex(a) for a in chart_array(z)))
-
-
 def chart_coords(plane: GrassmannPoint) -> ChartCoords4:
-    """Chart coordinates of a plane in C^4; see chart_from_plucker."""
+    """Chart coordinates of a plane in C^4; see chart_array."""
     if plane.n != 4:
         raise ValueError("chart coordinates are defined for n = 4")
-    return chart_from_plucker(plucker_embed(plane).coords)
+    return ChartCoords4(*(complex(a) for a in chart_array(plucker_embed(plane).coords)))
 
 
 def from_chart(coords) -> GrassmannPoint:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from grassmoment import fibers4 as fb
 from grassmoment.moment import hypersimplex_moment, simplex_moment
 from grassmoment.plucker import (
+    chart_array,
     normalize_projective,
     plucker_relation_residual,
     projective_distance,
@@ -23,6 +24,11 @@ Q_PLUS = np.array([2 / 3, 4 / 9, 4 / 9, 4 / 9])
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)
+
+
+def on_circle(section):
+    """|z2|^2 = 1/3 - |z0|^2 - |z1|^2 below 1e-9: the section point sits on z2 = 0."""
+    return np.abs(section[..., 2]) ** 2 < 1e-9
 
 
 # -- tail magnitudes and the 7-fiber ---------------------------------------
@@ -179,16 +185,16 @@ def test_curve_domain_errors():
 
 def test_surface_section_circle_case():
     section = fb.surface_section(S6, S6, 1)
-    assert section.z0 == pytest.approx(section.z1)
-    assert abs(section.z0 - S6) < 1e-12
-    assert section.on_circle
+    assert section[0] == pytest.approx(section[1])
+    assert abs(section[0] - S6) < 1e-12
+    assert on_circle(section)
 
 
 def test_surface_section_branches_conjugate():
     plus = fb.surface_section(0.25, 0.30, 1)
     minus = fb.surface_section(0.25, 0.30, -1)
-    assert plus.z0 == pytest.approx(np.conj(minus.z0))
-    assert plus.z1 == pytest.approx(np.conj(minus.z1))
+    assert plus[0] == pytest.approx(np.conj(minus[0]))
+    assert plus[1] == pytest.approx(np.conj(minus[1]))
 
 
 def test_surface_section_infeasible():
@@ -216,22 +222,22 @@ def test_surface_section_vanishing_first_coordinate():
     assert r1 ** 2 == pytest.approx(1 / 6, abs=1e-9)
     section = fb.surface_section(0.0, r1, 1)
     expected = np.array([float(v) for v in fb.EDGE_IMAGES[0]])
-    assert np.max(np.abs(simplex_moment(section.coords) - expected)) < 1e-9
+    assert np.max(np.abs(simplex_moment(section) - expected)) < 1e-9
 
 
 def test_surface_sampler_residuals(rng):
     for _ in range(200):
         section = fb.sample_surface_section(rng)
-        assert section.surface_residual() <= 1e-10
-        assert not section.on_circle
+        assert plucker_relation_residual(section) <= 1e-10
+        assert not on_circle(section)
 
 
 def test_surface_circle_structure():
     section = fb.surface_circle(0.8)
     phase = complex(math.cos(0.8), math.sin(0.8))
-    assert section.z0 == pytest.approx(phase / math.sqrt(6))
-    assert section.z0 == pytest.approx(section.z1)
-    m2, m3, m4, m5 = section.magnitudes()
+    assert section[0] == pytest.approx(phase / math.sqrt(6))
+    assert section[0] == pytest.approx(section[1])
+    m2, m3, m4, m5 = section[2:].real
     assert (m2, m3) == pytest.approx((0.0, 1 / 3), abs=1e-12)
     assert m4 == pytest.approx(S518) and m5 == pytest.approx(S518)
 
@@ -239,14 +245,18 @@ def test_surface_circle_structure():
 def test_sphere_section_rotation_invariance(rng):
     section = fb.sample_surface_section(rng)
     rotated = fb.rotate_section(section, np.exp(1.3j))
-    assert rotated.surface_residual() <= 1e-10
+    assert plucker_relation_residual(rotated) <= 1e-10
     identity = fb.rotate_section(section, 1.0)
-    assert np.allclose(identity.coords, section.coords)
+    assert np.allclose(identity, section)
+
+
+def test_rotate_section_rejects_point_off_quadric(rng):
+    with pytest.raises(ValueError, match="surface equation"):
+        fb.rotate_section(fb.sample_fiber7(rng), np.exp(1.3j))
 
 
 def test_sphere_section_circle_point():
-    circle = fb.rotate_section(fb.surface_circle(0.7), np.exp(1.3j))
-    coords = circle.coords
+    coords = fb.rotate_section(fb.surface_circle(0.7), np.exp(1.3j))
     phase = np.exp(2.0j)
     assert coords[0] == pytest.approx(phase / math.sqrt(6))
     assert coords[1] == pytest.approx(phase / math.sqrt(6))
@@ -260,7 +270,8 @@ def test_sphere_section_circle_point():
 def test_surface_param_identity(rng):
     section = fb.sample_surface_section(rng)
     point = fb.surface_torus_param(section, np.ones(3))
-    assert np.allclose(point, section.coords)
+    assert np.allclose(point, section)
+    assert fb.surface_roundtrip_error(section.tolist(), np.ones(3)) <= 1e-10
 
 
 def test_surface_param_invariants(rng):
@@ -285,6 +296,17 @@ def test_surface_preimage_on_circle(rng):
     assert np.max(np.abs(rebuilt - point)) < 1e-10
 
 
+def test_torus_preimages_reject_points_off_quadric(rng):
+    # A generic 7-fiber point has its head on the sphere but is off the
+    # plane quadric, so neither preimage is a section point.
+    point = fb.sample_fiber7(rng)
+    assert plucker_relation_residual(point) > 1e-3
+    with pytest.raises(ValueError, match="surface equation"):
+        fb.surface_torus_preimage(point)
+    with pytest.raises(ValueError, match="surface equation"):
+        fb.sphere_torus_preimage(point)
+
+
 def test_sphere_param_preserves_quadric_for_distinct_phases(rng):
     # Regression guard: the torus weights on z4 and z5 must pair with t2
     # and t1 respectively, otherwise the quadric breaks.
@@ -302,6 +324,7 @@ def test_sphere_param_invariants(rng):
         assert res["plucker"] <= 1e-10
         assert res["moment"] <= 1e-10
         assert fb.sphere_roundtrip_error(section, t1, t2) <= 1e-10
+    assert fb.sphere_roundtrip_error(section.tolist(), t1, t2) <= 1e-10
 
 
 def test_sphere_param_injectivity(rng):
@@ -338,7 +361,7 @@ def test_base_projection_injective_off_circle(rng):
     for _ in range(300):
         first = fb.sample_surface_section(rng)
         second = fb.sample_surface_section(rng)
-        if abs(first.z0 - second.z0) + abs(first.z1 - second.z1) < 1e-8:
+        if abs(first[0] - second[0]) + abs(first[1] - second[1]) < 1e-8:
             continue
         dist = projective_distance(fb.base_projection(first), fb.base_projection(second))
         assert dist > 1e-12
@@ -364,8 +387,7 @@ def test_hopf_projection_circle_point():
 
 def test_hopf_projection_phase_invariant(rng):
     section = fb.sample_sphere_section(rng)
-    lam = np.exp(0.77j)
-    rotated = fb.SphereSection(lam * section.z0, lam * section.z1, lam * section.z2)
+    rotated = fb.rotate_section(section, np.exp(0.77j))
     assert projective_distance(fb.hopf_projection(section),
                                fb.hopf_projection(rotated)) <= 1e-10
 
@@ -387,7 +409,7 @@ def test_three_sphere_equivariance_and_diagram(rng):
     for _ in range(100):
         section = fb.sample_sphere_section(rng)
         lam = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        rotated = fb.SphereSection(lam * section.z0, lam * section.z1, lam * section.z2)
+        rotated = fb.rotate_section(section, lam)
         left = fb.to_three_sphere(rotated)
         right = lam * fb.to_three_sphere(section)
         assert np.max(np.abs(left - right)) <= 1e-10
@@ -452,14 +474,14 @@ def test_equipotential_values_symbolic():
 
 def test_complete_intersection_at_edge_bases():
     for fiber in fb.edge_fibers():
-        chart = fb.fiber5_chart(fiber.base)
+        chart = chart_array(fiber.base)
         f1, f2, f3 = fb.complete_intersection_f(chart)
         assert abs(f1) <= 1e-10 and abs(f2 + 1) <= 1e-10 and abs(f3) <= 1e-10
-        assert fb.jacobian_rank(*chart.as_uv()) == 3
+        assert fb.jacobian_rank(chart) == 3
 
 
 def test_complete_intersection_origin():
-    f1, f2, f3 = fb.complete_intersection_f(np.zeros(4), np.zeros(4))
+    f1, f2, f3 = fb.complete_intersection_f(np.zeros(4))
     assert (f1, f2, f3) == (0.0, 0.0, 0.0)
 
 
@@ -467,31 +489,32 @@ def test_complete_intersection_on_samples(rng):
     for k in range(300):
         method = "surface" if k % 2 == 0 else "sphere"
         point = fb.sample_fiber5(rng, method=method)
-        chart = fb.fiber5_chart(point)
+        chart = chart_array(point)
         f1, f2, f3 = fb.complete_intersection_f(chart)
         assert max(abs(f1), abs(f2 + 1), abs(f3)) <= 1e-9
-        assert fb.jacobian_rank(*chart.as_uv()) == 3
+        assert fb.jacobian_rank(chart) == 3
 
 
 def test_jacobian_against_finite_differences(rng):
     for _ in range(25):
         point = fb.sample_fiber5(rng)
-        u, v = fb.fiber5_chart(point).as_uv()
-        dev = np.max(np.abs(fb.ci_jacobian(u, v) - fb.ci_jacobian_fd(u, v)))
+        a = chart_array(point)
+        dev = np.max(np.abs(fb.ci_jacobian(a) - fb.ci_jacobian_fd(a)))
         assert dev <= 1e-6
+    with pytest.raises(ValueError, match="of one point"):
+        fb.ci_jacobian_fd(np.zeros((2, 4)))
 
 
 def test_jacobian_rank_precondition():
     with pytest.raises(ValueError):
-        fb.jacobian_rank(np.zeros(4), np.zeros(4))
+        fb.jacobian_rank(np.zeros(4))
 
 
 def test_chart_coordinates_never_degenerate(rng):
     # On fiber points a2 and a4 never vanish and no two chart coordinates
     # vanish simultaneously.
     for _ in range(100):
-        chart = fb.fiber5_chart(fb.sample_fiber5(rng))
-        a = chart.as_tuple()
+        a = chart_array(fb.sample_fiber5(rng))
         assert abs(a[1]) > 1e-6 and abs(a[3]) > 1e-6
         for i in range(4):
             for j in range(i + 1, 4):
@@ -502,17 +525,17 @@ def test_chart_consistency_with_plucker_chart(rng):
     from grassmoment.plucker import chart_coords, from_chart, plucker_embed
 
     point = fb.sample_fiber5(rng)
-    chart = fb.fiber5_chart(point)
+    chart = chart_array(point)
     rebuilt = plucker_embed(from_chart(chart)).coords
     assert projective_distance(rebuilt, point) <= 1e-10
     back = chart_coords(from_chart(chart))
-    assert max(abs(a - b) for a, b in zip(back.as_tuple(), chart.as_tuple())) <= 1e-10
+    assert max(abs(a - b) for a, b in zip(back.as_tuple(), chart)) <= 1e-10
 
 
 # -- transition and coverage -------------------------------------------------
 
 def test_transition_examples():
-    assert fb.bundle_transition([1, 1, 1], "01") == (1, 1, 1)
+    assert np.array_equal(fb.bundle_transition([1, 1, 1], "01"), [1, 1, 1])
     out = fb.bundle_transition([1j, 1, 1], "01")
     assert out[0] == pytest.approx(1j) and out[1] == pytest.approx(1j)
     assert out[2] == pytest.approx(1.0)
@@ -532,10 +555,10 @@ def test_chart_coverage_classification(rng):
     fibers = fb.edge_fibers()
     cov0 = fb.chart_coverage(fibers[0].base)
     assert cov0.in_chart_m0 and not cov0.in_chart_m1
-    assert cov0.vanishing_head == (0,)
+    assert np.array_equal(cov0.vanishing_head, [True, False, False])
     cov1 = fb.chart_coverage(fibers[1].base)
     assert cov1.in_chart_m1 and not cov1.in_chart_m0
-    assert cov1.vanishing_head == (1,)
+    assert np.array_equal(cov1.vanishing_head, [False, True, False])
     for _ in range(50):
         cov = fb.chart_coverage(fb.sample_fiber5(rng))
         assert cov.ok and cov.in_chart_m0 and cov.in_chart_m1
@@ -595,8 +618,7 @@ def test_second_orbit_fiber5(rng):
         point = fb.orbit_swap(fb.sample_fiber5(rng, method=method))
         assert plucker_relation_residual(point) <= 1e-10
         assert fb.moment_residual(point, Q_PLUS) <= 1e-10
-        chart = fb.fiber5_chart(fb.orbit_swap(point))
-        f1, f2, f3 = fb.complete_intersection_f(chart)
+        f1, f2, f3 = fb.complete_intersection_f(chart_array(fb.orbit_swap(point)))
         assert max(abs(f1), abs(f2 + 1), abs(f3)) <= 1e-9
 
 
@@ -606,14 +628,14 @@ def test_second_orbit_roundtrips(rng):
     phases = fb.random_phases(rng, 3)
     mirror = fb.orbit_swap(fb.surface_torus_param(section, phases))
     recovered, t = fb.surface_torus_preimage(fb.orbit_swap(mirror))
-    assert max(abs(recovered.z0 - section.z0), abs(recovered.z1 - section.z1)) <= 1e-10
+    assert np.max(np.abs(recovered[:2] - section[:2])) <= 1e-10
     assert np.max(np.abs(t - phases)) <= 1e-10
     sphere = fb.sample_sphere_section(rng)
     t1, t2 = fb.random_phases(rng, 2)
     mirror = fb.orbit_swap(fb.sphere_torus_param(sphere, t1, t2))
     recovered, s1, s2 = fb.sphere_torus_preimage(fb.orbit_swap(mirror))
-    assert max(abs(recovered.z0 - sphere.z0), abs(recovered.z1 - sphere.z1),
-               abs(recovered.z2 - sphere.z2), abs(s1 - t1), abs(s2 - t2)) <= 1e-10
+    assert np.max(np.abs(recovered[:3] - sphere[:3])) <= 1e-10
+    assert max(abs(s1 - t1), abs(s2 - t2)) <= 1e-10
     z0, z1, z2 = fb.random_sphere_triple(rng)
     t4, t5 = fb.random_phases(rng, 2)
     mirror = fb.orbit_swap(fb.fiber7_param(z0, z1, z2, t4, t5))
@@ -703,16 +725,19 @@ def test_batched_helpers_equal_their_one_point_views(rng):
     dims = fb.tangent_fiber_dimension(points, include_quadric=True)
     coverage = fb.chart_coverage(points)
     for k, point in enumerate(points):
-        f1, f2, f3 = fb.complete_intersection_f(fb.fiber5_chart(point))
+        f1, f2, f3 = fb.complete_intersection_f(chart_array(point))
         assert np.array_equal(deviation[k], np.abs([f1, f2 + 1.0, f3]))
-        assert ranks[k] == fb.jacobian_rank(*fb.fiber5_chart(point).as_uv()) == 3
+        assert ranks[k] == fb.jacobian_rank(chart_array(point)) == 3
         assert dims[k] == fb.tangent_fiber_dimension(point, include_quadric=True) == 5
         single = fb.chart_coverage(point)
         assert single.ok == coverage.ok[k] and single.margin == coverage.margin[k]
+        assert single.vanishing_head.shape == (3,)
+        assert np.array_equal(single.vanishing_head, coverage.vanishing_head[k])
     t = fb.random_phases(rng, (100, 3))
     forward = fb.bundle_transition(t, "01")
     for k in range(100):
-        assert np.array_equal(forward[k], fb.bundle_transition(t[k], "01"))
+        one = fb.bundle_transition(t[k], "01")
+        assert one.shape == (3,) and np.array_equal(one, forward[k])
     assert fb.cocycle_error(t) <= 1e-12
 
 
@@ -731,10 +756,10 @@ def test_certificate_names_failed_checks(rng):
 
 def test_surface_sampler_batch_keeps_thresholds(rng):
     sections = fb.sample_surface_section(rng, count=3000)
-    assert sections.z0.shape == (3000,)
-    assert not np.any(sections.on_circle)
-    assert np.max(sections.surface_residual()) <= 1e-10
-    assert np.min(np.abs(sections.z0)) > 0.0 and np.min(np.abs(sections.coords[:, 2])) > 0.0
+    assert sections.shape == (3000, 6)
+    assert not np.any(on_circle(sections))
+    assert np.max(plucker_relation_residual(sections)) <= 1e-10
+    assert np.min(np.abs(sections[:, 0])) > 0.0 and np.min(np.abs(sections[:, 2])) > 0.0
     with pytest.raises(RuntimeError):
         fb.sample_surface_section(rng, max_trials=0)
 
@@ -750,14 +775,14 @@ def test_nan_head_is_refused():
     with pytest.raises(ValueError):
         fb.tail_magnitudes(float("nan"), 0.0, 0.0)
     with pytest.raises(ValueError):
-        fb.SurfaceSection(float("nan"), 0.0)
+        fb.surface_circle(float("nan"))
     with pytest.raises(ValueError):
         fb.surface_section(float("nan"), 0.1)
 
 
 def test_nan_chart_point_is_refused_by_jacobian_rank():
     with pytest.raises(ValueError):
-        fb.jacobian_rank(np.full(4, np.nan), np.zeros(4))
+        fb.jacobian_rank(np.full(4, np.nan, dtype=complex))
 
 
 def test_nan_point_is_refused_by_certificates(rng):
@@ -779,8 +804,8 @@ near_root = st.one_of(st.just(ROOT_SIXTH),
 
 
 def _check_section(section, r0, r1):
-    assert abs(abs(section.z0) - r0) <= 1e-11 and abs(abs(section.z1) - r1) <= 1e-11
-    assert section.surface_residual() <= 1e-10
+    assert abs(abs(section[0]) - r0) <= 1e-11 and abs(abs(section[1]) - r1) <= 1e-11
+    assert plucker_relation_residual(section) <= 1e-10
 
 
 @given(r0=st.floats(0.0, 0.6), r1=st.floats(0.0, 0.6), branch=st.sampled_from([1, -1]))
@@ -805,7 +830,7 @@ def test_surface_section_circle_branch(theta):
         assert abs(r0 - r1) > 1e-12
         return
     _check_section(section, r0, r1)
-    assert section.on_circle and abs(section.coords[2]) <= 1e-8
+    assert on_circle(section) and abs(section[2]) <= 1e-8
     target = normalize_projective([1.0, 1.0])
     assert projective_distance(fb.base_projection(section), target) <= 1e-9
 
@@ -823,6 +848,6 @@ def test_surface_section_vanishing_head_branch(r, vanishing):
         return
     _check_section(section, r0, r1)
     assert abs(r * r - 1 / 6) <= 1e-9
-    assert (section.z0, section.z1)[vanishing] == 0
+    assert section[vanishing] == 0
     target = [1.0, 0.0] if vanishing == 0 else [0.0, 1.0]
     assert projective_distance(fb.base_projection(section), normalize_projective(target)) <= 1e-12
