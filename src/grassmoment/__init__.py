@@ -26,9 +26,7 @@ from .moment import (
     weight_vectors,
 )
 from .plucker import (
-    ChartCoords4,
     GrassmannPoint,
-    ProjectivePoint,
     chart_coords,
     from_chart,
     normalize_projective,

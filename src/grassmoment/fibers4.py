@@ -32,7 +32,7 @@ import numpy as np
 
 from .exactgeom import Vector, solve_exact
 from .moment import hypersimplex_moment, weight_vectors
-from .plucker import chart_array, normalize_projective, plucker_relation_residual
+from .plucker import as_coords6, chart_array, normalize_projective, plucker_relation_residual
 from .regularity import CHAMBER_POINT_MINUS
 
 F = Fraction
@@ -87,16 +87,9 @@ def _stack(*values) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in values)), -1)
 
 
-def _as_coords6(point) -> np.ndarray:
-    z = np.asarray(point, dtype=complex)
-    if z.shape[-1:] != (6,):
-        raise ValueError("expected six homogeneous coordinates")
-    return z
-
-
 def orbit_swap(z) -> np.ndarray:
     """Apply the coordinate swap between the two chamber orbits."""
-    return _as_coords6(z)[..., ORBIT_SWAP]
+    return as_coords6(z)[..., ORBIT_SWAP]
 
 
 def _check_unit_phases(phases) -> np.ndarray:
@@ -137,7 +130,7 @@ def fiber7_param(z0, z1, z2, t4, t5) -> np.ndarray:
 
 def fiber7_preimage(z):
     """Recover (z0, z1, z2, t4, t5); unique because z4, z5 never vanish."""
-    w = _as_coords6(z)
+    w = as_coords6(z)
     w = w * (np.conj(w[..., 3]) / np.abs(w[..., 3]))[..., None]
     z0, z1, z2, _, z4, z5 = _split(w)
     return z0, z1, z2, z4 / np.abs(z4), z5 / np.abs(z5)
@@ -381,7 +374,7 @@ def sample_surface_section(rng: np.random.Generator, max_trials: int = 10000,
 def rotate_section(section, phase) -> np.ndarray:
     """Apply a common phase to the head coordinates of a section point."""
     phase = _check_unit_phases(phase)
-    return _section(*_split(_as_coords6(section)[..., :3] * phase[..., None]))
+    return _section(*_split(as_coords6(section)[..., :3] * phase[..., None]))
 
 
 def sample_sphere_section(rng: np.random.Generator,
@@ -398,13 +391,13 @@ def sample_sphere_section(rng: np.random.Generator,
 def surface_torus_param(section, phases) -> np.ndarray:
     """Image of (section point, t1, t2, t3) under (t1, t2, t3, 1, t3/t2, t3/t1)."""
     t1, t2, t3 = _split(_check_unit_phases(phases))
-    z0, z1, m2, m3, m4, m5 = _split(_as_coords6(section))
+    z0, z1, m2, m3, m4, m5 = _split(as_coords6(section))
     return _stack(t1 * z0, t2 * z1, t3 * m2, m3, (t3 / t2) * m4, (t3 / t1) * m5)
 
 
 def surface_torus_preimage(z):
     """Invert the surface parametrization; on the circle the t3 = 1 branch is used."""
-    w0, w1, w2, _, w4, w5 = _split(_as_coords6(z))
+    w0, w1, w2, _, w4, w5 = _split(as_coords6(z))
     off_circle = np.abs(w2) > _ZERO_TOL
     t3 = np.where(off_circle, w2 / np.where(off_circle, np.abs(w2), 1.0), 1.0 + 0.0j)
     t1 = t3 * np.abs(w5) / w5
@@ -415,13 +408,13 @@ def surface_torus_preimage(z):
 def sphere_torus_param(section, t1, t2) -> np.ndarray:
     """Image of (section point, t1, t2) under (t1, t2, 1, 1, 1/t2, 1/t1)."""
     t1, t2 = _split(_check_unit_phases(_stack(t1, t2)))
-    z0, z1, z2, m3, m4, m5 = _split(_as_coords6(section))
+    z0, z1, z2, m3, m4, m5 = _split(as_coords6(section))
     return _stack(t1 * z0, t2 * z1, z2, m3, m4 / t2, m5 / t1)
 
 
 def sphere_torus_preimage(z):
     """Invert the sphere parametrization by reading phases off z4 and z5."""
-    w0, w1, w2, _, w4, w5 = _split(_as_coords6(z))
+    w0, w1, w2, _, w4, w5 = _split(as_coords6(z))
     t2 = np.abs(w4) / w4
     t1 = np.abs(w5) / w5
     return _section(w0 / t1, w1 / t2, w2), t1, t2
@@ -450,7 +443,7 @@ def sample_fiber5_mixed(rng: np.random.Generator, surface) -> np.ndarray:
 
 def surface_roundtrip_error(section, phases):
     """Parameter recovery error off the circle, reconstruction error on it."""
-    section, phases = _as_coords6(section), np.asarray(phases, dtype=complex)
+    section, phases = as_coords6(section), np.asarray(phases, dtype=complex)
     point = surface_torus_param(section, phases)
     recovered, t = surface_torus_preimage(point)
     rebuilt = surface_torus_param(recovered, t)
@@ -462,7 +455,7 @@ def surface_roundtrip_error(section, phases):
 
 
 def sphere_roundtrip_error(section, t1, t2):
-    section = _as_coords6(section)
+    section = as_coords6(section)
     point = sphere_torus_param(section, t1, t2)
     recovered, s1, s2 = sphere_torus_preimage(point)
     return np.max(np.abs(np.concatenate(
@@ -478,12 +471,12 @@ def hopf_projection(point) -> np.ndarray:
 
     Images of section points satisfy c0 - c1 - c2 = 0.
     """
-    z = _as_coords6(point)
+    z = as_coords6(point)
     return normalize_projective(z[..., [1, 0, 2]] * np.abs(z[..., [4, 5, 3]]))
 
 
 def _base_products(point) -> np.ndarray:
-    z = _as_coords6(point)
+    z = as_coords6(point)
     return z[..., [1, 0]] * np.abs(z[..., [4, 5]])
 
 
@@ -559,7 +552,7 @@ def affine_representative(z) -> np.ndarray:
 
     The pivot is coordinate 3, which never vanishes on the fiber.
     """
-    w = _as_coords6(z)
+    w = as_coords6(z)
     w = w / np.linalg.norm(w, axis=-1, keepdims=True)
     pivot = np.abs(w[..., 3])
     if not np.all(pivot > _ZERO_TOL):
@@ -652,7 +645,7 @@ def complete_intersection_survey(points, fd_every: int = 25):
     (|f1|, |f2 + 1|, |f3|), the Jacobian ranks at relative threshold 1e-6,
     and the largest gap between the closed-form and the finite-difference
     Jacobian over every fd_every-th point."""
-    a = chart_array(_as_coords6(points))
+    a = chart_array(as_coords6(points))
     f, _, singular = _chart_checks(a)
     fd = max((float(np.max(np.abs(ci_jacobian(a[k]) - ci_jacobian_fd(a[k]))))
               for k in range(0, len(a), fd_every)), default=0.0)
@@ -711,7 +704,7 @@ class ChartCoverage:
 def chart_coverage(z, tol: float = _COVERAGE_TOL) -> ChartCoverage:
     """Certify the chart picture: the tail minors never vanish, and the point
     lies over chart 0 iff z1 is nonzero, over chart 1 iff z0 is nonzero."""
-    w = np.abs(_as_coords6(z))
+    w = np.abs(as_coords6(z))
     min_tail = np.min(w[..., 3:], axis=-1)
     margin = np.minimum(min_tail, np.maximum(w[..., 0], w[..., 1]))
     return ChartCoverage(min_tail=min_tail, vanishing_head=~(w[..., :3] > tol),
@@ -731,7 +724,7 @@ def tangent_fiber_dimension(z, include_quadric: bool = False, tol: float = 1e-6)
     the real and imaginary parts of the plane quadric.  The fiber
     dimension is 12 minus the rank minus 1 for the Hopf circle.
     """
-    z = _as_coords6(z)
+    z = as_coords6(z)
     z = z / np.linalg.norm(z, axis=-1, keepdims=True)
     rows = [np.concatenate([2.0 * z.real * w, 2.0 * z.imag * w], axis=-1)
             for w in list(weight_vectors(4).T.astype(float)) + [np.ones(6)]]
@@ -750,13 +743,13 @@ def tangent_fiber_dimension(z, include_quadric: bool = False, tol: float = 1e-6)
 def moment_residual(z, target):
     """Max-norm distance of the moment image from the chamber point target."""
     target = np.array(target, dtype=float)
-    return np.max(np.abs(hypersimplex_moment(_as_coords6(z), 4) - target), axis=-1)
+    return np.max(np.abs(hypersimplex_moment(as_coords6(z), 4) - target), axis=-1)
 
 
 def fiber7_residuals(z) -> dict:
     """Norm and moment residuals, the deviation from the tail magnitude
     system after unit normalization, and the smallest tail modulus."""
-    z = _as_coords6(z)
+    z = as_coords6(z)
     s0, s1, s2, s3, s4, s5 = _split(np.abs(z / np.linalg.norm(z, axis=-1, keepdims=True)) ** 2)
     magnitudes = np.stack([s3 - (s0 + s1 + 4.0 * s2) / 3.0, s4 - (s0 + 4.0 * s1 + s2) / 3.0,
                            s5 - (4.0 * s0 + s1 + s2) / 3.0], axis=-1)
@@ -772,7 +765,7 @@ def fiber5_residuals(z) -> dict:
     """fiber7_residuals plus the quadric residual, on the point as given
     ('plucker') and on its affine representative ('surface')."""
     out = fiber7_residuals(z)
-    out["plucker"] = plucker_relation_residual(_as_coords6(z))
+    out["plucker"] = plucker_relation_residual(as_coords6(z))
     out["surface"] = plucker_relation_residual(affine_representative(z))
     return out
 
@@ -826,7 +819,7 @@ def certify(kind: str, z, tolerances: dict[str, float] | None = None) -> Certifi
     if kind not in ("mq7", "mq5", "m2", "m3"):
         raise ValueError(f"unknown fiber kind {kind!r}")
     tol = {**DEFAULT_TOLERANCES, **(tolerances or {})}
-    z = _as_coords6(z)
+    z = as_coords6(z)
     if z.ndim != 2:
         raise ValueError("expected an (N, 6) array of fiber points")
     if not np.all(np.isfinite(z)):
@@ -849,7 +842,7 @@ def certify(kind: str, z, tolerances: dict[str, float] | None = None) -> Certifi
 
 def build_certificate(kind: str, z, tolerances: dict[str, float] | None = None) -> tuple[dict, bool]:
     """Certificate of one point, JSON-ready: ``certify`` at N = 1."""
-    batch = certify(kind, _as_coords6(z)[None], tolerances)
+    batch = certify(kind, as_coords6(z)[None], tolerances)
     return batch.to_json()[0], bool(batch.passed[0])
 
 

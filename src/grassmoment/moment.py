@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .exactgeom import hypersimplex_vertices, pairs_lex
-from .plucker import GrassmannPoint, ProjectivePoint, plucker_embed
+from .plucker import GrassmannPoint, plucker_embed
 
 
 def weight_vectors(n: int) -> np.ndarray:
@@ -41,8 +41,9 @@ def symmetric_power_phases(t: Sequence[complex], n: int) -> np.ndarray:
     return np.array([t[i - 1] * t[j - 1] for i, j in pairs_lex(n)], dtype=complex)
 
 
-def _squared_profile(point) -> np.ndarray:
-    coords = point.coords if isinstance(point, ProjectivePoint) else np.asarray(point, dtype=complex)
+def simplex_moment(point) -> np.ndarray:
+    """Standard moment map CP^N -> Delta^N: normalized squared moduli, along the last axis."""
+    coords = np.asarray(point, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         profile = np.abs(coords) ** 2
         total = profile.sum(axis=-1, keepdims=True)
@@ -54,17 +55,12 @@ def _squared_profile(point) -> np.ndarray:
     return profile / total
 
 
-def simplex_moment(point) -> np.ndarray:
-    """Standard moment map CP^N -> Delta^N: normalized squared moduli."""
-    return _squared_profile(point)
-
-
 def hypersimplex_moment(point, n: int) -> np.ndarray:
     """Moment map CP^N -> hypersimplex: weight-vector average of |z_i|^2.
 
     Works along the last axis, so an (N, C(n,2)) batch gives (N, n) images.
     """
-    profile = _squared_profile(point)
+    profile = simplex_moment(point)
     weights = weight_vectors(n)
     if profile.shape[-1] != weights.shape[0]:
         raise ValueError(

@@ -61,21 +61,6 @@ def projective_distance(u, v) -> float:
 
 
 @dataclass(frozen=True)
-class ProjectivePoint:
-    """Point of CP^N stored in canonical normalization."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        canonical = normalize_projective(self.coords)
-        canonical.setflags(write=False)
-        object.__setattr__(self, "coords", canonical)
-
-    def to_json(self) -> list[list[float]]:
-        return [[float(c.real), float(c.imag)] for c in self.coords]
-
-
-@dataclass(frozen=True)
 class GrassmannPoint:
     """A 2-plane in C^n as a certified rank-2 complex 2 x n matrix."""
 
@@ -106,12 +91,21 @@ class GrassmannPoint:
         return self.matrix.shape[1]
 
 
-def plucker_embed(plane: GrassmannPoint) -> ProjectivePoint:
-    """Plücker image: the 2 x 2 column minors in lexicographic pair order."""
+def plucker_embed(plane: GrassmannPoint) -> np.ndarray:
+    """Plücker image: the 2 x 2 column minors in lexicographic pair order,
+    as the canonical representative of normalize_projective."""
     m = plane.matrix
     minors = [m[0, i - 1] * m[1, j - 1] - m[0, j - 1] * m[1, i - 1]
               for i, j in pairs_lex(plane.n)]
-    return ProjectivePoint(np.array(minors, dtype=complex))
+    return normalize_projective(minors)
+
+
+def as_coords6(point) -> np.ndarray:
+    """Six homogeneous coordinates of CP^5 along the last axis, as a complex array."""
+    z = np.asarray(point, dtype=complex)
+    if z.shape[-1:] != (6,):
+        raise ValueError("expected six homogeneous coordinates")
+    return z
 
 
 def plucker_relation_residual(point) -> float:
@@ -120,23 +114,8 @@ def plucker_relation_residual(point) -> float:
     The value is scale dependent, so callers pass a normalized point; the
     coordinates are used exactly as handed in.
     """
-    z = point.coords if isinstance(point, ProjectivePoint) else np.asarray(point, dtype=complex)
-    if z.shape[-1:] != (6,):
-        raise ValueError("expected 6 homogeneous coordinates")
+    z = as_coords6(point)
     return np.abs(z[..., 0] * z[..., 5] + z[..., 2] * z[..., 3] - z[..., 1] * z[..., 4])
-
-
-@dataclass(frozen=True)
-class ChartCoords4:
-    """Affine coordinates on the chart of G(4,2) where the {2,3}-minor is nonzero."""
-
-    a1: complex
-    a2: complex
-    a3: complex
-    a4: complex
-
-    def as_tuple(self) -> tuple[complex, complex, complex, complex]:
-        return (self.a1, self.a2, self.a3, self.a4)
 
 
 def chart_array(z) -> np.ndarray:
@@ -145,25 +124,22 @@ def chart_array(z) -> np.ndarray:
     z holds the six Plücker coordinates in lexicographic pair order along
     its last axis: shape (6,) gives (4,), shape (N, 6) gives (N, 4).
     """
-    z = np.asarray(z, dtype=complex)
+    z = as_coords6(z)
     if not np.all(np.abs(z[..., 3]) > COORD_TOL):
         raise ValueError("outside chart: the {2,3}-minor vanishes")
     return np.stack([z[..., 1], -z[..., 5], -z[..., 0], z[..., 4]], axis=-1) / z[..., 3:4]
 
 
-def chart_coords(plane: GrassmannPoint) -> ChartCoords4:
-    """Chart coordinates of a plane in C^4; see chart_array."""
+def chart_coords(plane: GrassmannPoint) -> np.ndarray:
+    """Chart coordinates of a plane in C^4, a (4,) array; see chart_array."""
     if plane.n != 4:
         raise ValueError("chart coordinates are defined for n = 4")
-    return ChartCoords4(*(complex(a) for a in chart_array(plucker_embed(plane).coords)))
+    return chart_array(plucker_embed(plane))
 
 
 def from_chart(coords) -> GrassmannPoint:
-    """Plane with {2,3}-minor 1 realizing the given chart coordinates."""
-    if isinstance(coords, ChartCoords4):
-        a1, a2, a3, a4 = coords.as_tuple()
-    else:
-        a1, a2, a3, a4 = (complex(c) for c in coords)
+    """Plane with {2,3}-minor 1 realizing the four chart coordinates."""
+    a1, a2, a3, a4 = (complex(c) for c in coords)
     matrix = np.array([[a1, 1.0, 0.0, a2],
                        [a3, 0.0, 1.0, a4]], dtype=complex)
     return GrassmannPoint(matrix)

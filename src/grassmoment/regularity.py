@@ -248,15 +248,13 @@ def is_regular_projective_bruteforce(x: Sequence[Fraction], n: int) -> bool:
 
 
 def _representative_candidates() -> Iterator[Vector]:
-    """Interior rational candidates: the eight reference points, then a grid."""
+    """The eight reference points: the coordinate permutations of q- and q+."""
     for base in (CHAMBER_POINT_MINUS, CHAMBER_POINT_PLUS):
         special, common = base[0], base[1]
         for position in range(4):
             point = [common] * 4
             point[position] = special
             yield tuple(point)
-    for point in hypersimplex_grid(4, 9):
-        yield point
 
 
 def enumerate_chambers(n: int = 4) -> list[ChamberReport]:
@@ -268,8 +266,6 @@ def enumerate_chambers(n: int = 4) -> list[ChamberReport]:
         signs, regular, _ = classify_point(x, 4)
         if regular:
             found.setdefault(signs, x)
-        if len(found) == 8:
-            break
     return [ChamberReport(id=signs, dimension=3, representative=x)
             for signs, x in sorted(found.items())]
 

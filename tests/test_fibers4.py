@@ -526,10 +526,10 @@ def test_chart_consistency_with_plucker_chart(rng):
 
     point = fb.sample_fiber5(rng)
     chart = chart_array(point)
-    rebuilt = plucker_embed(from_chart(chart)).coords
+    rebuilt = plucker_embed(from_chart(chart))
     assert projective_distance(rebuilt, point) <= 1e-10
     back = chart_coords(from_chart(chart))
-    assert max(abs(a - b) for a, b in zip(back.as_tuple(), chart)) <= 1e-10
+    assert max(abs(a - b) for a, b in zip(back, chart)) <= 1e-10
 
 
 # -- transition and coverage -------------------------------------------------

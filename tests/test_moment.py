@@ -117,7 +117,7 @@ def test_moment_composition_on_chart_plane():
 
 def test_torus_invariance():
     for _ in range(20):
-        z = plucker_embed(random_plane(4)).coords
+        z = plucker_embed(random_plane(4))
         phases = symmetric_power_phases(np.exp(2j * np.pi * RNG.uniform(size=4)), 4)
         moved = z * phases
         assert np.max(np.abs(hypersimplex_moment(moved, 4)

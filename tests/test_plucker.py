@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
+from grassmoment.exactgeom import pairs_lex
 from grassmoment.moment import symmetric_power_phases
 from grassmoment.plucker import (
-    ChartCoords4,
     GrassmannPoint,
-    ProjectivePoint,
+    chart_array,
     chart_coords,
     from_chart,
     normalize_projective,
@@ -27,13 +27,13 @@ def random_plane(n=4):
 
 def test_embed_coordinate_plane():
     plane = GrassmannPoint(np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex))
-    z = plucker_embed(plane).coords
+    z = plucker_embed(plane)
     assert np.allclose(z, [1, 0, 0, 0, 0, 0])
 
 
 def test_embed_sum_plane():
     plane = GrassmannPoint(np.array([[1, 0, 1, 0], [0, 1, 0, 1]], dtype=complex))
-    z = plucker_embed(plane).coords
+    z = plucker_embed(plane)
     expected = np.array([1, 0, 1, -1, 0, 1], dtype=complex) / 2.0
     assert np.max(np.abs(z - expected)) < 1e-14
 
@@ -59,29 +59,29 @@ def test_quadric_residual_values():
 
 
 def test_chart_round_trip():
-    a = ChartCoords4(1, 2, 3, 4)
+    a = [1, 2, 3, 4]
     plane = from_chart(a)
     back = chart_coords(plane)
-    assert max(abs(x - y) for x, y in zip(back.as_tuple(), a.as_tuple())) < 1e-12
+    assert max(abs(x - y) for x, y in zip(back, a)) < 1e-12
 
-    a = ChartCoords4(1 + 2j, -0.5j, 3 - 1j, 4 + 0.25j)
+    a = [1 + 2j, -0.5j, 3 - 1j, 4 + 0.25j]
     back = chart_coords(from_chart(a))
-    assert max(abs(x - y) for x, y in zip(back.as_tuple(), a.as_tuple())) < 1e-12
+    assert max(abs(x - y) for x, y in zip(back, a)) < 1e-12
 
 
 def test_from_chart_inverts_chart_coords_projectively():
     for _ in range(20):
         plane = random_plane()
         embedded = plucker_embed(plane)
-        if abs(embedded.coords[3]) <= 1e-6:
+        if abs(embedded[3]) <= 1e-6:
             continue
         rebuilt = plucker_embed(from_chart(chart_coords(plane)))
-        assert projective_distance(rebuilt.coords, embedded.coords) < 1e-10
+        assert projective_distance(rebuilt, embedded) < 1e-10
 
 
 def test_chart_of_coordinate_plane():
     plane = GrassmannPoint(np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=complex))
-    assert chart_coords(plane).as_tuple() == (0, 0, 0, 0)
+    assert chart_coords(plane).tolist() == [0, 0, 0, 0]
 
 
 def test_outside_chart_rejected():
@@ -92,10 +92,10 @@ def test_outside_chart_rejected():
 
 def test_from_chart_ones_satisfies_quadric():
     # The embedded point is (-1 : 1 : 0 : 1 : 1 : -1) up to normalization.
-    z = plucker_embed(from_chart(ChartCoords4(1, 1, 1, 1)))
+    z = plucker_embed(from_chart([1, 1, 1, 1]))
     assert plucker_relation_residual(z) < 1e-12
     expected = normalize_projective(np.array([-1, 1, 0, 1, 1, -1], dtype=complex))
-    assert projective_distance(z.coords, expected) < 1e-12
+    assert projective_distance(z, expected) < 1e-12
 
 
 def test_embed_is_torus_equivariant():
@@ -103,8 +103,8 @@ def test_embed_is_torus_equivariant():
         plane = random_plane()
         phases = np.exp(2j * np.pi * RNG.uniform(size=4))
         scaled = GrassmannPoint(plane.matrix * phases[None, :])
-        left = plucker_embed(scaled).coords
-        right = normalize_projective(plucker_embed(plane).coords
+        left = plucker_embed(scaled)
+        right = normalize_projective(plucker_embed(plane)
                                      * symmetric_power_phases(phases, 4))
         assert projective_distance(left, right) < 1e-10
 
@@ -126,4 +126,21 @@ def test_nonfinite_coordinates_are_named(coords):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="must be finite"):
-            ProjectivePoint(np.array(coords))
+            normalize_projective(np.array(coords))
+
+
+def test_embed_is_the_canonical_representative_of_the_minors():
+    m = np.array([[1 + 2j, -0.5, 3j, 0.25, 2], [0.5j, 1, -1 + 1j, 4, 0]])
+    minors = [m[0, i - 1] * m[1, j - 1] - m[0, j - 1] * m[1, i - 1] for i, j in pairs_lex(5)]
+    assert np.array_equal(plucker_embed(GrassmannPoint(m)), normalize_projective(minors))
+
+
+@pytest.mark.parametrize("z", [
+    # An n = 5 Plücker vector: without a shape check its {1,5}-minor would
+    # pass for the {2,3}-minor and give four wrong chart numbers.
+    plucker_embed(GrassmannPoint(np.array([[1, 0, 1, 0, 1], [0, 1, 0, 1, 1]], dtype=complex))),
+    np.ones(3, dtype=complex),
+], ids=["n5", "length3"])
+def test_chart_array_rejects_a_wrong_length(z):
+    with pytest.raises(ValueError, match="expected six homogeneous coordinates"):
+        chart_array(z)
