@@ -10,7 +10,6 @@ from .exactgeom import (
     format_sign_vector,
     format_vector,
     hypersimplex_vertices,
-    in_hypersimplex,
     pairs_lex,
     parse_vector,
     rational,
@@ -27,7 +26,6 @@ from .moment import (
 )
 from .plucker import (
     GrassmannPoint,
-    chart_coords,
     from_chart,
     normalize_projective,
     plucker_embed,
@@ -37,23 +35,18 @@ from .plucker import (
 from .regularity import (
     CHAMBER_POINT_MINUS,
     CHAMBER_POINT_PLUS,
-    AdmissiblePolytope,
     ChamberOrbit,
     ChamberReport,
-    StabilizerReport,
     center_point_regular,
-    polytope_of_support,
     chamber_orbits,
     classify_point,
     enumerate_chambers,
-    hypersimplex_grid,
     is_regular_grassmann,
     is_regular_projective,
     is_regular_projective_bruteforce,
     largest_chamber_witness,
+    orbit_dimension,
     projective_bruteforce_verdicts,
-    stabilizer_dim,
-    support_from_pairs,
 )
 
 __version__ = "0.1.0"

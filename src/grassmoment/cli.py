@@ -130,6 +130,10 @@ def cmd_moment(args) -> int:
     elif args.map == "mu_tilde":
         output = hypersimplex_moment(coords, args.n)
     else:
+        expected = math.comb(args.n, 2)
+        if coords.shape[-1] != expected:
+            raise ValueError(
+                f"point has {coords.shape[-1]} coordinates, expected {expected} for n={args.n}")
         output = simplex_moment(coords)
     _emit({"map": args.map, "n": args.n, "input": echo, "output": output.tolist()},
           args.json_out)

@@ -79,11 +79,6 @@ def hypersimplex_vertices(n: int) -> list[Vector]:
     return verts
 
 
-def in_hypersimplex(x: Sequence[Fraction]) -> bool:
-    """Exact membership test for {0 <= x_i <= 1, sum x_i = 2}."""
-    return all(0 <= v <= 1 for v in x) and sum(x) == 2
-
-
 @lru_cache(maxsize=16)
 def arrangement_for_n(n: int) -> tuple[int, ...]:
     """All hyperplanes sum_{i in T} x_i = 1 with 2 <= |T| <= n//2, each as

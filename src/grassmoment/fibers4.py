@@ -422,6 +422,7 @@ def sphere_torus_preimage(z):
 
 def sample_fiber5(rng: np.random.Generator, method: str = "surface",
                   count: int | None = None) -> np.ndarray:
+    """5-fiber points; a public name because perfbench's tracer looks it up."""
     if method == "surface":
         return surface_torus_param(sample_surface_section(rng, count=count),
                                    random_phases(rng, _shape(count, 3)))
@@ -634,8 +635,9 @@ def _rank(singular: np.ndarray, tol: float):
 def jacobian_rank(a, tol: float = 1e-6):
     """Numerical rank of the chart Jacobian at a fiber chart point.
 
-    Requires the equipotential values (0, -1, 0) to hold to 1e-8 first;
-    rank is counted by singular values above tol times the largest.
+    Requires the equipotential values (0, -1, 0) to hold to 1e-8 first, and
+    counts singular values above tol times the largest.  A public name
+    because perfbench's tracer looks it up.
     """
     return _rank(_chart_checks(a)[2], tol)
 
@@ -721,8 +723,9 @@ def tangent_fiber_dimension(z, include_quadric: bool = False, tol: float = 1e-6)
 
     The constraints on the unit sphere of C^6 are the four moment
     coordinates plus the norm (one dependency among them), and optionally
-    the real and imaginary parts of the plane quadric.  The fiber
-    dimension is 12 minus the rank minus 1 for the Hopf circle.
+    the real and imaginary parts of the plane quadric.  The fiber dimension,
+    12 - rank - 1 for the Hopf circle, is 10 - r on CP^5 and 8 - r on G(4,2)
+    for r = regularity.orbit_dimension of the support of z.
     """
     z = as_coords6(z)
     z = z / np.linalg.norm(z, axis=-1, keepdims=True)
@@ -841,7 +844,7 @@ def certify(kind: str, z, tolerances: dict[str, float] | None = None) -> Certifi
 
 
 def build_certificate(kind: str, z, tolerances: dict[str, float] | None = None) -> tuple[dict, bool]:
-    """Certificate of one point, JSON-ready: ``certify`` at N = 1."""
+    """``certify`` at N = 1, JSON-ready; kept because perfbench's tracer looks it up."""
     batch = certify(kind, as_coords6(z)[None], tolerances)
     return batch.to_json()[0], bool(batch.passed[0])
 

@@ -34,7 +34,11 @@ def weight_vectors(n: int) -> np.ndarray:
 
 
 def symmetric_power_phases(t: Sequence[complex], n: int) -> np.ndarray:
-    """Second symmetric power of a torus element: products t_i * t_j, lex order."""
+    """Second symmetric power of a torus element: products t_i * t_j, lex order.
+
+    This is the paper's representation T^n -> T^N, kept as the oracle the
+    equivariance of the Plücker embedding and the moment maps is tested against.
+    """
     t = np.asarray(t, dtype=complex)
     if t.shape != (n,):
         raise ValueError(f"expected {n} phases, got shape {t.shape}")
@@ -97,16 +101,6 @@ def weight_map(x: Sequence, n: int):
     return np.asarray(x, dtype=float) @ weight_vectors(n)
 
 
-def hypersimplex_residual(x, n: int) -> float:
-    """How far a real vector is from {0 <= x_i <= 1, sum = 2}, in max norm."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"expected length {n}")
-    below = float(np.max(np.maximum(-x, 0.0), initial=0.0))
-    above = float(np.max(np.maximum(x - 1.0, 0.0), initial=0.0))
-    return max(below, above, abs(float(x.sum()) - 2.0))
-
-
 __all__ = [
     "weight_vectors",
     "symmetric_power_phases",
@@ -114,5 +108,4 @@ __all__ = [
     "hypersimplex_moment",
     "grassmann_moment",
     "weight_map",
-    "hypersimplex_residual",
 ]

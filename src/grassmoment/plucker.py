@@ -130,15 +130,10 @@ def chart_array(z) -> np.ndarray:
     return np.stack([z[..., 1], -z[..., 5], -z[..., 0], z[..., 4]], axis=-1) / z[..., 3:4]
 
 
-def chart_coords(plane: GrassmannPoint) -> np.ndarray:
-    """Chart coordinates of a plane in C^4, a (4,) array; see chart_array."""
-    if plane.n != 4:
-        raise ValueError("chart coordinates are defined for n = 4")
-    return chart_array(plucker_embed(plane))
-
-
 def from_chart(coords) -> GrassmannPoint:
-    """Plane with {2,3}-minor 1 realizing the four chart coordinates."""
+    """Plane with {2,3}-minor 1 realizing the four chart coordinates: the
+    inverse of chart_array, kept as the oracle its round trips are tested
+    against."""
     a1, a2, a3, a4 = (complex(c) for c in coords)
     matrix = np.array([[a1, 1.0, 0.0, a2],
                        [a3, 0.0, 1.0, a4]], dtype=complex)

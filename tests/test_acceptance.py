@@ -4,11 +4,14 @@ Each test prints a PASS/FAIL line so a plain pytest run doubles as the
 acceptance record.
 """
 
+import ast
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
 
+import grassmoment
 from grassmoment import acceptance
 
 SEED = acceptance.DEFAULT_SEED
@@ -85,7 +88,7 @@ def test_criterion_05_fails_when_the_projective_verdict_flips(monkeypatch):
 
 
 def test_criterion_06_tests_the_strided_grid(monkeypatch):
-    from grassmoment.regularity import hypersimplex_grid
+    from test_regularity import hypersimplex_grid
 
     oracle = acceptance.projective_bruteforce_verdicts
     seen = []
@@ -204,3 +207,51 @@ def test_nonpositive_samples_are_refused(samples):
 def test_filter_matching_nothing_is_refused():
     with pytest.raises(ValueError, match="nosuch"):
         acceptance.run_all(SEED, SAMPLES, only="nosuch")
+
+
+# -- the public surface --------------------------------------------------------
+
+#: Names the grassmoment package exports that no code in src/ uses, each with
+#: the reason it stays.
+UNCALLED_EXPORTS = {
+    "orbit_dimension": "exact oracle of the float tangent dimensions and of the critical values",
+    "from_chart": "round-trip oracle of plucker.chart_array",
+    "symmetric_power_phases": "equivariance oracle: the paper's representation T^n -> T^N",
+    "is_regular_projective_bruteforce": "the unfiltered definition the batch oracle is "
+                                        "tested against; perfbench's tracer looks it up",
+}
+
+
+def _references(tree):
+    """(name, names of its enclosing definitions) for every Name and
+    attribute in tree; an alias from an import counts as the name imported.
+    Strings and docstrings are not names, so they do not count."""
+    aliases = {alias.asname: alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names if alias.asname}
+    found = []
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.Name):
+            found.append((aliases.get(node.id, node.id), enclosing))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, enclosing))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_every_export_has_a_consumer_in_src():
+    """Each name grassmoment exports is used in src/ outside its own
+    definition, or is listed in UNCALLED_EXPORTS."""
+    package = pathlib.Path(grassmoment.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    used = {name for path in package.glob("*.py") if path.name != "__init__.py"
+            for name, enclosing in _references(ast.parse(path.read_text(encoding="utf-8")))
+            if name not in enclosing}
+    assert exported - used == set(UNCALLED_EXPORTS)

@@ -112,6 +112,14 @@ def test_moment_mu_hat(capsys):
     assert payload["output"] == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("map_name", ["mu_hat", "mu_tilde"])
+def test_moment_point_length_must_match_n(capsys, map_name):
+    code, err = _usage_error_without_warnings(
+        capsys, ["moment", "--map", map_name, "--n", "7", "--point", "[[1, 0]]"])
+    assert code == 2
+    assert "point has 1 coordinates, expected 21 for n=7" in err
+
+
 def test_moment_mu(capsys):
     matrix = json.dumps([[[1, 0], [0, 0], [0, 0], [0, 0]],
                          [[0, 0], [1, 0], [0, 0], [0, 0]]])

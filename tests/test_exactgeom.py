@@ -17,7 +17,6 @@ from grassmoment.exactgeom import (
     format_sign_vector,
     format_vector,
     hypersimplex_vertices,
-    in_hypersimplex,
     pairs_lex,
     parse_vector,
     rational,
@@ -348,9 +347,10 @@ def test_affine_equations_cut_out_the_affine_hull():
 
 
 def test_hypersimplex_membership():
-    assert in_hypersimplex(vector(["1/3", "5/9", "5/9", "5/9"]))
-    assert not in_hypersimplex(vector(["4/3", "-1/3", "1/2", "1/2"]))
-    assert not in_hypersimplex(vector(["1/2", "1/2", "1/2", "1/3"]))
+    assert exactgeom._subset_sums(vector(["1/3", "5/9", "5/9", "5/9"]), 4)[:2] == ([3, 5, 5, 5], 9)
+    for outside in (["4/3", "-1/3", "1/2", "1/2"], ["1/2", "1/2", "1/2", "1/3"]):
+        with pytest.raises(ValueError, match="outside the hypersimplex"):
+            exactgeom._subset_sums(vector(outside), 4)
 
 
 def test_serialization_round_trip():

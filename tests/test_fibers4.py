@@ -1,3 +1,5 @@
+import collections
+import functools
 import math
 from fractions import Fraction as F
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassmoment import fibers4 as fb
+from grassmoment.exactgeom import pairs_lex
 from grassmoment.moment import hypersimplex_moment, simplex_moment
 from grassmoment.plucker import (
     chart_array,
@@ -14,6 +17,7 @@ from grassmoment.plucker import (
     plucker_relation_residual,
     projective_distance,
 )
+from grassmoment.regularity import orbit_dimension
 
 S6 = 1.0 / math.sqrt(6.0)
 S518 = math.sqrt(5.0 / 18.0)
@@ -522,13 +526,13 @@ def test_chart_coordinates_never_degenerate(rng):
 
 
 def test_chart_consistency_with_plucker_chart(rng):
-    from grassmoment.plucker import chart_coords, from_chart, plucker_embed
+    from grassmoment.plucker import from_chart, plucker_embed
 
     point = fb.sample_fiber5(rng)
     chart = chart_array(point)
     rebuilt = plucker_embed(from_chart(chart))
     assert projective_distance(rebuilt, point) <= 1e-10
-    back = chart_coords(from_chart(chart))
+    back = chart_array(plucker_embed(from_chart(chart)))
     assert max(abs(a - b) for a, b in zip(back, chart)) <= 1e-10
 
 
@@ -571,6 +575,36 @@ def test_tangent_dimensions(rng):
     for _ in range(20):
         assert fb.tangent_fiber_dimension(fb.sample_fiber7(rng)) == 7
         assert fb.tangent_fiber_dimension(fb.sample_fiber5(rng), include_quadric=True) == 5
+
+
+def gaussian_integers(rng, shape):
+    """Entries in {-2..2} + i{-2..2}, about half of them 0."""
+    values = rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+    return np.where(rng.random(shape) < 0.5, 0, values)
+
+
+def test_tangent_dimension_is_the_exact_orbit_codimension():
+    """The float tangent dimension against the exact one at every orbit
+    dimension: with Gaussian-integer coordinates the support is exact, and
+    the fiber dimension is 10 - r on CP^5 and 8 - r on G(4,2), where r =
+    orbit_dimension(support) is the rank of the moment map's differential.
+    The products of small Gaussian integers are exact in floating point, so
+    the Plücker minors have exact supports too."""
+    rng = np.random.default_rng(16)
+    general = gaussian_integers(rng, (5000, 6))
+    planes = gaussian_integers(rng, (5000, 2, 4))
+    u, v = planes[:, 0], planes[:, 1]
+    minors = np.stack([u[:, i - 1] * v[:, j - 1] - u[:, j - 1] * v[:, i - 1] for i, j in pairs_lex(4)],
+                      axis=-1)
+    rank = functools.cache(lambda support: orbit_dimension(support, 4))
+    for points, quadric, top in ((general, False, 10), (minors, True, 8)):
+        points = points[np.any(points != 0, axis=-1)]
+        expected = [top - rank(tuple(np.flatnonzero(z).tolist())) for z in points]
+        dims = fb.tangent_fiber_dimension(points, include_quadric=quadric)
+        assert dims.tolist() == expected
+        counts = collections.Counter(expected)
+        assert set(counts) == set(range(top - 3, top + 1))
+        assert min(counts.values()) >= 400
 
 
 # -- the second orbit ---------------------------------------------------------

@@ -8,7 +8,6 @@ from grassmoment.exactgeom import vector
 from grassmoment.moment import (
     grassmann_moment,
     hypersimplex_moment,
-    hypersimplex_residual,
     simplex_moment,
     symmetric_power_phases,
     weight_map,
@@ -22,6 +21,13 @@ CHAMBER_POINT = np.array([1 / 3, 5 / 9, 5 / 9, 5 / 9])
 EDGE_IMAGE_0 = np.array([0, 1 / 6, 1 / 6, 5 / 18, 5 / 18, 1 / 9])
 CIRCLE_BASE_0 = np.array([0, 1 / math.sqrt(6), 1 / math.sqrt(6),
                           math.sqrt(5 / 18), math.sqrt(5 / 18), 1 / 3], dtype=complex)
+
+
+def hypersimplex_residual(x, n):
+    """How far a real vector is from {0 <= x_i <= 1, sum = 2}, in max norm."""
+    x = np.asarray(x, dtype=float)
+    assert x.shape == (n,)
+    return max(np.max(-x, initial=0.0), np.max(x - 1.0, initial=0.0), abs(x.sum() - 2.0))
 
 
 def random_plane(n):

@@ -9,7 +9,6 @@ from grassmoment.moment import symmetric_power_phases
 from grassmoment.plucker import (
     GrassmannPoint,
     chart_array,
-    chart_coords,
     from_chart,
     normalize_projective,
     plucker_embed,
@@ -61,33 +60,33 @@ def test_quadric_residual_values():
 def test_chart_round_trip():
     a = [1, 2, 3, 4]
     plane = from_chart(a)
-    back = chart_coords(plane)
+    back = chart_array(plucker_embed(plane))
     assert max(abs(x - y) for x, y in zip(back, a)) < 1e-12
 
     a = [1 + 2j, -0.5j, 3 - 1j, 4 + 0.25j]
-    back = chart_coords(from_chart(a))
+    back = chart_array(plucker_embed(from_chart(a)))
     assert max(abs(x - y) for x, y in zip(back, a)) < 1e-12
 
 
-def test_from_chart_inverts_chart_coords_projectively():
+def test_from_chart_inverts_chart_array_projectively():
     for _ in range(20):
         plane = random_plane()
         embedded = plucker_embed(plane)
         if abs(embedded[3]) <= 1e-6:
             continue
-        rebuilt = plucker_embed(from_chart(chart_coords(plane)))
+        rebuilt = plucker_embed(from_chart(chart_array(embedded)))
         assert projective_distance(rebuilt, embedded) < 1e-10
 
 
 def test_chart_of_coordinate_plane():
     plane = GrassmannPoint(np.array([[0, 1, 0, 0], [0, 0, 1, 0]], dtype=complex))
-    assert chart_coords(plane).tolist() == [0, 0, 0, 0]
+    assert chart_array(plucker_embed(plane)).tolist() == [0, 0, 0, 0]
 
 
 def test_outside_chart_rejected():
     plane = GrassmannPoint(np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=complex))
     with pytest.raises(ValueError):
-        chart_coords(plane)
+        chart_array(plucker_embed(plane))
 
 
 def test_from_chart_ones_satisfies_quadric():

@@ -28,36 +28,47 @@ from grassmoment.regularity import (
     chamber_orbits,
     classify_point,
     enumerate_chambers,
-    hypersimplex_grid,
     is_regular_grassmann,
     is_regular_projective,
     is_regular_projective_bruteforce,
     largest_chamber_witness,
+    orbit_dimension,
     projective_bruteforce_verdicts,
-    stabilizer_dim,
-    support_from_pairs,
 )
 from test_exactgeom import _defect, _sympy_matrix, _vertex, rational_matrices
 
 N5_GAP_POINT = vector(["7/10", "6/10", "5/10", "1/10", "1/10"])
 
 
+def hypersimplex_grid(n, d):
+    """All exact points k / d of the hypersimplex, in lexicographic order."""
+    values = [F(k, d) for k in range(d + 1)]
+    return (tuple(values[k] for k in point) for point in regularity._grid_numerators(n, d))
+
+
+#: The coordinates, as lex indices, of the n = 5 stratum whose hull holds
+#: the gap point: the pairs 12, 13, 23 and 45.
+N5_GAP_SUPPORT = [k for k, pair in enumerate(pairs_lex(5)) if pair in {(1, 2), (1, 3), (2, 3), (4, 5)}]
+
+
 def test_stabilizer_dim_examples():
-    full = stabilizer_dim(range(6), 4)
-    assert (full.dim_polytope, full.dim_stabilizer) == (3, 1)
-    sigma = support_from_pairs([(1, 2), (1, 3), (2, 3), (4, 5)], 5)
-    report = stabilizer_dim(sigma, 5)
-    assert (report.dim_polytope, report.dim_stabilizer) == (3, 2)
-    vertex = stabilizer_dim([0], 4)
-    assert (vertex.dim_polytope, vertex.dim_stabilizer) == (0, 4)
+    # (orbit dimension, stabilizer dimension n - orbit dimension)
+    for support, n, dims in ((range(6), 4, (3, 1)), (N5_GAP_SUPPORT, 5, (3, 2)), ([0], 4, (0, 4))):
+        r = orbit_dimension(support, n)
+        assert (r, n - r) == dims
+
+
+@pytest.mark.parametrize("support", [[], [-1], [6], [0, 6]],
+                         ids=["empty", "negative", "past_the_end", "mixed"])
+def test_orbit_dimension_refuses_an_empty_or_out_of_range_support(support):
     with pytest.raises(ValueError):
-        stabilizer_dim([], 4)
+        orbit_dimension(support, 4)
 
 
 def test_stabilizer_always_contains_diagonal_circle():
     for size in (1, 2, 3, 4):
         for sigma in itertools.islice(itertools.combinations(range(6), size), 20):
-            assert stabilizer_dim(sigma, 4).dim_stabilizer >= 1
+            assert 4 - orbit_dimension(sigma, 4) >= 1
 
 
 def test_exact_queries_refuse_n_above_twenty():
@@ -141,15 +152,6 @@ def test_witness_deterministic():
         largest_chamber_witness(9)
 
 
-def test_polytope_of_support():
-    from grassmoment.regularity import polytope_of_support
-
-    sigma = support_from_pairs([(1, 2), (1, 3), (2, 3), (4, 5)], 5)
-    polytope = polytope_of_support(sigma, 5)
-    assert polytope.dim == 3
-    assert len(polytope.vertex_set) == 4
-
-
 def test_grid_size_n4():
     grid = list(hypersimplex_grid(4, 18))
     assert len(grid) == 4579
@@ -175,15 +177,12 @@ def test_grid_numerators_give_the_fraction_grid_in_order(n, d):
     expected = _recursive_grid(n, d)
     numerators = list(regularity._grid_numerators(n, d))
     assert [tuple(F(k, d) for k in point) for point in numerators] == expected
-    assert list(hypersimplex_grid(n, d)) == expected
 
 
 @pytest.mark.parametrize("n, d", [(4, 0), (4, -1), (1, 5), (0, 3)])
 def test_grid_refuses_an_empty_or_undefined_grid(n, d):
     with pytest.raises(ValueError):
         regularity._grid_numerators(n, d)
-    with pytest.raises(ValueError):
-        hypersimplex_grid(n, d)
 
 
 @pytest.mark.parametrize("n, d", [(4, 18), (5, 10)])
@@ -766,8 +765,7 @@ def test_gap_point_membership_structure():
     from grassmoment.exactgeom import affine_rank, convex_membership, hypersimplex_vertices
 
     vertices = hypersimplex_vertices(5)
-    idx = {p: i for i, p in enumerate(pairs_lex(5))}
-    subset = [vertices[idx[p]] for p in [(1, 2), (1, 3), (2, 3), (4, 5)]]
+    subset = [vertices[k] for k in N5_GAP_SUPPORT]
     assert affine_rank(subset) == 3
     assert convex_membership(N5_GAP_POINT, subset) is not None
 
@@ -780,11 +778,44 @@ def test_gap_point_realized_by_stratum_point():
 
     from grassmoment.moment import hypersimplex_moment
 
-    sigma = support_from_pairs([(1, 2), (1, 3), (2, 3), (4, 5)], 5)
     weights = (F(4, 10), F(3, 10), F(2, 10), F(1, 10))
     z = np.zeros(10, dtype=complex)
-    for index, weight in zip(sigma, weights):
+    for index, weight in zip(N5_GAP_SUPPORT, weights):
         z[index] = np.sqrt(float(weight)) * np.exp(1j * index)
     image = hypersimplex_moment(z, 5)
     assert np.max(np.abs(image - np.array([float(v) for v in N5_GAP_POINT]))) < 1e-12
-    assert stabilizer_dim(sigma, 5).dim_stabilizer == 2
+    assert 5 - orbit_dimension(N5_GAP_SUPPORT, 5) == 2
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_points_with_a_small_orbit_map_to_critical_values(n):
+    """A point of orbit dimension r < n - 1 has more stabilizer than the
+    diagonal circle, so its moment image is a critical value.  With
+    Gaussian-integer coordinates the squared moduli are integers and the
+    image is exact: mu of a 2 x n plane, through its Plücker minors, must be
+    Grassmann-critical, and mu_tilde of a point of CP^N projective-critical."""
+    rng = random.Random(n)
+    pairs = pairs_lex(n)
+    rank = functools.cache(lambda support: orbit_dimension(support, n))
+
+    def gaussian(count):
+        """Entries in {-2..2} + i{-2..2}, about half of them 0; products of
+        such small Gaussian integers are exact in floating point."""
+        return [0j if rng.random() < 0.5 else complex(rng.randint(-2, 2), rng.randint(-2, 2))
+                for _ in range(count)]
+
+    def image(z):
+        moduli = [int(w.real) ** 2 + int(w.imag) ** 2 for w in z]
+        return tuple(F(sum(m for m, pair in zip(moduli, pairs) if i in pair), sum(moduli))
+                     for i in range(1, n + 1))
+
+    checked = {"mu": 0, "mu_tilde": 0}
+    for _ in range(2000):
+        u, v = gaussian(n), gaussian(n)
+        plane = [u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1] for i, j in pairs]
+        for name, z, verdict in (("mu", plane, 1), ("mu_tilde", gaussian(len(pairs)), 2)):
+            support = tuple(k for k, w in enumerate(z) if w)
+            if support and rank(support) < n - 1:
+                assert classify_point(image(z), n)[verdict] is False
+                checked[name] += 1
+    assert min(checked.values()) >= 200
