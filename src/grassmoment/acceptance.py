@@ -21,6 +21,7 @@ from .plucker import normalize_projective, plucker_relation_residual, projective
 from .regularity import (
     CHAMBER_POINT_MINUS,
     CHAMBER_POINT_PLUS,
+    DEFAULT_SAMPLES,
     DEFAULT_SEED,
     _grid_numerators,
     _verdicts,
@@ -29,11 +30,10 @@ from .regularity import (
     classify_point,
     is_regular_projective,
     projective_bruteforce_verdicts,
+    solve_moment_triangle,
 )
 
 F = Fraction
-
-DEFAULT_SAMPLES = 1000
 
 
 @dataclass
@@ -93,7 +93,7 @@ def check_triangle(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> 
     """Criterion 2: exact triangle vertices and their exact moment image."""
     _require_samples(samples)
     started = time.perf_counter()
-    triangle = fb.solve_moment_triangle()
+    triangle = solve_moment_triangle()
     expected = {
         "X01": vector(["0", "0", "1/3", "4/9", "1/9", "1/9"]),
         "X02": vector(["0", "1/3", "0", "1/9", "4/9", "1/9"]),

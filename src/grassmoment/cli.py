@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 a certificate or criterion failed,
 2 usage error.  Output is JSON only, with full float precision, so the
-numbers can be re-verified downstream.
+numbers can be re-verified downstream.  Only the float commands import
+numpy and the float layer, so the exact ones start without them.
 """
 
 from __future__ import annotations
@@ -15,18 +16,15 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
-
-from . import acceptance
-from . import fibers4 as fb
 from .exactgeom import format_sign_vector, format_vector, parse_vector, rational
-from .moment import grassmann_moment, hypersimplex_moment, simplex_moment
-from .plucker import GrassmannPoint
 from .regularity import (
     CHAMBER_POINT_MINUS,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     chamber_orbits,
     classify_point,
     largest_chamber_witness,
+    solve_moment_triangle,
 )
 
 
@@ -41,15 +39,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_tolerances(items: list[str] | None) -> dict[str, float]:
+def _parse_tolerances(items: list[str] | None, known: dict[str, float]) -> dict[str, float]:
     overrides: dict[str, float] = {}
     for item in items or []:
         key, sep, value = item.partition("=")
         key = key.strip()
         if not sep:
             raise ValueError(f"tolerance override must look like name=value, got {item!r}")
-        if key not in fb.DEFAULT_TOLERANCES:
-            raise ValueError(f"unknown tolerance {key!r}, known: {list(fb.DEFAULT_TOLERANCES)}")
+        if key not in known:
+            raise ValueError(f"unknown tolerance {key!r}, known: {list(known)}")
         overrides[key] = float(value)
         if not math.isfinite(overrides[key]) or overrides[key] < 0:
             raise ValueError(f"tolerance {key} must be finite and at least 0, got {value!r}")
@@ -87,8 +85,7 @@ def cmd_chambers(args) -> int:
     if args.classify:
         return cmd_regular(args)
     if args.n != 4:
-        print("chamber enumeration supports n = 4 only", file=sys.stderr)
-        return 2
+        raise ValueError("chamber enumeration supports n = 4 only")
     orbits = chamber_orbits()
     chambers = [
         {
@@ -113,13 +110,16 @@ def cmd_chambers(args) -> int:
 def cmd_regular(args) -> int:
     point = parse_vector(args.classify)
     if args.n != len(point):
-        print("point length does not match --n", file=sys.stderr)
-        return 2
+        raise ValueError("point length does not match --n")
     _emit(_classification(point, args.n), args.json_out)
     return 0
 
 
 def cmd_moment(args) -> int:
+    import numpy as np
+    from .moment import grassmann_moment, hypersimplex_moment, simplex_moment
+    from .plucker import GrassmannPoint
+
     echo = json.loads(args.point)
     pairs = np.array(echo, dtype=float)
     if pairs.ndim != (3 if args.map == "mu" else 2) or pairs.shape[-1] != 2:
@@ -141,7 +141,10 @@ def cmd_moment(args) -> int:
 
 
 def cmd_fiber(args) -> int:
-    overrides = _parse_tolerances(args.tol)
+    import numpy as np
+    from . import fibers4 as fb
+
+    overrides = _parse_tolerances(args.tol, fb.DEFAULT_TOLERANCES)
     second_orbit = args.orbit == "plus"
     rng = np.random.default_rng(args.seed)
     points = fb.sample_for_kind(args.kind, rng, args.samples)
@@ -169,6 +172,9 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
+    import numpy as np
+    from . import fibers4 as fb
+
     rng = np.random.default_rng(args.seed)
     points = fb.sample_fiber5_mixed(rng, np.arange(args.samples) % 2 == 0)
     deviation, ranks, max_fd = fb.complete_intersection_survey(points)
@@ -187,6 +193,9 @@ def cmd_jacobian(args) -> int:
 
 
 def cmd_transition(args) -> int:
+    import numpy as np
+    from . import fibers4 as fb
+
     rng = np.random.default_rng(args.seed)
     max_cocycle = fb.cocycle_error(fb.random_phases(rng, (args.samples, 3)))
     determinant = fb.transition_determinant()
@@ -203,7 +212,7 @@ def cmd_transition(args) -> int:
 
 
 def cmd_triangle(args) -> int:
-    triangle = fb.solve_moment_triangle()
+    triangle = solve_moment_triangle()
     edges = {}
     for edge in range(3):
         endpoints = [triangle.edge_point(edge, Fraction(0)),
@@ -227,6 +236,8 @@ def cmd_triangle(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from . import fibers4 as fb
+
     x0 = float(rational(args.x0)) if "/" in args.x0 else float(args.x0)
     x1 = float(rational(args.x1)) if "/" in args.x1 else float(args.x1)
     payload = {
@@ -246,6 +257,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import acceptance
+
     results = acceptance.run_all(seed=args.seed, samples=args.samples, only=args.only)
     payload = {
         "seed": args.seed,
@@ -267,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, samples_default=1000):
-        p.add_argument("--seed", type=_parse_seed, default=acceptance.DEFAULT_SEED)
+        p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
         p.add_argument("--samples", type=_positive_int, default=samples_default)
 
     p = sub.add_parser("chambers", help="enumerate n=4 chambers or classify a point")
@@ -312,12 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="largest chamber witness point")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_parse_seed, default=acceptance.DEFAULT_SEED)
+    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("report", help="run the acceptance suite")
-    p.add_argument("--seed", type=_parse_seed, default=acceptance.DEFAULT_SEED)
-    p.add_argument("--samples", type=_positive_int, default=acceptance.DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
+    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
     p.add_argument("--only", default=None)
     p.add_argument("--no-timings", action="store_true",
                    help="omit per-criterion seconds, so the output is byte-stable")

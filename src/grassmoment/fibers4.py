@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exactgeom import Vector, solve_exact
+from .exactgeom import Vector
 from .moment import hypersimplex_moment, weight_vectors
 from .plucker import as_coords6, chart_array, normalize_projective, plucker_relation_residual
 from .regularity import CHAMBER_POINT_MINUS
@@ -158,74 +158,6 @@ def fiber7_roundtrip_error(z0, z1, z2, t4, t5):
     point = fiber7_param(z0, z1, z2, t4, t5)
     recovered = _stack(*fiber7_preimage(point))
     return np.max(np.abs(recovered - _stack(z0, z1, z2, t4, t5)), axis=-1)
-
-
-# ---------------------------------------------------------------------------
-# Exact simplex image: the solution triangle of the moment system
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MomentTriangle:
-    """Exact affine solution of the weight-map system over the chamber point.
-
-    The solution plane is parametrized by the two free coordinates
-    (x4, x5); intersected with the standard simplex it is a triangle.
-    """
-
-    constant: Vector
-    direction_x4: Vector
-    direction_x5: Vector
-
-    def point(self, x4: Fraction, x5: Fraction) -> Vector:
-        x4, x5 = F(x4), F(x5)
-        head = tuple(self.constant[i] + x4 * self.direction_x4[i] + x5 * self.direction_x5[i]
-                     for i in range(4))
-        return head + (x4, x5)
-
-    def point_from_head(self, x0: Fraction, x1: Fraction) -> Vector:
-        x0, x1 = F(x0), F(x1)
-        rows = [[self.direction_x4[0], self.direction_x5[0]],
-                [self.direction_x4[1], self.direction_x5[1]]]
-        rhs = [x0 - self.constant[0], x1 - self.constant[1]]
-        x4, x5 = solve_exact(rows, rhs)
-        return self.point(x4, x5)
-
-    def contains(self, x4: Fraction, x5: Fraction) -> bool:
-        return all(v >= 0 for v in self.point(x4, x5))
-
-    def edge_point(self, edge: int, t: Fraction) -> Vector:
-        """Point of edge 0, 1 or 2 (where x0, x1 or x2 vanishes), 0 <= t <= 1/3."""
-        t = F(t)
-        if not 0 <= t <= F(1, 3):
-            raise ValueError("edge parameter must lie in [0, 1/3]")
-        if edge == 0:
-            return self.point_from_head(F(0), t)
-        if edge == 1:
-            return self.point_from_head(t, F(0))
-        if edge == 2:
-            return self.point_from_head(t, F(1, 3) - t)
-        raise ValueError("edge must be 0, 1 or 2")
-
-    @property
-    def vertices(self) -> dict[str, Vector]:
-        return {
-            "X01": self.point_from_head(F(0), F(0)),
-            "X02": self.point_from_head(F(0), F(1, 3)),
-            "X12": self.point_from_head(F(1, 3), F(0)),
-        }
-
-
-def solve_moment_triangle() -> MomentTriangle:
-    """Solve the 4 x 6 weight-map system exactly with x4, x5 free."""
-    weights = weight_vectors(4)
-    rows = [[F(int(weights[k][j])) for k in range(4)] for j in range(4)]
-    target = list(CHAMBER_POINT_MINUS)
-    constant = solve_exact(rows, target)
-    dir4 = solve_exact(rows, [-F(int(weights[4][j])) for j in range(4)])
-    dir5 = solve_exact(rows, [-F(int(weights[5][j])) for j in range(4)])
-    return MomentTriangle(constant=tuple(constant),
-                          direction_x4=tuple(dir4),
-                          direction_x5=tuple(dir5))
 
 
 def curve_residual(x0: float, x1: float) -> float:

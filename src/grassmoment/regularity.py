@@ -1,5 +1,6 @@
-"""Torus orbit dimensions (orbit_dimension), regular values, and the
-chamber combinatorics.
+"""Torus orbit dimensions (orbit_dimension), regular values, the chamber
+combinatorics, and the exact solution triangle of the moment system over
+the chamber point q- (solve_moment_triangle); nothing here uses a float.
 
 Two regularity notions live side by side.  A point of the hypersimplex is
 a regular value for the Grassmannian moment map iff it avoids the
@@ -41,9 +42,11 @@ from .exactgeom import (
     convex_membership,
     hypersimplex_vertices,
     sign_vector,
+    solve_exact,
 )
 
 DEFAULT_SEED = 0xC0FFEE
+DEFAULT_SAMPLES = 1000
 
 #: Largest n the projective regularity test supports, set by its worst known
 #: input: the regular point (1 - eps, y, ..., y) has about 3^(n-1) pairs of
@@ -53,6 +56,60 @@ PROJECTIVE_MAX_N = 14
 #: Canonical interior points of the two reference chambers.
 CHAMBER_POINT_MINUS: Vector = (Fraction(1, 3), Fraction(5, 9), Fraction(5, 9), Fraction(5, 9))
 CHAMBER_POINT_PLUS: Vector = (Fraction(2, 3), Fraction(4, 9), Fraction(4, 9), Fraction(4, 9))
+
+
+@dataclass(frozen=True)
+class MomentTriangle:
+    """Exact affine solution of the weight-map system over the chamber point.
+
+    The solution plane is parametrized by the two free coordinates
+    (x4, x5); intersected with the standard simplex it is a triangle.
+    """
+
+    constant: Vector
+    direction_x4: Vector
+    direction_x5: Vector
+
+    def point(self, x4: Fraction, x5: Fraction) -> Vector:
+        x4, x5 = Fraction(x4), Fraction(x5)
+        head = tuple(self.constant[i] + x4 * self.direction_x4[i] + x5 * self.direction_x5[i]
+                     for i in range(4))
+        return head + (x4, x5)
+
+    def point_from_head(self, x0: Fraction, x1: Fraction) -> Vector:
+        x0, x1 = Fraction(x0), Fraction(x1)
+        rows = [[self.direction_x4[0], self.direction_x5[0]],
+                [self.direction_x4[1], self.direction_x5[1]]]
+        rhs = [x0 - self.constant[0], x1 - self.constant[1]]
+        x4, x5 = solve_exact(rows, rhs)
+        return self.point(x4, x5)
+
+    def edge_point(self, edge: int, t: Fraction) -> Vector:
+        """Point of edge 0, 1 or 2 (where x0, x1 or x2 vanishes), 0 <= t <= 1/3."""
+        t = Fraction(t)
+        if not 0 <= t <= Fraction(1, 3):
+            raise ValueError("edge parameter must lie in [0, 1/3]")
+        if edge not in (0, 1, 2):
+            raise ValueError("edge must be 0, 1 or 2")
+        return self.point_from_head(*((0, t), (t, 0), (t, Fraction(1, 3) - t))[edge])
+
+    @property
+    def vertices(self) -> dict[str, Vector]:
+        heads = {"X01": (0, 0), "X02": (0, Fraction(1, 3)), "X12": (Fraction(1, 3), 0)}
+        return {name: self.point_from_head(*head) for name, head in heads.items()}
+
+
+def solve_moment_triangle() -> MomentTriangle:
+    """Solve the 4 x 6 weight-map system sum_k x_k v_k = q- exactly with
+    x4, x5 free; v_k are the hypersimplex vertices, one per pair."""
+    vertices = hypersimplex_vertices(4)
+    rows = [[v[j] for v in vertices[:4]] for j in range(4)]
+    constant = solve_exact(rows, list(CHAMBER_POINT_MINUS))
+    dir4 = solve_exact(rows, [-c for c in vertices[4]])
+    dir5 = solve_exact(rows, [-c for c in vertices[5]])
+    return MomentTriangle(constant=tuple(constant),
+                          direction_x4=tuple(dir4),
+                          direction_x5=tuple(dir5))
 
 
 @dataclass(frozen=True)
@@ -124,8 +181,8 @@ def _off_split_walls(cleared: Sequence[int], sums: Sequence[int], n: int) -> boo
     """x is in the hull on no wall of a split with |C| >= 3: no two disjoint
     nonempty masks A and B with |A| + |B| <= n-3 have sums[A] == sums[B]
     while C = [n] - A - B has 2 max_C x <= sum_C x."""
-    if len(set(sums)) == len(sums):
-        return True  # no two subsets share a sum, so no split has sum_A = sum_B
+    if n < 5 or len(set(sums)) == len(sums):
+        return True  # |A|, |B| >= 1 and |C| >= 3 need n >= 5; or no two subsets share a sum
     full = (1 << n) - 1
     groups: dict[int, list[int]] = {}
     for mask in range(1, full):

@@ -245,13 +245,40 @@ def _references(tree):
 
 
 def test_every_export_has_a_consumer_in_src():
-    """Each name grassmoment exports is used in src/ outside its own
-    definition, or is listed in UNCALLED_EXPORTS."""
+    """Each name grassmoment exports, imported or lazy, is used in src/
+    outside its own definition, or is listed in UNCALLED_EXPORTS."""
     package = pathlib.Path(grassmoment.__file__).parent
     init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
     exported = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
+                for alias in node.names} | set(grassmoment.__all__)
     used = {name for path in package.glob("*.py") if path.name != "__init__.py"
             for name, enclosing in _references(ast.parse(path.read_text(encoding="utf-8")))
             if name not in enclosing}
     assert exported - used == set(UNCALLED_EXPORTS)
+
+
+#: The public names of grassmoment; loading the float layer lazily keeps them all.
+PUBLIC_NAMES = {
+    "CHAMBER_POINT_MINUS", "CHAMBER_POINT_PLUS", "ChamberOrbit", "ChamberReport", "GrassmannPoint",
+    "acceptance", "affine_rank", "arrangement_for_n", "center_point_regular", "chamber_orbits",
+    "classify_point", "convex_membership", "enumerate_chambers", "fibers4", "format_rational",
+    "format_sign_vector", "format_vector", "from_chart", "grassmann_moment", "hypersimplex_moment",
+    "hypersimplex_vertices", "is_regular_grassmann", "is_regular_projective",
+    "is_regular_projective_bruteforce", "largest_chamber_witness", "normalize_projective",
+    "orbit_dimension", "pairs_lex", "parse_vector", "plucker_embed", "plucker_relation_residual",
+    "projective_bruteforce_verdicts", "projective_distance", "rational", "sign_vector",
+    "simplex_moment", "symmetric_power_phases", "vector", "weight_map", "weight_vectors",
+}
+
+
+def test_every_public_name_is_listed_and_resolves():
+    from grassmoment import moment, plucker
+
+    assert set(grassmoment.__all__) == PUBLIC_NAMES
+    assert PUBLIC_NAMES <= set(dir(grassmoment))
+    for name in grassmoment.__all__:
+        assert getattr(grassmoment, name) is vars(grassmoment)[name]  # resolved, then kept
+    assert grassmoment.weight_map is moment.weight_map
+    assert grassmoment.GrassmannPoint is plucker.GrassmannPoint
+    with pytest.raises(AttributeError, match="nosuch"):
+        grassmoment.nosuch

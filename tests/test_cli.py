@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -50,8 +54,11 @@ def test_chambers_classify_n5_gap_point(capsys):
 
 def test_chambers_unsupported_n(capsys):
     code = cli.main(["chambers", "--n", "5"])
-    capsys.readouterr()
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "chamber enumeration supports n = 4 only" in captured.err
 
 
 def test_regular_command(capsys):
@@ -93,7 +100,15 @@ def test_chambers_classify_checks_the_length(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
+    assert captured.err.startswith("error: ")
     assert "point length does not match --n" in captured.err
+
+
+def test_regular_checks_the_length(capsys):
+    code = cli.main(["regular", "--n", "4", "--classify", "1/5,1/5,1/5,1/5,6/5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: point length does not match --n\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -440,3 +455,38 @@ def test_chambers_stdout_is_pinned(capsys, monkeypatch):
     assert cli.main(["chambers", "--n", "4"]) == 0
     assert capsys.readouterr().out == CHAMBERS_N4_STDOUT
     assert calls == [4]
+
+
+# -- the exact commands start without the float layer ---------------------------
+
+EXACT_COMMANDS = [
+    ["regular", "--n", "5", "--classify", "7/10,6/10,5/10,1/10,1/10"],
+    ["chambers"],
+    ["witness", "--n", "6"],
+    ["triangle"],
+]
+
+
+def _python(code, *args):
+    """stdout bytes of a fresh interpreter running code on the package in src/."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                            check=True, timeout=60)
+    return result.stdout
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=lambda argv: argv[0])
+def test_exact_commands_run_without_numpy(capsys, argv):
+    # With numpy unimportable, any float import on the exact path would raise.
+    blocked = _python("import sys; sys.modules['numpy'] = None\n"
+                      "from grassmoment.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == blocked
+
+
+def test_the_exact_path_loads_no_float_module():
+    loaded = _python("import sys, grassmoment, grassmoment.cli\n"
+                     "grassmoment.classify_point(grassmoment.vector(['1/2'] * 4), 4)\n"
+                     "print(sorted({'numpy', 'grassmoment.fibers4', 'grassmoment.acceptance'}"
+                     " & set(sys.modules)))")
+    assert loaded == b"[]\n"

@@ -276,6 +276,15 @@ def test_walls_match_bruteforce():
         assert set(verdicts) == expected[n], n
 
 
+def test_grassmann_closed_form_is_the_projective_definition_on_the_n4_grid():
+    # At n = 4 no split wall fits, so criterion 5 compares two closed forms
+    # that agree by construction; here the definition decides every point.
+    grid = list(hypersimplex_grid(4, 18))
+    verdicts = [is_regular_grassmann(x, 4) for x in grid]
+    assert len(grid) == 4579 and sum(verdicts) == 2464
+    assert projective_bruteforce_verdicts(grid, 4) == verdicts
+
+
 def _all_supports_scan(x, n):
     """The definition scanned over every nonempty support of vertices: x is
     regular iff no support of affine rank at most n-2 holds it in its hull."""
