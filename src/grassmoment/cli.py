@@ -54,13 +54,23 @@ def _parse_tolerances(items: list[str] | None, known: dict[str, float]) -> dict[
     return overrides
 
 
-def _rank_histogram(ranks: np.ndarray) -> dict[str, int]:
+def _rank_histogram(ranks: list[int]) -> dict[str, int]:
     """Count of each Jacobian rank, in order of first appearance."""
-    return {str(rank): count for rank, count in Counter(ranks.tolist()).items()}
+    return {str(rank): count for rank, count in Counter(ranks).items()}
 
 
-def _emit(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, separators=(",", ":"), allow_nan=False)
+def _emit(payload: dict, path: str | None, batch=None) -> None:
+    """A fiber batch's ``json_rows`` go in at the 'certificates' and 'failing_sample' keys."""
+    dumps = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+    if batch is None:
+        text = dumps(payload)
+    else:  # NUL marks the rows' place: dumps escapes it, so it occurs only there
+        rows, first = batch.json_rows(), int(batch.passed.argmin())
+        rows_at = {"certificates": "[\0]",
+                   "failing_sample": "null" if batch.passed[first] else rows[first]}
+        text = "{%s}" % ",".join(f"{dumps(key)}:{rows_at.get(key) or dumps(value)}"
+                                for key, value in payload.items())
+        text = text.replace("\0", ",".join(rows), 1)
     if path:
         try:
             with open(path, "w", encoding="utf-8") as handle:
@@ -68,17 +78,6 @@ def _emit(payload: dict, path: str | None) -> None:
         except OSError as error:
             raise ValueError(f"cannot write --json-out: {error}") from None
     print(text)
-
-
-def _classification(point, n: int) -> dict:
-    signs, regular_mu, regular_mu_tilde = classify_point(point, n)
-    return {
-        "n": n,
-        "point": format_vector(point),
-        "id": format_sign_vector(signs),
-        "regular_mu": regular_mu,
-        "regular_mu_tilde": regular_mu_tilde,
-    }
 
 
 def cmd_chambers(args) -> int:
@@ -111,7 +110,15 @@ def cmd_regular(args) -> int:
     point = parse_vector(args.classify)
     if args.n != len(point):
         raise ValueError("point length does not match --n")
-    _emit(_classification(point, args.n), args.json_out)
+    signs, regular_mu, regular_mu_tilde = classify_point(point, args.n)
+    payload = {
+        "n": args.n,
+        "point": format_vector(point),
+        "id": format_sign_vector(signs),
+        "regular_mu": regular_mu,
+        "regular_mu_tilde": regular_mu_tilde,
+    }
+    _emit(payload, args.json_out)
     return 0
 
 
@@ -151,23 +158,22 @@ def cmd_fiber(args) -> int:
     batch = fb.certify(args.kind, points, tolerances=overrides)
     if second_orbit:  # the C+ fiber is the swap image of the certified C- points
         batch = dataclasses.replace(batch, points=fb.orbit_swap(batch.points))
-    certificates = batch.to_json()
     failing = np.flatnonzero(~batch.passed)
     payload = {
         "kind": args.kind,
         "samples": args.samples,
         "seed": args.seed,
         "second_orbit": second_orbit,
-        "certificates": certificates,
+        "certificates": None,  # the batch's rows, filled in by _emit
         "aggregate": {
             "max_residuals": {key: max(0.0, float(np.max(batch.residuals[key])))
                               for key in fb.EMITTED_RESIDUALS if key in batch.residuals},
-            "rank_histogram": {} if batch.ranks is None else _rank_histogram(batch.ranks),
+            "rank_histogram": {} if batch.ranks is None else _rank_histogram(batch.ranks.tolist()),
             "all_passed": failing.size == 0,
         },
-        "failing_sample": certificates[failing[0]] if failing.size else None,
+        "failing_sample": None,
     }
-    _emit(payload, args.json_out)
+    _emit(payload, args.json_out, batch)
     return 0 if failing.size == 0 else 1
 
 
@@ -178,7 +184,7 @@ def cmd_jacobian(args) -> int:
     rng = np.random.default_rng(args.seed)
     points = fb.sample_fiber5_mixed(rng, np.arange(args.samples) % 2 == 0)
     deviation, ranks, max_fd = fb.complete_intersection_survey(points)
-    rank_histogram = _rank_histogram(ranks)
+    rank_histogram = _rank_histogram(ranks.tolist())
     all_rank3 = set(rank_histogram) <= {"3"}
     payload = {
         "samples": args.samples,

@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import typing
 import warnings
 
 import numpy as np
 import pytest
 
 from grassmoment import cli
+from grassmoment import fibers4 as fb
 from grassmoment.exactgeom import vector
 from grassmoment.moment import hypersimplex_moment, weight_map
 
@@ -234,6 +237,118 @@ def test_fiber_byte_stability(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# -- certificate rows against the dict tree they replace -----------------------
+
+def certificate_tree(batch):
+    """One dict per certificate, column by column; json.dumps of this list is the
+    independent oracle for Certificates.json_rows."""
+    def column(values):
+        return [None] * len(batch.points) if values is None else values.tolist()
+
+    moment, plucker, surface = (column(batch.residuals.get(key)) for key in fb.EMITTED_RESIDUALS)
+    ranks, f_values = column(batch.ranks), column(batch.f_values)
+    points = np.stack([batch.points.real, batch.points.imag], axis=-1).tolist()
+    certs = [{"point": p, "residuals": {"moment": m, "plucker": q, "surface": s},
+              "jacobian_rank": r, "f_values": f}
+             for p, m, q, s, r, f in zip(points, moment, plucker, surface, ranks, f_values)]
+    for index in np.flatnonzero(~batch.passed):
+        certs[index]["failed_checks"] = [
+            {"check": name, "value": float(value[index]), "tolerance": tolerance}
+            for name, (value, tolerance, ok) in batch.checks.items() if not ok[index]]
+    return certs
+
+
+def compact(value):
+    return json.dumps(value, separators=(",", ":"), allow_nan=False)
+
+
+@pytest.mark.parametrize("kind,orbit,tol", [
+    (kind, orbit, None) for kind in ("mq7", "mq5", "m2", "m3") for orbit in ("minus", "plus")
+] + [("mq7", "minus", "moment=1e-30"), ("mq5", "plus", "moment=1e-30")])
+def test_fiber_stdout_is_the_dumped_dict_tree(capsys, kind, orbit, tol):
+    argv = ["fiber", kind, "--orbit", orbit, "--samples", "60", "--seed", "5"]
+    code = cli.main(argv + (["--tol", tol] if tol else []))
+    out = capsys.readouterr().out
+    tolerances = cli._parse_tolerances([tol] if tol else [], fb.DEFAULT_TOLERANCES)
+    batch = fb.certify(kind, fb.sample_for_kind(kind, np.random.default_rng(5), 60), tolerances)
+    if orbit == "plus":
+        batch = dataclasses.replace(batch, points=fb.orbit_swap(batch.points))
+    certs = certificate_tree(batch)
+    failing = np.flatnonzero(~batch.passed)
+    assert code == (1 if tol else 0) and (failing.size > 0) == bool(tol)
+    expected = {**json.loads(out), "certificates": certs,
+                "failing_sample": certs[failing[0]] if failing.size else None}
+    assert out == compact(expected) + "\n"
+    assert out.count('"failed_checks"') == (failing.size + 1 if tol else 0)
+
+
+def hand_built(values, f_values=None, failing=()):
+    """Certificates of len(values) fixed points with the given moment residuals;
+    with f_values, also plucker and surface residuals (the moment ones reversed)
+    and rank 3.  The points listed in failing fail their moment check."""
+    count = len(values)
+    points = np.linspace(-1.0, 1.0, 6 * count).reshape(count, 6) * (1 - 0.5j)
+    points[0, :2] = 0.0, -0.0
+    moment = np.array(values, dtype=float)
+    ok = ~np.isin(np.arange(count), failing)
+    checks = {"moment": (moment, 1e-10, ok), "min_tail": (np.full(count, 0.5), 0.33, np.full(count, True))}
+    if f_values is None:
+        return fb.Certificates(points, {"moment": moment}, None, None, checks)
+    residuals = {"moment": moment, "plucker": moment[::-1].copy(), "surface": moment.copy()}
+    return fb.Certificates(points, residuals, np.array(f_values, dtype=float),
+                           np.full(count, 3), checks)
+
+
+ZEROS_AND_REPEATS = [0.0, -0.0, 1e-17, 0.0, -0.0, 1e-17, 2.5e-11, 2.5e-11]
+
+
+@pytest.mark.parametrize("chart", [False, True], ids=["mq7", "mq5"])
+def test_json_rows_keep_signed_zeros_and_repeats(chart):
+    f_values = [[-0.0, -1.0, 0.0], [0.0, -1.0, -0.0]] * 4 if chart else None
+    batch = hand_built(ZEROS_AND_REPEATS, f_values, failing=(3, 6))
+    rows = batch.json_rows()
+    assert "[" + ",".join(rows) + "]" == compact(certificate_tree(batch))
+    assert batch.to_json() == certificate_tree(batch)
+    assert rows[0].startswith('{"point":[[0.0,0.0],[-0.0,0.0],')
+    assert '"moment":0.0,' in rows[0] and '"moment":-0.0,' in rows[1]
+    assert not chart or '"f_values":[0.0,-1.0,-0.0]' in rows[1]
+    assert [index for index, row in enumerate(rows) if "failed_checks" in row] == [3, 6]
+    assert fb.certify("mq5" if chart else "mq7", np.empty((0, 6), complex)).json_rows() == []
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", ["residual", "f_value"])
+def test_non_finite_certificate_values_are_refused(capsys, monkeypatch, bad, where):
+    # A non-finite float has no RFC 8259 form: the row refuses it, and the CLI
+    # then exits 2 with nothing on stdout.
+    values = list(ZEROS_AND_REPEATS)
+    f_values = [[0.0, -1.0, 0.0]] * len(values)
+    if where == "residual":
+        values[4] = bad
+    else:
+        f_values[2] = [0.0, bad, 0.0]
+    batch = hand_built(values, f_values)
+    with pytest.raises(ValueError):
+        batch.json_rows()
+    monkeypatch.setattr(fb, "certify", lambda *args, **kwargs: batch)
+    assert cli.main(["fiber", "mq5", "--samples", str(len(values))]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_fiber_json_out_holds_the_stdout_bytes(tmp_path, capsys):
+    target = tmp_path / "fiber.json"
+    for extra in ([], ["--tol", "moment=1e-30"]):
+        code = cli.main(["fiber", "mq5", "--samples", "30", "--json-out", str(target), *extra])
+        assert code == (1 if extra else 0)
+        assert target.read_bytes() == capsys.readouterr().out.encode()
+
+
+def test_rank_histogram_hints_resolve():
+    # cli imports numpy lazily, so its annotations must not name it.
+    assert typing.get_type_hints(cli._rank_histogram) == {"ranks": list[int],
+                                                           "return": dict[str, int]}
 
 
 def test_jacobian_command(capsys):
