@@ -161,19 +161,22 @@ def format_sign_vector(signs: Sequence[int]) -> str:
     return "[" + ",".join(str(s) for s in signs) + "]"
 
 
-def _row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+def _row_echelon(rows: list[list[int]], width: int | None = None) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination over the integers.
 
-    Returns (rows, pivot columns, det).  The first len(pivots) rows are
-    det times the reduced row echelon form and the rest are zero; det is
-    the last pivot, the determinant of the pivot minor up to sign.  Each
-    update divides by the previous pivot, and by Sylvester's identity
-    the division is exact: every entry stays a minor of the input.
+    Pivots are chosen among the first width columns, all of them by
+    default; the columns after those are right-hand sides that go through
+    the same updates.  Returns (rows, pivot columns, det).  The first
+    len(pivots) rows are det times the reduced row echelon form and the
+    rest are zero in the pivot range; det is the last pivot, the
+    determinant of the pivot minor up to sign.  Each update divides by the
+    previous pivot, and by Sylvester's identity the division is exact:
+    every entry stays a minor of the input.
     """
     rows = list(rows)  # a shallow copy: rows are replaced, never changed in place
     pivots: list[int] = []
     det = 1
-    for c in range(len(rows[0]) if rows else 0):
+    for c in range(width if width is not None else len(rows[0]) if rows else 0):
         r = len(pivots)
         for pivot_row in range(r, len(rows)):
             if rows[pivot_row][c]:
@@ -204,26 +207,6 @@ def _affine_rank(points: Sequence[Sequence[int]]) -> int:
     return len(pivots)
 
 
-def _affine_equations(points: Sequence[Sequence[int]]) -> list[tuple[list[int], int]]:
-    """Integer rows (a, c) spanning every relation a.p + c = 0 that all the
-    integer points p satisfy, d - affine rank of them: y lies on the points'
-    affine hull iff a.y + c == 0 for every row.
-
-    One _row_echelon of the rows [p | 1]; each free column f gives the
-    null vector det e_f - sum_k reduced[k][f] e_(pivot k).
-    """
-    reduced, pivots, det = _row_echelon([[*p, 1] for p in points])
-    width = len(points[0]) + 1
-    rows = []
-    for f in (f for f in range(width) if f not in pivots):
-        null = [0] * width
-        null[f] = det
-        for row, c in zip(reduced, pivots):
-            null[c] = -row[f]
-        rows.append((null[:-1], null[-1]))
-    return rows
-
-
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     """Rank over Q of {v - v0 : v in points}, by exact elimination."""
     if not points:
@@ -252,41 +235,77 @@ def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> 
     return [Fraction(row[-1], det) for row in reduced[:ncols]]
 
 
-def _hull_system(x: Sequence[int], points: Sequence[Sequence[int]]) -> list[list[int]]:
-    """One row per coordinate: p - last for each point p but the last, then x - last."""
+def _hull_system(points: Sequence[Sequence[int]], targets: Sequence[tuple[Sequence[int], int]]) -> list[list[int]]:
+    """One row per coordinate: p - last for each point p but the last, then
+    den * (x - last) for each target x = num / den, given as (num, den)."""
     last = points[-1]
-    return [[p[i] - last[i] for p in points[:-1]] + [x[i] - last[i]] for i in range(len(last))]
+    return [[p[i] - last[i] for p in points[:-1]] + [num[i] - den * last[i] for num, den in targets]
+            for i in range(len(last))]
 
 
-def _barycentric(reduced: list[list[int]], pivots: list[int], det: int) -> tuple[list[int], int] | None:
-    """Affine weights of x over the points, as (numerators, det > 0), read
-    from the _row_echelon of their _hull_system.
+def _hull_weights(points: Sequence[Sequence[int]],
+                  targets: Sequence[tuple[Sequence[int], int]]) -> list[tuple[Fraction, ...] | None]:
+    """convex_membership of each target x = num / den (den > 0) in the hull
+    of the integer points, every target eliminated alongside the others.
 
-    None unless the points are affinely independent and x lies on their
-    affine hull; then the weights are unique.
+    One _row_echelon of [p - last | targets], pivoting in the point columns
+    only, gives the affine rank of the points; a target is off their affine
+    hull iff its column is nonzero below the pivot rows.  The rest are
+    decided over the subsets of size rank+1 in combinations order, one
+    elimination per subset while a target is undecided, none past the
+    first when the points are independent.  On an independent subset a
+    target's column holds det * den times its weights but the last, which
+    is det * den minus their sum, and it lies in the subset's hull iff
+    all of them have the sign of det.
     """
-    free = len(reduced[0]) - 1
-    if pivots != list(range(free)):
-        return None  # dependent points, or a pivot in the rhs column
-    weights = [row[-1] for row in reduced[:free]]
-    weights.append(det - sum(weights))
-    if det < 0:
-        return [-w for w in weights], -det
-    return weights, det
+    m = len(points)
+    first = _row_echelon(_hull_system(points, targets), m - 1)
+    rank = len(first[1])
+    pending = [t for t in range(len(targets)) if not any(row[m - 1 + t] for row in first[0][rank:])]
+    found: list[tuple[Fraction, ...] | None] = [None] * len(targets)
+    candidates = [tuple(range(m))] if m == rank + 1 else itertools.combinations(range(m), rank + 1)
+    for idx in candidates:
+        if not pending:
+            break
+        if len(idx) == m:
+            (reduced, pivots, det), columns = first, pending
+        else:
+            reduced, pivots, det = _row_echelon(
+                _hull_system([points[i] for i in idx], [targets[t] for t in pending]), rank)
+            columns = range(len(pending))
+        if len(pivots) < rank:
+            continue  # a dependent subset
+        undecided = []
+        for t, c in zip(pending, columns):
+            den = targets[t][1]
+            weights = [row[rank + c] for row in reduced[:rank]]
+            weights.append(det * den - sum(weights))
+            if det < 0:
+                weights = [-w for w in weights]
+            if min(weights) < 0:
+                undecided.append(t)
+                continue
+            full = [Fraction(0)] * m
+            for i, w in zip(idx, weights):
+                full[i] = Fraction(w, abs(det) * den)
+            found[t] = tuple(full)
+        pending = undecided
+    return found
 
 
 def convex_membership(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...] | None:
     """Exact test for x in conv(points).
 
     Returns exact weights lambda >= 0 with sum 1 and sum lambda_i v_i = x,
-    or None.  One elimination of [p - last | x - last] gives the affine
-    rank of the points and returns None at once when x is off their affine
-    hull.  Otherwise the decision runs over affinely independent subsets of
-    size rank+1 (a membership witness always reduces to one such subset),
-    and each candidate subset admits at most one weight vector, found by
-    exact elimination, or read from the first one when the points
-    themselves are independent.  x and the points are scaled to integers
-    once, by one common denominator, which leaves the weights unchanged.
+    or None.  The one-target case of _hull_weights: one elimination of
+    [p - last | x - last] gives the affine rank of the points and returns
+    None at once when x is off their affine hull.  Otherwise the decision
+    runs over affinely independent subsets of size rank+1 (a membership
+    witness always reduces to one such subset), and each candidate subset
+    admits at most one weight vector, found by exact elimination, or read
+    from the first one when the points themselves are independent.  x and
+    the points are scaled to integers once, by one common denominator,
+    which leaves the weights unchanged.
     """
     if not points:
         raise ValueError("membership in an empty hull")
@@ -295,24 +314,4 @@ def convex_membership(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]
         if len(p) != length:
             raise ValueError("mixed vector lengths")
     (target, *cleared), _ = clear_denominators([x, *points])
-    m = len(cleared)
-    _, pivots, _ = first = _row_echelon(_hull_system(target, cleared))
-    if m - 1 in pivots:
-        return None  # x is off the affine hull of the points
-    size = len(pivots) + 1
-    if m <= size:
-        candidates: Iterable[tuple[int, ...]] = [tuple(range(m))]
-    else:
-        candidates = itertools.combinations(range(m), size)
-    for idx in candidates:
-        # Independent points: the first elimination already holds their weights.
-        found = _barycentric(*(first if len(idx) == m else
-                               _row_echelon(_hull_system(target, [cleared[i] for i in idx]))))
-        if found is None or any(w < 0 for w in found[0]):
-            continue
-        weights, det = found
-        full = [Fraction(0)] * m
-        for i, w in zip(idx, weights):
-            full[i] = Fraction(w, det)
-        return tuple(full)
-    return None
+    return _hull_weights(cleared, [(target, 1)])[0]

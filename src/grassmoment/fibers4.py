@@ -282,22 +282,32 @@ def sample_surface_section(rng: np.random.Generator, max_trials: int = 10000,
 
     Uniform pairs (r0, r1) are drawn in blocks and kept where r0^2 + r1^2
     <= 1/3, |z2||z3| >= 1e-6, |z0||z5| >= 1e-9 and |cos(phi)| <= 1 - 1e-9,
-    each with a random branch.  One section, or a batch of count; after
-    max_trials candidates per section asked for, RuntimeError.
+    each with a random branch.  About 18% are kept, so each block is sized
+    from the share kept so far (one half before any is kept) with a 10%
+    margin, and a batch takes two or three blocks.  The blocks are
+    consecutive draws of one uniform stream, so the kept pairs are its
+    first accepted ones whatever the block sizes.  One section, or a batch
+    of count; after max_trials candidates per section asked for,
+    RuntimeError.
     """
     wanted = 1 if count is None else count
-    kept, trials = np.empty((0, 2)), 0
-    while len(kept) < wanted:
-        if trials >= max_trials * wanted:
+    budget = max_trials * wanted
+    kept = [np.empty((0, 2))]
+    accepted = trials = 0
+    while accepted < wanted:
+        if trials >= budget:
             raise RuntimeError("surface sampler exhausted its trial budget")
-        block = rng.uniform(0.0, math.sqrt(1.0 / 3.0), size=(2 * (wanted - len(kept)) + 16, 2))
-        trials += len(block)
+        rate = accepted / trials if accepted else 0.5
+        size = min(math.ceil(1.1 * (wanted - accepted) / rate) + 16, budget - trials)
+        block = rng.uniform(0.0, math.sqrt(1.0 / 3.0), size=(size, 2))
+        trials += size
         r0, r1 = block.T
         big0, _, middle, cos_phi = _closure_terms(r0, r1)
         ok = ((r0 * r0 + r1 * r1 <= 1.0 / 3.0) & (middle >= 1e-6) & (big0 >= 1e-9)
               & (np.abs(cos_phi) <= 1.0 - 1e-9))
-        kept = np.concatenate([kept, block[ok]])
-    r0, r1 = kept[:wanted].T
+        kept.append(block[ok])
+        accepted += len(kept[-1])
+    r0, r1 = np.concatenate(kept)[:wanted].T
     branch = np.where(rng.uniform(size=wanted) < 0.5, 1.0, -1.0)
     if count is None:
         r0, r1, branch = r0[0], r1[0], branch[0]

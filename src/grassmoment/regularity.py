@@ -34,7 +34,7 @@ from typing import Iterator, Sequence
 
 from .exactgeom import (
     Vector,
-    _affine_equations,
+    _hull_weights,
     _signs,
     _subset_sums,
     affine_rank,
@@ -252,22 +252,20 @@ def projective_bruteforce_verdicts(points: Sequence[Sequence[Fraction]], n: int)
     rank exactly n-2, since all vertices have rank n-1 and each added vertex
     raises the rank by at most 1, and then to every vertex on its affine
     span; and each flat is itself such a support.  The flats are listed once
-    per call and each is eliminated once, into the integer equations of its
-    affine span (exactgeom._affine_equations).  A point runs
-    convex_membership on a flat only while no flat before has held it and
-    its cleared numerators satisfy those equations, since off the span the
-    hull cannot hold it.  The equations come from eliminating the flat's
-    own vertices; no split table, closed-form wall or subset sum beyond
-    validation is used, so this cross-checks the closed form.
+    per call, and each flat decides at once, by exactgeom._hull_weights,
+    every point no flat before has held: one elimination of the flat's
+    vertices with those points as right-hand sides drops the points off its
+    affine span, then one per candidate subset of vertices decides the
+    rest.  Only the flat's own vertices are eliminated; no split table,
+    closed-form wall or subset sum beyond validation is used, so this
+    cross-checks the closed form.
     """
     cleared = [_subset_sums(x, n)[:2] for x in points]
     regular = [True] * len(points)
     for hull in _flat_hulls(n):
-        equations = _affine_equations(hull)
-        for k, (x, (num, den)) in enumerate(zip(points, cleared)):
-            if regular[k] and all(sum(p * q for p, q in zip(a, num)) + c * den == 0
-                                  for a, c in equations):
-                regular[k] = convex_membership(x, hull) is None
+        open_points = [k for k in range(len(points)) if regular[k]]
+        for k, weights in zip(open_points, _hull_weights(hull, [cleared[k] for k in open_points])):
+            regular[k] = weights is None
     return regular
 
 
@@ -367,6 +365,9 @@ def _grid_numerators(n: int, d: int) -> Iterator[tuple[int, ...]]:
     in lexicographic order.  Raises for d < 1 or n < 2, which give no grid."""
     if d < 1 or n < 2:
         raise ValueError(f"a hypersimplex grid needs n >= 2 and d >= 1, got n={n}, d={d}")
-    # Each of the first n-1 numerators fixes the last one, 2d minus their sum.
-    return ((*head, 2 * d - sum(head)) for head in itertools.product(range(d + 1), repeat=n - 1)
-            if d <= sum(head) <= 2 * d)
+    # The first n-2 numerators leave rest = 2d - their sum, which bounds the
+    # next one so that the last, rest minus it, lies in [0, d].
+    return ((*head, k, rest - k)
+            for head in itertools.product(range(d + 1), repeat=n - 2)
+            for rest in [2 * d - sum(head)]
+            for k in range(max(0, rest - d), min(d, rest) + 1))

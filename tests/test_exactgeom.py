@@ -235,9 +235,9 @@ def test_an_independent_hull_is_eliminated_once(monkeypatch):
     calls = []
     row_echelon = exactgeom._row_echelon
 
-    def counting(rows):
+    def counting(rows, width=None):
         calls.append(1)
-        return row_echelon(rows)
+        return row_echelon(rows, width)
 
     monkeypatch.setattr(exactgeom, "_row_echelon", counting)
     independent = [_vertex(5, p) for p in [(1, 2), (1, 3), (2, 3), (4, 5)]]
@@ -322,28 +322,45 @@ def test_convex_membership_matches_the_old_candidate_scan():
     assert {True, False} == {s[2] for s in seen}
 
 
-def test_affine_equations_cut_out_the_affine_hull():
-    rng = random.Random(1414)
+def test_hull_weights_decide_a_batch_like_convex_membership():
+    """One _hull_weights batch gives every target the weights
+    convex_membership gives it alone.  Integer hulls, affinely independent
+    and dependent, in d = 2..6; targets at mixed, unreduced denominators at
+    a vertex, inside the hull, on its affine span with a negative weight,
+    and moved off the span."""
+    rng = random.Random(1618)
     seen = set()
-    for _ in range(400):
-        d, m = rng.randint(1, 5), rng.randint(1, 6)
-        points = [tuple(2 * rng.randint(-3, 3) for _ in range(d)) for _ in range(m)]
-        if m > 1 and rng.random() < 0.3:  # a dependent set: repeat or average points
-            points[-1] = rng.choice([points[0], tuple((a + b) // 2 for a, b in zip(*points[:2]))])
-        weights = [rng.randint(-2, 3) for _ in points]
-        weights[0] = 1 - sum(weights[1:])
-        y = tuple(sum(w * p[j] for w, p in zip(weights, points)) for j in range(d))
-        if rng.random() < 0.4:  # often off the affine hull
-            y = tuple(v + rng.randint(-2, 2) for v in y)
-        rows = exactgeom._affine_equations(points)
+    for _ in range(150):
+        d, m = rng.randint(2, 6), rng.randint(1, 6)
+        points = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(m)]
+        if m > 2 and rng.random() < 0.4:  # a dependent set: an affine combination of three points
+            points[-1] = tuple(a + b - c for a, b, c in zip(*points[:3]))
         rank = affine_rank(points)
-        assert len(rows) == d - rank
-        assert all(len(a) == d for a, _ in rows)
-        on_hull = affine_rank([*points, y]) == rank
-        assert all(sum(p * q for p, q in zip(a, y)) + c == 0 for a, c in rows) == on_hull
-        seen.add((on_hull, rank < m - 1))
-    # Points on and off the hull of independent and of dependent sets.
-    assert seen == {(True, False), (False, False), (True, True), (False, True)}
+        xs, kinds, targets = [], [rng.randrange(4) for _ in range(8)], []
+        for kind in kinds:
+            weights = [F(rng.randint(0 if kind < 2 else -3, 4)) for _ in points]
+            if kind == 0:  # a vertex
+                weights = [F(i == rng.randrange(m)) for i in range(m)]
+            if sum(weights) == 0:
+                weights[0] += 1
+            x = tuple(sum(w * p[j] for w, p in zip(weights, points)) / sum(weights)
+                      for j in range(d))
+            if kind == 3:  # almost surely off the affine span when rank < d
+                x = tuple(v + F(rng.randint(1, 5), 7) * (j == 0) for j, v in enumerate(x))
+            (num,), den = clear_denominators([x])
+            scale = rng.randint(1, 3)
+            xs.append(x)
+            targets.append(([scale * v for v in num], scale * den))
+        assert len({den for _, den in targets}) > 1
+        found = exactgeom._hull_weights(points, targets)
+        assert found == [convex_membership(x, points) for x in xs]
+        for kind, x, weights in zip(kinds, xs, found):
+            on_span = affine_rank([*points, x]) == rank
+            seen.add((kind, weights is not None, on_span, rank < m - 1))
+    assert all(member for kind, member, _, _ in seen if kind < 2)
+    # Non-members on the span and off it, for independent and dependent hulls.
+    assert {(False, True), (False, False)} <= {s[1:3] for s in seen if s[0] >= 2 and s[3]}
+    assert {(False, True), (False, False)} <= {s[1:3] for s in seen if s[0] >= 2 and not s[3]}
 
 
 def test_hypersimplex_membership():

@@ -798,6 +798,42 @@ def test_surface_sampler_batch_keeps_thresholds(rng):
         fb.sample_surface_section(rng, max_trials=0)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_surface_sampler_keeps_the_first_accepted_draws(monkeypatch, seed):
+    """A batch keeps the first 1,000 accepted pairs of one uniform stream, in
+    order, whatever the block sizes, and sizes its blocks from the share it
+    has kept: two or three blocks, not one per doubling of the rest."""
+    stream = np.random.default_rng(seed).uniform(0.0, math.sqrt(1.0 / 3.0), size=(20000, 2))
+    big0, _, middle, cos_phi = fb._closure_terms(*stream.T)
+    ok = ((np.sum(stream ** 2, axis=1) <= 1.0 / 3.0) & (middle >= 1e-6) & (big0 >= 1e-9)
+          & (np.abs(cos_phi) <= 1.0 - 1e-9))
+    blocks = []
+    closure_terms = fb._closure_terms
+
+    def counting(r0, r1):
+        blocks.append(np.size(r0))
+        return closure_terms(r0, r1)
+
+    monkeypatch.setattr(fb, "_closure_terms", counting)
+    sections = fb.sample_surface_section(np.random.default_rng(seed), count=1000)
+    np.testing.assert_allclose(np.abs(sections[:, :2]), stream[ok][:1000], rtol=1e-15, atol=0)
+    assert 2 <= len(blocks) - 1 <= 3  # the last call closes the phases of the kept pairs
+    assert sum(blocks[:-1]) <= 1.25 * np.flatnonzero(ok)[999]
+
+
+def test_surface_sampler_refuses_at_its_budget_when_nothing_is_kept(monkeypatch):
+    drawn = []
+
+    def rejecting(r0, r1):
+        drawn.append(np.size(r0))
+        return r0, r1, r0, np.full_like(r0, 2.0)  # |cos(phi)| > 1: no closure
+
+    monkeypatch.setattr(fb, "_closure_terms", rejecting)
+    with pytest.raises(RuntimeError, match="trial budget"):
+        fb.sample_surface_section(np.random.default_rng(0), max_trials=50, count=7)
+    assert sum(drawn) == 350 and len(drawn) > 1
+
+
 # -- NaN never passes a guard ---------------------------------------------------
 
 def test_nan_phase_is_refused():

@@ -172,10 +172,18 @@ def _recursive_grid(n, d):
     return [tuple(F(k, d) for k in point) for point in rec(0, 2 * d)]
 
 
-@pytest.mark.parametrize("n, d", [(4, 18), (5, 10)])
+def _filtered_grid(n, d):
+    """The numerators as the filtering walk built them: every head of n-1
+    numerators, kept when the last one, 2d minus their sum, lies in [0, d]."""
+    return [(*head, 2 * d - sum(head)) for head in itertools.product(range(d + 1), repeat=n - 1)
+            if d <= sum(head) <= 2 * d]
+
+
+@pytest.mark.parametrize("n, d", [(4, 18), (5, 10), (2, 1), (2, 4), (3, 1), (3, 5), (4, 1), (6, 3)])
 def test_grid_numerators_give_the_fraction_grid_in_order(n, d):
     expected = _recursive_grid(n, d)
     numerators = list(regularity._grid_numerators(n, d))
+    assert numerators == _filtered_grid(n, d)
     assert [tuple(F(k, d) for k in point) for point in numerators] == expected
 
 
@@ -365,27 +373,25 @@ def test_flat_oracle_batch_matches_the_per_point_definition(n):
     assert set(verdicts) == {True, False}
 
 
-def test_flat_oracle_solves_hulls_only_on_the_span(monkeypatch):
-    """On the criterion 6 batch, convex_membership runs once per (point,
-    flat) pair with the point on the flat's affine span, up to and
-    including the first flat whose hull holds it."""
-    points = _criterion_6_points()
-    expected = 0
-    for x in points:
-        for hull in regularity._flat_hulls(4):
-            if affine_rank([*hull, x]) == affine_rank(hull):
-                expected += 1
-                if convex_membership(x, hull) is not None:
-                    break
+def test_flat_oracle_eliminates_each_flat_once_per_batch(monkeypatch):
+    """The batch's eliminations do not grow with its size: 44 rank tests
+    list the 11 flats, each flat is eliminated once with every point no
+    earlier flat held as a right-hand side, and each of the 3 squares
+    then solves 3 candidate triangles."""
     calls = []
+    row_echelon = exactgeom._row_echelon
 
-    def counting_membership(x, hull):
+    def counting(rows, width=None):
         calls.append(1)
-        return convex_membership(x, hull)
+        return row_echelon(rows, width)
 
-    monkeypatch.setattr(regularity, "convex_membership", counting_membership)
-    verdicts = projective_bruteforce_verdicts(points, 4)
-    assert len(calls) == expected == 86
+    monkeypatch.setattr(exactgeom, "_row_echelon", counting)
+    counts = []
+    for k in (20, 200):
+        calls.clear()
+        verdicts = projective_bruteforce_verdicts(_criterion_6_points()[:k], 4)
+        counts.append(len(calls))
+    assert counts == [64, 64]
     assert verdicts.count(False) == 86
 
 
