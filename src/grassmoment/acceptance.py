@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fibers4 as fb
-from .exactgeom import _integer_subset_sums, format_vector, vector
+from .exactgeom import format_vector, vector
 from .moment import simplex_moment, weight_map
 from .plucker import normalize_projective, plucker_relation_residual, projective_distance
 from .regularity import (
@@ -24,6 +24,7 @@ from .regularity import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     _grid_numerators,
+    _grid_subset_sums,
     _verdicts,
     center_point_regular,
     chamber_orbits,
@@ -161,10 +162,14 @@ def check_fiber7(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> Cr
 def check_regular_dichotomy(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
     """Criterion 5: the two regularity notions coincide on the full n=4 grid
     and split at the reference n=5 point.  The grid points k/18 are read
-    as their numerators k at denominator 18, unreduced."""
+    as their numerators k at denominator 18, unreduced.  At n = 4 no split
+    wall fits, so the grid half compares two closed forms that agree by
+    construction; criterion 6 and tests/test_regularity.py's
+    test_grassmann_closed_form_is_the_projective_definition_on_the_n4_grid
+    check them against the definition."""
     _require_samples(samples)
     started = time.perf_counter()
-    verdicts = [_verdicts(*_integer_subset_sums(k, 18, 4), 4) for k in _grid_numerators(4, 18)]
+    verdicts = [_verdicts(k, 18, sums, 4) for k, sums in _grid_subset_sums(4, 18)]
     total = len(verdicts)
     mismatches = sum(regular_mu != regular_mu_tilde for regular_mu, regular_mu_tilde in verdicts)
     gap_point = vector(["7/10", "6/10", "5/10", "1/10", "1/10"])

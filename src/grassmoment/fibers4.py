@@ -548,15 +548,13 @@ def ci_jacobian(a) -> np.ndarray:
 
 
 def ci_jacobian_fd(a, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian at one chart point, shape (4,): the
-    cross-check for the closed form."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (4,):
-        raise ValueError("expected the four complex chart coordinates of one point")
-    forward = np.concatenate([a.real, a.imag]) + step * np.eye(8)
+    """Central finite-difference Jacobian at chart points (..., 4), shaped
+    like ci_jacobian: the cross-check for the closed form."""
+    a, _ = _chart_cross(a)
+    forward = np.concatenate([a.real, a.imag], axis=-1)[..., None, :] + step * np.eye(8)
     backward = forward - 2.0 * step * np.eye(8)
-    f_plus = np.array(complete_intersection_f(forward[:, :4] + 1j * forward[:, 4:]))
-    f_minus = np.array(complete_intersection_f(backward[:, :4] + 1j * backward[:, 4:]))
+    f_plus = np.stack(complete_intersection_f(forward[..., :4] + 1j * forward[..., 4:]), axis=-2)
+    f_minus = np.stack(complete_intersection_f(backward[..., :4] + 1j * backward[..., 4:]), axis=-2)
     return (f_plus - f_minus) / (2.0 * step)
 
 
@@ -592,8 +590,7 @@ def complete_intersection_survey(points, fd_every: int = 25):
     Jacobian over every fd_every-th point."""
     a = chart_array(as_coords6(points))
     f, _, singular = _chart_checks(a)
-    fd = max((float(np.max(np.abs(ci_jacobian(a[k]) - ci_jacobian_fd(a[k]))))
-              for k in range(0, len(a), fd_every)), default=0.0)
+    fd = float(np.max(np.abs(ci_jacobian(a[::fd_every]) - ci_jacobian_fd(a[::fd_every])), initial=0.0))
     return np.abs(f - _F_TARGET), _rank(singular, 1e-6), fd
 
 

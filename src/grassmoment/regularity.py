@@ -30,6 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterator, Sequence
 
 from .exactgeom import (
@@ -360,14 +361,26 @@ def largest_chamber_witness(n: int, seed: int = DEFAULT_SEED, max_trials: int = 
     raise RuntimeError(f"witness search exhausted after {max_trials} trials")
 
 
-def _grid_numerators(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """The integer numerators k of the points k / d of the hypersimplex,
-    in lexicographic order.  Raises for d < 1 or n < 2, which give no grid."""
+def _grid_heads(n: int, d: int) -> Iterator[tuple[tuple[int, ...], int, range]]:
+    """The points k / d of the hypersimplex in lexicographic order, by head k[:n-2]:
+    (head, rest = 2d - sum(head), the k[n-2] that keep k[n-1] = rest - k[n-2] in [0, d])."""
     if d < 1 or n < 2:
         raise ValueError(f"a hypersimplex grid needs n >= 2 and d >= 1, got n={n}, d={d}")
-    # The first n-2 numerators leave rest = 2d - their sum, which bounds the
-    # next one so that the last, rest minus it, lies in [0, d].
-    return ((*head, k, rest - k)
+    return ((head, rest, range(max(0, rest - d), min(d, rest) + 1))
             for head in itertools.product(range(d + 1), repeat=n - 2)
-            for rest in [2 * d - sum(head)]
-            for k in range(max(0, rest - d), min(d, rest) + 1))
+            for rest in [2 * d - sum(head)])
+
+
+def _grid_numerators(n: int, d: int) -> Iterator[tuple[int, ...]]:
+    """The integer numerators k of the points k / d of _grid_heads(n, d)."""
+    return ((*head, k, rest - k) for head, rest, ks in _grid_heads(n, d) for k in ks)
+
+
+def _grid_subset_sums(n: int, d: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """(k, _integer_subset_sums(k, d, n)[2]) for each k of _grid_numerators(n, d), unvalidated:
+    a head's table is built once, then doubled by each point's last two numerators."""
+    return (((*head, k, rest - k), half + [s + rest - k for s in half])
+            for head, rest, ks in _grid_heads(n, d)
+            for table in [reduce(lambda t, v: t + [s + v for s in t], head, [0])]
+            for k in ks
+            for half in [table + [s + k for s in table]])

@@ -7,6 +7,7 @@ acceptance record.
 import ast
 import dataclasses
 import pathlib
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -85,6 +86,32 @@ def test_criterion_05_fails_when_the_projective_verdict_flips(monkeypatch):
     result = acceptance.check_regular_dichotomy(SEED, SAMPLES)
     assert not result.passed
     assert result.details["mismatches"] > 0
+
+
+def test_criterion_05_validates_only_the_gap_point(monkeypatch):
+    # The grid's tables come from regularity._grid_subset_sums, so the one
+    # _integer_subset_sums call left is classify_point's, at the n = 5 gap point.
+    from grassmoment import exactgeom
+    from test_regularity import hypersimplex_grid
+
+    validated, read = [], []
+    integer_subset_sums, verdicts = exactgeom._integer_subset_sums, acceptance._verdicts
+
+    def validating(cleared, den, n):
+        validated.append(n)
+        return integer_subset_sums(cleared, den, n)
+
+    def reading(cleared, den, sums, n):
+        read.append((tuple(F(k, den) for k in cleared), verdicts(cleared, den, sums, n)))
+        return read[-1][1]
+
+    for module in (exactgeom, acceptance):  # wherever the name is bound
+        monkeypatch.setattr(module, "_integer_subset_sums", validating, raising=False)
+    monkeypatch.setattr(acceptance, "_verdicts", reading)
+    result = acceptance.check_regular_dichotomy(SEED, SAMPLES)
+    assert result.passed and validated == [5]
+    assert [x for x, _ in read] == list(hypersimplex_grid(4, 18))
+    assert sum(regular for _, (regular, _) in read) == 2464
 
 
 def test_criterion_06_tests_the_strided_grid(monkeypatch):

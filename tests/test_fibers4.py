@@ -500,13 +500,13 @@ def test_complete_intersection_on_samples(rng):
 
 
 def test_jacobian_against_finite_differences(rng):
-    for _ in range(25):
-        point = fb.sample_fiber5(rng)
-        a = chart_array(point)
-        dev = np.max(np.abs(fb.ci_jacobian(a) - fb.ci_jacobian_fd(a)))
-        assert dev <= 1e-6
-    with pytest.raises(ValueError, match="of one point"):
-        fb.ci_jacobian_fd(np.zeros((2, 4)))
+    a = chart_array(np.array([fb.sample_fiber5(rng) for _ in range(25)]))
+    batch = fb.ci_jacobian_fd(a)
+    assert batch.shape == (25, 3, 8)
+    assert np.max(np.abs(fb.ci_jacobian(a) - batch)) <= 1e-6
+    assert all(np.array_equal(fb.ci_jacobian_fd(point), row) for point, row in zip(a, batch))
+    with pytest.raises(ValueError, match="four complex chart coordinates"):
+        fb.ci_jacobian_fd(np.zeros((2, 5)))
 
 
 def test_jacobian_rank_precondition():

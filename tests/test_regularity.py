@@ -185,12 +185,16 @@ def test_grid_numerators_give_the_fraction_grid_in_order(n, d):
     numerators = list(regularity._grid_numerators(n, d))
     assert numerators == _filtered_grid(n, d)
     assert [tuple(F(k, d) for k in point) for point in numerators] == expected
+    assert list(regularity._grid_subset_sums(n, d)) == [
+        (k, _integer_subset_sums(k, d, n)[2]) for k in numerators]
 
 
 @pytest.mark.parametrize("n, d", [(4, 0), (4, -1), (1, 5), (0, 3)])
 def test_grid_refuses_an_empty_or_undefined_grid(n, d):
     with pytest.raises(ValueError):
         regularity._grid_numerators(n, d)
+    with pytest.raises(ValueError):
+        regularity._grid_subset_sums(n, d)
 
 
 @pytest.mark.parametrize("n, d", [(4, 18), (5, 10)])
