@@ -1,15 +1,18 @@
 """Acceptance suite: every exit criterion as a runnable check.
 
-Each criterion returns a CriterionResult with a hard pass/fail verdict at
-its pinned tolerance.  The CLI ``report`` command and the test suite both
-drive these functions, so the shipped verdicts and the tested verdicts
-are the same code path.
+Each criterion is declared once, by ``_criterion``, and its check returns
+a CriterionResult with a hard pass/fail verdict at its pinned tolerance.
+The sampled criteria draw fiber points through ``fibers4.sample_for_kind``
+only.  The CLI ``report`` command and the test suite both drive these
+functions, so the shipped verdicts and the tested verdicts are the same
+code path.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -41,17 +44,14 @@ F = Fraction
 class CriterionResult:
     number: int
     name: str
+    short: str
     passed: bool
     seconds: float
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_json(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        """The verdict as ``report`` emits it; the seconds go to its timings, keyed by short."""
+        return {key: getattr(self, key) for key in ("number", "name", "passed", "details")}
 
 
 def _require_samples(samples: int) -> None:
@@ -60,16 +60,34 @@ def _require_samples(samples: int) -> None:
         raise ValueError(f"samples must be a positive integer, got {samples}")
 
 
-def _result(number: int, name: str, started: float, passed: bool, details: dict) -> CriterionResult:
-    return CriterionResult(number=number, name=name, passed=bool(passed),
-                           seconds=time.perf_counter() - started, details=details)
+#: (short name, check) per criterion, in criterion order; ``_criterion`` fills it.
+CRITERIA: tuple = ()
 
 
-def check_chambers(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
+def _criterion(number: int, name: str, short: str):
+    """Declare criterion ``number`` from a body (rng, samples) -> (passed,
+    details) and register it under ``short`` in CRITERIA.  The check(seed,
+    samples) it returns refuses a non-positive sample count, seeds the
+    generator, times the body and wraps its verdict in a CriterionResult."""
+    def declare(body):
+        @functools.wraps(body)
+        def check(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
+            _require_samples(samples)
+            started = time.perf_counter()
+            passed, details = body(np.random.default_rng(seed), samples)
+            return CriterionResult(number, name, short, bool(passed),
+                                   time.perf_counter() - started, details)
+
+        global CRITERIA
+        CRITERIA += ((short, check),)
+        return check
+    return declare
+
+
+@_criterion(1, "chamber count and orbits", "chambers")
+def check_chambers(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 1: eight maximal chambers in two orbits of four; two
     disjoint orbits of four are the eight chambers."""
-    _require_samples(samples)
-    started = time.perf_counter()
     minus, plus = chamber_orbits()
     chambers = {c.id for c in minus.chambers + plus.chambers}
     reps_ok = (minus.representative.representative == CHAMBER_POINT_MINUS
@@ -87,13 +105,12 @@ def check_chambers(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> 
             "C+": format_vector(plus.representative.representative),
         },
     }
-    return _result(1, "chamber count and orbits", started, passed, details)
+    return passed, details
 
 
-def check_triangle(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
+@_criterion(2, "exact solution triangle", "triangle")
+def check_triangle(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 2: exact triangle vertices and their exact moment image."""
-    _require_samples(samples)
-    started = time.perf_counter()
     triangle = solve_moment_triangle()
     expected = {
         "X01": vector(["0", "0", "1/3", "4/9", "1/9", "1/9"]),
@@ -112,54 +129,45 @@ def check_triangle(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> 
         "vertices_exact": vertices_ok,
         "probe_points_map_to_chamber_point": images_ok,
     }
-    return _result(2, "exact solution triangle", started, passed, details)
+    return passed, details
 
 
-def check_curve_points(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
+@_criterion(3, "edge curve points", "curve")
+def check_curve_points(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 3: lifted sphere points hit the three edge images; curve residuals."""
-    _require_samples(samples)
-    started = time.perf_counter()
-    s6 = 1.0 / np.sqrt(6.0)
-    lifted = [
-        fb.lift_to_fiber(0.0, s6, s6),
-        fb.lift_to_fiber(s6, 0.0, s6),
-        fb.lift_to_fiber(s6, s6, 0.0),
-    ]
-    image_err = 0.0
-    for point, target in zip(lifted, fb.EDGE_IMAGES):
-        expected = np.array([float(v) for v in target])
-        image_err = max(image_err, float(np.max(np.abs(simplex_moment(point) - expected))))
+    heads = (1.0 - np.eye(3)) / np.sqrt(6.0)  # (0, s, s), (s, 0, s), (s, s, 0) for s^2 = 1/6
+    lifted = fb.lift_to_fiber(*heads.T)
+    expected = np.array(fb.EDGE_IMAGES, dtype=float)
+    image_err = float(np.max(np.abs(simplex_moment(lifted) - expected)))
     residuals = {
         "(0,1/6)": fb.curve_residual(0.0, 1.0 / 6.0),
         "(1/6,1/6)": fb.curve_residual(1.0 / 6.0, 1.0 / 6.0),
     }
     passed = image_err <= 1e-12 and all(r <= 1e-12 for r in residuals.values())
     details = {"max_image_error": image_err, "curve_residuals": residuals}
-    return _result(3, "edge curve points", started, passed, details)
+    return passed, details
 
 
-def check_fiber7(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
+@_criterion(4, "7-fiber parametrization", "fiber7")
+def check_fiber7(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 4: seeded 7-fiber samples close the moment equation and round trip."""
-    _require_samples(samples)
-    started = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    z0, z1, z2 = fb.random_sphere_triple(rng, samples)
-    t4, t5 = fb.random_phases(rng, (2, samples))
-    point = fb.fiber7_param(z0, z1, z2, t4, t5)
-    max_moment = float(np.max(fb.moment_residual(point, CHAMBER_POINT_MINUS)))
-    min_tail = float(np.min(fb.fiber7_residuals(point)["min_tail"]))
-    max_round = float(np.max(fb.fiber7_roundtrip_error(z0, z1, z2, t4, t5)))
-    passed = max_moment <= 1e-10 and min_tail >= 0.33 and max_round <= 1e-10
+    points = fb.sample_for_kind("mq7", rng, samples)
+    max_moment = float(np.max(fb.moment_residual(points, CHAMBER_POINT_MINUS)))
+    min_tail = float(np.min(fb.fiber7_residuals(points)["min_tail"]))
+    max_round = float(np.max(fb.fiber7_roundtrip_error(points)))
+    passed = (max_moment <= 1e-10 and min_tail >= fb.DEFAULT_TOLERANCES["min_tail"]
+              and max_round <= 1e-10)
     details = {
         "samples": samples,
         "max_moment_residual": max_moment,
         "min_tail_modulus": min_tail,
         "max_roundtrip_error": max_round,
     }
-    return _result(4, "7-fiber parametrization", started, passed, details)
+    return passed, details
 
 
-def check_regular_dichotomy(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
+@_criterion(5, "regular value dichotomy", "dichotomy")
+def check_regular_dichotomy(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 5: the two regularity notions coincide on the full n=4 grid
     and split at the reference n=5 point.  The grid points k/18 are read
     as their numerators k at denominator 18, unreduced.  At n = 4 no split
@@ -167,8 +175,6 @@ def check_regular_dichotomy(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAM
     construction; criterion 6 and tests/test_regularity.py's
     test_grassmann_closed_form_is_the_projective_definition_on_the_n4_grid
     check them against the definition."""
-    _require_samples(samples)
-    started = time.perf_counter()
     verdicts = [_verdicts(k, 18, sums, 4) for k, sums in _grid_subset_sums(4, 18)]
     total = len(verdicts)
     mismatches = sum(regular_mu != regular_mu_tilde for regular_mu, regular_mu_tilde in verdicts)
@@ -181,16 +187,15 @@ def check_regular_dichotomy(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAM
         "mismatches": mismatches,
         "n5_point_grassmann_regular_projective_nonregular": gap_ok,
     }
-    return _result(5, "regular value dichotomy", started, passed, details)
+    return passed, details
 
 
-def check_oracle_equivalence(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
+@_criterion(6, "brute-force oracle equivalence", "oracle")
+def check_oracle_equivalence(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 6: the closed form agrees with the brute-force oracle, one
     batch that tests each of 200 grid points against every vertex-spanned flat.
     The stride runs over the grid's numerators; only the points kept become
     Fractions."""
-    _require_samples(samples)
-    started = time.perf_counter()
     grid = list(_grid_numerators(4, 18))
     stride = max(1, len(grid) // 200)
     chosen = [tuple(F(k, 18) for k in point) for point in grid[::stride][:200]]
@@ -199,29 +204,27 @@ def check_oracle_equivalence(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SA
                         for x, verdict in zip(chosen, oracle))
     passed = disagreements == 0 and len(chosen) == 200
     details = {"points": len(chosen), "disagreements": disagreements}
-    return _result(6, "brute-force oracle equivalence", started, passed, details)
+    return passed, details
 
 
-def check_fiber5(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
-    """Criterion 7: 5-fiber certificates, both parametrizations, projection facts."""
-    _require_samples(samples)
-    started = time.perf_counter()
-    rng = np.random.default_rng(seed)
-    surface = fb.sample_surface_section(rng, count=samples)
-    phases = fb.random_phases(rng, (samples, 3))
-    sphere = fb.sample_sphere_section(rng, count=samples)
-    t1, t2 = fb.random_phases(rng, (2, samples))
-    points = np.concatenate([fb.surface_torus_param(surface, phases),
-                             fb.sphere_torus_param(sphere, t1, t2)])
+@_criterion(7, "5-fiber certificates", "fiber5")
+def check_fiber5(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
+    """Criterion 7: one seeded 5-fiber batch satisfies the Plücker relation and
+    the moment equation and round trips through both parametrizations; the
+    base projection collapses the circle and separates the batch's surface
+    sections, each paired with its other closure branch (its conjugate) and
+    with the section before it."""
+    points = fb.sample_for_kind("mq5", rng, samples)
     max_plucker = float(np.max(plucker_relation_residual(normalize_projective(points))))
     max_moment = float(np.max(fb.moment_residual(points, CHAMBER_POINT_MINUS)))
-    max_f_round = float(np.max(fb.surface_roundtrip_error(surface, phases)))
-    max_g_round = float(np.max(fb.sphere_roundtrip_error(sphere, t1, t2)))
+    max_f_round = float(np.max(fb.surface_roundtrip_error(points)))
+    max_g_round = float(np.max(fb.sphere_roundtrip_error(points)))
     circle = fb.surface_circle(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
     max_circle = float(np.max(projective_distance(fb.base_projection(circle),
                                                   normalize_projective([1.0, 1.0]))))
-    first = fb.sample_surface_section(rng, count=samples)
-    second = fb.sample_surface_section(rng, count=samples)
+    sections = fb.surface_torus_preimage(points)[0]
+    first = np.concatenate([sections, sections])
+    second = np.concatenate([sections.conj(), np.roll(sections, 1, axis=0)])
     distinct = np.abs(first[:, 0] - second[:, 0]) + np.abs(first[:, 1] - second[:, 1]) >= 1e-8
     distances = projective_distance(fb.base_projection(first), fb.base_projection(second))
     min_pair_distance = float(np.min(distances[distinct], initial=np.inf))
@@ -237,17 +240,15 @@ def check_fiber5(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> Cr
         "max_circle_collapse_distance": max_circle,
         "min_offcircle_pair_distance": min_pair_distance,
     }
-    return _result(7, "5-fiber certificates", started, passed, details)
+    return passed, details
 
 
-def check_complete_intersection(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
+@_criterion(8, "complete intersection", "intersection")
+def check_complete_intersection(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 8: equipotential values (0, -1, 0), Jacobian rank 3, FD cross-check,
     all on the chart quadrics of the C- fiber over q-."""
-    _require_samples(samples)
-    started = time.perf_counter()
-    rng = np.random.default_rng(seed)
     bases = np.array([fiber.sample(np.ones(3, dtype=complex)) for fiber in fb.edge_fibers()])
-    sampled = fb.sample_fiber5_mixed(rng, np.arange(samples) % 2 == 0)
+    sampled = fb.sample_for_kind("mq5", rng, samples)
     points = np.concatenate([bases, sampled])
     deviation, ranks, max_fd_dev = fb.complete_intersection_survey(points, fd_every=50)
     max_f_dev = float(np.max(deviation))
@@ -259,17 +260,16 @@ def check_complete_intersection(seed: int = DEFAULT_SEED, samples: int = DEFAULT
         "all_ranks_3": ranks_ok,
         "max_fd_deviation": max_fd_dev,
     }
-    return _result(8, "complete intersection", started, passed, details)
+    return passed, details
 
 
-def check_bundle_structure(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
+@_criterion(9, "bundle structure", "transition")
+def check_bundle_structure(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 9: unimodular transition, cocycle identity, chart coverage."""
-    _require_samples(samples)
-    started = time.perf_counter()
-    rng = np.random.default_rng(seed)
     determinant = fb.transition_determinant()
     max_cocycle = fb.cocycle_error(fb.random_phases(rng, (max(samples // 10, 10), 3)))
-    coverage_ok = bool(np.all(fb.chart_coverage(fb.sample_fiber5(rng, count=max(samples // 2, 1))).ok))
+    covered = fb.chart_coverage(fb.sample_for_kind("mq5", rng, max(samples // 2, 1))).ok
+    coverage_ok = bool(np.all(covered))
     fibers = fb.edge_fibers()
     cov0 = fb.chart_coverage(fibers[0].base)
     cov1 = fb.chart_coverage(fibers[1].base)
@@ -283,40 +283,35 @@ def check_bundle_structure(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMP
         "coverage_ok": coverage_ok,
         "edge_classification_ok": classification_ok,
     }
-    return _result(9, "bundle structure", started, passed, details)
+    return passed, details
 
 
-def check_center_parity(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
+@_criterion(10, "center point parity", "parity")
+def check_center_parity(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 10: the center point is regular exactly for odd n, n = 4..10."""
-    _require_samples(samples)
-    started = time.perf_counter()
     verdicts = {n: center_point_regular(n) for n in range(4, 11)}
     passed = all(verdicts[n] == (n % 2 == 1) for n in verdicts)
     details = {"verdicts": {str(n): v for n, v in verdicts.items()}}
-    return _result(10, "center point parity", started, passed, details)
+    return passed, details
 
 
-def check_dimension_counts(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
+@_criterion(11, "tangent dimension counts", "dimensions")
+def check_dimension_counts(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 11: SVD tangent dimensions 7 and 5 at random fiber points."""
-    _require_samples(samples)
-    started = time.perf_counter()
-    rng = np.random.default_rng(seed)
     count = max(samples // 10, 100)
-    dims7 = set(fb.tangent_fiber_dimension(fb.sample_fiber7(rng, count=count)).tolist())
-    dims5 = set(fb.tangent_fiber_dimension(fb.sample_fiber5(rng, count=count),
+    dims7 = set(fb.tangent_fiber_dimension(fb.sample_for_kind("mq7", rng, count)).tolist())
+    dims5 = set(fb.tangent_fiber_dimension(fb.sample_for_kind("mq5", rng, count),
                                            include_quadric=True).tolist())
     passed = dims7 == {7} and dims5 == {5}
     details = {"points_each": count, "dims7": sorted(dims7), "dims5": sorted(dims5)}
-    return _result(11, "tangent dimension counts", started, passed, details)
+    return passed, details
 
 
-def check_second_orbit(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
+@_criterion(12, "second orbit swap images", "secondorbit")
+def check_second_orbit(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 12: swap images of 7- and 5-fiber points map to q+, and the
     5-fiber images satisfy the Plücker relation.  The swap permutes indices,
     so all it leaves unchanged is checked by criteria 4, 7 and 8."""
-    _require_samples(samples)
-    started = time.perf_counter()
-    rng = np.random.default_rng(seed)
     mq7 = fb.orbit_swap(fb.sample_for_kind("mq7", rng, samples))
     mq5 = fb.orbit_swap(fb.sample_for_kind("mq5", rng, samples))
     max_moment7 = float(np.max(fb.moment_residual(mq7, CHAMBER_POINT_PLUS)))
@@ -329,28 +324,7 @@ def check_second_orbit(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES)
         "max_moment_residual_mq5": max_moment5,
         "max_plucker_residual": max_plucker,
     }
-    return _result(12, "second orbit swap images", started, passed, details)
-
-
-CRITERIA = (
-    ("chambers", check_chambers),
-    ("triangle", check_triangle),
-    ("curve", check_curve_points),
-    ("fiber7", check_fiber7),
-    ("dichotomy", check_regular_dichotomy),
-    ("oracle", check_oracle_equivalence),
-    ("fiber5", check_fiber5),
-    ("intersection", check_complete_intersection),
-    ("transition", check_bundle_structure),
-    ("parity", check_center_parity),
-    ("dimensions", check_dimension_counts),
-    ("secondorbit", check_second_orbit),
-)
-
-
-def short_name(number: int) -> str:
-    """The CRITERIA name of criterion ``number``; the table is in criterion order."""
-    return CRITERIA[number - 1][0]
+    return passed, details
 
 
 def run_all(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
@@ -360,7 +334,6 @@ def run_all(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
     Raises ValueError for a non-positive sample count or a filter that
     matches no criterion: either would report a pass that checked nothing.
     """
-    _require_samples(samples)
     selected = [func for name, func in CRITERIA if only is None or only in name]
     if not selected:
         raise ValueError(f"no criterion matches {only!r}")

@@ -182,7 +182,7 @@ def cmd_jacobian(args) -> int:
     from . import fibers4 as fb
 
     rng = np.random.default_rng(args.seed)
-    points = fb.sample_fiber5_mixed(rng, np.arange(args.samples) % 2 == 0)
+    points = fb.sample_for_kind("mq5", rng, args.samples)
     deviation, ranks, max_fd = fb.complete_intersection_survey(points)
     rank_histogram = _rank_histogram(ranks.tolist())
     all_rank3 = set(rank_histogram) <= {"3"}
@@ -273,8 +273,7 @@ def cmd_report(args) -> int:
         "all_passed": all(r.passed for r in results),
     }
     if not args.no_timings:
-        payload["timings"] = {acceptance.short_name(r.number): round(r.seconds, 3)
-                              for r in results}
+        payload["timings"] = {r.short: round(r.seconds, 3) for r in results}
     _emit(payload, args.json_out)
     return 0 if payload["all_passed"] else 1
 

@@ -155,10 +155,22 @@ def sample_fiber7(rng: np.random.Generator, count: int | None = None) -> np.ndar
     return fiber7_param(z0, z1, z2, t4, t5)
 
 
-def fiber7_roundtrip_error(z0, z1, z2, t4, t5):
-    point = fiber7_param(z0, z1, z2, t4, t5)
-    recovered = _stack(*fiber7_preimage(point))
-    return np.max(np.abs(recovered - _stack(z0, z1, z2, t4, t5)), axis=-1)
+def _roundtrip_error(z, preimage, param, recovered=True):
+    """Round trip from fiber points z, sampled with z3 real positive: for
+    p = preimage(z), the reconstruction error max|param(*p) - z|, and where
+    ``recovered`` the larger of it and the recovery error max|preimage(param(*p)) - p|."""
+    z = as_coords6(z)
+    params = preimage(z)
+    rebuilt = param(*params)
+    recovery = np.concatenate([np.reshape(again - first, z.shape[:-1] + (-1,))
+                               for first, again in zip(params, preimage(rebuilt))], axis=-1)
+    error = np.max(np.abs(rebuilt - z), axis=-1)
+    return np.where(recovered, np.maximum(error, np.max(np.abs(recovery), axis=-1)), error)[()]
+
+
+def fiber7_roundtrip_error(z):
+    """``_roundtrip_error`` of the sphere x torus parametrization at 7-fiber points."""
+    return _roundtrip_error(z, fiber7_preimage, fiber7_param)
 
 
 def curve_residual(x0: float, x1: float) -> float:
@@ -218,53 +230,24 @@ def _third_square(s0, s1):
 
 
 def _closure_terms(r0, r1):
-    """Products |z0||z5|, |z1||z4|, |z2||z3| of the surface equation and the
-    cosine of the relative phase that closes it (law of cosines)."""
+    """Products |z0||z5| and |z2||z3| of the surface equation and the cosine
+    of the relative phase that closes it against |z1||z4| (law of cosines)."""
     big0 = r0 * np.sqrt(r0 * r0 + 1.0 / 9.0)
     big1 = r1 * np.sqrt(r1 * r1 + 1.0 / 9.0)
     s2 = _third_square(r0 * r0, r1 * r1)
     middle = np.sqrt(s2 * (s2 + 1.0 / 9.0))
     with np.errstate(all="ignore"):
         cos_phi = (big1 * big1 - big0 * big0 - middle * middle) / (2.0 * big0 * middle)
-    return big0, big1, middle, cos_phi
+    return big0, middle, cos_phi
 
 
 def _close_phase(r0, r1, branch) -> np.ndarray:
-    """Surface point R0*e^(i*phi) + C = R1*e^(i*psi), sin(phi) of sign branch."""
-    big0, _, middle, cos_phi = _closure_terms(r0, r1)
+    """Surface point |z0| = r0, |z1| = r1 closing R0*e^(i*phi) + C = R1*e^(i*psi) by the law
+    of cosines, sin(phi) of sign branch; _section refuses moduli with no closure."""
+    big0, middle, cos_phi = _closure_terms(r0, r1)
     rotation = np.exp(1j * branch * np.arccos(np.clip(cos_phi, -1.0, 1.0)))
     closing = middle + big0 * rotation
     return _section(r0 * rotation, r1 * closing / np.abs(closing))
-
-
-def surface_section(r0: float, r1: float, branch: int = 1) -> np.ndarray:
-    """Construct the surface point with |z0| = r0, |z1| = r1 by phase closure.
-
-    Writes the surface equation as R0*e^(i*phi) + C = R1*e^(i*psi) and
-    solves for the relative phase by the law of cosines; ``branch``
-    selects the sign of sin(phi).  Collinear degenerate cases (one of the
-    three magnitudes zero) are accepted when the other two balance.
-    """
-    r0, r1 = float(r0), float(r1)
-    if not (r0 >= 0 and r1 >= 0):
-        raise ValueError("magnitudes must be nonnegative")
-    if not r0 * r0 + r1 * r1 <= 1.0 / 3.0 + 1e-12:
-        raise ValueError("head moduli exceed the sphere bound")
-    if branch not in (1, -1):
-        raise ValueError("branch must be +1 or -1")
-    big0, big1, middle, cos_phi = _closure_terms(r0, r1)
-
-    for small, gap, heads, case in ((middle, big0 - big1, (r0, r1), "circle"),
-                                    (big0, middle - big1, (0.0, r1), "vanishing z0"),
-                                    (big1, middle - big0, (-r0, 0.0), "vanishing z1")):
-        if small <= _ZERO_TOL:
-            if not abs(gap) <= 1e-10:
-                raise ValueError(f"no phase closure in the {case} case: the other two "
-                                 "products must balance")
-            return _section(*heads)
-    if not abs(cos_phi) <= 1.0 + 1e-9:
-        raise ValueError("no phase closure: the three products violate the triangle bound")
-    return _close_phase(r0, r1, branch)
 
 
 def surface_circle(psi) -> np.ndarray:
@@ -302,7 +285,7 @@ def sample_surface_section(rng: np.random.Generator, max_trials: int = 10000,
         block = rng.uniform(0.0, math.sqrt(1.0 / 3.0), size=(size, 2))
         trials += size
         r0, r1 = block.T
-        big0, _, middle, cos_phi = _closure_terms(r0, r1)
+        big0, middle, cos_phi = _closure_terms(r0, r1)
         ok = ((r0 * r0 + r1 * r1 <= 1.0 / 3.0) & (middle >= 1e-6) & (big0 >= 1e-9)
               & (np.abs(cos_phi) <= 1.0 - 1e-9))
         kept.append(block[ok])
@@ -363,47 +346,30 @@ def sphere_torus_preimage(z):
     return _section(w0 / t1, w1 / t2, w2), t1, t2
 
 
-def sample_fiber5(rng: np.random.Generator, method: str = "surface",
-                  count: int | None = None) -> np.ndarray:
-    """5-fiber points; a public name because perfbench's tracer looks it up."""
-    if method == "surface":
-        return surface_torus_param(sample_surface_section(rng, count=count),
-                                   random_phases(rng, _shape(count, 3)))
-    if method == "sphere":
-        t1, t2 = _split(random_phases(rng, _shape(count, 2)))
-        return sphere_torus_param(sample_sphere_section(rng, count=count), t1, t2)
-    raise ValueError("method must be 'surface' or 'sphere'")
-
-
-def sample_fiber5_mixed(rng: np.random.Generator, surface) -> np.ndarray:
-    """One 5-fiber point per entry of the boolean mask ``surface``: from the
-    surface parametrization where it is True, the sphere one where False."""
-    surface = np.asarray(surface, dtype=bool)
+def sample_fiber5(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """5-fiber points, each from the surface or the sphere parametrization with
+    equal odds (one uniform draw per point, then the surface points, then the
+    sphere points); a public name because perfbench's tracer looks it up."""
+    surface = rng.uniform(size=_shape(count)) < 0.5
+    n_surface, n_sphere = int(surface.sum()), int((~surface).sum())
     out = np.empty(surface.shape + (6,), dtype=complex)
-    out[surface] = sample_fiber5(rng, "surface", count=int(surface.sum()))
-    out[~surface] = sample_fiber5(rng, "sphere", count=int((~surface).sum()))
+    out[surface] = surface_torus_param(sample_surface_section(rng, count=n_surface),
+                                       random_phases(rng, (n_surface, 3)))
+    t1, t2 = _split(random_phases(rng, (n_sphere, 2)))
+    out[~surface] = sphere_torus_param(sample_sphere_section(rng, count=n_sphere), t1, t2)
     return out
 
 
-def surface_roundtrip_error(section, phases):
-    """Parameter recovery error off the circle, reconstruction error on it."""
-    section, phases = as_coords6(section), np.asarray(phases, dtype=complex)
-    point = surface_torus_param(section, phases)
-    recovered, t = surface_torus_preimage(point)
-    rebuilt = surface_torus_param(recovered, t)
-    error = np.max(np.abs(rebuilt - point), axis=-1)
-    recovery = np.max(np.abs(np.concatenate(
-        [recovered[..., :2] - section[..., :2], t - phases], axis=-1)), axis=-1)
-    off_circle = np.abs(section[..., 2]) > 1e-9
-    return np.where(off_circle, np.maximum(error, recovery), error)[()]
+def surface_roundtrip_error(z):
+    """``_roundtrip_error`` of the surface parametrization at 5-fiber points;
+    the recovery is skipped on the circle z2 = 0, where t3 is free."""
+    off_circle = np.abs(as_coords6(z)[..., 2]) > 1e-9
+    return _roundtrip_error(z, surface_torus_preimage, surface_torus_param, off_circle)
 
 
-def sphere_roundtrip_error(section, t1, t2):
-    section = as_coords6(section)
-    point = sphere_torus_param(section, t1, t2)
-    recovered, s1, s2 = sphere_torus_preimage(point)
-    return np.max(np.abs(np.concatenate(
-        [recovered[..., :3] - section[..., :3], _stack(s1 - t1, s2 - t2)], axis=-1)), axis=-1)
+def sphere_roundtrip_error(z):
+    """``_roundtrip_error`` of the sphere parametrization at 5-fiber points."""
+    return _roundtrip_error(z, sphere_torus_preimage, sphere_torus_param)
 
 
 # ---------------------------------------------------------------------------
@@ -805,14 +771,13 @@ def build_certificate(kind: str, z, tolerances: dict[str, float] | None = None) 
 def sample_for_kind(kind: str, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
     """Draw one fiber point of the given kind, shape (6,), or count points, (count, 6).
 
-    For 'mq5' each point comes from the surface or the sphere
-    parametrization with equal odds.
+    The one sampler entry of the CLI and the acceptance suite; for 'mq5'
+    see sample_fiber5.
     """
     if kind == "mq7":
         return sample_fiber7(rng, count=count)
     if kind == "mq5":
-        surface = rng.uniform(size=_shape(count)) < 0.5
-        return sample_fiber5_mixed(rng, surface)
+        return sample_fiber5(rng, count=count)
     if kind == "m2":
         return sample_surface_section(rng, count=count)
     if kind == "m3":

@@ -136,6 +136,41 @@ def test_criterion_06_fails_against_a_constant_closed_form(monkeypatch):
     assert result.details["disagreements"] == 86  # the critical points among the 200
 
 
+#: Each phase a torus preimage recovers: (preimage, position in its result,
+#: column of a stacked phase array or None, check whose round trip it feeds).
+PREIMAGE_PHASES = [
+    ("fiber7_preimage", 3, None, "check_fiber7", "max_roundtrip_error"),
+    ("fiber7_preimage", 4, None, "check_fiber7", "max_roundtrip_error"),
+    *[("surface_torus_preimage", 1, k, "check_fiber5", "max_surface_roundtrip") for k in range(3)],
+    ("sphere_torus_preimage", 1, None, "check_fiber5", "max_sphere_roundtrip"),
+    ("sphere_torus_preimage", 2, None, "check_fiber5", "max_sphere_roundtrip"),
+]
+
+
+@pytest.mark.parametrize("mutant", [np.ones_like, np.conj], ids=["drop", "conjugate"])
+@pytest.mark.parametrize("preimage,position,column,check,detail", PREIMAGE_PHASES)
+def test_round_trip_criteria_fail_when_a_preimage_loses_a_phase(monkeypatch, mutant, preimage,
+                                                                position, column, check, detail):
+    # Criteria 4 and 7 check the round trips from sampled points alone, so a
+    # preimage that drops or conjugates one phase must show in the rebuilt point.
+    original = getattr(acceptance.fb, preimage)
+
+    def broken(z):
+        params = list(original(z))
+        phases = params[position].copy()
+        if column is None:
+            phases = mutant(phases)
+        else:
+            phases[..., column] = mutant(phases[..., column])
+        params[position] = phases
+        return tuple(params)
+
+    monkeypatch.setattr(acceptance.fb, preimage, broken)
+    result = getattr(acceptance, check)(SEED, SAMPLES)
+    assert not result.passed
+    assert result.details[detail] > 1e-3
+
+
 def test_criterion_07_fiber5_certificates():
     result = _run(acceptance.check_fiber5)
     assert result.passed
@@ -236,16 +271,75 @@ def test_filter_matching_nothing_is_refused():
         acceptance.run_all(SEED, SAMPLES, only="nosuch")
 
 
+#: (short name, number, name, check function name) of each criterion, in order.
+#: The report's timing keys and perfbench's acceptance.check_*.s metrics read them.
+DECLARED_CRITERIA = [
+    ("chambers", 1, "chamber count and orbits", "check_chambers"),
+    ("triangle", 2, "exact solution triangle", "check_triangle"),
+    ("curve", 3, "edge curve points", "check_curve_points"),
+    ("fiber7", 4, "7-fiber parametrization", "check_fiber7"),
+    ("dichotomy", 5, "regular value dichotomy", "check_regular_dichotomy"),
+    ("oracle", 6, "brute-force oracle equivalence", "check_oracle_equivalence"),
+    ("fiber5", 7, "5-fiber certificates", "check_fiber5"),
+    ("intersection", 8, "complete intersection", "check_complete_intersection"),
+    ("transition", 9, "bundle structure", "check_bundle_structure"),
+    ("parity", 10, "center point parity", "check_center_parity"),
+    ("dimensions", 11, "tangent dimension counts", "check_dimension_counts"),
+    ("secondorbit", 12, "second orbit swap images", "check_second_orbit"),
+]
+
+
+def test_criteria_are_declared_once_in_order():
+    assert type(acceptance.CRITERIA) is tuple
+    results = acceptance.run_all(SEED, 1)
+    declared = [(short, result.number, result.name, check.__name__)
+                for (short, check), result in zip(acceptance.CRITERIA, results, strict=True)]
+    assert declared == DECLARED_CRITERIA
+    assert [result.short for result in results] == [short for short, *_ in DECLARED_CRITERIA]
+    for _, check in acceptance.CRITERIA:
+        assert getattr(acceptance, check.__name__) is check
+
+
+def test_run_all_reads_the_criteria_at_call_time(monkeypatch):
+    # perfbench's tracer swaps CRITERIA for wrapped checks, so run_all must not keep a copy.
+    calls = []
+
+    def counted(short, check):
+        def wrapped(seed, samples):
+            calls.append(short)
+            return check(seed, samples)
+        return short, wrapped
+
+    swapped = tuple(counted(short, check) for short, check in acceptance.CRITERIA
+                    if short in ("curve", "parity"))
+    monkeypatch.setattr(acceptance, "CRITERIA", swapped)
+    assert [r.number for r in acceptance.run_all(SEED, SAMPLES)] == [3, 10]
+    assert calls == ["curve", "parity"]
+
+
+def test_cli_and_acceptance_draw_fiber_points_only_through_sample_for_kind():
+    samplers = {name for name in dir(acceptance.fb) if name.startswith(("sample", "random_sphere"))}
+    package = pathlib.Path(grassmoment.__file__).parent
+    for module in ("acceptance.py", "cli.py"):
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        assert {name for name, _ in _references(tree)} & samplers == {"sample_for_kind"}
+
+
 # -- the public surface --------------------------------------------------------
 
-#: Names the grassmoment package exports that no code in src/ uses, each with
-#: the reason it stays.
-UNCALLED_EXPORTS = {
+#: Names grassmoment exports and public top-level functions and classes of
+#: src/ modules that no code in src/ uses, each with the reason it stays.
+UNCONSUMED = {
     "orbit_dimension": "exact oracle of the float tangent dimensions and of the critical values",
     "from_chart": "round-trip oracle of plucker.chart_array",
     "symmetric_power_phases": "equivariance oracle: the paper's representation T^n -> T^N",
     "is_regular_projective_bruteforce": "the unfiltered definition the batch oracle is "
                                         "tested against; perfbench's tracer looks it up",
+    "hopf_projection": "the paper's projection of the sphere section to CP^2; ROADMAP item 1 (d) "
+                       "generalises it or moves it into the tests",
+    "to_three_sphere": "the sphere section onto S^3; ROADMAP item 1 (d), as hopf_projection",
+    "build_certificate": "the one-point view of certify; perfbench's tracer looks it up",
+    "jacobian_rank": "the one-point chart Jacobian rank; perfbench's tracer looks it up",
 }
 
 
@@ -272,16 +366,20 @@ def _references(tree):
 
 
 def test_every_export_has_a_consumer_in_src():
-    """Each name grassmoment exports, imported or lazy, is used in src/
-    outside its own definition, or is listed in UNCALLED_EXPORTS."""
+    """Each name grassmoment exports, imported or lazy, and each public
+    top-level function and class of a src/ module is used in src/ outside
+    its own definition, or is listed in UNCONSUMED.  A criterion's check
+    is used through CRITERIA, where its declaration registers it."""
     package = pathlib.Path(grassmoment.__file__).parent
-    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    init = trees.pop("__init__.py")
     exported = {alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
                 for alias in node.names} | set(grassmoment.__all__)
-    used = {name for path in package.glob("*.py") if path.name != "__init__.py"
-            for name, enclosing in _references(ast.parse(path.read_text(encoding="utf-8")))
-            if name not in enclosing}
-    assert exported - used == set(UNCALLED_EXPORTS)
+    public = {node.name for tree in trees.values() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    used = {name for tree in trees.values() for name, enclosing in _references(tree)
+            if name not in enclosing} | {check.__name__ for _, check in acceptance.CRITERIA}
+    assert (exported | public) - used == set(UNCONSUMED)
 
 
 #: The public names of grassmoment; loading the float layer lazily keeps them all.

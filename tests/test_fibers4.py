@@ -87,7 +87,7 @@ def test_fiber7_moment_and_roundtrip(rng):
         assert res["moment"] <= 1e-10
         assert res["magnitudes"] <= 1e-10
         assert res["min_tail"] >= 1 / 3 - 1e-12
-        assert fb.fiber7_roundtrip_error(z0, z1, z2, t4, t5) <= 1e-10
+        assert fb.fiber7_roundtrip_error(point) <= 1e-10
 
 
 def test_fiber7_torus_equivariance(rng):
@@ -187,30 +187,39 @@ def test_curve_domain_errors():
 
 # -- surface and sphere sections --------------------------------------------
 
+def close_phase(r0, r1, branch=1):
+    """fibers4._close_phase, or None where it refuses the moduli.  Moduli
+    with no closure give a point off the surface, or NaN (0/0 on the circle
+    and past the sphere bound), and the section check refuses either."""
+    with np.errstate(all="ignore"):
+        try:
+            return fb._close_phase(r0, r1, branch)
+        except ValueError:
+            return None
+
+
 def test_surface_section_circle_case():
-    section = fb.surface_section(S6, S6, 1)
+    section = fb.surface_circle(0.0)
     assert section[0] == pytest.approx(section[1])
     assert abs(section[0] - S6) < 1e-12
     assert on_circle(section)
 
 
 def test_surface_section_branches_conjugate():
-    plus = fb.surface_section(0.25, 0.30, 1)
-    minus = fb.surface_section(0.25, 0.30, -1)
+    plus = fb._close_phase(0.25, 0.30, 1)
+    minus = fb._close_phase(0.25, 0.30, -1)
     assert plus[0] == pytest.approx(np.conj(minus[0]))
     assert plus[1] == pytest.approx(np.conj(minus[1]))
 
 
 def test_surface_section_infeasible():
-    with pytest.raises(ValueError):
-        fb.surface_section(0.05, 0.55, 1)
-    with pytest.raises(ValueError):
-        fb.surface_section(0.7, 0.7, 1)
+    assert close_phase(0.05, 0.55) is None  # the three products violate the triangle bound
+    assert close_phase(0.7, 0.7) is None    # past the sphere bound
 
 
 def test_surface_section_vanishing_first_coordinate():
     # Solve middle(r1) = big1(r1) for the edge case r0 = 0; the root is
-    # |z1|^2 = 1/6.
+    # |z1|^2 = 1/6, the modulus of z1 on the edge circle where z0 = 0.
     def gap(r1):
         s2 = 1 / 3 - r1 * r1
         return math.sqrt(s2 * (s2 + 1 / 9)) - r1 * math.sqrt(r1 * r1 + 1 / 9)
@@ -224,7 +233,9 @@ def test_surface_section_vanishing_first_coordinate():
             hi = mid
     r1 = 0.5 * (lo + hi)
     assert r1 ** 2 == pytest.approx(1 / 6, abs=1e-9)
-    section = fb.surface_section(0.0, r1, 1)
+    section = fb.edge_fibers()[0].base
+    assert section[0] == 0 and abs(abs(section[1]) - r1) <= 1e-9
+    assert plucker_relation_residual(section) <= 1e-12
     expected = np.array([float(v) for v in fb.EDGE_IMAGES[0]])
     assert np.max(np.abs(simplex_moment(section) - expected)) < 1e-9
 
@@ -275,7 +286,7 @@ def test_surface_param_identity(rng):
     section = fb.sample_surface_section(rng)
     point = fb.surface_torus_param(section, np.ones(3))
     assert np.allclose(point, section)
-    assert fb.surface_roundtrip_error(section.tolist(), np.ones(3)) <= 1e-10
+    assert fb.surface_roundtrip_error(point.tolist()) <= 1e-10
 
 
 def test_surface_param_invariants(rng):
@@ -287,7 +298,7 @@ def test_surface_param_invariants(rng):
         assert res["plucker"] <= 1e-10
         assert res["surface"] <= 1e-10
         assert res["moment"] <= 1e-10
-        assert fb.surface_roundtrip_error(section, phases) <= 1e-10
+        assert fb.surface_roundtrip_error(point) <= 1e-10
 
 
 def test_surface_preimage_on_circle(rng):
@@ -327,12 +338,13 @@ def test_sphere_param_invariants(rng):
         res = fb.fiber5_residuals(point)
         assert res["plucker"] <= 1e-10
         assert res["moment"] <= 1e-10
-        assert fb.sphere_roundtrip_error(section, t1, t2) <= 1e-10
-    assert fb.sphere_roundtrip_error(section.tolist(), t1, t2) <= 1e-10
+        assert fb.sphere_roundtrip_error(point) <= 1e-10
+    assert fb.sphere_roundtrip_error(point.tolist()) <= 1e-10
 
 
 def test_sphere_param_injectivity(rng):
-    points = np.array([fb.sample_fiber5(rng, method="sphere") for _ in range(300)])
+    t1, t2 = fb.random_phases(rng, (2, 300))
+    points = fb.sphere_torus_param(fb.sample_sphere_section(rng, count=300), t1, t2)
     flattened = points.reshape(len(points), -1)
     gram = np.abs(flattened.conj() @ flattened.T)
     np.fill_diagonal(gram, 0.0)
@@ -352,11 +364,10 @@ def test_base_projection_collapses_circle():
 
 
 def test_base_projection_vanishing_z1():
-    section = fb.surface_section(0.0, math.sqrt(1 / 6), 1)
-    # here z0 = 0, so the image is (c : 0) = (1 : 0)
+    section, flipped = (fiber.base for fiber in fb.edge_fibers()[:2])
+    # on the first edge circle z0 = 0, so the image is (c : 0) = (1 : 0)
     image = fb.base_projection(section)
     assert projective_distance(image, normalize_projective([1.0, 0.0])) <= 1e-12
-    flipped = fb.surface_section(math.sqrt(1 / 6), 0.0, 1)
     image = fb.base_projection(flipped)
     assert projective_distance(image, normalize_projective([0.0, 1.0])) <= 1e-12
 
@@ -400,7 +411,7 @@ def test_three_sphere_map(rng):
     circle = fb.surface_circle(0.0)
     g = fb.to_three_sphere(circle)
     assert np.allclose(g, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-    section = fb.surface_section(math.sqrt(1 / 6), 0.0, 1)
+    section = fb.edge_fibers()[1].base  # z1 = 0
     g = fb.to_three_sphere(section)
     assert abs(g[0]) < 1e-12 and abs(abs(g[1]) - 1.0) < 1e-12
     for _ in range(100):
@@ -490,9 +501,7 @@ def test_complete_intersection_origin():
 
 
 def test_complete_intersection_on_samples(rng):
-    for k in range(300):
-        method = "surface" if k % 2 == 0 else "sphere"
-        point = fb.sample_fiber5(rng, method=method)
+    for point in fb.sample_fiber5(rng, count=300):
         chart = chart_array(point)
         f1, f2, f3 = fb.complete_intersection_f(chart)
         assert max(abs(f1), abs(f2 + 1), abs(f3)) <= 1e-9
@@ -648,8 +657,7 @@ def test_second_orbit_satisfies_mirror_system(rng):
 
 
 def test_second_orbit_fiber5(rng):
-    for method in ("surface", "sphere"):
-        point = fb.orbit_swap(fb.sample_fiber5(rng, method=method))
+    for point in fb.orbit_swap(fb.sample_fiber5(rng, count=20)):
         assert plucker_relation_residual(point) <= 1e-10
         assert fb.moment_residual(point, Q_PLUS) <= 1e-10
         f1, f2, f3 = fb.complete_intersection_f(chart_array(fb.orbit_swap(point)))
@@ -754,7 +762,7 @@ def test_sampler_one_point_view(kind):
 
 
 def test_batched_helpers_equal_their_one_point_views(rng):
-    points = fb.sample_fiber5_mixed(rng, np.arange(200) % 2 == 0)
+    points = fb.sample_fiber5(rng, count=200)
     deviation, ranks, _ = fb.complete_intersection_survey(points)
     dims = fb.tangent_fiber_dimension(points, include_quadric=True)
     coverage = fb.chart_coverage(points)
@@ -804,7 +812,7 @@ def test_surface_sampler_keeps_the_first_accepted_draws(monkeypatch, seed):
     order, whatever the block sizes, and sizes its blocks from the share it
     has kept: two or three blocks, not one per doubling of the rest."""
     stream = np.random.default_rng(seed).uniform(0.0, math.sqrt(1.0 / 3.0), size=(20000, 2))
-    big0, _, middle, cos_phi = fb._closure_terms(*stream.T)
+    big0, middle, cos_phi = fb._closure_terms(*stream.T)
     ok = ((np.sum(stream ** 2, axis=1) <= 1.0 / 3.0) & (middle >= 1e-6) & (big0 >= 1e-9)
           & (np.abs(cos_phi) <= 1.0 - 1e-9))
     blocks = []
@@ -826,7 +834,7 @@ def test_surface_sampler_refuses_at_its_budget_when_nothing_is_kept(monkeypatch)
 
     def rejecting(r0, r1):
         drawn.append(np.size(r0))
-        return r0, r1, r0, np.full_like(r0, 2.0)  # |cos(phi)| > 1: no closure
+        return r0, r0, np.full_like(r0, 2.0)  # |cos(phi)| > 1: no closure
 
     monkeypatch.setattr(fb, "_closure_terms", rejecting)
     with pytest.raises(RuntimeError, match="trial budget"):
@@ -846,8 +854,7 @@ def test_nan_head_is_refused():
         fb.tail_magnitudes(float("nan"), 0.0, 0.0)
     with pytest.raises(ValueError):
         fb.surface_circle(float("nan"))
-    with pytest.raises(ValueError):
-        fb.surface_section(float("nan"), 0.1)
+    assert close_phase(float("nan"), 0.1) is None
 
 
 def test_nan_chart_point_is_refused_by_jacobian_rank():
@@ -865,12 +872,13 @@ def test_nan_point_is_refused_by_certificates(rng):
         fb.build_certificate("mq5", points[1])
 
 
-# -- degenerate branches of surface_section ------------------------------------
+# -- degenerate branches of the surface section ---------------------------------
 
 ROOT_SIXTH = math.sqrt(1 / 6)
 near_root = st.one_of(st.just(ROOT_SIXTH),
                       st.floats(ROOT_SIXTH - 1e-10, ROOT_SIXTH + 1e-10),
                       st.floats(0.0, math.sqrt(1 / 3)))
+phase = st.floats(0.0, 2.0 * math.pi)
 
 
 def _check_section(section, r0, r1):
@@ -881,43 +889,48 @@ def _check_section(section, r0, r1):
 @given(r0=st.floats(0.0, 0.6), r1=st.floats(0.0, 0.6), branch=st.sampled_from([1, -1]))
 @settings(max_examples=200, deadline=None)
 def test_surface_section_valid_or_refused(r0, r1, branch):
-    try:
-        section = fb.surface_section(r0, r1, branch)
-    except ValueError:
-        return
-    _check_section(section, r0, r1)
+    section = close_phase(r0, r1, branch)
+    if section is not None:
+        _check_section(section, r0, r1)
 
 
 @given(theta=st.one_of(st.just(math.pi / 4), st.floats(0.0, math.pi / 2),
-                       st.floats(math.pi / 4 - 1e-12, math.pi / 4 + 1e-12)))
+                       st.floats(math.pi / 4 - 1e-12, math.pi / 4 + 1e-12)),
+       psi=phase)
 @settings(max_examples=100, deadline=None)
-def test_surface_section_circle_branch(theta):
-    # On r0^2 + r1^2 = 1/3 the middle product vanishes; closure needs r0 = r1.
-    r0, r1 = math.sqrt(1 / 3) * math.cos(theta), math.sqrt(1 / 3) * math.sin(theta)
-    try:
-        section = fb.surface_section(r0, r1)
-    except ValueError:
-        assert abs(r0 - r1) > 1e-12
-        return
-    _check_section(section, r0, r1)
-    assert on_circle(section) and abs(section[2]) <= 1e-8
+def test_surface_section_circle_branch(theta, psi):
+    # On r0^2 + r1^2 = 1/3 the middle product vanishes; closure needs r0 = r1,
+    # and the surface points there are the circle, which projects to (1 : 1).
     target = normalize_projective([1.0, 1.0])
-    assert projective_distance(fb.base_projection(section), target) <= 1e-9
+    r0, r1 = math.sqrt(1 / 3) * math.cos(theta), math.sqrt(1 / 3) * math.sin(theta)
+    section = close_phase(r0, r1)
+    if section is not None:
+        assert abs(r0 - r1) <= 1e-9
+        _check_section(section, r0, r1)
+        assert on_circle(section) and abs(section[2]) <= 1e-8
+        assert projective_distance(fb.base_projection(section), target) <= 1e-9
+    circle = fb.surface_circle(psi)
+    _check_section(circle, S6, S6)
+    assert on_circle(circle) and abs(circle[2]) == 0.0
+    assert projective_distance(fb.base_projection(circle), target) <= 1e-12
 
 
-@given(r=near_root, vanishing=st.sampled_from([0, 1]))
+@given(r=near_root, vanishing=st.sampled_from([0, 1]), taus=st.tuples(phase, phase, phase))
 @settings(max_examples=150, deadline=None)
-def test_surface_section_vanishing_head_branch(r, vanishing):
-    # With one head modulus 0 the closure forces the other to |z|^2 = 1/6,
-    # and the base projection lands on (1 : 0) or (0 : 1).
+def test_surface_section_vanishing_head_branch(r, vanishing, taus):
+    # With one head modulus 0 the closure forces the other to |z|^2 = 1/6:
+    # those surface points are the edge circles, and the base projection
+    # lands on (1 : 0) or (0 : 1).
+    target = normalize_projective([1.0, 0.0] if vanishing == 0 else [0.0, 1.0])
     r0, r1 = (0.0, r) if vanishing == 0 else (r, 0.0)
-    try:
-        section = fb.surface_section(r0, r1)
-    except ValueError:
-        assert abs(r * r - 1 / 6) > 1e-12
-        return
-    _check_section(section, r0, r1)
-    assert abs(r * r - 1 / 6) <= 1e-9
-    assert section[vanishing] == 0
-    target = [1.0, 0.0] if vanishing == 0 else [0.0, 1.0]
-    assert projective_distance(fb.base_projection(section), normalize_projective(target)) <= 1e-12
+    on_edge = (0.0, ROOT_SIXTH) if vanishing == 0 else (ROOT_SIXTH, 0.0)
+    section = close_phase(r0, r1)
+    if section is not None:
+        _check_section(section, r0, r1)
+        assert abs(r * r - 1 / 6) <= 1e-9
+        assert section[vanishing] == 0
+        assert projective_distance(fb.base_projection(section), target) <= 1e-12
+    point = fb.edge_fibers()[vanishing].sample(np.exp(1j * np.array(taus)))
+    _check_section(point, *on_edge)
+    assert point[vanishing] == 0
+    assert projective_distance(fb.base_projection(point), target) <= 1e-12
