@@ -11,6 +11,7 @@ code path.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +27,9 @@ from .regularity import (
     CHAMBER_POINT_PLUS,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    _grid_heads,
     _grid_numerators,
-    _grid_subset_sums,
-    _verdicts,
+    _grid_verdicts,
     center_point_regular,
     chamber_orbits,
     classify_point,
@@ -169,22 +170,20 @@ def check_fiber7(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
 @_criterion(5, "regular value dichotomy", "dichotomy")
 def check_regular_dichotomy(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 5: the two regularity notions coincide on the full n=4 grid
-    and split at the reference n=5 point.  The grid points k/18 are read
-    as their numerators k at denominator 18, unreduced.  At n = 4 no split
-    wall fits, so the grid half compares two closed forms that agree by
+    and split at the reference n=5 point.  _grid_verdicts reads the grid k/18
+    as numerators at denominator 18, one head row at a time.  At n = 4 no
+    split wall fits, so the grid half compares two closed forms that agree by
     construction; criterion 6 and tests/test_regularity.py's
     test_grassmann_closed_form_is_the_projective_definition_on_the_n4_grid
     check them against the definition."""
-    verdicts = [_verdicts(k, 18, sums, 4) for k, sums in _grid_subset_sums(4, 18)]
-    total = len(verdicts)
-    mismatches = sum(regular_mu != regular_mu_tilde for regular_mu, regular_mu_tilde in verdicts)
+    mismatched = [regular_mu != regular_mu_tilde for _, regular_mu, regular_mu_tilde in _grid_verdicts(4, 18)]
     gap_point = vector(["7/10", "6/10", "5/10", "1/10", "1/10"])
     _, regular_mu, regular_mu_tilde = classify_point(gap_point, 5)
     gap_ok = regular_mu and not regular_mu_tilde
-    passed = mismatches == 0 and gap_ok
+    passed = not any(mismatched) and gap_ok
     details = {
-        "grid_points": total,
-        "mismatches": mismatches,
+        "grid_points": len(mismatched),
+        "mismatches": sum(mismatched),
         "n5_point_grassmann_regular_projective_nonregular": gap_ok,
     }
     return passed, details
@@ -194,11 +193,12 @@ def check_regular_dichotomy(rng: np.random.Generator, samples: int) -> tuple[boo
 def check_oracle_equivalence(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 6: the closed form agrees with the brute-force oracle, one
     batch that tests each of 200 grid points against every vertex-spanned flat.
-    The stride runs over the grid's numerators; only the points kept become
-    Fractions."""
-    grid = list(_grid_numerators(4, 18))
-    stride = max(1, len(grid) // 200)
-    chosen = [tuple(F(k, 18) for k in point) for point in grid[::stride][:200]]
+    The grid is counted by head row and strided over its numerators; the
+    points kept are built from a table of the 19 values k/18."""
+    stride = max(1, sum(len(ks) for _, _, ks in _grid_heads(4, 18)) // 200)
+    values = [F(k, 18) for k in range(19)]
+    chosen = [tuple(values[k] for k in point)
+              for point in itertools.islice(_grid_numerators(4, 18), 0, 200 * stride, stride)]
     oracle = projective_bruteforce_verdicts(chosen, 4)
     disagreements = sum(is_regular_projective(x, 4) != verdict
                         for x, verdict in zip(chosen, oracle))

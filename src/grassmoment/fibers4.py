@@ -247,7 +247,9 @@ def _close_phase(r0, r1, branch) -> np.ndarray:
     big0, middle, cos_phi = _closure_terms(r0, r1)
     rotation = np.exp(1j * branch * np.arccos(np.clip(cos_phi, -1.0, 1.0)))
     closing = middle + big0 * rotation
-    return _section(r0 * rotation, r1 * closing / np.abs(closing))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # 0/0, x/subnormal: _section refuses
+        z1 = r1 * closing / np.abs(closing)
+    return _section(r0 * rotation, z1)
 
 
 def surface_circle(psi) -> np.ndarray:

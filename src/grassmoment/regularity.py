@@ -376,11 +376,24 @@ def _grid_numerators(n: int, d: int) -> Iterator[tuple[int, ...]]:
     return ((*head, k, rest - k) for head, rest, ks in _grid_heads(n, d) for k in ks)
 
 
-def _grid_subset_sums(n: int, d: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """(k, _integer_subset_sums(k, d, n)[2]) for each k of _grid_numerators(n, d), unvalidated:
-    a head's table is built once, then doubled by each point's last two numerators."""
-    return (((*head, k, rest - k), half + [s + rest - k for s in half])
-            for head, rest, ks in _grid_heads(n, d)
-            for table in [reduce(lambda t, v: t + [s + v for s in t], head, [0])]
-            for k in ks
-            for half in [table + [s + k for s in table]])
+def _grid_verdicts(n: int, d: int) -> Iterator[tuple[tuple[int, ...], bool, bool | None]]:
+    """(k, *_verdicts(*_integer_subset_sums(k, d, n), n)) for each k of _grid_numerators(n, d),
+    unvalidated, decided by head row.  With h over the head's table a point's sums are h, h + k,
+    h + rest - k and h + rest.  The table holds 2d - rest - h with each h (the complement), so
+    h + rest = d for some h iff d is in it, and h + rest - k = d iff k = d - h for some h: the
+    row is critical if 0 in head or d in table, else k is iff k in {0, rest} + {d - h}.  Only
+    _off_split_walls reads a point's own 2^n table, built at 5 <= n <= PROJECTIVE_MAX_N only."""
+    def walk(rows):
+        sums = None
+        for head, rest, ks in rows:
+            table = reduce(lambda t, v: t + [s + v for s in t], head, [0])
+            # a critical row has every k of ks critical
+            critical = ks if 0 in head or d in table else {0, rest, *(d - h for h in table)}
+            for k in ks:
+                point, regular = (*head, k, rest - k), k not in critical
+                if regular and 5 <= n <= PROJECTIVE_MAX_N:
+                    half = table + [s + k for s in table]
+                    sums = half + [s + rest - k for s in half]
+                yield point, regular, (regular and _off_split_walls(point, sums, n)
+                                       if n <= PROJECTIVE_MAX_N else None)
+    return walk(_grid_heads(n, d))

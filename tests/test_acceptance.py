@@ -89,29 +89,30 @@ def test_criterion_05_fails_when_the_projective_verdict_flips(monkeypatch):
 
 
 def test_criterion_05_validates_only_the_gap_point(monkeypatch):
-    # The grid's tables come from regularity._grid_subset_sums, so the one
+    # The grid's verdicts come from regularity._grid_verdicts, so the one
     # _integer_subset_sums call left is classify_point's, at the n = 5 gap point.
-    from grassmoment import exactgeom
+    from grassmoment import exactgeom, regularity
     from test_regularity import hypersimplex_grid
 
     validated, read = [], []
-    integer_subset_sums, verdicts = exactgeom._integer_subset_sums, acceptance._verdicts
+    integer_subset_sums, grid_verdicts = exactgeom._integer_subset_sums, acceptance._grid_verdicts
 
     def validating(cleared, den, n):
         validated.append(n)
         return integer_subset_sums(cleared, den, n)
 
-    def reading(cleared, den, sums, n):
-        read.append((tuple(F(k, den) for k in cleared), verdicts(cleared, den, sums, n)))
-        return read[-1][1]
+    def reading(n, d):
+        for k, regular_mu, regular_mu_tilde in grid_verdicts(n, d):
+            read.append((tuple(F(v, d) for v in k), regular_mu))
+            yield k, regular_mu, regular_mu_tilde
 
-    for module in (exactgeom, acceptance):  # wherever the name is bound
+    for module in (exactgeom, regularity, acceptance):  # wherever the name is bound
         monkeypatch.setattr(module, "_integer_subset_sums", validating, raising=False)
-    monkeypatch.setattr(acceptance, "_verdicts", reading)
+    monkeypatch.setattr(acceptance, "_grid_verdicts", reading)
     result = acceptance.check_regular_dichotomy(SEED, SAMPLES)
     assert result.passed and validated == [5]
     assert [x for x, _ in read] == list(hypersimplex_grid(4, 18))
-    assert sum(regular for _, (regular, _) in read) == 2464
+    assert sum(regular for _, regular in read) == 2464
 
 
 def test_criterion_06_tests_the_strided_grid(monkeypatch):

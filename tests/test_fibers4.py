@@ -217,6 +217,16 @@ def test_surface_section_infeasible():
     assert close_phase(0.7, 0.7) is None    # past the sphere bound
 
 
+@pytest.mark.parametrize("r0, r1", [(S6, S6), (0.7, 0.7), (2.225073858507203e-309, 0.59375)],
+                         ids=["circle", "past-sphere-bound", "subnormal"])
+def test_close_phase_refuses_degenerate_moduli_without_a_warning(r0, r1):
+    # The closing term is 0/0, or a subnormal over its own modulus; under
+    # filterwarnings = error a RuntimeWarning would reach the caller in place
+    # of the section check's ValueError.
+    with pytest.raises(ValueError):
+        fb._close_phase(r0, r1, 1)
+
+
 def test_surface_section_vanishing_first_coordinate():
     # Solve middle(r1) = big1(r1) for the edge case r0 = 0; the root is
     # |z1|^2 = 1/6, the modulus of z1 on the edge circle where z0 = 0.

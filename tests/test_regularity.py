@@ -185,8 +185,15 @@ def test_grid_numerators_give_the_fraction_grid_in_order(n, d):
     numerators = list(regularity._grid_numerators(n, d))
     assert numerators == _filtered_grid(n, d)
     assert [tuple(F(k, d) for k in point) for point in numerators] == expected
-    assert list(regularity._grid_subset_sums(n, d)) == [
-        (k, _integer_subset_sums(k, d, n)[2]) for k in numerators]
+    assert [k for k, _, _ in regularity._grid_verdicts(n, d)] == numerators
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 4), (3, 1), (3, 5), (4, 1), (4, 7), (4, 18),
+                                  (5, 3), (5, 10), (6, 3), (6, 6), (6, 7)])
+def test_grid_verdicts_match_the_per_point_verdicts(n, d):
+    # (6, 7) is the smallest n = 6 grid with Grassmann-regular points; its split walls refuse them all.
+    assert list(regularity._grid_verdicts(n, d)) == [
+        (k, *regularity._verdicts(*_integer_subset_sums(k, d, n), n)) for k in regularity._grid_numerators(n, d)]
 
 
 @pytest.mark.parametrize("n, d", [(4, 0), (4, -1), (1, 5), (0, 3)])
@@ -194,7 +201,7 @@ def test_grid_refuses_an_empty_or_undefined_grid(n, d):
     with pytest.raises(ValueError):
         regularity._grid_numerators(n, d)
     with pytest.raises(ValueError):
-        regularity._grid_subset_sums(n, d)
+        regularity._grid_verdicts(n, d)
 
 
 @pytest.mark.parametrize("n, d", [(4, 18), (5, 10)])
