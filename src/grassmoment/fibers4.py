@@ -526,15 +526,20 @@ def ci_jacobian_fd(a, step: float = 1e-6) -> np.ndarray:
     return (f_plus - f_minus) / (2.0 * step)
 
 
+def _gram_singular_values(jacobian) -> np.ndarray:
+    """Descending singular values of (..., 3, 8) matrices: roots of the Gram eigenvalues, clipped at 0."""
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(jacobian @ jacobian.swapaxes(-1, -2))[..., ::-1], 0.0))
+
+
 def _chart_checks(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f-values, their max-norm distance from (0, -1, 0), and the chart
-    Jacobian's singular values; raises ValueError for a point further than
-    1e-8 from (0, -1, 0), where no rank is meant (NaN included)."""
+    """f-values, their distance from (0, -1, 0), and the chart Jacobian's singular values from its
+    Gram eigenvalues (sigma3/sigma1 to relative error ~eps/(sigma3/sigma1)^2, a true 0 reads ~1e-8);
+    raises ValueError for a point further than 1e-8 from (0, -1, 0), where no rank is meant (NaN too)."""
     f = np.stack(complete_intersection_f(a), axis=-1)
     off = np.max(np.abs(f - _F_TARGET), axis=-1)
     if not np.all(off <= 1e-8):
         raise ValueError("point is not on the equipotential surface (0, -1, 0)")
-    return f, off, np.linalg.svd(ci_jacobian(a), compute_uv=False)
+    return f, off, _gram_singular_values(ci_jacobian(a))
 
 
 def _rank(singular: np.ndarray, tol: float):
@@ -542,12 +547,9 @@ def _rank(singular: np.ndarray, tol: float):
 
 
 def jacobian_rank(a, tol: float = 1e-6):
-    """Numerical rank of the chart Jacobian at a fiber chart point.
-
-    Requires the equipotential values (0, -1, 0) to hold to 1e-8 first, and
-    counts singular values above tol times the largest.  A public name
-    because perfbench's tracer looks it up.
-    """
+    """Numerical rank of the chart Jacobian at a fiber chart point: requires
+    (0, -1, 0) to hold to 1e-8, then counts the Gram singular values above tol
+    times the largest.  A public name because perfbench's tracer looks it up."""
     return _rank(_chart_checks(a)[2], tol)
 
 
@@ -643,6 +645,7 @@ def tangent_fiber_dimension(z, include_quadric: bool = False, tol: float = 1e-6)
         qprime = z[..., ::-1] * np.array([1, -1, 1, 1, -1, 1])
         rows.append(np.concatenate([qprime.real, -qprime.imag], axis=-1))
         rows.append(np.concatenate([qprime.imag, qprime.real], axis=-1))
+    # SVD, not the Gram route: these rows have exact zero singular values, which Gram reads as ~1e-8.
     singular = np.linalg.svd(np.stack(rows, axis=-2), compute_uv=False)
     return 12 - _rank(singular, tol) - 1
 
@@ -687,7 +690,8 @@ class Certificates:
 
     ``checks`` maps each check to (value, tolerance, pass mask): residuals and
     'f_values' (distance from (0, -1, 0)) pass at or below tolerance, 'min_tail'
-    at or above, 'rank' (sigma3/sigma1) and 'coverage' (ChartCoverage.margin) above.
+    at or above, 'rank' (sigma3/sigma1 of the chart Jacobian, from its Gram eigenvalues)
+    and 'coverage' (ChartCoverage.margin) above.
     """
 
     points: np.ndarray

@@ -1,0 +1,70 @@
+"""The CLI's output, pinned: each row of ``cli_corpus.json`` runs through
+``cli.main`` in process and must give its exit code, the sha256 of its
+stdout, and the sha256 of its canonical form (the parsed JSON with every
+float rounded to 12 significant digits, dumped with ``sort_keys``).
+
+The byte digest pins the output on this numpy; the canonical digest shows
+whether a change on another float rounding reaches beyond the 12th digit.
+A change that moves output on purpose regenerates the digests with
+
+    PYTHONPATH=src python tests/test_cli_corpus.py
+
+and the corpus diff then names the rows that moved.  A new row is an
+``{"argv": [...]}`` entry; the script fills in the rest.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+
+import pytest
+
+from grassmoment import cli
+
+CORPUS = pathlib.Path(__file__).with_name("cli_corpus.json")
+
+
+def _rounded(value):
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    return value
+
+
+def canonical(stdout: str) -> str:
+    """The canonical form of one run's stdout; an empty stdout stays empty."""
+    return json.dumps(_rounded(json.loads(stdout)), sort_keys=True) if stdout else ""
+
+
+def run_row(argv: list[str]) -> dict:
+    """One corpus row as ``cli.main(argv)`` gives it now."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    stdout = out.getvalue()
+    return {"argv": argv, "exit": code,
+            "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
+            "canonical_sha256": hashlib.sha256(canonical(stdout).encode()).hexdigest()}
+
+
+ROWS = json.loads(CORPUS.read_text())
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[" ".join(row["argv"]) for row in ROWS])
+def test_cli_output_matches_the_corpus(row):
+    assert run_row(row["argv"]) == row
+
+
+def test_canonical_form_rounds_floats_only():
+    assert canonical('{"b":[0.12345678901234567,3],"a":true}') == '{"a": true, "b": [0.123456789012, 3]}'
+    assert canonical("") == ""
+
+
+if __name__ == "__main__":
+    rows = [json.dumps(run_row(row["argv"])) for row in ROWS]
+    CORPUS.write_text("[\n" + ",\n".join(rows) + "\n]\n")

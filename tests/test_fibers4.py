@@ -1,6 +1,7 @@
 import collections
 import functools
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -531,6 +532,62 @@ def test_jacobian_against_finite_differences(rng):
 def test_jacobian_rank_precondition():
     with pytest.raises(ValueError):
         fb.jacobian_rank(np.zeros(4))
+
+
+RATIOS = (1.0, 1e-2, 1e-4, 2e-6, 5e-7, 1e-9, 0.0)
+
+
+def conditioned_matrices(ratio, rng, count=20):
+    """3 x 8 matrices U diag(s) V^T with random orthonormal U, V and
+    s = scale * (1, (1 + ratio) / 2, ratio), scales 1e-3 to 1e3."""
+    scales = np.repeat(10.0 ** np.arange(-3, 4), count)
+    u = np.linalg.qr(rng.standard_normal((len(scales), 3, 3)))[0]
+    v = np.linalg.qr(rng.standard_normal((len(scales), 8, 3)))[0]
+    s = scales[:, None] * np.array([1.0, (1.0 + ratio) / 2.0, ratio])
+    return u * s[:, None, :] @ v.swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
+def test_gram_singular_values_decide_ranks_like_the_svd(ratio):
+    # The chart Jacobian's singular values come from its 3 x 3 Gram matrix.
+    # sigma3/sigma1 then carries a relative error of about eps/(sigma3/sigma1)^2
+    # and a true zero reads up to about 1.6e-8, against the rank threshold 1e-6.
+    jacobians = conditioned_matrices(ratio, np.random.default_rng(23))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gram = fb._gram_singular_values(jacobians)
+    reference = np.linalg.svd(jacobians, compute_uv=False)
+    assert not np.any(np.isnan(gram))
+    assert np.array_equal(fb._rank(gram, 1e-6), fb._rank(reference, 1e-6))
+    margin, expected = gram[:, 2] / gram[:, 0], reference[:, 2] / reference[:, 0]
+    if ratio in (0.0, 1e-9):
+        assert np.all(margin < 1e-7) and np.all(fb._rank(gram, 1e-6) == 2)
+    else:
+        bound = {1.0: 1e-12, 1e-2: 1e-10, 1e-4: 1e-6}.get(ratio, 1e-2)
+        assert np.max(np.abs(margin - expected) / expected) <= bound
+        assert np.all(fb._rank(gram, 1e-6) == (3 if ratio > 1e-6 else 2))
+
+
+def test_gram_singular_values_of_the_zero_matrix():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(fb._gram_singular_values(np.zeros((2, 3, 8))), np.zeros((2, 3)))
+    assert np.array_equal(fb._rank(np.zeros((2, 3)), 1e-6), [0, 0])
+
+
+def test_certify_ranks_match_an_svd_reference():
+    points = fb.sample_fiber5(np.random.default_rng(2301), count=2000)
+    reference = np.linalg.svd(fb.ci_jacobian(chart_array(points)), compute_uv=False)
+    expected = reference[:, 2] / reference[:, 0]
+    # the median threshold sits between two margins and fails half the points
+    for rank_tol in (1e-6, float(np.median(expected))):
+        batch = fb.certify("mq5", points, {"rank_tol": rank_tol})
+        margin, tol, ok = batch.checks["rank"]
+        assert tol == rank_tol
+        assert np.array_equal(batch.ranks, np.sum(reference > rank_tol * reference[:, :1], axis=-1))
+        assert np.array_equal(ok, batch.ranks == 3)
+        assert np.max(np.abs(margin - expected) / expected) <= 1e-12
+    assert np.count_nonzero(ok) == 1000 and np.min(expected) > 1e-2
 
 
 def test_chart_coordinates_never_degenerate(rng):
