@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fibers4 as fb
-from .exactgeom import format_vector, vector
+from .exactgeom import _integer_subset_sums, format_vector, vector
 from .moment import simplex_moment, weight_map
 from .plucker import normalize_projective, plucker_relation_residual, projective_distance
 from .regularity import (
@@ -27,14 +27,14 @@ from .regularity import (
     CHAMBER_POINT_PLUS,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    _bruteforce_verdicts,
     _grid_heads,
     _grid_numerators,
     _grid_verdicts,
+    _verdicts,
     center_point_regular,
     chamber_orbits,
     classify_point,
-    is_regular_projective,
-    projective_bruteforce_verdicts,
     solve_moment_triangle,
 )
 
@@ -193,15 +193,14 @@ def check_regular_dichotomy(rng: np.random.Generator, samples: int) -> tuple[boo
 def check_oracle_equivalence(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
     """Criterion 6: the closed form agrees with the brute-force oracle, one
     batch that tests each of 200 grid points against every vertex-spanned flat.
-    The grid is counted by head row and strided over its numerators; the
-    points kept are built from a table of the 19 values k/18."""
+    The grid is counted and strided by head row, and both sides read its
+    numerators at denominator 18: the oracle's integer core and the closed
+    form's _verdicts, so no Fraction is built."""
     stride = max(1, sum(len(ks) for _, _, ks in _grid_heads(4, 18)) // 200)
-    values = [F(k, 18) for k in range(19)]
-    chosen = [tuple(values[k] for k in point)
-              for point in itertools.islice(_grid_numerators(4, 18), 0, 200 * stride, stride)]
-    oracle = projective_bruteforce_verdicts(chosen, 4)
-    disagreements = sum(is_regular_projective(x, 4) != verdict
-                        for x, verdict in zip(chosen, oracle))
+    chosen = [(point, 18) for point in itertools.islice(_grid_numerators(4, 18, stride), 200)]
+    oracle = _bruteforce_verdicts(chosen, 4)
+    disagreements = sum(_verdicts(*_integer_subset_sums(point, den, 4), 4)[1] != verdict
+                        for (point, den), verdict in zip(chosen, oracle))
     passed = disagreements == 0 and len(chosen) == 200
     details = {"points": len(chosen), "disagreements": disagreements}
     return passed, details

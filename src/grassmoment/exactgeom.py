@@ -102,10 +102,16 @@ def clear_denominators(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list
 
     Returns (rows, den) with integer rows[i][j] = den * vectors[i][j].
     """
-    ratios = [[(v if type(v) in (int, Fraction) else rational(v)).as_integer_ratio()
-               for v in vec] for vec in vectors]
-    den = math.lcm(*{d for row in ratios for _, d in row})
-    return [[p * (den // d) for p, d in row] for row in ratios], den
+    flat, den = _cleared([v for vec in vectors for v in vec])
+    ends = itertools.accumulate(map(len, vectors))
+    return [flat[end - len(vec):end] for vec, end in zip(vectors, ends)], den
+
+
+def _cleared(x: Sequence[Fraction]) -> tuple[list[int], int]:
+    """x scaled to integers by its least common denominator: (numerators, den)."""
+    ratios = [(v if type(v) in (int, Fraction) else rational(v)).as_integer_ratio() for v in x]
+    den = math.lcm(*{d for _, d in ratios})
+    return [p * (den // d) for p, d in ratios], den
 
 
 #: Largest n for which an exact point query builds its 2^n subset sums;
@@ -115,27 +121,31 @@ SUBSET_SUM_MAX_N = 20
 
 def _subset_sums(x: Sequence[Fraction], n: int) -> tuple[list[int], int, list[int]]:
     """_integer_subset_sums of x scaled to integers by its common denominator."""
-    (cleared,), den = clear_denominators([x])
+    cleared, den = _cleared(x)
     return _integer_subset_sums(cleared, den, n)
 
 
-def _integer_subset_sums(cleared: Sequence[int], den: int, n: int) -> tuple[Sequence[int], int, list[int]]:
-    """The point cleared / den, that denominator, and the 2^n coordinate
-    subset sums: sums[mask] adds the cleared coordinates whose bits are
-    set in mask.  Every verdict read from them is invariant under
-    positive scaling of (cleared, den, sums), so den need not be the
-    least one.
-
-    The one validation of an exact point query: raises unless
-    cleared / den is a point of the hypersimplex of length n, and for n
-    above SUBSET_SUM_MAX_N, where the table would not fit in memory.
-    """
+def _check_point(cleared: Sequence[int], den: int, n: int) -> None:
+    """The one validation of an exact point query, given as integer
+    numerators over a denominator: raises unless cleared / den is a point
+    of the hypersimplex of length n, and for n above SUBSET_SUM_MAX_N,
+    where a subset-sum table would not fit in memory."""
     if n > SUBSET_SUM_MAX_N:
         raise ValueError(f"exact point queries support n <= {SUBSET_SUM_MAX_N}, got {n}")
     if len(cleared) != n:
         raise ValueError(f"expected a point of length {n}")
     if den < 1 or sum(cleared) != 2 * den or min(cleared) < 0 or max(cleared) > den:
         raise ValueError("point lies outside the hypersimplex")
+
+
+def _integer_subset_sums(cleared: Sequence[int], den: int, n: int) -> tuple[Sequence[int], int, list[int]]:
+    """The point cleared / den, validated by _check_point, that
+    denominator, and the 2^n coordinate subset sums: sums[mask] adds the
+    cleared coordinates whose bits are set in mask.  Every verdict read
+    from them is invariant under positive scaling of (cleared, den, sums),
+    so den need not be the least one.
+    """
+    _check_point(cleared, den, n)
     sums = [0]
     for value in cleared:
         sums += [s + value for s in sums]
@@ -244,9 +254,11 @@ def _hull_system(points: Sequence[Sequence[int]], targets: Sequence[tuple[Sequen
 
 
 def _hull_weights(points: Sequence[Sequence[int]],
-                  targets: Sequence[tuple[Sequence[int], int]]) -> list[tuple[Fraction, ...] | None]:
+                  targets: Sequence[tuple[Sequence[int], int]]) -> list[tuple[tuple[int, ...], int] | None]:
     """convex_membership of each target x = num / den (den > 0) in the hull
-    of the integer points, every target eliminated alongside the others.
+    of the integer points, every target eliminated alongside the others,
+    as None or (weights, scale) with integer weights: the convex weights
+    are weights / scale, and no Fraction is built.
 
     One _row_echelon of [p - last | targets], pivoting in the point columns
     only, gives the affine rank of the points; a target is off their affine
@@ -261,8 +273,10 @@ def _hull_weights(points: Sequence[Sequence[int]],
     m = len(points)
     first = _row_echelon(_hull_system(points, targets), m - 1)
     rank = len(first[1])
-    pending = [t for t in range(len(targets)) if not any(row[m - 1 + t] for row in first[0][rank:])]
-    found: list[tuple[Fraction, ...] | None] = [None] * len(targets)
+    residual = [row[m - 1:] for row in first[0][rank:]]  # read once, a column per target
+    pending = ([t for t, column in enumerate(zip(*residual)) if not any(column)] if residual
+               else list(range(len(targets))))
+    found: list[tuple[tuple[int, ...], int] | None] = [None] * len(targets)
     candidates = [tuple(range(m))] if m == rank + 1 else itertools.combinations(range(m), rank + 1)
     for idx in candidates:
         if not pending:
@@ -285,10 +299,10 @@ def _hull_weights(points: Sequence[Sequence[int]],
             if min(weights) < 0:
                 undecided.append(t)
                 continue
-            full = [Fraction(0)] * m
+            full = [0] * m
             for i, w in zip(idx, weights):
-                full[i] = Fraction(w, abs(det) * den)
-            found[t] = tuple(full)
+                full[i] = w
+            found[t] = (tuple(full), abs(det) * den)
         pending = undecided
     return found
 
@@ -314,4 +328,5 @@ def convex_membership(x: Sequence[Fraction], points: Sequence[Sequence[Fraction]
         if len(p) != length:
             raise ValueError("mixed vector lengths")
     (target, *cleared), _ = clear_denominators([x, *points])
-    return _hull_weights(cleared, [(target, 1)])[0]
+    found = _hull_weights(cleared, [(target, 1)])[0]
+    return None if found is None else tuple(Fraction(w, found[1]) for w in found[0])

@@ -30,11 +30,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterator, Sequence
 
 from .exactgeom import (
     Vector,
+    _check_point,
+    _cleared,
     _hull_weights,
     _signs,
     _subset_sums,
@@ -220,7 +222,7 @@ def classify_point(x: Sequence[Fraction], n: int) -> tuple[tuple[int, ...], bool
     return (_signs(den, sums, arrangement_for_n(n)), *_verdicts(cleared, den, sums, n))
 
 
-def _flat_hulls(n: int) -> list[list[tuple[int, ...]]]:
+def _list_flats(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The integer vertices of each flat, the vertex set of an
     (n-2)-dimensional affine span of vertices, listed from the (n-1)-subsets
     sigma of rank n-2 that no flat found before contains (11, 30 and 112
@@ -241,7 +243,26 @@ def _flat_hulls(n: int) -> list[list[tuple[int, ...]]]:
             if not mask >> j & 1 and affine_rank(subset + [v]) == n - 2:
                 flat |= 1 << j
         flats.append(flat)
-    return [[v for j, v in enumerate(vertices) if flat >> j & 1] for flat in flats]
+    return tuple(tuple(v for j, v in enumerate(vertices) if flat >> j & 1) for flat in flats)
+
+
+#: _list_flats(n), listed once per n as arrangement_for_n is built once; its
+#: tuples cannot be changed by a caller.
+_flat_hulls = lru_cache(maxsize=16)(_list_flats)
+
+
+def _bruteforce_verdicts(targets: Sequence[tuple[Sequence[int], int]], n: int) -> list[bool]:
+    """projective_bruteforce_verdicts of the points num / den, each given as
+    (num, den) with integer numerators over a positive denominator and
+    validated by exactgeom._check_point; no Fraction is built."""
+    for num, den in targets:
+        _check_point(num, den, n)
+    open_points = list(range(len(targets)))
+    for hull in _flat_hulls(n):
+        held = _hull_weights(hull, [targets[k] for k in open_points])
+        open_points = [k for k, weights in zip(open_points, held) if weights is None]
+    regular = set(open_points)
+    return [k in regular for k in range(len(targets))]
 
 
 def projective_bruteforce_verdicts(points: Sequence[Sequence[Fraction]], n: int) -> list[bool]:
@@ -252,30 +273,26 @@ def projective_bruteforce_verdicts(points: Sequence[Sequence[Fraction]], n: int)
     inclusion; a support of rank at most n-2 extends one vertex at a time to
     rank exactly n-2, since all vertices have rank n-1 and each added vertex
     raises the rank by at most 1, and then to every vertex on its affine
-    span; and each flat is itself such a support.  The flats are listed once
-    per call, and each flat decides at once, by exactgeom._hull_weights,
-    every point no flat before has held: one elimination of the flat's
-    vertices with those points as right-hand sides drops the points off its
-    affine span, then one per candidate subset of vertices decides the
-    rest.  Only the flat's own vertices are eliminated; no split table,
-    closed-form wall or subset sum beyond validation is used, so this
-    cross-checks the closed form.
+    span; and each flat is itself such a support.  Each point is cleared to
+    integers once, and _bruteforce_verdicts, the integer core, decides
+    them: the flats are listed once per n, and each flat decides at once,
+    by exactgeom._hull_weights, every point no flat before has held: one
+    elimination of the flat's vertices with those points as right-hand
+    sides drops the points off its affine span, then one per candidate
+    subset of vertices decides the rest.  Only the flat's own vertices are
+    eliminated; no split table, closed-form wall or subset sum is used, so
+    this cross-checks the closed form.
     """
-    cleared = [_subset_sums(x, n)[:2] for x in points]
-    regular = [True] * len(points)
-    for hull in _flat_hulls(n):
-        open_points = [k for k in range(len(points)) if regular[k]]
-        for k, weights in zip(open_points, _hull_weights(hull, [cleared[k] for k in open_points])):
-            regular[k] = weights is None
-    return regular
+    return _bruteforce_verdicts([_cleared(x) for x in points], n)
 
 
 def is_regular_projective_bruteforce(x: Sequence[Fraction], n: int) -> bool:
-    """The definition, unfiltered: x lies in the hull of no flat of
-    _flat_hulls.  The reference projective_bruteforce_verdicts is tested
-    against; its public name stays because perfbench's tracer looks it up."""
-    _subset_sums(x, n)
-    return all(convex_membership(x, hull) is None for hull in _flat_hulls(n))
+    """The definition, unfiltered: x lies in the hull of no flat.  It lists
+    the flats afresh, by _list_flats, so the reference
+    projective_bruteforce_verdicts is tested against shares no cache with
+    it; its public name stays because perfbench's tracer looks it up."""
+    _check_point(*_cleared(x), n)
+    return all(convex_membership(x, hull) is None for hull in _list_flats(n))
 
 
 def _representative_candidates() -> Iterator[Vector]:
@@ -371,9 +388,16 @@ def _grid_heads(n: int, d: int) -> Iterator[tuple[tuple[int, ...], int, range]]:
             for rest in [2 * d - sum(head)])
 
 
-def _grid_numerators(n: int, d: int) -> Iterator[tuple[int, ...]]:
-    """The integer numerators k of the points k / d of _grid_heads(n, d)."""
-    return ((*head, k, rest - k) for head, rest, ks in _grid_heads(n, d) for k in ks)
+def _grid_numerators(n: int, d: int, stride: int = 1) -> Iterator[tuple[int, ...]]:
+    """The integer numerators k of every stride-th point k / d of _grid_heads(n, d),
+    from the first; a row's points are skipped by slicing its range of k[n-2]."""
+    def walk(rows):
+        start = 0  # the grid index of the row's first point
+        for head, rest, ks in rows:
+            for k in ks[-start % stride::stride]:
+                yield (*head, k, rest - k)
+            start += len(ks)
+    return walk(_grid_heads(n, d))
 
 
 def _grid_verdicts(n: int, d: int) -> Iterator[tuple[tuple[int, ...], bool, bool | None]]:

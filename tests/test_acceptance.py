@@ -118,20 +118,21 @@ def test_criterion_05_validates_only_the_gap_point(monkeypatch):
 def test_criterion_06_tests_the_strided_grid(monkeypatch):
     from test_regularity import hypersimplex_grid
 
-    oracle = acceptance.projective_bruteforce_verdicts
+    oracle = acceptance._bruteforce_verdicts
     seen = []
 
-    def recording(points, n):
-        seen.extend(points)
-        return oracle(points, n)
+    def recording(targets, n):
+        seen.extend(targets)
+        return oracle(targets, n)
 
-    monkeypatch.setattr(acceptance, "projective_bruteforce_verdicts", recording)
+    monkeypatch.setattr(acceptance, "_bruteforce_verdicts", recording)
     assert acceptance.check_oracle_equivalence(SEED, SAMPLES).passed
-    assert seen == list(hypersimplex_grid(4, 18))[::22][:200]
+    assert {den for _, den in seen} == {18}  # the integer entry, at the grid's denominator
+    assert [tuple(F(k, den) for k in num) for num, den in seen] == list(hypersimplex_grid(4, 18))[::22][:200]
 
 
 def test_criterion_06_fails_against_a_constant_closed_form(monkeypatch):
-    monkeypatch.setattr(acceptance, "is_regular_projective", lambda x, n: True)
+    monkeypatch.setattr(acceptance, "_verdicts", lambda cleared, den, sums, n: (True, True))
     result = acceptance.check_oracle_equivalence(SEED, SAMPLES)
     assert not result.passed
     assert result.details["disagreements"] == 86  # the critical points among the 200
@@ -336,6 +337,11 @@ UNCONSUMED = {
     "symmetric_power_phases": "equivariance oracle: the paper's representation T^n -> T^N",
     "is_regular_projective_bruteforce": "the unfiltered definition the batch oracle is "
                                         "tested against; perfbench's tracer looks it up",
+    "is_regular_projective": "the one-point projective regularity test of the API; criterion 6 "
+                             "reads the same verdict from _verdicts, and perfbench's classify "
+                             "workload calls it",
+    "projective_bruteforce_verdicts": "the brute-force oracle's Fraction entry; criterion 6 "
+                                      "calls its integer core, _bruteforce_verdicts",
     "hopf_projection": "the paper's projection of the sphere section to CP^2; ROADMAP item 1 (d) "
                        "generalises it or moves it into the tests",
     "to_three_sphere": "the sphere section onto S^3; ROADMAP item 1 (d), as hopf_projection",

@@ -75,15 +75,15 @@ def test_regular_clears_its_point_once(capsys, monkeypatch):
     # The chamber id and both verdicts read one validation and clearing.
     from grassmoment import exactgeom, regularity
 
-    clear = exactgeom.clear_denominators
+    clear = exactgeom._cleared  # every clearing, clear_denominators' included, runs through it
     calls = []
 
-    def counting(vectors):
-        calls.append(vectors)
-        return clear(vectors)
+    def counting(values):
+        calls.append(values)
+        return clear(values)
 
     for module in (exactgeom, regularity):  # wherever the name is bound
-        monkeypatch.setattr(module, "clear_denominators", counting, raising=False)
+        monkeypatch.setattr(module, "_cleared", counting, raising=False)
     code, payload = run_cli(
         capsys, ["regular", "--n", "5", "--classify", "7/10,6/10,5/10,1/10,1/10"])
     assert code == 0

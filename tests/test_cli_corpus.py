@@ -1,10 +1,14 @@
 """The CLI's output, pinned: each row of ``cli_corpus.json`` runs through
 ``cli.main`` in process and must give its exit code, the sha256 of its
 stdout, and the sha256 of its canonical form (the parsed JSON with every
-float rounded to 12 significant digits, dumped with ``sort_keys``).
+float below 1e-12 in magnitude read as 0.0 and every other float rounded
+to 12 significant digits, dumped with ``sort_keys``).
 
 The byte digest pins the output on this numpy; the canonical digest shows
 whether a change on another float rounding reaches beyond the 12th digit.
+A residual at rounding level, near 1e-16, is noise that another order of
+operations or another libm moves, so it reads as 0.0 and leaves the
+canonical digest host-independent.
 A change that moves output on purpose regenerates the digests with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
@@ -13,6 +17,7 @@ and the corpus diff then names the rows that moved.  A new row is an
 ``{"argv": [...]}`` entry; the script fills in the rest.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -28,7 +33,7 @@ CORPUS = pathlib.Path(__file__).with_name("cli_corpus.json")
 
 def _rounded(value):
     if isinstance(value, float):
-        return float(f"{value:.12g}")
+        return 0.0 if abs(value) < 1e-12 else float(f"{value:.12g}")
     if isinstance(value, list):
         return [_rounded(item) for item in value]
     if isinstance(value, dict):
@@ -63,6 +68,19 @@ def test_cli_output_matches_the_corpus(row):
 def test_canonical_form_rounds_floats_only():
     assert canonical('{"b":[0.12345678901234567,3],"a":true}') == '{"a": true, "b": [0.123456789012, 3]}'
     assert canonical("") == ""
+    # rounding noise canonicalises alike; a change of 1e-11 still moves the digest
+    noise = 4.577566798522237e-16
+    assert canonical(json.dumps([noise])) == canonical(json.dumps([noise + 1e-20])) == "[0.0]"
+    assert canonical(json.dumps([-noise])) == "[0.0]"
+    for value in (noise, 0.5, 1.0):
+        assert canonical(json.dumps([value])) != canonical(json.dumps([value + 1e-11]))
+
+
+def test_every_subcommand_has_a_corpus_row():
+    parser = cli.build_parser()
+    (subcommands,) = [action.choices for action in parser._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    assert set(subcommands) <= {row["argv"][0] for row in ROWS}
 
 
 if __name__ == "__main__":

@@ -352,7 +352,8 @@ def test_hull_weights_decide_a_batch_like_convex_membership():
             xs.append(x)
             targets.append(([scale * v for v in num], scale * den))
         assert len({den for _, den in targets}) > 1
-        found = exactgeom._hull_weights(points, targets)
+        found = [None if w is None else tuple(F(v, w[1]) for v in w[0])
+                 for w in exactgeom._hull_weights(points, targets)]
         assert found == [convex_membership(x, points) for x in xs]
         for kind, x, weights in zip(kinds, xs, found):
             on_span = affine_rank([*points, x]) == rank

@@ -186,6 +186,8 @@ def test_grid_numerators_give_the_fraction_grid_in_order(n, d):
     assert numerators == _filtered_grid(n, d)
     assert [tuple(F(k, d) for k in point) for point in numerators] == expected
     assert [k for k, _, _ in regularity._grid_verdicts(n, d)] == numerators
+    for stride in (2, 3, 7, 22):
+        assert list(regularity._grid_numerators(n, d, stride)) == numerators[::stride]
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (2, 4), (3, 1), (3, 5), (4, 1), (4, 7), (4, 18),
@@ -338,13 +340,53 @@ def test_flat_oracle_enumerates_the_flats_once_per_batch(monkeypatch):
         return affine_rank(points)
 
     monkeypatch.setattr(regularity, "affine_rank", counting_rank)
+    regularity._flat_hulls.cache_clear()
     counts = []
     for k in (1, 50):
         calls.clear()
         projective_bruteforce_verdicts(_criterion_6_points()[:k], 4)
         counts.append(len(calls))
-    # 11 flats, each from one rank test of its sigma and one per other vertex.
-    assert counts == [44, 44]
+    # 11 flats, each from one rank test of its sigma and one per other vertex,
+    # listed by the first batch and read from the cache by the second.
+    assert counts == [44, 0]
+
+
+@pytest.mark.parametrize("n, count", [(4, 11), (5, 30), (6, 112)])
+def test_flat_listing_is_cached_and_immutable(n, count):
+    flats = regularity._flat_hulls(n)
+    assert regularity._flat_hulls(n) is flats
+    assert flats == regularity._list_flats(n)
+    assert len(flats) == count
+    assert type(flats) is tuple and all(type(hull) is tuple for hull in flats)
+    assert all(type(v) is tuple and all(type(c) is int for c in v) for hull in flats for v in hull)
+    with pytest.raises(TypeError):
+        flats[0][0] = flats[1][0]
+
+
+@pytest.mark.parametrize("num, den", [
+    ((9, 9, 9, 8), 18),    # sum != 2 den
+    ((-1, 19, 9, 9), 18),  # a negative numerator
+    ((19, 17, 0, 0), 18),  # a numerator above den
+    ((0, 0, 0, 0), 0),     # den < 1
+    ((-1, -1, 0, 0), -1),  # den < 1, sum = 2 den
+    ((9, 9, 18), 18),      # a wrong length
+    ((9, 9, 9, 9, 0), 18),
+])
+def test_integer_oracle_refuses_a_point_outside_the_hypersimplex(num, den):
+    with pytest.raises(ValueError):
+        regularity._bruteforce_verdicts([((9, 9, 9, 9), 18), (num, den)], 4)
+    if den > 0:  # the Fraction entry clears the point and refuses it alike
+        with pytest.raises(ValueError):
+            projective_bruteforce_verdicts([CHAMBER_POINT_MINUS, tuple(F(v, den) for v in num)], 4)
+
+
+def test_integer_oracle_reads_numerators_at_any_denominator():
+    points = _criterion_6_points()
+    targets = []
+    for scale, x in zip(itertools.cycle((1, 2, 5)), points):
+        (num,), den = clear_denominators([x])
+        targets.append(([scale * v for v in num], scale * den))
+    assert regularity._bruteforce_verdicts(targets, 4) == projective_bruteforce_verdicts(points, 4)
 
 
 def _flat_points(n, count, seed):
@@ -386,9 +428,9 @@ def test_flat_oracle_batch_matches_the_per_point_definition(n):
 
 def test_flat_oracle_eliminates_each_flat_once_per_batch(monkeypatch):
     """The batch's eliminations do not grow with its size: 44 rank tests
-    list the 11 flats, each flat is eliminated once with every point no
-    earlier flat held as a right-hand side, and each of the 3 squares
-    then solves 3 candidate triangles."""
+    list the 11 flats once per n, each flat is eliminated once with every
+    point no earlier flat held as a right-hand side, and each of the 3
+    squares then solves 3 candidate triangles."""
     calls = []
     row_echelon = exactgeom._row_echelon
 
@@ -397,12 +439,13 @@ def test_flat_oracle_eliminates_each_flat_once_per_batch(monkeypatch):
         return row_echelon(rows, width)
 
     monkeypatch.setattr(exactgeom, "_row_echelon", counting)
+    regularity._flat_hulls.cache_clear()
     counts = []
     for k in (20, 200):
         calls.clear()
         verdicts = projective_bruteforce_verdicts(_criterion_6_points()[:k], 4)
         counts.append(len(calls))
-    assert counts == [64, 64]
+    assert counts == [64, 20]  # the 44 listing the flats are made once, by the first batch
     assert verdicts.count(False) == 86
 
 
