@@ -2,14 +2,15 @@
 
 Each criterion is declared once, by ``_criterion``, and its check returns
 a CriterionResult with a hard pass/fail verdict at its pinned tolerance.
-The sampled criteria draw fiber points through ``fibers4.sample_for_kind``
-only.  The CLI ``report`` command and the test suite both drive these
-functions, so the shipped verdicts and the tested verdicts are the same
-code path.
+The sampled criteria 4, 7, 8, 9, 11 and 12 check one seeded batch per fiber
+kind, drawn by ``_batch`` once per ``run_all`` call.  The CLI ``report``
+command and the test suite both drive these functions, so the shipped
+verdicts and the tested verdicts are the same code path.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import time
@@ -64,18 +65,31 @@ def _require_samples(samples: int) -> None:
 #: (short name, check) per criterion, in criterion order; ``_criterion`` fills it.
 CRITERIA: tuple = ()
 
+#: The batches drawn in the running ``run_all`` call, by (kind, seed, count); None outside one.
+_batches: contextvars.ContextVar[dict | None] = contextvars.ContextVar("batches", default=None)
+
+
+def _batch(kind: str, seed: int, count: int) -> np.ndarray:
+    """The seed's first draw of ``count`` points of fiber ``kind``, read-only.  Inside
+    ``run_all`` each is drawn once and shared; a check run alone draws its own."""
+    batches = {} if _batches.get() is None else _batches.get()
+    if (kind, seed, count) not in batches:
+        batches[kind, seed, count] = fb.sample_for_kind(kind, np.random.default_rng(seed), count)
+        batches[kind, seed, count].flags.writeable = False
+    return batches[kind, seed, count]
+
 
 def _criterion(number: int, name: str, short: str):
-    """Declare criterion ``number`` from a body (rng, samples) -> (passed,
+    """Declare criterion ``number`` from a body (seed, samples) -> (passed,
     details) and register it under ``short`` in CRITERIA.  The check(seed,
-    samples) it returns refuses a non-positive sample count, seeds the
-    generator, times the body and wraps its verdict in a CriterionResult."""
+    samples) it returns refuses a non-positive sample count, times the body
+    and wraps its verdict in a CriterionResult."""
     def declare(body):
         @functools.wraps(body)
         def check(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CriterionResult:
             _require_samples(samples)
             started = time.perf_counter()
-            passed, details = body(np.random.default_rng(seed), samples)
+            passed, details = body(seed, samples)
             return CriterionResult(number, name, short, bool(passed),
                                    time.perf_counter() - started, details)
 
@@ -86,7 +100,7 @@ def _criterion(number: int, name: str, short: str):
 
 
 @_criterion(1, "chamber count and orbits", "chambers")
-def check_chambers(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
+def check_chambers(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 1: eight maximal chambers in two orbits of four; two
     disjoint orbits of four are the eight chambers."""
     minus, plus = chamber_orbits()
@@ -110,7 +124,7 @@ def check_chambers(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
 
 
 @_criterion(2, "exact solution triangle", "triangle")
-def check_triangle(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
+def check_triangle(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 2: exact triangle vertices and their exact moment image."""
     triangle = solve_moment_triangle()
     expected = {
@@ -134,7 +148,7 @@ def check_triangle(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
 
 
 @_criterion(3, "edge curve points", "curve")
-def check_curve_points(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
+def check_curve_points(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 3: lifted sphere points hit the three edge images; curve residuals."""
     heads = (1.0 - np.eye(3)) / np.sqrt(6.0)  # (0, s, s), (s, 0, s), (s, s, 0) for s^2 = 1/6
     lifted = fb.lift_to_fiber(*heads.T)
@@ -150,9 +164,9 @@ def check_curve_points(rng: np.random.Generator, samples: int) -> tuple[bool, di
 
 
 @_criterion(4, "7-fiber parametrization", "fiber7")
-def check_fiber7(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
+def check_fiber7(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 4: seeded 7-fiber samples close the moment equation and round trip."""
-    points = fb.sample_for_kind("mq7", rng, samples)
+    points = _batch("mq7", seed, samples)
     max_moment = float(np.max(fb.moment_residual(points, CHAMBER_POINT_MINUS)))
     min_tail = float(np.min(fb.fiber7_residuals(points)["min_tail"]))
     max_round = float(np.max(fb.fiber7_roundtrip_error(points)))
@@ -168,7 +182,7 @@ def check_fiber7(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
 
 
 @_criterion(5, "regular value dichotomy", "dichotomy")
-def check_regular_dichotomy(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
+def check_regular_dichotomy(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 5: the two regularity notions coincide on the full n=4 grid
     and split at the reference n=5 point.  _grid_verdicts reads the grid k/18
     as numerators at denominator 18, one head row at a time.  At n = 4 no
@@ -190,7 +204,7 @@ def check_regular_dichotomy(rng: np.random.Generator, samples: int) -> tuple[boo
 
 
 @_criterion(6, "brute-force oracle equivalence", "oracle")
-def check_oracle_equivalence(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
+def check_oracle_equivalence(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 6: the closed form agrees with the brute-force oracle, one
     batch that tests each of 200 grid points against every vertex-spanned flat.
     The grid is counted and strided by head row, and both sides read its
@@ -207,13 +221,13 @@ def check_oracle_equivalence(rng: np.random.Generator, samples: int) -> tuple[bo
 
 
 @_criterion(7, "5-fiber certificates", "fiber5")
-def check_fiber5(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
+def check_fiber5(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 7: one seeded 5-fiber batch satisfies the Plücker relation and
     the moment equation and round trips through both parametrizations; the
     base projection collapses the circle and separates the batch's surface
     sections, each paired with its other closure branch (its conjugate) and
     with the section before it."""
-    points = fb.sample_for_kind("mq5", rng, samples)
+    points = _batch("mq5", seed, samples)
     max_plucker = float(np.max(plucker_relation_residual(normalize_projective(points))))
     max_moment = float(np.max(fb.moment_residual(points, CHAMBER_POINT_MINUS)))
     max_f_round = float(np.max(fb.surface_roundtrip_error(points)))
@@ -243,11 +257,11 @@ def check_fiber5(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
 
 
 @_criterion(8, "complete intersection", "intersection")
-def check_complete_intersection(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
+def check_complete_intersection(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 8: equipotential values (0, -1, 0), Jacobian rank 3, FD cross-check,
     all on the chart quadrics of the C- fiber over q-."""
     bases = np.array([fiber.sample(np.ones(3, dtype=complex)) for fiber in fb.edge_fibers()])
-    sampled = fb.sample_for_kind("mq5", rng, samples)
+    sampled = _batch("mq5", seed, samples)
     points = np.concatenate([bases, sampled])
     deviation, ranks, max_fd_dev = fb.complete_intersection_survey(points, fd_every=50)
     max_f_dev = float(np.max(deviation))
@@ -263,11 +277,12 @@ def check_complete_intersection(rng: np.random.Generator, samples: int) -> tuple
 
 
 @_criterion(9, "bundle structure", "transition")
-def check_bundle_structure(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
-    """Criterion 9: unimodular transition, cocycle identity, chart coverage."""
+def check_bundle_structure(seed: int, samples: int) -> tuple[bool, dict]:
+    """Criterion 9: unimodular transition, cocycle identity at seeded phases,
+    chart coverage on the first half of the mq5 batch of criteria 7 and 8."""
     determinant = fb.transition_determinant()
-    max_cocycle = fb.cocycle_error(fb.random_phases(rng, (max(samples // 10, 10), 3)))
-    covered = fb.chart_coverage(fb.sample_for_kind("mq5", rng, max(samples // 2, 1))).ok
+    max_cocycle = fb.cocycle_error(fb.random_phases(np.random.default_rng(seed), (max(samples // 10, 10), 3)))
+    covered = fb.chart_coverage(_batch("mq5", seed, samples)[:max(samples // 2, 1)]).ok
     coverage_ok = bool(np.all(covered))
     fibers = fb.edge_fibers()
     cov0 = fb.chart_coverage(fibers[0].base)
@@ -286,7 +301,7 @@ def check_bundle_structure(rng: np.random.Generator, samples: int) -> tuple[bool
 
 
 @_criterion(10, "center point parity", "parity")
-def check_center_parity(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
+def check_center_parity(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 10: the center point is regular exactly for odd n, n = 4..10."""
     verdicts = {n: center_point_regular(n) for n in range(4, 11)}
     passed = all(verdicts[n] == (n % 2 == 1) for n in verdicts)
@@ -295,11 +310,12 @@ def check_center_parity(rng: np.random.Generator, samples: int) -> tuple[bool, d
 
 
 @_criterion(11, "tangent dimension counts", "dimensions")
-def check_dimension_counts(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
-    """Criterion 11: SVD tangent dimensions 7 and 5 at random fiber points."""
+def check_dimension_counts(seed: int, samples: int) -> tuple[bool, dict]:
+    """Criterion 11: tangent dimensions 7 and 5 at the first count points of
+    each seeded batch, drawn max(samples, count) long so none falls short."""
     count = max(samples // 10, 100)
-    dims7 = set(fb.tangent_fiber_dimension(fb.sample_for_kind("mq7", rng, count)).tolist())
-    dims5 = set(fb.tangent_fiber_dimension(fb.sample_for_kind("mq5", rng, count),
+    dims7 = set(fb.tangent_fiber_dimension(_batch("mq7", seed, max(samples, count))[:count]).tolist())
+    dims5 = set(fb.tangent_fiber_dimension(_batch("mq5", seed, max(samples, count))[:count],
                                            include_quadric=True).tolist())
     passed = dims7 == {7} and dims5 == {5}
     details = {"points_each": count, "dims7": sorted(dims7), "dims5": sorted(dims5)}
@@ -307,12 +323,12 @@ def check_dimension_counts(rng: np.random.Generator, samples: int) -> tuple[bool
 
 
 @_criterion(12, "second orbit swap images", "secondorbit")
-def check_second_orbit(rng: np.random.Generator, samples: int) -> tuple[bool, dict]:
-    """Criterion 12: swap images of 7- and 5-fiber points map to q+, and the
-    5-fiber images satisfy the Plücker relation.  The swap permutes indices,
-    so all it leaves unchanged is checked by criteria 4, 7 and 8."""
-    mq7 = fb.orbit_swap(fb.sample_for_kind("mq7", rng, samples))
-    mq5 = fb.orbit_swap(fb.sample_for_kind("mq5", rng, samples))
+def check_second_orbit(seed: int, samples: int) -> tuple[bool, dict]:
+    """Criterion 12: swap images of the mq7 and mq5 batches of criteria 4 and 7
+    map to q+, and the mq5 images satisfy the Plücker relation.  The swap
+    permutes indices, so all it leaves unchanged is checked by criteria 4, 7 and 8."""
+    mq7 = fb.orbit_swap(_batch("mq7", seed, samples))
+    mq5 = fb.orbit_swap(_batch("mq5", seed, samples))
     max_moment7 = float(np.max(fb.moment_residual(mq7, CHAMBER_POINT_PLUS)))
     max_moment5 = float(np.max(fb.moment_residual(mq5, CHAMBER_POINT_PLUS)))
     max_plucker = float(np.max(plucker_relation_residual(normalize_projective(mq5))))
@@ -336,4 +352,8 @@ def run_all(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
     selected = [func for name, func in CRITERIA if only is None or only in name]
     if not selected:
         raise ValueError(f"no criterion matches {only!r}")
-    return [func(seed, samples) for func in selected]
+    shared = _batches.set({})
+    try:
+        return [func(seed, samples) for func in selected]
+    finally:
+        _batches.reset(shared)

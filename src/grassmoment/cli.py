@@ -273,7 +273,7 @@ def cmd_report(args) -> int:
         "all_passed": all(r.passed for r in results),
     }
     if not args.no_timings:
-        payload["timings"] = {r.short: round(r.seconds, 3) for r in results}
+        payload["timings"] = {r.short: round(r.seconds, 6) for r in results}
     _emit(payload, args.json_out)
     return 0 if payload["all_passed"] else 1
 

@@ -227,6 +227,24 @@ def test_criterion_11_dimension_counts():
     assert result.details["dims5"] == [5]
 
 
+@pytest.mark.parametrize("samples", [1, 50])
+def test_criterion_11_checks_100_points_of_each_kind_below_100_samples(monkeypatch, samples):
+    # count = max(samples // 10, 100) exceeds samples here, so a slice of a
+    # samples-long batch would check fewer points than points_each claims.
+    shapes = []
+    real = acceptance.fb.tangent_fiber_dimension
+
+    def recording(points, *args, **kwargs):
+        shapes.append(np.shape(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(acceptance.fb, "tangent_fiber_dimension", recording)
+    result = acceptance.check_dimension_counts(SEED, samples)
+    assert result.passed
+    assert result.details["points_each"] == 100
+    assert shapes == [(100, 6), (100, 6)]
+
+
 def test_criterion_12_second_orbit():
     result = _run(acceptance.check_second_orbit)
     assert result.passed
@@ -317,6 +335,54 @@ def test_run_all_reads_the_criteria_at_call_time(monkeypatch):
     monkeypatch.setattr(acceptance, "CRITERIA", swapped)
     assert [r.number for r in acceptance.run_all(SEED, SAMPLES)] == [3, 10]
     assert calls == ["curve", "parity"]
+
+
+@pytest.mark.parametrize("samples", [1, SAMPLES])
+@pytest.mark.parametrize("seed", [SEED, 7])
+def test_shared_batches_couple_no_criteria(seed, samples):
+    # Within run_all the sampled criteria read one batch per kind; each
+    # verdict must still be the one its check gives when run alone.
+    shared = [result.to_json() for result in acceptance.run_all(seed, samples)]
+    alone = [check(seed, samples).to_json() for _, check in acceptance.CRITERIA]
+    assert shared == alone
+
+
+def test_run_all_draws_each_fiber_kind_once(monkeypatch):
+    calls = []
+    real = acceptance.fb.sample_for_kind
+
+    def recording(kind, rng, count=None):
+        calls.append((kind, count))
+        return real(kind, rng, count)
+
+    monkeypatch.setattr(acceptance.fb, "sample_for_kind", recording)
+    assert all(result.passed for result in acceptance.run_all(SEED, SAMPLES))
+    assert calls == [("mq7", SAMPLES), ("mq5", SAMPLES)]
+
+
+def test_shared_batches_are_read_only_and_live_for_one_run(monkeypatch):
+    alone = acceptance._batch("mq5", SEED, 10)
+    with pytest.raises(ValueError):
+        alone[0, 0] = 0.0
+    held = []
+
+    def inspecting(seed, samples):
+        held.append(dict(acceptance._batches.get()))
+        raise RuntimeError("criterion failed to run")
+
+    fiber5 = dict(acceptance.CRITERIA)["fiber5"]
+    monkeypatch.setattr(acceptance, "CRITERIA", (("fiber5", fiber5), ("broken", inspecting)))
+    with pytest.raises(RuntimeError):
+        acceptance.run_all(SEED, SAMPLES)
+    assert acceptance._batches.get() is None
+    [batches] = held
+    assert list(batches) == [("mq5", SEED, SAMPLES)]
+    shared = batches["mq5", SEED, SAMPLES]
+    with pytest.raises(ValueError):
+        shared[0, 0] = 0.0
+    np.testing.assert_array_equal(shared, acceptance._batch("mq5", SEED, SAMPLES))
+    acceptance.run_all(SEED, 1, only="fiber5")
+    assert acceptance._batches.get() is None
 
 
 def test_cli_and_acceptance_draw_fiber_points_only_through_sample_for_kind():

@@ -482,6 +482,14 @@ def test_report_timings_sit_apart_from_verdicts(capsys):
     assert all(type(v) is float and v >= 0 for v in payload["timings"].values())
 
 
+def test_report_times_every_criterion_above_zero(capsys):
+    # Six decimals keep the sub-millisecond criteria (curve, parity) readable.
+    code, payload = run_cli(capsys, ["report", "--samples", "1"])
+    assert code == 0
+    assert len(payload["timings"]) == 12
+    assert all(v > 0 for v in payload["timings"].values())
+
+
 def test_report_without_timings_is_byte_stable(capsys):
     outputs = []
     for _ in range(2):
