@@ -150,8 +150,7 @@ def check_triangle(seed: int, samples: int) -> tuple[bool, dict]:
 @_criterion(3, "edge curve points", "curve")
 def check_curve_points(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 3: lifted sphere points hit the three edge images; curve residuals."""
-    heads = (1.0 - np.eye(3)) / np.sqrt(6.0)  # (0, s, s), (s, 0, s), (s, s, 0) for s^2 = 1/6
-    lifted = fb.lift_to_fiber(*heads.T)
+    lifted = np.array([fiber.base for fiber in fb.edge_fibers()])
     expected = np.array(fb.EDGE_IMAGES, dtype=float)
     image_err = float(np.max(np.abs(simplex_moment(lifted) - expected)))
     residuals = {

@@ -20,6 +20,12 @@ points (N, 6), section points included; a chart point is its four complex
 chart coordinates, shape (4,) or (N, 4).  A run is drawn by one
 ``sample_for_kind(kind, rng, count)`` and certified by one ``certify``;
 the one-point helpers are the N = 1 case of the same code.
+
+The level q enters only through c = 1 - q1 - q2 = 1/9 (``TAIL_GAP``) of the
+tail rule |z_(5-k)|^2 = |z_k|^2 + c and R = (1 - 3c)/2 = 1/3 (``HEAD_RADIUS2``),
+the head sphere's radius^2, both reduced exactly before rounding.  The moduli
+1/sqrt(3) and 1/sqrt(6) stay reciprocals, 1/sqrt(1/R) and 1/sqrt(2/R):
+sqrt(R) and sqrt(R/2) round to other floats and would move every sampled bit.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ from .plucker import as_coords6, chart_array, normalize_projective, plucker_rela
 from .regularity import CHAMBER_POINT_MINUS
 
 F = Fraction
+
+_GAP = 1 - CHAMBER_POINT_MINUS[0] - CHAMBER_POINT_MINUS[1]
+#: The level q as the tail gap c and the head sphere's radius^2 R, exact until rounded.
+TAIL_GAP, HEAD_RADIUS2 = float(_GAP), float((1 - 3 * _GAP) / 2)
 
 #: Coordinate swap exchanging the two chamber orbits; it is an involution.
 ORBIT_SWAP = np.array([3, 4, 5, 0, 1, 2])
@@ -105,16 +115,13 @@ def _check_unit_phases(phases) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def tail_magnitudes(z0, z1, z2, tol: float = 1e-10) -> tuple:
-    """Moduli (|z3|, |z4|, |z5|) of the fiber coordinates from the first three.
-
-    Requires |z0|^2 + |z1|^2 + |z2|^2 = 1/3 to within tol.  The one tail
-    formula, |z_(5-k)|^2 = |z_k|^2 + 1/9, agrees identically on that sphere
-    with the magnitude system |z3|^2 = (|z0|^2 + |z1|^2 + 4|z2|^2)/3 (cyclic).
-    """
+    """Moduli (|z3|, |z4|, |z5|) of the fiber coordinates from the first three
+    by the one tail rule |z_(5-k)|^2 = |z_k|^2 + c (c = 1/9), on the head
+    sphere |z0|^2 + |z1|^2 + |z2|^2 = R (R = 1/3), required to within tol."""
     s = np.abs(_stack(z0, z1, z2)) ** 2
-    if not np.all(np.abs(np.sum(s, axis=-1) - 1.0 / 3.0) <= tol):
+    if not np.all(np.abs(np.sum(s, axis=-1) - HEAD_RADIUS2) <= tol):
         raise ValueError("head coordinates do not satisfy the sphere constraint")
-    return _split(np.sqrt(s[..., ::-1] + 1.0 / 9.0))
+    return _split(np.sqrt(s[..., ::-1] + TAIL_GAP))
 
 
 def lift_to_fiber(z0, z1, z2, tol: float = 1e-10) -> np.ndarray:
@@ -140,7 +147,7 @@ def fiber7_preimage(z):
 def random_sphere_triple(rng: np.random.Generator, count: int | None = None) -> tuple:
     """Uniform point (or count points) of the radius 1/sqrt(3) sphere in C^3."""
     v = rng.normal(size=_shape(count, 3)) + 1j * rng.normal(size=_shape(count, 3))
-    v *= 1.0 / (math.sqrt(3.0) * np.linalg.norm(v, axis=-1, keepdims=True))
+    v *= 1.0 / (math.sqrt(1.0 / HEAD_RADIUS2) * np.linalg.norm(v, axis=-1, keepdims=True))
     return _split(v)
 
 
@@ -175,34 +182,31 @@ def fiber7_roundtrip_error(z):
 
 def curve_residual(x0: float, x1: float) -> float:
     """Residual of the edge curve equation in its fixed sign arrangement."""
-    p05, p23, p14 = _curve_products(x0, x1)
-    return abs(math.sqrt(p05) + math.sqrt(p23) - math.sqrt(p14))
+    a, b, c = _curve_sides(x0, x1)
+    return abs(a + b - c)
 
 
 def curve_closure_residual(x0: float, x1: float) -> float:
     """Best degenerate-triangle residual over all sign choices.
 
-    The fixed-arrangement form pins one sign pattern of the three real
-    products; phase closure only requires the three square roots to close
-    a degenerate triangle with some signs, so this is the honest distance
-    to the curve locus.
+    The fixed-arrangement form pins one sign pattern of the three sides;
+    phase closure only requires them to close a degenerate triangle with
+    some signs, so this is the honest distance to the curve locus.
     """
-    p05, p23, p14 = _curve_products(x0, x1)
-    a, b, c = math.sqrt(p05), math.sqrt(p23), math.sqrt(p14)
+    a, b, c = _curve_sides(x0, x1)
     return min(abs(a + s1 * b + s2 * c) for s1 in (1, -1) for s2 in (1, -1))
 
 
-def _curve_products(x0: float, x1: float) -> tuple[float, float, float]:
+def _curve_sides(x0: float, x1: float) -> tuple[float, float, float]:
+    """Sides |z0||z5|, |z2||z3|, |z1||z4| of the closure triangle at |z0|^2 = x0, |z1|^2 = x1."""
     x0, x1 = float(x0), float(x1)
     if not (math.isfinite(x0) and math.isfinite(x1)):
         raise ValueError(f"curve parameters must be finite, got x0={x0}, x1={x1}")
-    if x0 < -1e-15 or x1 < -1e-15 or x0 + x1 > 1.0 / 3.0 + 1e-12:
+    if x0 < -1e-15 or x1 < -1e-15 or x0 + x1 > HEAD_RADIUS2 + 1e-12:
         raise ValueError("curve parameters must satisfy x0, x1 >= 0, x0 + x1 <= 1/3")
-    x0, x1 = max(x0, 0.0), max(x1, 0.0)
-    p05 = x0 * (x0 + 1.0 / 9.0)
-    p23 = max(0.0, (1.0 / 3.0 - x0 - x1)) * max(0.0, (4.0 / 9.0 - x0 - x1))
-    p14 = x1 * (x1 + 1.0 / 9.0)
-    return p05, p23, p14
+    r0, r1 = math.sqrt(max(x0, 0.0)), math.sqrt(max(x1, 0.0))
+    big0, middle, _ = _closure_terms(r0, r1)
+    return float(big0), float(middle), float(_closure_terms(r1, r0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -225,17 +229,17 @@ def _third_square(s0, s1):
     """|z2|^2 = 1/3 - |z0|^2 - |z1|^2 on a surface point, with values up to
     1e-15 taken as 0: that is rounding noise, whose square root (up to 3e-8)
     would break the 1e-10 surface equation next to the circle z2 = 0."""
-    s2 = 1.0 / 3.0 - s0 - s1
+    s2 = HEAD_RADIUS2 - s0 - s1
     return np.where(s2 > 1e-15, s2, 0.0)
 
 
 def _closure_terms(r0, r1):
     """Products |z0||z5| and |z2||z3| of the surface equation and the cosine
     of the relative phase that closes it against |z1||z4| (law of cosines)."""
-    big0 = r0 * np.sqrt(r0 * r0 + 1.0 / 9.0)
-    big1 = r1 * np.sqrt(r1 * r1 + 1.0 / 9.0)
+    big0 = r0 * np.sqrt(r0 * r0 + TAIL_GAP)
+    big1 = r1 * np.sqrt(r1 * r1 + TAIL_GAP)
     s2 = _third_square(r0 * r0, r1 * r1)
-    middle = np.sqrt(s2 * (s2 + 1.0 / 9.0))
+    middle = np.sqrt(s2 * (s2 + TAIL_GAP))
     with np.errstate(all="ignore"):
         cos_phi = (big1 * big1 - big0 * big0 - middle * middle) / (2.0 * big0 * middle)
     return big0, middle, cos_phi
@@ -257,7 +261,7 @@ def surface_circle(psi) -> np.ndarray:
 
     Here |z2| = 0 and |z3| = 1/3, forced by |z3|^2 = |z2|^2 + 1/9.
     """
-    z = np.exp(1j * np.asarray(psi, dtype=float)) / math.sqrt(6.0)
+    z = np.exp(1j * np.asarray(psi, dtype=float)) / math.sqrt(2.0 / HEAD_RADIUS2)
     return _section(z, z)
 
 
@@ -284,11 +288,11 @@ def sample_surface_section(rng: np.random.Generator, max_trials: int = 10000,
             raise RuntimeError("surface sampler exhausted its trial budget")
         rate = accepted / trials if accepted else 0.5
         size = min(math.ceil(1.1 * (wanted - accepted) / rate) + 16, budget - trials)
-        block = rng.uniform(0.0, math.sqrt(1.0 / 3.0), size=(size, 2))
+        block = rng.uniform(0.0, math.sqrt(HEAD_RADIUS2), size=(size, 2))
         trials += size
         r0, r1 = block.T
         big0, middle, cos_phi = _closure_terms(r0, r1)
-        ok = ((r0 * r0 + r1 * r1 <= 1.0 / 3.0) & (middle >= 1e-6) & (big0 >= 1e-9)
+        ok = ((r0 * r0 + r1 * r1 <= HEAD_RADIUS2) & (middle >= 1e-6) & (big0 >= 1e-9)
               & (np.abs(cos_phi) <= 1.0 - 1e-9))
         kept.append(block[ok])
         accepted += len(kept[-1])
@@ -437,24 +441,17 @@ class EdgeFiber:
 
 
 def edge_fibers() -> tuple[EdgeFiber, EdgeFiber, EdgeFiber]:
-    s6 = 1.0 / math.sqrt(6.0)
-    s518 = math.sqrt(5.0 / 18.0)
-    third = 1.0 / 3.0
+    s = 1.0 / math.sqrt(2.0 / HEAD_RADIUS2)
     # The sign on the third coordinate of the middle base point makes
     # z0*z5 + z2*z3 vanish, as membership in the plane quadric forces
     # (z1 = 0 along this circle).
-    bases = (
-        np.array([0.0, s6, s6, s518, s518, third], dtype=complex),
-        np.array([s6, 0.0, -s6, s518, third, s518], dtype=complex),
-        np.array([s6, s6, 0.0, third, s518, s518], dtype=complex),
-    )
+    bases = lift_to_fiber(*np.array([(0.0, s, s), (s, 0.0, -s), (s, s, 0.0)]).T)
     exponents = (
         np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, -1, 0), (-1, 0, 0), (0, 0, 1)]),
         np.array([(1, 0, 0), (0, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (-1, 0, 0)]),
         np.array([(1, 0, 0), (0, 1, 0), (0, 0, 0), (0, 0, 1), (0, -1, 0), (-1, 0, 0)]),
     )
-    for base in bases:
-        base.setflags(write=False)
+    bases.setflags(write=False)
     return tuple(EdgeFiber(name=f"edge{k}", base=bases[k], exponents=exponents[k],
                            image=EDGE_IMAGES[k]) for k in range(3))
 
@@ -515,15 +512,15 @@ def ci_jacobian(a) -> np.ndarray:
     return squares
 
 
-def ci_jacobian_fd(a, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian at chart points (..., 4), shaped
-    like ci_jacobian: the cross-check for the closed form."""
+def ci_jacobian_fd(a) -> np.ndarray:
+    """Central finite-difference Jacobian at chart points (..., 4), step 1e-6,
+    shaped like ci_jacobian: the cross-check for the closed form."""
     a, _ = _chart_cross(a)
-    forward = np.concatenate([a.real, a.imag], axis=-1)[..., None, :] + step * np.eye(8)
-    backward = forward - 2.0 * step * np.eye(8)
+    forward = np.concatenate([a.real, a.imag], axis=-1)[..., None, :] + 1e-6 * np.eye(8)
+    backward = forward - 2e-6 * np.eye(8)
     f_plus = np.stack(complete_intersection_f(forward[..., :4] + 1j * forward[..., 4:]), axis=-2)
     f_minus = np.stack(complete_intersection_f(backward[..., :4] + 1j * backward[..., 4:]), axis=-2)
-    return (f_plus - f_minus) / (2.0 * step)
+    return (f_plus - f_minus) / 2e-6
 
 
 def _gram_singular_values(jacobian) -> np.ndarray:
@@ -546,22 +543,22 @@ def _rank(singular: np.ndarray, tol: float):
     return np.sum(singular > tol * singular[..., :1], axis=-1)
 
 
-def jacobian_rank(a, tol: float = 1e-6):
+def jacobian_rank(a):
     """Numerical rank of the chart Jacobian at a fiber chart point: requires
-    (0, -1, 0) to hold to 1e-8, then counts the Gram singular values above tol
-    times the largest.  A public name because perfbench's tracer looks it up."""
-    return _rank(_chart_checks(a)[2], tol)
+    (0, -1, 0) to hold to 1e-8, then counts the Gram singular values above
+    rank_tol times the largest.  A public name because perfbench's tracer looks it up."""
+    return _rank(_chart_checks(a)[2], DEFAULT_TOLERANCES["rank_tol"])
 
 
 def complete_intersection_survey(points, fd_every: int = 25):
     """The complete-intersection claim over fiber points: the deviations
-    (|f1|, |f2 + 1|, |f3|), the Jacobian ranks at relative threshold 1e-6,
+    (|f1|, |f2 + 1|, |f3|), the Jacobian ranks at relative threshold rank_tol,
     and the largest gap between the closed-form and the finite-difference
     Jacobian over every fd_every-th point."""
     a = chart_array(as_coords6(points))
     f, _, singular = _chart_checks(a)
     fd = float(np.max(np.abs(ci_jacobian(a[::fd_every]) - ci_jacobian_fd(a[::fd_every])), initial=0.0))
-    return np.abs(f - _F_TARGET), _rank(singular, 1e-6), fd
+    return np.abs(f - _F_TARGET), _rank(singular, DEFAULT_TOLERANCES["rank_tol"]), fd
 
 
 # ---------------------------------------------------------------------------
@@ -613,22 +610,22 @@ class ChartCoverage:
     ok: bool
 
 
-def chart_coverage(z, tol: float = _COVERAGE_TOL) -> ChartCoverage:
+def chart_coverage(z) -> ChartCoverage:
     """Certify the chart picture: the tail minors never vanish, and the point
     lies over chart 0 iff z1 is nonzero, over chart 1 iff z0 is nonzero."""
     w = np.abs(as_coords6(z))
     min_tail = np.min(w[..., 3:], axis=-1)
     margin = np.minimum(min_tail, np.maximum(w[..., 0], w[..., 1]))
-    return ChartCoverage(min_tail=min_tail, vanishing_head=~(w[..., :3] > tol),
-                         in_chart_m0=w[..., 1] > tol, in_chart_m1=w[..., 0] > tol,
-                         margin=margin, ok=margin > tol)
+    return ChartCoverage(min_tail=min_tail, vanishing_head=~(w[..., :3] > _COVERAGE_TOL),
+                         in_chart_m0=w[..., 1] > _COVERAGE_TOL, in_chart_m1=w[..., 0] > _COVERAGE_TOL,
+                         margin=margin, ok=margin > _COVERAGE_TOL)
 
 
 # ---------------------------------------------------------------------------
 # Tangent dimension by rank-nullity
 # ---------------------------------------------------------------------------
 
-def tangent_fiber_dimension(z, include_quadric: bool = False, tol: float = 1e-6):
+def tangent_fiber_dimension(z, include_quadric: bool = False):
     """Fiber dimension at z from the rank of the real constraint differential.
 
     The constraints on the unit sphere of C^6 are the four moment
@@ -647,7 +644,7 @@ def tangent_fiber_dimension(z, include_quadric: bool = False, tol: float = 1e-6)
         rows.append(np.concatenate([qprime.imag, qprime.real], axis=-1))
     # SVD, not the Gram route: these rows have exact zero singular values, which Gram reads as ~1e-8.
     singular = np.linalg.svd(np.stack(rows, axis=-2), compute_uv=False)
-    return 12 - _rank(singular, tol) - 1
+    return 12 - _rank(singular, 1e-6) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -661,16 +658,14 @@ def moment_residual(z, target):
 
 
 def fiber7_residuals(z) -> dict:
-    """Norm and moment residuals, the deviation from the tail magnitude
-    system after unit normalization, and the smallest tail modulus."""
+    """Norm and moment residuals, the tail rule's residual after unit
+    normalization, and the smallest tail modulus."""
     z = as_coords6(z)
-    s0, s1, s2, s3, s4, s5 = _split(np.abs(z / np.linalg.norm(z, axis=-1, keepdims=True)) ** 2)
-    magnitudes = np.stack([s3 - (s0 + s1 + 4.0 * s2) / 3.0, s4 - (s0 + 4.0 * s1 + s2) / 3.0,
-                           s5 - (4.0 * s0 + s1 + s2) / 3.0], axis=-1)
+    s = np.abs(z / np.linalg.norm(z, axis=-1, keepdims=True)) ** 2
     return {
         "norm": np.abs(np.linalg.norm(z, axis=-1) - 1.0),
         "moment": moment_residual(z, CHAMBER_POINT_MINUS),
-        "magnitudes": np.max(np.abs(magnitudes), axis=-1),
+        "magnitudes": np.max(np.abs(s[..., :2:-1] - s[..., :3] - TAIL_GAP), axis=-1),
         "min_tail": np.min(np.abs(z[..., 3:]), axis=-1),
     }
 

@@ -19,7 +19,7 @@ RANK_TOL = 1e-12
 COORD_TOL = 1e-12
 
 
-def normalize_projective(coords, tol: float = COORD_TOL) -> np.ndarray:
+def normalize_projective(coords) -> np.ndarray:
     """Canonical representative: unit norm, first nonzero entry real positive.
 
     Works along the last axis: an (N, k) array gives N representatives.
@@ -35,7 +35,7 @@ def normalize_projective(coords, tol: float = COORD_TOL) -> np.ndarray:
     if not np.all(norm > 0.0):
         raise ValueError("cannot normalize the zero vector")
     v /= norm
-    nonzero = np.abs(v) > tol
+    nonzero = np.abs(v) > COORD_TOL
     if not np.all(nonzero.any(axis=-1)):
         raise ValueError("all coordinates below tolerance")
     first = np.argmax(nonzero, axis=-1)[..., None]

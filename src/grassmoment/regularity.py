@@ -346,7 +346,7 @@ def center_point_regular(n: int) -> bool:
     return is_regular_grassmann(center, n)
 
 
-def largest_chamber_witness(n: int, seed: int = DEFAULT_SEED, max_trials: int = 2000) -> Vector:
+def largest_chamber_witness(n: int, seed: int = DEFAULT_SEED) -> Vector:
     """Exact interior point of the largest maximal chamber.
 
     All support sums with |T| up to n//2 (odd n) or n//2 - 1 (even n) stay
@@ -369,13 +369,13 @@ def largest_chamber_witness(n: int, seed: int = DEFAULT_SEED, max_trials: int = 
 
     rng = random.Random(seed)
     scale = 100 * n * n
-    for _ in range(max_trials):
+    for _ in range(2000):
         raw = [rng.randrange(-97, 98) for _ in range(n)]
         total = sum(raw)
         candidate = tuple(Fraction(2, n) + Fraction(n * r - total, n * scale) for r in raw)
         if qualifies(candidate):
             return candidate
-    raise RuntimeError(f"witness search exhausted after {max_trials} trials")
+    raise RuntimeError("witness search exhausted after 2000 trials")
 
 
 def _grid_heads(n: int, d: int) -> Iterator[tuple[tuple[int, ...], int, range]]:

@@ -598,11 +598,17 @@ def _python(code, *args):
     return result.stdout
 
 
-@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=lambda argv: argv[0])
-def test_exact_commands_run_without_numpy(capsys, argv):
+#: How a fresh interpreter starts the CLI: through cli.main, or as ``python -m grassmoment``.
+LAUNCHERS = {"main": "from grassmoment.cli import main; sys.exit(main(sys.argv[1:]))",
+             "-m": "import runpy; runpy.run_module('grassmoment', run_name='__main__', alter_sys=True)"}
+
+
+@pytest.mark.parametrize("launcher, argv",
+                         [*(pytest.param("main", argv, id=argv[0]) for argv in EXACT_COMMANDS),
+                          pytest.param("-m", EXACT_COMMANDS[0], id="-m regular")])
+def test_exact_commands_run_without_numpy(capsys, launcher, argv):
     # With numpy unimportable, any float import on the exact path would raise.
-    blocked = _python("import sys; sys.modules['numpy'] = None\n"
-                      "from grassmoment.cli import main; sys.exit(main(sys.argv[1:]))", *argv)
+    blocked = _python("import sys; sys.modules['numpy'] = None\n" + LAUNCHERS[launcher], *argv)
     assert cli.main(argv) == 0
     assert capsys.readouterr().out.encode() == blocked
 

@@ -18,7 +18,7 @@ from grassmoment.plucker import (
     plucker_relation_residual,
     projective_distance,
 )
-from grassmoment.regularity import orbit_dimension, solve_moment_triangle
+from grassmoment.regularity import CHAMBER_POINT_MINUS, orbit_dimension, solve_moment_triangle
 
 S6 = 1.0 / math.sqrt(6.0)
 S518 = math.sqrt(5.0 / 18.0)
@@ -36,7 +36,20 @@ def on_circle(section):
     return np.abs(section[..., 2]) ** 2 < 1e-9
 
 
-# -- tail magnitudes and the 7-fiber ---------------------------------------
+# -- the level, tail magnitudes and the 7-fiber ------------------------------
+
+def test_level_is_read_exactly_off_the_chamber_point():
+    # Each partner pair's gap c_k = 1 - (x_1 + x_(k+2)) and the head sphere's
+    # R = (1 - sum |c_k|)/2, from the exact chamber point, then rounded once.
+    x = CHAMBER_POINT_MINUS
+    gaps = {1 - x[0] - x[k] for k in (1, 2, 3)}
+    assert gaps == {F(1, 9)}
+    (gap,) = gaps
+    radius2 = (1 - 3 * gap) / 2
+    assert radius2 == F(1, 3)
+    assert fb.TAIL_GAP == float(gap) == 1.0 / 9.0
+    assert fb.HEAD_RADIUS2 == float(radius2) == 1.0 / 3.0
+
 
 def test_tail_magnitudes_examples():
     m3, m4, m5 = fb.tail_magnitudes(0.0, S6, S6)
@@ -49,13 +62,15 @@ def test_tail_magnitudes_examples():
 
 
 def test_tail_magnitudes_two_forms_agree(rng):
+    # On the sphere the tail rule agrees with the magnitude system
+    # |z3|^2 = (|z0|^2 + |z1|^2 + 4|z2|^2)/3 (cyclic).
     for _ in range(100):
         z0, z1, z2 = fb.random_sphere_triple(rng)
         m3, m4, m5 = fb.tail_magnitudes(z0, z1, z2)
-        s0, s1 = abs(z0) ** 2, abs(z1) ** 2
-        assert m3 == pytest.approx(math.sqrt(4 / 9 - s0 - s1), abs=1e-13)
-        assert m4 == pytest.approx(math.sqrt(s1 + 1 / 9), abs=1e-13)
-        assert m5 == pytest.approx(math.sqrt(s0 + 1 / 9), abs=1e-13)
+        s0, s1, s2 = abs(z0) ** 2, abs(z1) ** 2, abs(z2) ** 2
+        assert m3 == pytest.approx(math.sqrt((s0 + s1 + 4 * s2) / 3), abs=1e-13)
+        assert m4 == pytest.approx(math.sqrt((s0 + 4 * s1 + s2) / 3), abs=1e-13)
+        assert m5 == pytest.approx(math.sqrt((4 * s0 + s1 + s2) / 3), abs=1e-13)
 
 
 def test_tail_magnitudes_rejects_off_sphere():
@@ -167,8 +182,27 @@ def test_triangle_region_matches_inequalities():
 # -- the edge curve ----------------------------------------------------------
 
 def test_curve_residual_zeros():
-    assert fb.curve_residual(0.0, 1 / 6) < 1e-15
-    assert fb.curve_residual(1 / 6, 1 / 6) < 1e-15
+    for x0, x1 in ((0.0, 1 / 6), (1 / 6, 1 / 6)):
+        assert fb.curve_residual(x0, x1) < 1e-16
+        assert fb.curve_closure_residual(x0, x1) < 1e-16
+
+
+def product_form_curve(x0, x1):
+    """The edge curve's two residuals from the products |z0|^2|z5|^2 = x0 (x0 + 1/9),
+    |z2|^2|z3|^2 = (1/3 - x0 - x1)(4/9 - x0 - x1) and |z1|^2|z4|^2 = x1 (x1 + 1/9)."""
+    a = math.sqrt(x0 * (x0 + 1 / 9))
+    b = math.sqrt(max(0.0, 1 / 3 - x0 - x1) * max(0.0, 4 / 9 - x0 - x1))
+    c = math.sqrt(x1 * (x1 + 1 / 9))
+    return abs(a + b - c), min(abs(a + s1 * b + s2 * c) for s1 in (1, -1) for s2 in (1, -1))
+
+
+def test_curve_matches_the_product_form():
+    draws = np.random.default_rng(2026).uniform(0.0, 1 / 3, size=(600, 2))
+    grid = [(i / 36, j / 36) for i in range(13) for j in range(13 - i)]
+    for x0, x1 in [*draws[draws.sum(axis=1) <= 1 / 3].tolist(), *grid]:
+        fixed, closure = product_form_curve(x0, x1)
+        assert abs(fb.curve_residual(x0, x1) - fixed) <= 1e-15
+        assert abs(fb.curve_closure_residual(x0, x1) - closure) <= 1e-15
 
 
 def test_curve_fixed_sign_branch_fails_where_closure_holds():
@@ -448,6 +482,10 @@ def test_three_sphere_equivariance_and_diagram(rng):
 
 def test_edge_fiber_bases():
     fibers = fb.edge_fibers()
+    third = 1 / 3
+    literal = np.array([[0.0, S6, S6, S518, S518, third], [S6, 0.0, -S6, S518, third, S518],
+                        [S6, S6, 0.0, third, S518, S518]])
+    assert np.max(np.abs(np.array([fiber.base for fiber in fibers]) - literal)) <= 1e-16
     for fiber in fibers:
         expected = np.array([float(v) for v in fiber.image])
         assert np.max(np.abs(simplex_moment(fiber.base) - expected)) < 1e-12

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -552,12 +553,12 @@ def _closed_form_walls(n):
     return {normal: tuple(vertices[p] for p in on_wall) for normal, on_wall in walls.items()}
 
 
+@functools.lru_cache(maxsize=None)
 def _walls(n):
     """The oracle's walls up to n = 7, the closed form beyond."""
     return _oracle_walls(n) if n <= 7 else tuple(_closed_form_walls(n).items())
 
 
-@functools.lru_cache(maxsize=None)
 def _split_oracle(n):
     """Every split [n] = A + B + C with A and B nonempty, A < B as bitmasks
     and |C| >= 3, as (A, B, C): the walls 1_A . x = 1_B . x beyond the
@@ -575,16 +576,48 @@ def _split_oracle(n):
     return splits
 
 
-def _split_oracle_regular(x, n):
-    """is_regular_projective by a scan of every split wall of _split_oracle."""
-    cleared, den, sums = exactgeom._subset_sums(x, n)
-    return regularity._off_arrangement(cleared, den, sums) and not any(
-        sums[a] == sums[b] and 2 * max(cleared[i] for i in range(n) if c >> i & 1) <= sums[c]
-        for a, b, c in _split_oracle(n))
+def _split_blocks(n):
+    """The splits of _split_oracle, in another order, as arrays of the masks
+    (A, B, C), at most 2^16 candidates a block.  Nothing is kept: n = 14's
+    2.1 million splits never sit in memory at once."""
+    full = (1 << n) - 1
+    for k in range(2, n - 2):  # |A + B| = k, so |C| >= 3
+        subsets = np.arange(1 << k)[:, None] >> np.arange(k) & 1  # every subset of k slots
+        members = 1 << np.array(list(itertools.combinations(range(n), k)))
+        step = max(1, (1 << 16) >> k)
+        for start in range(0, len(members), step):
+            bits = members[start:start + step]
+            rest = bits.sum(axis=1)
+            a = subsets @ bits.T  # every submask of every rest
+            keep = (a > 0) & (a < rest - a)
+            yield a[keep], (rest - a)[keep], np.broadcast_to(full ^ rest, a.shape)[keep]
+
+
+def _split_oracle_verdicts(points, n):
+    """is_regular_projective of each point by a scan of every split wall of _split_blocks."""
+    tables, verdicts = [], []
+    for x in points:
+        cleared, den, sums = exactgeom._subset_sums(x, n)
+        verdicts.append(regularity._off_arrangement(cleared, den, sums))
+        tables.append((np.array(cleared, dtype=np.int64), np.array(sums, dtype=np.int64)))
+    for a, b, c in _split_blocks(n):
+        for i, (cleared, sums) in enumerate(tables):
+            if verdicts[i]:
+                hit = c[sums[a] == sums[b]]
+                largest = np.max(np.where(hit[:, None] >> np.arange(n) & 1, cleared, 0), axis=1)
+                verdicts[i] = not np.any(2 * largest <= sums[hit])
+    return verdicts
 
 
 def test_split_table_sizes():
     assert [len(_split_oracle(n)) for n in range(4, 9)] == [0, 10, 75, 371, 1526]
+    for n in range(4, 11):
+        listed = [split for block in _split_blocks(n) for split in zip(*(m.tolist() for m in block))]
+        assert sorted(listed) == sorted(_split_oracle(n))
+    # |A + B| = k of n indices, and A one of the 2^(k-1) - 1 halves of a split of them
+    for n in range(4, 15):
+        assert sum(len(a) for a, _, _ in _split_blocks(n)) == sum(
+            math.comb(n, k) * (2 ** (k - 1) - 1) for k in range(2, n - 2))
 
 
 def _forced_collision_points(n, count, seed):
@@ -618,18 +651,20 @@ def _adversarial_point(n):
     return (1 - eps,) + ((1 + eps) / (n - 1),) * (n - 1)
 
 
-@pytest.mark.parametrize("n", range(5, 11))
+@pytest.mark.parametrize("n", range(5, 15))
 def test_equal_sum_scan_matches_the_split_oracle(n):
-    points = _forced_collision_points(n, 250, seed=n)
+    count = {12: 150, 13: 80, 14: 50}.get(n, 250)
+    points = _forced_collision_points(n, count, seed=n)
+    if n >= 8:
+        points.append(_adversarial_point(n))  # regular, checked last
     verdicts = [is_regular_projective(x, n) for x in points]
-    assert verdicts == [_split_oracle_regular(x, n) for x in points]
-    assert set(verdicts) == {True, False}  # regular points with a collision, and critical ones
+    assert verdicts == _split_oracle_verdicts(points, n)
+    assert set(verdicts[:count]) == {True, False}  # regular points with a collision, and critical ones
     if n <= 6:
         sample = points[:12]
         assert verdicts[:12] == projective_bruteforce_verdicts(sample, n)
     if n >= 8:
-        assert is_regular_projective(_adversarial_point(n), n)
-        assert _split_oracle_regular(_adversarial_point(n), n)
+        assert verdicts[-1]
 
 
 @pytest.mark.parametrize("n, count", [(4, 11), (5, 30), (6, 112), (7, 441)])
