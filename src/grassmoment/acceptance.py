@@ -2,17 +2,17 @@
 
 Each criterion is declared once, by ``_criterion``, and its check returns
 a CriterionResult with a hard pass/fail verdict at its pinned tolerance.
-The sampled criteria 4, 7, 8, 9, 11 and 12 check one seeded batch per fiber
-kind, drawn by ``_batch`` once per ``run_all`` call.  The CLI ``report``
-command and the test suite both drive these functions, so the shipped
-verdicts and the tested verdicts are the same code path.
+Within one ``run_all`` call ``_once`` computes each shared value once: the
+seeded batch per fiber kind that criteria 4, 7, 8, 9, 11 and 12 check, and
+the n = 4 grid walk that criterion 5 reads and criterion 6 checks.  The CLI
+``report`` command and the test suite both drive these functions, so the
+shipped verdicts and the tested verdicts are the same code path.
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
-import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fibers4 as fb
-from .exactgeom import _integer_subset_sums, format_vector, vector
+from .exactgeom import format_vector, vector
 from .moment import simplex_moment, weight_map
 from .plucker import normalize_projective, plucker_relation_residual, projective_distance
 from .regularity import (
@@ -29,10 +29,7 @@ from .regularity import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     _bruteforce_verdicts,
-    _grid_heads,
-    _grid_numerators,
     _grid_verdicts,
-    _verdicts,
     center_point_regular,
     chamber_orbits,
     classify_point,
@@ -65,18 +62,25 @@ def _require_samples(samples: int) -> None:
 #: (short name, check) per criterion, in criterion order; ``_criterion`` fills it.
 CRITERIA: tuple = ()
 
-#: The batches drawn in the running ``run_all`` call, by (kind, seed, count); None outside one.
-_batches: contextvars.ContextVar[dict | None] = contextvars.ContextVar("batches", default=None)
+#: The values computed in the running ``run_all`` call, by (function, *args); None outside one.
+_shared: contextvars.ContextVar[dict | None] = contextvars.ContextVar("shared", default=None)
+
+
+def _once(make, *args):
+    """make(*args), computed once per ``run_all`` call and shared by its checks; a
+    check run alone computes its own.  Shared values must be read-only."""
+    store = {} if _shared.get() is None else _shared.get()
+    key = (make, *args)
+    if key not in store:
+        store[key] = make(*args)
+    return store[key]
 
 
 def _batch(kind: str, seed: int, count: int) -> np.ndarray:
-    """The seed's first draw of ``count`` points of fiber ``kind``, read-only.  Inside
-    ``run_all`` each is drawn once and shared; a check run alone draws its own."""
-    batches = {} if _batches.get() is None else _batches.get()
-    if (kind, seed, count) not in batches:
-        batches[kind, seed, count] = fb.sample_for_kind(kind, np.random.default_rng(seed), count)
-        batches[kind, seed, count].flags.writeable = False
-    return batches[kind, seed, count]
+    """The seed's first draw of ``count`` points of fiber ``kind``, read-only."""
+    points = fb.sample_for_kind(kind, np.random.default_rng(seed), count)
+    points.flags.writeable = False
+    return points
 
 
 def _criterion(number: int, name: str, short: str):
@@ -165,9 +169,10 @@ def check_curve_points(seed: int, samples: int) -> tuple[bool, dict]:
 @_criterion(4, "7-fiber parametrization", "fiber7")
 def check_fiber7(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 4: seeded 7-fiber samples close the moment equation and round trip."""
-    points = _batch("mq7", seed, samples)
-    max_moment = float(np.max(fb.moment_residual(points, CHAMBER_POINT_MINUS)))
-    min_tail = float(np.min(fb.fiber7_residuals(points)["min_tail"]))
+    points = _once(_batch, "mq7", seed, samples)
+    residuals = fb.fiber7_residuals(points)
+    max_moment = float(np.max(residuals["moment"]))
+    min_tail = float(np.min(residuals["min_tail"]))
     max_round = float(np.max(fb.fiber7_roundtrip_error(points)))
     passed = (max_moment <= 1e-10 and min_tail >= fb.DEFAULT_TOLERANCES["min_tail"]
               and max_round <= 1e-10)
@@ -183,13 +188,13 @@ def check_fiber7(seed: int, samples: int) -> tuple[bool, dict]:
 @_criterion(5, "regular value dichotomy", "dichotomy")
 def check_regular_dichotomy(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 5: the two regularity notions coincide on the full n=4 grid
-    and split at the reference n=5 point.  _grid_verdicts reads the grid k/18
-    as numerators at denominator 18, one head row at a time.  At n = 4 no
-    split wall fits, so the grid half compares two closed forms that agree by
-    construction; criterion 6 and tests/test_regularity.py's
-    test_grassmann_closed_form_is_the_projective_definition_on_the_n4_grid
-    check them against the definition."""
-    mismatched = [regular_mu != regular_mu_tilde for _, regular_mu, regular_mu_tilde in _grid_verdicts(4, 18)]
+    and split at the reference n=5 point.  _grid_verdicts walks the grid k/18
+    as numerators at denominator 18, one head row at a time, once per run_all
+    call.  At n = 4 no split wall fits, so the grid half compares two closed
+    forms that agree by construction; criterion 6 checks the walk's verdicts
+    against the definition."""
+    grid = _once(_grid_verdicts, 4, 18)
+    mismatched = [regular_mu != regular_mu_tilde for _, regular_mu, regular_mu_tilde in grid]
     gap_point = vector(["7/10", "6/10", "5/10", "1/10", "1/10"])
     _, regular_mu, regular_mu_tilde = classify_point(gap_point, 5)
     gap_ok = regular_mu and not regular_mu_tilde
@@ -204,16 +209,14 @@ def check_regular_dichotomy(seed: int, samples: int) -> tuple[bool, dict]:
 
 @_criterion(6, "brute-force oracle equivalence", "oracle")
 def check_oracle_equivalence(seed: int, samples: int) -> tuple[bool, dict]:
-    """Criterion 6: the closed form agrees with the brute-force oracle, one
-    batch that tests each of 200 grid points against every vertex-spanned flat.
-    The grid is counted and strided by head row, and both sides read its
-    numerators at denominator 18: the oracle's integer core and the closed
-    form's _verdicts, so no Fraction is built."""
-    stride = max(1, sum(len(ks) for _, _, ks in _grid_heads(4, 18)) // 200)
-    chosen = [(point, 18) for point in itertools.islice(_grid_numerators(4, 18, stride), 200)]
-    oracle = _bruteforce_verdicts(chosen, 4)
-    disagreements = sum(_verdicts(*_integer_subset_sums(point, den, 4), 4)[1] != verdict
-                        for (point, den), verdict in zip(chosen, oracle))
+    """Criterion 6: the projective verdicts of criterion 5's grid walk agree
+    with the brute-force oracle, one batch that tests each of 200 strided grid
+    points against every vertex-spanned flat.  The oracle's integer core reads
+    the walk's numerators at denominator 18, so no Fraction is built."""
+    grid = _once(_grid_verdicts, 4, 18)
+    chosen = grid[::len(grid) // 200][:200]
+    oracle = _bruteforce_verdicts([(point, 18) for point, _, _ in chosen], 4)
+    disagreements = sum(regular != verdict for (_, _, regular), verdict in zip(chosen, oracle))
     passed = disagreements == 0 and len(chosen) == 200
     details = {"points": len(chosen), "disagreements": disagreements}
     return passed, details
@@ -226,7 +229,7 @@ def check_fiber5(seed: int, samples: int) -> tuple[bool, dict]:
     base projection collapses the circle and separates the batch's surface
     sections, each paired with its other closure branch (its conjugate) and
     with the section before it."""
-    points = _batch("mq5", seed, samples)
+    points = _once(_batch, "mq5", seed, samples)
     max_plucker = float(np.max(plucker_relation_residual(normalize_projective(points))))
     max_moment = float(np.max(fb.moment_residual(points, CHAMBER_POINT_MINUS)))
     max_f_round = float(np.max(fb.surface_roundtrip_error(points)))
@@ -260,7 +263,7 @@ def check_complete_intersection(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 8: equipotential values (0, -1, 0), Jacobian rank 3, FD cross-check,
     all on the chart quadrics of the C- fiber over q-."""
     bases = np.array([fiber.sample(np.ones(3, dtype=complex)) for fiber in fb.edge_fibers()])
-    sampled = _batch("mq5", seed, samples)
+    sampled = _once(_batch, "mq5", seed, samples)
     points = np.concatenate([bases, sampled])
     deviation, ranks, max_fd_dev = fb.complete_intersection_survey(points, fd_every=50)
     max_f_dev = float(np.max(deviation))
@@ -281,7 +284,7 @@ def check_bundle_structure(seed: int, samples: int) -> tuple[bool, dict]:
     chart coverage on the first half of the mq5 batch of criteria 7 and 8."""
     determinant = fb.transition_determinant()
     max_cocycle = fb.cocycle_error(fb.random_phases(np.random.default_rng(seed), (max(samples // 10, 10), 3)))
-    covered = fb.chart_coverage(_batch("mq5", seed, samples)[:max(samples // 2, 1)]).ok
+    covered = fb.chart_coverage(_once(_batch, "mq5", seed, samples)[:max(samples // 2, 1)]).ok
     coverage_ok = bool(np.all(covered))
     fibers = fb.edge_fibers()
     cov0 = fb.chart_coverage(fibers[0].base)
@@ -313,8 +316,8 @@ def check_dimension_counts(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 11: tangent dimensions 7 and 5 at the first count points of
     each seeded batch, drawn max(samples, count) long so none falls short."""
     count = max(samples // 10, 100)
-    dims7 = set(fb.tangent_fiber_dimension(_batch("mq7", seed, max(samples, count))[:count]).tolist())
-    dims5 = set(fb.tangent_fiber_dimension(_batch("mq5", seed, max(samples, count))[:count],
+    dims7 = set(fb.tangent_fiber_dimension(_once(_batch, "mq7", seed, max(samples, count))[:count]).tolist())
+    dims5 = set(fb.tangent_fiber_dimension(_once(_batch, "mq5", seed, max(samples, count))[:count],
                                            include_quadric=True).tolist())
     passed = dims7 == {7} and dims5 == {5}
     details = {"points_each": count, "dims7": sorted(dims7), "dims5": sorted(dims5)}
@@ -326,8 +329,8 @@ def check_second_orbit(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 12: swap images of the mq7 and mq5 batches of criteria 4 and 7
     map to q+, and the mq5 images satisfy the Plücker relation.  The swap
     permutes indices, so all it leaves unchanged is checked by criteria 4, 7 and 8."""
-    mq7 = fb.orbit_swap(_batch("mq7", seed, samples))
-    mq5 = fb.orbit_swap(_batch("mq5", seed, samples))
+    mq7 = fb.orbit_swap(_once(_batch, "mq7", seed, samples))
+    mq5 = fb.orbit_swap(_once(_batch, "mq5", seed, samples))
     max_moment7 = float(np.max(fb.moment_residual(mq7, CHAMBER_POINT_PLUS)))
     max_moment5 = float(np.max(fb.moment_residual(mq5, CHAMBER_POINT_PLUS)))
     max_plucker = float(np.max(plucker_relation_residual(normalize_projective(mq5))))
@@ -351,8 +354,8 @@ def run_all(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES,
     selected = [func for name, func in CRITERIA if only is None or only in name]
     if not selected:
         raise ValueError(f"no criterion matches {only!r}")
-    shared = _batches.set({})
+    shared = _shared.set({})
     try:
         return [func(seed, samples) for func in selected]
     finally:
-        _batches.reset(shared)
+        _shared.reset(shared)

@@ -305,10 +305,8 @@ def _representative_candidates() -> Iterator[Vector]:
             yield tuple(point)
 
 
-def enumerate_chambers(n: int = 4) -> list[ChamberReport]:
+def enumerate_chambers() -> list[ChamberReport]:
     """The eight maximal chambers of the n=4 decomposition, with exact representatives."""
-    if n != 4:
-        raise ValueError("chamber enumeration is implemented for n = 4 only")
     found: dict[tuple[int, ...], Vector] = {}
     for x in _representative_candidates():
         signs, regular, _ = classify_point(x, 4)
@@ -326,7 +324,7 @@ def chamber_orbits() -> tuple[ChamberOrbit, ChamberOrbit]:
     the set of chambers the 24 permutations carry its representative to,
     closed because S_4 is a group.
     """
-    by_id = {c.id: c for c in enumerate_chambers(4)}
+    by_id = {c.id: c for c in enumerate_chambers()}
     arrangement = arrangement_for_n(4)
     orbits = []
     for label, rep_id in (("C-", (-1, -1, -1)), ("C+", (1, 1, 1))):
@@ -378,46 +376,29 @@ def largest_chamber_witness(n: int, seed: int = DEFAULT_SEED) -> Vector:
     raise RuntimeError("witness search exhausted after 2000 trials")
 
 
-def _grid_heads(n: int, d: int) -> Iterator[tuple[tuple[int, ...], int, range]]:
-    """The points k / d of the hypersimplex in lexicographic order, by head k[:n-2]:
-    (head, rest = 2d - sum(head), the k[n-2] that keep k[n-1] = rest - k[n-2] in [0, d])."""
+def _grid_verdicts(n: int, d: int) -> tuple[tuple[tuple[int, ...], bool, bool | None], ...]:
+    """(k, *_verdicts(*_integer_subset_sums(k, d, n), n)) for each point k / d of the
+    hypersimplex in lexicographic order, unvalidated, decided by head row: the points with
+    head k[:n-2] are (*head, k, rest - k) with rest = 2d - sum(head) and k, rest - k in [0, d].
+    With h over the head's table a point's sums are h, h + k, h + rest - k and h + rest.  The
+    table holds 2d - rest - h with each h (the complement), so h + rest = d for some h iff d is
+    in it, and h + rest - k = d iff k = d - h for some h: the row is critical if 0 in head or d
+    in table, else k is iff k in {0, rest} + {d - h}.  Only _off_split_walls reads a point's own
+    2^n table, built at 5 <= n <= PROJECTIVE_MAX_N only."""
     if d < 1 or n < 2:
         raise ValueError(f"a hypersimplex grid needs n >= 2 and d >= 1, got n={n}, d={d}")
-    return ((head, rest, range(max(0, rest - d), min(d, rest) + 1))
-            for head in itertools.product(range(d + 1), repeat=n - 2)
-            for rest in [2 * d - sum(head)])
-
-
-def _grid_numerators(n: int, d: int, stride: int = 1) -> Iterator[tuple[int, ...]]:
-    """The integer numerators k of every stride-th point k / d of _grid_heads(n, d),
-    from the first; a row's points are skipped by slicing its range of k[n-2]."""
-    def walk(rows):
-        start = 0  # the grid index of the row's first point
-        for head, rest, ks in rows:
-            for k in ks[-start % stride::stride]:
-                yield (*head, k, rest - k)
-            start += len(ks)
-    return walk(_grid_heads(n, d))
-
-
-def _grid_verdicts(n: int, d: int) -> Iterator[tuple[tuple[int, ...], bool, bool | None]]:
-    """(k, *_verdicts(*_integer_subset_sums(k, d, n), n)) for each k of _grid_numerators(n, d),
-    unvalidated, decided by head row.  With h over the head's table a point's sums are h, h + k,
-    h + rest - k and h + rest.  The table holds 2d - rest - h with each h (the complement), so
-    h + rest = d for some h iff d is in it, and h + rest - k = d iff k = d - h for some h: the
-    row is critical if 0 in head or d in table, else k is iff k in {0, rest} + {d - h}.  Only
-    _off_split_walls reads a point's own 2^n table, built at 5 <= n <= PROJECTIVE_MAX_N only."""
-    def walk(rows):
-        sums = None
-        for head, rest, ks in rows:
-            table = reduce(lambda t, v: t + [s + v for s in t], head, [0])
-            # a critical row has every k of ks critical
-            critical = ks if 0 in head or d in table else {0, rest, *(d - h for h in table)}
-            for k in ks:
-                point, regular = (*head, k, rest - k), k not in critical
-                if regular and 5 <= n <= PROJECTIVE_MAX_N:
-                    half = table + [s + k for s in table]
-                    sums = half + [s + rest - k for s in half]
-                yield point, regular, (regular and _off_split_walls(point, sums, n)
-                                       if n <= PROJECTIVE_MAX_N else None)
-    return walk(_grid_heads(n, d))
+    walk, sums = [], None
+    for head in itertools.product(range(d + 1), repeat=n - 2):
+        rest = 2 * d - sum(head)
+        ks = range(max(0, rest - d), min(d, rest) + 1)
+        table = reduce(lambda t, v: t + [s + v for s in t], head, [0])
+        # a critical row has every k of ks critical
+        critical = ks if 0 in head or d in table else {0, rest, *(d - h for h in table)}
+        for k in ks:
+            point, regular = (*head, k, rest - k), k not in critical
+            if regular and 5 <= n <= PROJECTIVE_MAX_N:
+                half = table + [s + k for s in table]
+                sums = half + [s + rest - k for s in half]
+            walk.append((point, regular, (regular and _off_split_walls(point, sums, n)
+                                          if n <= PROJECTIVE_MAX_N else None)))
+    return tuple(walk)

