@@ -3,10 +3,12 @@
 Each criterion is declared once, by ``_criterion``, and its check returns
 a CriterionResult with a hard pass/fail verdict at its pinned tolerance.
 Within one ``run_all`` call ``_once`` computes each shared value once: the
-seeded batch per fiber kind that criteria 4, 7, 8, 9, 11 and 12 check, and
-the n = 4 grid walk that criterion 5 reads and criterion 6 checks.  The CLI
-``report`` command and the test suite both drive these functions, so the
-shipped verdicts and the tested verdicts are the same code path.
+seeded batch per fiber kind that criteria 4, 7, 8, 9, 11 and 12 check, its
+``fibers4.certify`` certificate (the checks ``fiber`` runs) that criteria 4,
+7, 8 and 9 read, and the n = 4 grid walk that criterion 5 reads and
+criterion 6 checks.  The CLI ``report`` command and the test suite both
+drive these functions, so the shipped verdicts and the tested verdicts are
+the same code path.
 """
 
 from __future__ import annotations
@@ -81,6 +83,11 @@ def _batch(kind: str, seed: int, count: int) -> np.ndarray:
     points = fb.sample_for_kind(kind, np.random.default_rng(seed), count)
     points.flags.writeable = False
     return points
+
+
+def _certified(kind: str, seed: int, count: int) -> fb.Certificates:
+    """``certify`` of ``_batch(kind, seed, count)``: the checks ``fiber`` runs, at its tolerances."""
+    return fb.certify(kind, _once(_batch, kind, seed, count))
 
 
 def _criterion(number: int, name: str, short: str):
@@ -168,18 +175,15 @@ def check_curve_points(seed: int, samples: int) -> tuple[bool, dict]:
 
 @_criterion(4, "7-fiber parametrization", "fiber7")
 def check_fiber7(seed: int, samples: int) -> tuple[bool, dict]:
-    """Criterion 4: seeded 7-fiber samples close the moment equation and round trip."""
-    points = _once(_batch, "mq7", seed, samples)
-    residuals = fb.fiber7_residuals(points)
-    max_moment = float(np.max(residuals["moment"]))
-    min_tail = float(np.min(residuals["min_tail"]))
-    max_round = float(np.max(fb.fiber7_roundtrip_error(points)))
-    passed = (max_moment <= 1e-10 and min_tail >= fb.DEFAULT_TOLERANCES["min_tail"]
-              and max_round <= 1e-10)
+    """Criterion 4: seeded 7-fiber samples pass every check of their certificate
+    and round trip."""
+    batch = _once(_certified, "mq7", seed, samples)
+    max_round = float(np.max(fb.fiber7_roundtrip_error(batch.points)))
+    passed = np.all(batch.passed) and max_round <= 1e-10
     details = {
         "samples": samples,
-        "max_moment_residual": max_moment,
-        "min_tail_modulus": min_tail,
+        "max_moment_residual": float(np.max(batch.residuals["moment"])),
+        "min_tail_modulus": float(np.min(batch.residuals["min_tail"])),
         "max_roundtrip_error": max_round,
     }
     return passed, details
@@ -224,14 +228,13 @@ def check_oracle_equivalence(seed: int, samples: int) -> tuple[bool, dict]:
 
 @_criterion(7, "5-fiber certificates", "fiber5")
 def check_fiber5(seed: int, samples: int) -> tuple[bool, dict]:
-    """Criterion 7: one seeded 5-fiber batch satisfies the Plücker relation and
-    the moment equation and round trips through both parametrizations; the
-    base projection collapses the circle and separates the batch's surface
+    """Criterion 7: one seeded 5-fiber batch passes every check of its
+    certificate and round trips through both parametrizations; the base
+    projection collapses the circle and separates the batch's surface
     sections, each paired with its other closure branch (its conjugate) and
     with the section before it."""
-    points = _once(_batch, "mq5", seed, samples)
-    max_plucker = float(np.max(plucker_relation_residual(normalize_projective(points))))
-    max_moment = float(np.max(fb.moment_residual(points, CHAMBER_POINT_MINUS)))
+    batch = _once(_certified, "mq5", seed, samples)
+    points = batch.points
     max_f_round = float(np.max(fb.surface_roundtrip_error(points)))
     max_g_round = float(np.max(fb.sphere_roundtrip_error(points)))
     circle = fb.surface_circle(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
@@ -243,13 +246,12 @@ def check_fiber5(seed: int, samples: int) -> tuple[bool, dict]:
     distinct = np.abs(first[:, 0] - second[:, 0]) + np.abs(first[:, 1] - second[:, 1]) >= 1e-8
     distances = projective_distance(fb.base_projection(first), fb.base_projection(second))
     min_pair_distance = float(np.min(distances[distinct], initial=np.inf))
-    passed = (max_plucker <= 1e-10 and max_moment <= 1e-10
-              and max_f_round <= 1e-10 and max_g_round <= 1e-10
+    passed = (np.all(batch.passed) and max_f_round <= 1e-10 and max_g_round <= 1e-10
               and max_circle <= 1e-10 and min_pair_distance > 1e-12)
     details = {
         "samples_per_parametrization": samples,
-        "max_plucker_residual": max_plucker,
-        "max_moment_residual": max_moment,
+        "max_plucker_residual": float(np.max(batch.residuals["plucker"])),
+        "max_moment_residual": float(np.max(batch.residuals["moment"])),
         "max_surface_roundtrip": max_f_round,
         "max_sphere_roundtrip": max_g_round,
         "max_circle_collapse_distance": max_circle,
@@ -260,15 +262,17 @@ def check_fiber5(seed: int, samples: int) -> tuple[bool, dict]:
 
 @_criterion(8, "complete intersection", "intersection")
 def check_complete_intersection(seed: int, samples: int) -> tuple[bool, dict]:
-    """Criterion 8: equipotential values (0, -1, 0), Jacobian rank 3, FD cross-check,
-    all on the chart quadrics of the C- fiber over q-."""
+    """Criterion 8: equipotential values (0, -1, 0) and Jacobian rank 3, read from
+    the certificates of the three edge-circle bases and of criterion 7's batch,
+    and the FD cross-check, all on the chart quadrics of the C- fiber over q-."""
     bases = np.array([fiber.sample(np.ones(3, dtype=complex)) for fiber in fb.edge_fibers()])
-    sampled = _once(_batch, "mq5", seed, samples)
-    points = np.concatenate([bases, sampled])
-    deviation, ranks, max_fd_dev = fb.complete_intersection_survey(points, fd_every=50)
-    max_f_dev = float(np.max(deviation))
-    ranks_ok = bool(np.all(ranks == 3))
-    passed = max_f_dev <= 1e-9 and ranks_ok and max_fd_dev <= 1e-6
+    certificates = (fb.certify("mq5", bases), _once(_certified, "mq5", seed, samples))
+    max_f_dev = max(float(np.max(batch.checks["f_values"][0])) for batch in certificates)
+    f_ok = all(np.all(batch.checks["f_values"][2]) for batch in certificates)
+    ranks_ok = all(bool(np.all(batch.ranks == 3)) for batch in certificates)
+    points = np.concatenate([batch.points for batch in certificates])
+    max_fd_dev = fb.jacobian_fd_gap(points, every=50)
+    passed = f_ok and ranks_ok and max_fd_dev <= 1e-6
     details = {
         "points": len(points),
         "max_f_deviation": max_f_dev,
@@ -281,11 +285,10 @@ def check_complete_intersection(seed: int, samples: int) -> tuple[bool, dict]:
 @_criterion(9, "bundle structure", "transition")
 def check_bundle_structure(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 9: unimodular transition, cocycle identity at seeded phases,
-    chart coverage on the first half of the mq5 batch of criteria 7 and 8."""
+    chart coverage read from the certificate of the mq5 batch of criteria 7 and 8."""
     determinant = fb.transition_determinant()
     max_cocycle = fb.cocycle_error(fb.random_phases(np.random.default_rng(seed), (max(samples // 10, 10), 3)))
-    covered = fb.chart_coverage(_once(_batch, "mq5", seed, samples)[:max(samples // 2, 1)]).ok
-    coverage_ok = bool(np.all(covered))
+    coverage_ok = bool(np.all(_once(_certified, "mq5", seed, samples).checks["coverage"][2]))
     fibers = fb.edge_fibers()
     cov0 = fb.chart_coverage(fibers[0].base)
     cov1 = fb.chart_coverage(fibers[1].base)
@@ -334,7 +337,9 @@ def check_second_orbit(seed: int, samples: int) -> tuple[bool, dict]:
     max_moment7 = float(np.max(fb.moment_residual(mq7, CHAMBER_POINT_PLUS)))
     max_moment5 = float(np.max(fb.moment_residual(mq5, CHAMBER_POINT_PLUS)))
     max_plucker = float(np.max(plucker_relation_residual(normalize_projective(mq5))))
-    passed = max_moment7 <= 1e-10 and max_moment5 <= 1e-10 and max_plucker <= 1e-10
+    tol = fb.DEFAULT_TOLERANCES
+    passed = (max_moment7 <= tol["moment"] and max_moment5 <= tol["moment"]
+              and max_plucker <= tol["plucker"])
     details = {
         "samples": samples,
         "max_moment_residual_mq7": max_moment7,

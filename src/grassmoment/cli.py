@@ -183,15 +183,15 @@ def cmd_jacobian(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     points = fb.sample_for_kind("mq5", rng, args.samples)
-    deviation, ranks, max_fd = fb.complete_intersection_survey(points)
-    rank_histogram = _rank_histogram(ranks.tolist())
+    batch = fb.certify("mq5", points)
+    rank_histogram = _rank_histogram(batch.ranks.tolist())
     all_rank3 = set(rank_histogram) <= {"3"}
     payload = {
         "samples": args.samples,
         "seed": args.seed,
         "rank_histogram": rank_histogram,
-        "max_f_deviation": np.max(deviation, axis=0).tolist(),
-        "max_fd_deviation": max_fd,
+        "max_f_deviation": np.max(np.abs(batch.f_values - fb.F_TARGET), axis=0).tolist(),
+        "max_fd_deviation": fb.jacobian_fd_gap(points),
         "all_rank_3": all_rank3,
     }
     _emit(payload, args.json_out)

@@ -80,7 +80,7 @@ _UNIT_TOL = 1e-12
 _ZERO_TOL = 1e-12
 _COVERAGE_TOL = 1e-10
 #: Equipotential values (f1, f2, f3) of the chart quadrics on the fiber.
-_F_TARGET = np.array([0.0, -1.0, 0.0])
+F_TARGET = np.array([0.0, -1.0, 0.0])
 
 
 def _shape(count: int | None, *tail: int) -> tuple[int, ...]:
@@ -533,7 +533,7 @@ def _chart_checks(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Gram eigenvalues (sigma3/sigma1 to relative error ~eps/(sigma3/sigma1)^2, a true 0 reads ~1e-8);
     raises ValueError for a point further than 1e-8 from (0, -1, 0), where no rank is meant (NaN too)."""
     f = np.stack(complete_intersection_f(a), axis=-1)
-    off = np.max(np.abs(f - _F_TARGET), axis=-1)
+    off = np.max(np.abs(f - F_TARGET), axis=-1)
     if not np.all(off <= 1e-8):
         raise ValueError("point is not on the equipotential surface (0, -1, 0)")
     return f, off, _gram_singular_values(ci_jacobian(a))
@@ -550,15 +550,11 @@ def jacobian_rank(a):
     return _rank(_chart_checks(a)[2], DEFAULT_TOLERANCES["rank_tol"])
 
 
-def complete_intersection_survey(points, fd_every: int = 25):
-    """The complete-intersection claim over fiber points: the deviations
-    (|f1|, |f2 + 1|, |f3|), the Jacobian ranks at relative threshold rank_tol,
-    and the largest gap between the closed-form and the finite-difference
-    Jacobian over every fd_every-th point."""
-    a = chart_array(as_coords6(points))
-    f, _, singular = _chart_checks(a)
-    fd = float(np.max(np.abs(ci_jacobian(a[::fd_every]) - ci_jacobian_fd(a[::fd_every])), initial=0.0))
-    return np.abs(f - _F_TARGET), _rank(singular, DEFAULT_TOLERANCES["rank_tol"]), fd
+def jacobian_fd_gap(points, every: int = 25) -> float:
+    """Largest gap between the closed-form and the finite-difference chart
+    Jacobian over every ``every``-th fiber point."""
+    a = chart_array(as_coords6(points)[::every])
+    return float(np.max(np.abs(ci_jacobian(a) - ci_jacobian_fd(a)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +594,9 @@ def transition_determinant() -> int:
 @dataclass(frozen=True)
 class ChartCoverage:
     """Which standard charts of the base CP^1 a fiber point sits over; for a
-    batch, arrays.  ``vanishing_head`` masks the head coordinates at or
-    below the tolerance.  Covered (ok) iff margin = min(min_tail,
+    batch, arrays.  Covered (ok) iff margin = min(min |z3|, |z4|, |z5|,
     max(|z0|, |z1|)) exceeds the tolerance."""
 
-    min_tail: float
-    vanishing_head: np.ndarray
     in_chart_m0: bool
     in_chart_m1: bool
     margin: float
@@ -614,10 +607,8 @@ def chart_coverage(z) -> ChartCoverage:
     """Certify the chart picture: the tail minors never vanish, and the point
     lies over chart 0 iff z1 is nonzero, over chart 1 iff z0 is nonzero."""
     w = np.abs(as_coords6(z))
-    min_tail = np.min(w[..., 3:], axis=-1)
-    margin = np.minimum(min_tail, np.maximum(w[..., 0], w[..., 1]))
-    return ChartCoverage(min_tail=min_tail, vanishing_head=~(w[..., :3] > _COVERAGE_TOL),
-                         in_chart_m0=w[..., 1] > _COVERAGE_TOL, in_chart_m1=w[..., 0] > _COVERAGE_TOL,
+    margin = np.minimum(np.min(w[..., 3:], axis=-1), np.maximum(w[..., 0], w[..., 1]))
+    return ChartCoverage(in_chart_m0=w[..., 1] > _COVERAGE_TOL, in_chart_m1=w[..., 0] > _COVERAGE_TOL,
                          margin=margin, ok=margin > _COVERAGE_TOL)
 
 

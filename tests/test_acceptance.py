@@ -216,8 +216,8 @@ def test_criterion_09_bundle_structure():
 
 
 def test_criterion_09_checks_coverage_at_one_sample(monkeypatch):
-    # At samples = 1 the coverage batch still holds a point, so a batch whose
-    # every point is off the charts fails the criterion.
+    # Coverage is read from the certificate of the whole mq5 batch, one point
+    # at samples = 1, so a batch whose every point is off the charts fails.
     real = acceptance.fb.chart_coverage
 
     def uncovered(z, *args, **kwargs):
@@ -231,6 +231,14 @@ def test_criterion_09_checks_coverage_at_one_sample(monkeypatch):
     assert not result.passed
     assert result.details["coverage_ok"] is False
     assert result.details["edge_classification_ok"] is True
+
+
+def test_criteria_04_and_07_apply_every_check_of_the_fiber_certificate(monkeypatch):
+    # A norm tolerance of 0 fails points in ``grassmoment fiber``; the
+    # criteria read the same certificate, so they fail alike.
+    monkeypatch.setitem(acceptance.fb.DEFAULT_TOLERANCES, "norm", 0.0)
+    assert not acceptance.check_fiber7(SEED, SAMPLES).passed
+    assert not acceptance.check_fiber5(SEED, SAMPLES).passed
 
 
 def test_criterion_10_center_parity():
@@ -366,21 +374,29 @@ def test_shared_batches_couple_no_criteria(seed, samples):
 
 
 def test_run_all_draws_each_fiber_kind_once(monkeypatch):
-    calls, walks = [], []
-    real, grid_verdicts = acceptance.fb.sample_for_kind, acceptance._grid_verdicts
+    calls, certified, walks = [], [], []
+    real, certify, grid_verdicts = (acceptance.fb.sample_for_kind, acceptance.fb.certify,
+                                    acceptance._grid_verdicts)
 
     def recording(kind, rng, count=None):
         calls.append((kind, count))
         return real(kind, rng, count)
+
+    def certifying(kind, z, tolerances=None):
+        certified.append((kind, len(z)))
+        return certify(kind, z, tolerances)
 
     def walking(n, d):
         walks.append((n, d))
         return grid_verdicts(n, d)
 
     monkeypatch.setattr(acceptance.fb, "sample_for_kind", recording)
+    monkeypatch.setattr(acceptance.fb, "certify", certifying)
     monkeypatch.setattr(acceptance, "_grid_verdicts", walking)
     assert all(result.passed for result in acceptance.run_all(SEED, SAMPLES))
     assert calls == [("mq7", SAMPLES), ("mq5", SAMPLES)]
+    # one certificate per kind for criteria 4, 7, 8 and 9, and one of criterion 8's edge bases
+    assert certified == [("mq7", SAMPLES), ("mq5", SAMPLES), ("mq5", 3)]
     assert walks == [(4, 18)]  # criteria 5 and 6 read one walk
 
 
@@ -402,11 +418,18 @@ def test_shared_batches_are_read_only_and_live_for_one_run(monkeypatch):
         acceptance.run_all(SEED, SAMPLES)
     assert acceptance._shared.get() is None
     [store] = held
-    batch, walk = (acceptance._batch, "mq5", SEED, SAMPLES), (acceptance._grid_verdicts, 4, 18)
-    assert list(store) == [batch, walk]
+    batch = (acceptance._batch, "mq5", SEED, SAMPLES)
+    certified = (acceptance._certified, "mq5", SEED, SAMPLES)
+    walk = (acceptance._grid_verdicts, 4, 18)
+    assert list(store) == [batch, certified, walk]
     with pytest.raises(ValueError):
         store[batch][0, 0] = 0.0
     np.testing.assert_array_equal(store[batch], acceptance._batch("mq5", SEED, SAMPLES))
+    assert store[certified].points is store[batch]  # the certificate holds the batch, not a copy
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        store[certified].points = None
+    np.testing.assert_array_equal(store[certified].passed,
+                                  acceptance._certified("mq5", SEED, SAMPLES).passed)
     assert type(store[walk]) is tuple and store[walk] == acceptance._grid_verdicts(4, 18)
     acceptance.run_all(SEED, 1, only="fiber5")
     assert acceptance._shared.get() is None

@@ -673,14 +673,15 @@ def test_chart_coverage_classification(rng):
     fibers = fb.edge_fibers()
     cov0 = fb.chart_coverage(fibers[0].base)
     assert cov0.in_chart_m0 and not cov0.in_chart_m1
-    assert np.array_equal(cov0.vanishing_head, [True, False, False])
+    assert np.array_equal(np.abs(fibers[0].base[:3]) <= 1e-10, [True, False, False])
     cov1 = fb.chart_coverage(fibers[1].base)
     assert cov1.in_chart_m1 and not cov1.in_chart_m0
-    assert np.array_equal(cov1.vanishing_head, [False, True, False])
+    assert np.array_equal(np.abs(fibers[1].base[:3]) <= 1e-10, [False, True, False])
     for _ in range(50):
-        cov = fb.chart_coverage(fb.sample_fiber5(rng))
+        point = fb.sample_fiber5(rng)
+        cov = fb.chart_coverage(point)
         assert cov.ok and cov.in_chart_m0 and cov.in_chart_m1
-        assert cov.min_tail > 1 / 3 - 1e-9
+        assert np.min(np.abs(point[3:])) > 1 / 3 - 1e-9
 
 
 # -- tangent dimensions -------------------------------------------------------
@@ -868,18 +869,24 @@ def test_sampler_one_point_view(kind):
 
 def test_batched_helpers_equal_their_one_point_views(rng):
     points = fb.sample_fiber5(rng, count=200)
-    deviation, ranks, _ = fb.complete_intersection_survey(points)
+    batch = fb.certify("mq5", points)
     dims = fb.tangent_fiber_dimension(points, include_quadric=True)
     coverage = fb.chart_coverage(points)
     for k, point in enumerate(points):
         f1, f2, f3 = fb.complete_intersection_f(chart_array(point))
-        assert np.array_equal(deviation[k], np.abs([f1, f2 + 1.0, f3]))
-        assert ranks[k] == fb.jacobian_rank(chart_array(point)) == 3
+        assert np.array_equal(batch.f_values[k], [f1, f2, f3])
+        assert np.array_equal(np.abs(batch.f_values[k] - fb.F_TARGET), np.abs([f1, f2 + 1.0, f3]))
+        assert batch.ranks[k] == fb.jacobian_rank(chart_array(point)) == 3
         assert dims[k] == fb.tangent_fiber_dimension(point, include_quadric=True) == 5
         single = fb.chart_coverage(point)
         assert single.ok == coverage.ok[k] and single.margin == coverage.margin[k]
-        assert single.vanishing_head.shape == (3,)
-        assert np.array_equal(single.vanishing_head, coverage.vanishing_head[k])
+        assert single.in_chart_m0 == coverage.in_chart_m0[k] == (abs(point[1]) > 1e-10)
+        assert single.in_chart_m1 == coverage.in_chart_m1[k] == (abs(point[0]) > 1e-10)
+        a = chart_array(point)
+        gap = float(np.max(np.abs(fb.ci_jacobian(a) - fb.ci_jacobian_fd(a))))
+        assert fb.jacobian_fd_gap(point[None], every=1) == gap
+    gaps = [fb.jacobian_fd_gap(point[None]) for point in points[::25]]
+    assert fb.jacobian_fd_gap(points) == max(gaps) and fb.jacobian_fd_gap(points) <= 1e-6
     t = fb.random_phases(rng, (100, 3))
     forward = fb.bundle_transition(t, "01")
     for k in range(100):
