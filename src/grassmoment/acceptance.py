@@ -86,8 +86,13 @@ def _batch(kind: str, seed: int, count: int) -> np.ndarray:
 
 
 def _certified(kind: str, seed: int, count: int) -> fb.Certificates:
-    """``certify`` of ``_batch(kind, seed, count)``: the checks ``fiber`` runs, at its tolerances."""
-    return fb.certify(kind, _once(_batch, kind, seed, count))
+    """``certify`` of ``_batch(kind, seed, count)``, as ``fiber`` runs it; every array read-only."""
+    batch = fb.certify(kind, _once(_batch, kind, seed, count))
+    checked = [array for value, _, ok in batch.checks.values() for array in (value, ok)]
+    for array in [*batch.residuals.values(), *checked, batch.f_values, batch.ranks]:
+        if array is not None:
+            array.flags.writeable = False
+    return batch
 
 
 def _criterion(number: int, name: str, short: str):

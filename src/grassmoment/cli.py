@@ -257,7 +257,7 @@ def cmd_curve(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    witness = largest_chamber_witness(args.n, seed=args.seed)
+    witness = largest_chamber_witness(args.n)
     _emit({"n": args.n, "witness": format_vector(witness)}, args.json_out)
     return 0
 
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact chamber combinatorics and verified n=4 moment fibers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, samples_default=1000):
+    def common(p, samples_default=DEFAULT_SAMPLES):
         p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
         p.add_argument("--samples", type=_positive_int, default=samples_default)
 
@@ -330,12 +330,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="largest chamber witness point")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("report", help="run the acceptance suite")
-    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=_positive_int, default=DEFAULT_SAMPLES)
+    common(p)
     p.add_argument("--only", default=None)
     p.add_argument("--no-timings", action="store_true",
                    help="omit per-criterion seconds, so the output is byte-stable")

@@ -79,6 +79,7 @@ EMITTED_RESIDUALS = ("moment", "plucker", "surface")
 _UNIT_TOL = 1e-12
 _ZERO_TOL = 1e-12
 _COVERAGE_TOL = 1e-10
+_SURFACE_TRIALS = 10000
 #: Equipotential values (f1, f2, f3) of the chart quadrics on the fiber.
 F_TARGET = np.array([0.0, -1.0, 0.0])
 
@@ -265,8 +266,7 @@ def surface_circle(psi) -> np.ndarray:
     return _section(z, z)
 
 
-def sample_surface_section(rng: np.random.Generator, max_trials: int = 10000,
-                           count: int | None = None) -> np.ndarray:
+def sample_surface_section(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
     """Rejection sampler over the feasible magnitude region, off the circle.
 
     Uniform pairs (r0, r1) are drawn in blocks and kept where r0^2 + r1^2
@@ -276,11 +276,11 @@ def sample_surface_section(rng: np.random.Generator, max_trials: int = 10000,
     margin, and a batch takes two or three blocks.  The blocks are
     consecutive draws of one uniform stream, so the kept pairs are its
     first accepted ones whatever the block sizes.  One section, or a batch
-    of count; after max_trials candidates per section asked for,
+    of count; after _SURFACE_TRIALS candidates per section asked for,
     RuntimeError.
     """
     wanted = 1 if count is None else count
-    budget = max_trials * wanted
+    budget = _SURFACE_TRIALS * wanted
     kept = [np.empty((0, 2))]
     accepted = trials = 0
     while accepted < wanted:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactgeom import hypersimplex_vertices, pairs_lex
+from .exactgeom import pairs_lex
 from .plucker import GrassmannPoint, plucker_embed
 
 
@@ -90,15 +90,10 @@ def weight_map(x: Sequence, n: int):
     expected = len(pairs_lex(n))
     if len(x) != expected:
         raise ValueError(f"expected a simplex point of length {expected}, got {len(x)}")
-    if any(isinstance(v, Fraction) for v in x):
-        vertices = hypersimplex_vertices(n)
-        out = [Fraction(0)] * n
-        for weight, vertex in zip(x, vertices):
-            weight = Fraction(weight)
-            for j in range(n):
-                out[j] += weight * vertex[j]
-        return tuple(out)
-    return np.asarray(x, dtype=float) @ weight_vectors(n)
+    exact = any(isinstance(v, Fraction) for v in x)
+    xs = [Fraction(v) for v in x] if exact else x
+    image = np.asarray(xs, dtype=object if exact else float) @ weight_vectors(n)
+    return tuple(image) if exact else image
 
 
 __all__ = [

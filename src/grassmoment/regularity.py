@@ -27,7 +27,6 @@ flat spanned by vertices cross-checks them.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -344,36 +343,24 @@ def center_point_regular(n: int) -> bool:
     return is_regular_grassmann(center, n)
 
 
-def largest_chamber_witness(n: int, seed: int = DEFAULT_SEED) -> Vector:
-    """Exact interior point of the largest maximal chamber.
-
-    All support sums with |T| up to n//2 (odd n) or n//2 - 1 (even n) stay
-    below 1, and no arrangement hyperplane is hit.  For odd n the center
-    works; for even n a seeded exact perturbation of the center is
-    searched.
+def largest_chamber_witness(n: int) -> Vector:
+    """Exact interior point of the largest maximal chamber: no support sum is 1
+    and each over |T| < n/2 is below 1.  Odd n: the center (2/n, ..., 2/n), whose
+    sums 2|T|/n are below 1 for |T| < n/2 and never 1.  Even n: the center moved
+    by d_i = eps * (2^i - (2^n - 1)/n), i = 0..n-1, with eps = 1/(n^2 2^n).  Sum
+    d_i = 0, so the point stays on sum x = 2.  A sum of d over n/2 coordinates is
+    eps times an integer minus a half-integer, never 0: no |T| = n/2 hyperplane is
+    hit.  Over |T| <= n/2 - 1 a sum moves by less than 1/(2n), below its gap 2/n to
+    1, so it stays below 1; by complements every larger sum stays above 1.  Each
+    |d_i| < 1/n^2, so each x_i stays in (0, 1).
     """
     if not 4 <= n <= 8:
-        raise ValueError("witness search supports 4 <= n <= 8")
-    strict_bound = n // 2 if n % 2 == 1 else n // 2 - 1
-    small = [t for t in arrangement_for_n(n) if t.bit_count() <= strict_bound]
-
-    def qualifies(x: Vector) -> bool:
-        cleared, den, sums = _subset_sums(x, n)
-        return _off_arrangement(cleared, den, sums) and all(sums[t] < den for t in small)
-
-    center = tuple(Fraction(2, n) for _ in range(n))
-    if qualifies(center):
-        return center
-
-    rng = random.Random(seed)
-    scale = 100 * n * n
-    for _ in range(2000):
-        raw = [rng.randrange(-97, 98) for _ in range(n)]
-        total = sum(raw)
-        candidate = tuple(Fraction(2, n) + Fraction(n * r - total, n * scale) for r in raw)
-        if qualifies(candidate):
-            return candidate
-    raise RuntimeError("witness search exhausted after 2000 trials")
+        raise ValueError("witness supports 4 <= n <= 8")
+    center = Fraction(2, n)
+    if n % 2:
+        return (center,) * n
+    eps, mean = Fraction(1, n * n * 2 ** n), Fraction(2 ** n - 1, n)
+    return tuple(center + eps * (2 ** i - mean) for i in range(n))
 
 
 def _grid_verdicts(n: int, d: int) -> tuple[tuple[tuple[int, ...], bool, bool | None], ...]:

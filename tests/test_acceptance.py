@@ -428,6 +428,12 @@ def test_shared_batches_are_read_only_and_live_for_one_run(monkeypatch):
     assert store[certified].points is store[batch]  # the certificate holds the batch, not a copy
     with pytest.raises(dataclasses.FrozenInstanceError):
         store[certified].points = None
+    shared = store[certified]
+    arrays = [*shared.residuals.values(), shared.f_values, shared.ranks,
+              *(array for value, _, ok in shared.checks.values() for array in (value, ok))]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = array[0]
     np.testing.assert_array_equal(store[certified].passed,
                                   acceptance._certified("mq5", SEED, SAMPLES).passed)
     assert type(store[walk]) is tuple and store[walk] == acceptance._grid_verdicts(4, 18)

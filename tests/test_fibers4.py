@@ -908,14 +908,15 @@ def test_certificate_names_failed_checks(rng):
     assert ok and "failed_checks" not in passing
 
 
-def test_surface_sampler_batch_keeps_thresholds(rng):
+def test_surface_sampler_batch_keeps_thresholds(rng, monkeypatch):
     sections = fb.sample_surface_section(rng, count=3000)
     assert sections.shape == (3000, 6)
     assert not np.any(on_circle(sections))
     assert np.max(plucker_relation_residual(sections)) <= 1e-10
     assert np.min(np.abs(sections[:, 0])) > 0.0 and np.min(np.abs(sections[:, 2])) > 0.0
+    monkeypatch.setattr(fb, "_SURFACE_TRIALS", 0)
     with pytest.raises(RuntimeError):
-        fb.sample_surface_section(rng, max_trials=0)
+        fb.sample_surface_section(rng)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -949,8 +950,9 @@ def test_surface_sampler_refuses_at_its_budget_when_nothing_is_kept(monkeypatch)
         return r0, r0, np.full_like(r0, 2.0)  # |cos(phi)| > 1: no closure
 
     monkeypatch.setattr(fb, "_closure_terms", rejecting)
+    monkeypatch.setattr(fb, "_SURFACE_TRIALS", 50)
     with pytest.raises(RuntimeError, match="trial budget"):
-        fb.sample_surface_section(np.random.default_rng(0), max_trials=50, count=7)
+        fb.sample_surface_section(np.random.default_rng(0), count=7)
     assert sum(drawn) == 350 and len(drawn) > 1
 
 
