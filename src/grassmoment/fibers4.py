@@ -30,7 +30,6 @@ sqrt(R) and sqrt(R/2) round to other floats and would move every sampled bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -672,7 +671,7 @@ def fiber5_residuals(z) -> dict:
 
 @dataclass(frozen=True)
 class Certificates:
-    """Certificates of N fiber points as arrays; ``json_rows`` is their one JSON form.
+    """Certificates of N fiber points as arrays; ``to_json`` is their one JSON-ready tree.
 
     ``checks`` maps each check to (value, tolerance, pass mask): residuals and
     'f_values' (distance from (0, -1, 0)) pass at or below tolerance, 'min_tail'
@@ -690,35 +689,35 @@ class Certificates:
     def passed(self) -> np.ndarray:
         return np.logical_and.reduce([ok for _, _, ok in self.checks.values()])
 
-    def json_rows(self) -> list[str]:
-        """Each certificate as the text ``json.dumps(cert, separators=(",", ":"))`` writes,
-        floats by ``repr`` and each distinct residual or f-value bit pattern once (0.0 and
-        -0.0 differ).  Failing points add ``failed_checks``; non-finite values raise ValueError."""
-        residuals = [self.residuals[key] for key in EMITTED_RESIDUALS if key in self.residuals]
-        chart = [] if self.f_values is None else [*self.f_values.T]
-        unique, inverse = np.unique(np.stack(residuals + chart, -1, dtype=float).view(np.int64),
-                                    return_inverse=True)
-        if not (np.all(np.isfinite(unique.view(float))) and np.all(np.isfinite(self.points))):
+    def to_json(self) -> list[dict]:
+        """One certificate dict per point: the point as [re, im] pairs, the emitted
+        residuals (null where the kind has none), rank and f-values, and on failing
+        points ``failed_checks``.  Any non-finite value it would emit raises ValueError."""
+        null = [None] * len(self.points)
+        residuals = [self.residuals.get(key) for key in EMITTED_RESIDUALS]
+        emitted = [a for a in [self.points, *residuals, self.f_values] if a is not None]
+        emitted += [np.append(value[~ok], tolerance)
+                    for value, tolerance, ok in self.checks.values() if not ok.all()]
+        if not all(np.all(np.isfinite(a)) for a in emitted):
             raise ValueError("certificate holds a non-finite value")
-        texts = np.array([repr(v) for v in unique.view(float).tolist()], dtype=object)
-        texts = texts[inverse.reshape(-1, len(residuals) + len(chart))].T.tolist()
-        texts[len(residuals):len(residuals)] = [] if self.ranks is None else [self.ranks.tolist()]
-        slots = ["%s" if key in self.residuals else "null" for key in EMITTED_RESIDUALS]
-        fmt = ('{"point":[%s],"residuals":{"moment":%s,"plucker":%s,"surface":%s},'
-               '"jacobian_rank":%s,"f_values":%s}') % (",".join(["[%r,%r]"] * 6), *slots,
-               "null" if self.ranks is None else "%d", "[%s,%s,%s]" if chart else "null")
-        point = np.stack([self.points.real, self.points.imag], axis=-1).reshape(-1, 12).T.tolist()
-        rows = list(map(fmt.__mod__, zip(*point, *texts)))
+        points = np.stack([self.points.real, self.points.imag], axis=-1).tolist()
+        moment, plucker, surface, ranks, f_values = (
+            null if a is None else a.tolist() for a in [*residuals, self.ranks, self.f_values])
+        rows = [{"point": p, "residuals": {"moment": m, "plucker": q, "surface": s},
+                 "jacobian_rank": r, "f_values": f}
+                for p, m, q, s, r, f in zip(points, moment, plucker, surface, ranks, f_values)]
         for index in np.flatnonzero(~self.passed).tolist():
-            failed = [{"check": name, "value": float(value[index]), "tolerance": tolerance}
-                      for name, (value, tolerance, ok) in self.checks.items() if not ok[index]]
-            rows[index] = rows[index][:-1] + ',"failed_checks":%s}' % json.dumps(
-                failed, separators=(",", ":"), allow_nan=False)
+            rows[index]["failed_checks"] = [
+                {"check": name, "value": float(value[index]), "tolerance": tolerance}
+                for name, (value, tolerance, ok) in self.checks.items() if not ok[index]]
         return rows
 
-    def to_json(self) -> list[dict]:
-        """``json_rows`` parsed: one JSON-ready certificate per point."""
-        return [json.loads(row) for row in self.json_rows()]
+    def json_rows(self) -> list[str]:
+        """Each ``to_json`` certificate as compact JSON text written by ``orjson``: the
+        shortest round-trip float spelling, so each row parses to the arrays' exact bits."""
+        import orjson
+
+        return [orjson.dumps(row).decode() for row in self.to_json()]
 
 
 def certify(kind: str, z, tolerances: dict[str, float] | None = None) -> Certificates:
@@ -755,7 +754,7 @@ def certify(kind: str, z, tolerances: dict[str, float] | None = None) -> Certifi
 
 
 def build_certificate(kind: str, z, tolerances: dict[str, float] | None = None) -> tuple[dict, bool]:
-    """``certify`` at N = 1, its one ``json_rows`` row parsed; perfbench's tracer looks it up."""
+    """``certify`` at N = 1, its one ``to_json`` certificate; perfbench's tracer looks it up."""
     batch = certify(kind, as_coords6(z)[None], tolerances)
     return batch.to_json()[0], bool(batch.passed[0])
 

@@ -8,6 +8,7 @@ import typing
 import warnings
 
 import numpy as np
+import orjson
 import pytest
 
 from grassmoment import cli
@@ -242,8 +243,8 @@ def test_fiber_byte_stability(capsys):
 # -- certificate rows against the dict tree they replace -----------------------
 
 def certificate_tree(batch):
-    """One dict per certificate, column by column; json.dumps of this list is the
-    independent oracle for Certificates.json_rows."""
+    """One dict per certificate, column by column; orjson's encoding of this list is
+    the independent oracle for Certificates.json_rows."""
     def column(values):
         return [None] * len(batch.points) if values is None else values.tolist()
 
@@ -264,6 +265,17 @@ def compact(value):
     return json.dumps(value, separators=(",", ":"), allow_nan=False)
 
 
+def hexed(value):
+    """A parsed JSON tree with each float as its float.hex, so -0.0 and 0.0 differ."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, list):
+        return [hexed(item) for item in value]
+    if isinstance(value, dict):
+        return {key: hexed(item) for key, item in value.items()}
+    return value
+
+
 @pytest.mark.parametrize("kind,orbit,tol", [
     (kind, orbit, None) for kind in ("mq7", "mq5", "m2", "m3") for orbit in ("minus", "plus")
 ] + [("mq7", "minus", "moment=1e-30"), ("mq5", "plus", "moment=1e-30")])
@@ -278,9 +290,16 @@ def test_fiber_stdout_is_the_dumped_dict_tree(capsys, kind, orbit, tol):
     certs = certificate_tree(batch)
     failing = np.flatnonzero(~batch.passed)
     assert code == (1 if tol else 0) and (failing.size > 0) == bool(tol)
-    expected = {**json.loads(out), "certificates": certs,
-                "failing_sample": certs[failing[0]] if failing.size else None}
-    assert out == compact(expected) + "\n"
+    # The skeleton is json's text, the rows orjson's; a NUL string marks each row slot.
+    skeleton = {**json.loads(out), "certificates": "\0rows",
+                "failing_sample": "\0first" if failing.size else None}
+    expected = compact(skeleton).replace('"\\u0000rows"', orjson.dumps(certs).decode())
+    if failing.size:
+        expected = expected.replace('"\\u0000first"', orjson.dumps(certs[failing[0]]).decode())
+    assert out == expected + "\n"
+    parsed = json.loads(out)
+    assert hexed(parsed["certificates"]) == hexed(certs)
+    assert hexed(parsed["failing_sample"]) == hexed(certs[failing[0]] if failing.size else None)
     assert out.count('"failed_checks"') == (failing.size + 1 if tol else 0)
 
 
@@ -309,8 +328,9 @@ def test_json_rows_keep_signed_zeros_and_repeats(chart):
     f_values = [[-0.0, -1.0, 0.0], [0.0, -1.0, -0.0]] * 4 if chart else None
     batch = hand_built(ZEROS_AND_REPEATS, f_values, failing=(3, 6))
     rows = batch.json_rows()
-    assert "[" + ",".join(rows) + "]" == compact(certificate_tree(batch))
-    assert batch.to_json() == certificate_tree(batch)
+    assert "[" + ",".join(rows) + "]" == orjson.dumps(certificate_tree(batch)).decode()
+    assert hexed([json.loads(row) for row in rows]) == hexed(certificate_tree(batch))
+    assert hexed(batch.to_json()) == hexed(certificate_tree(batch))
     assert rows[0].startswith('{"point":[[0.0,0.0],[-0.0,0.0],')
     assert '"moment":0.0,' in rows[0] and '"moment":-0.0,' in rows[1]
     assert not chart or '"f_values":[0.0,-1.0,-0.0]' in rows[1]
@@ -318,18 +338,48 @@ def test_json_rows_keep_signed_zeros_and_repeats(chart):
     assert fb.certify("mq5" if chart else "mq7", np.empty((0, 6), complex)).json_rows() == []
 
 
+#: Floats whose text differs most between spellings: signed zero, the subnormal and
+#: normal extremes, exponent forms below 1e-4, and 1e16 up to the largest double.
+EXTREME_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1.3805595927814752e-05, 1e-7,
+                  1e16, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("chart", [False, True], ids=["mq7", "mq5"])
+def test_json_rows_hold_the_exact_bits_of_extreme_floats(chart):
+    count = len(EXTREME_FLOATS)
+    turned = [EXTREME_FLOATS[i:] + EXTREME_FLOATS[:i] for i in range(count)]
+    batch = hand_built(EXTREME_FLOATS, [row[:3] for row in turned] if chart else None,
+                       failing=(1, 5))
+    batch.points.real, batch.points.imag = [row[:6] for row in turned], [row[1:] for row in turned]
+    parsed = [json.loads(row) for row in batch.json_rows()]
+    assert [[[float.hex(x) for x in pair] for pair in row["point"]] for row in parsed] == [
+        [[float.hex(z.real), float.hex(z.imag)] for z in point] for point in batch.points]
+    for key, column in batch.residuals.items():
+        assert [float.hex(row["residuals"][key]) for row in parsed] == list(map(float.hex, column))
+    assert [hexed(row["f_values"]) for row in parsed] == (
+        [[float.hex(v) for v in row] for row in batch.f_values] if chart else [None] * count)
+    assert [[float.hex(c["value"]) for c in row.get("failed_checks", [])] for row in parsed] == [
+        [float.hex(EXTREME_FLOATS[i])] if i in (1, 5) else [] for i in range(count)]
+    assert hexed(parsed) == hexed(certificate_tree(batch))
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
-@pytest.mark.parametrize("where", ["residual", "f_value"])
+@pytest.mark.parametrize("where", ["residual", "f_value", "point", "failed_check"])
 def test_non_finite_certificate_values_are_refused(capsys, monkeypatch, bad, where):
-    # A non-finite float has no RFC 8259 form: the row refuses it, and the CLI
-    # then exits 2 with nothing on stdout.
+    # A non-finite float has no RFC 8259 form (orjson would write null): the row
+    # refuses it, and the CLI then exits 2 with nothing on stdout.
     values = list(ZEROS_AND_REPEATS)
     f_values = [[0.0, -1.0, 0.0]] * len(values)
     if where == "residual":
         values[4] = bad
-    else:
+    elif where == "f_value":
         f_values[2] = [0.0, bad, 0.0]
     batch = hand_built(values, f_values)
+    if where == "point":
+        batch.points[5, 3] = complex(0.5, bad)
+    elif where == "failed_check":  # min_tail is no emitted column: only failed_checks holds it
+        min_tail, _, ok = batch.checks["min_tail"]
+        min_tail[6], ok[6] = bad, False
     with pytest.raises(ValueError):
         batch.json_rows()
     monkeypatch.setattr(fb, "certify", lambda *args, **kwargs: batch)
@@ -616,6 +666,15 @@ def test_exact_commands_run_without_numpy(capsys, launcher, argv):
 def test_the_exact_path_loads_no_float_module():
     loaded = _python("import sys, grassmoment, grassmoment.cli\n"
                      "grassmoment.classify_point(grassmoment.vector(['1/2'] * 4), 4)\n"
-                     "print(sorted({'numpy', 'grassmoment.fibers4', 'grassmoment.acceptance'}"
-                     " & set(sys.modules)))")
+                     "print(sorted({'numpy', 'orjson', 'grassmoment.fibers4',"
+                     " 'grassmoment.acceptance'} & set(sys.modules)))")
     assert loaded == b"[]\n"
+
+
+def test_jacobian_runs_without_orjson(capsys):
+    # Only fiber encodes certificate rows; with orjson unimportable, jacobian's
+    # output must not change.
+    argv = ["jacobian", "--samples", "10"]
+    blocked = _python("import sys; sys.modules['orjson'] = None\n" + LAUNCHERS["main"], *argv)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.encode() == blocked
