@@ -178,6 +178,12 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
+    """Rank histogram and f-values of the ``mq5`` chart Jacobian.
+
+    It reads only the f-values and ranks of ``certify``, yet runs all of its
+    checks: the one certificate path that ``fiber`` and the report use is
+    worth more than the fraction of a millisecond a chart-only path saves.
+    """
     import numpy as np
     from . import fibers4 as fb
 
@@ -278,74 +284,68 @@ def cmd_report(args) -> int:
     return 0 if payload["all_passed"] else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _seeded(samples: int = DEFAULT_SAMPLES) -> tuple:
+    return (("--seed", dict(type=_parse_seed, default=DEFAULT_SEED)),
+            ("--samples", dict(type=_positive_int, default=samples)))
+
+
+#: Each subcommand's help, handler and arguments, in the order ``--help``
+#: lists them; ``build_parser`` adds ``--json-out`` to every one.
+COMMANDS = {
+    "chambers": ("enumerate n=4 chambers or classify a point", cmd_chambers, (
+        ("--n", dict(type=int, default=4)),
+        ("--classify", dict(default=None, help="comma separated rational point")))),
+    "regular": ("regularity report for one rational point", cmd_regular, (
+        ("--n", dict(type=int, required=True)),
+        ("--classify", dict(required=True)))),
+    "moment": ("evaluate one of the three moment maps", cmd_moment, (
+        ("--map", dict(choices=["mu", "mu_tilde", "mu_hat"], required=True)),
+        ("--n", dict(type=int, default=4)),
+        ("--point", dict(required=True,
+                         help="JSON [re,im] pairs; a 2 x n matrix of pairs for mu")))),
+    "fiber": ("sample a fiber and emit residual certificates", cmd_fiber, (
+        ("kind", dict(choices=["mq7", "mq5", "m2", "m3"])),
+        *_seeded(),
+        ("--orbit", dict(choices=["minus", "plus"], default="minus")),
+        ("--tol", dict(action="append", default=None, metavar="NAME=VALUE")))),
+    "jacobian": ("rank histogram of the chart Jacobian", cmd_jacobian, _seeded(200)),
+    "transition": ("chart transition cocycle report", cmd_transition, _seeded(200)),
+    "triangle": ("exact solution triangle of the moment system over q-", cmd_triangle, ()),
+    "curve": ("edge curve residuals at one parameter point", cmd_curve, (
+        ("--x0", dict(required=True)),
+        ("--x1", dict(required=True)))),
+    "witness": ("largest chamber witness point", cmd_witness, (
+        ("--n", dict(type=int, required=True)),)),
+    "report": ("run the acceptance suite", cmd_report, (
+        *_seeded(),
+        ("--only", dict(default=None)),
+        ("--no-timings", dict(action="store_true",
+                              help="omit per-criterion seconds, so the output is byte-stable")))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given ``command``, with that subcommand alone, which
+    parses every argv that starts with ``command`` as the full parser does."""
     parser = argparse.ArgumentParser(
         prog="grassmoment",
         description="Exact chamber combinatorics and verified n=4 moment fibers.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, samples_default=DEFAULT_SAMPLES):
-        p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
-        p.add_argument("--samples", type=_positive_int, default=samples_default)
-
-    p = sub.add_parser("chambers", help="enumerate n=4 chambers or classify a point")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--classify", default=None, help="comma separated rational point")
-    p.set_defaults(func=cmd_chambers)
-
-    p = sub.add_parser("regular", help="regularity report for one rational point")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--classify", required=True)
-    p.set_defaults(func=cmd_regular)
-
-    p = sub.add_parser("moment", help="evaluate one of the three moment maps")
-    p.add_argument("--map", choices=["mu", "mu_tilde", "mu_hat"], required=True)
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--point", required=True,
-                   help="JSON [re,im] pairs; a 2 x n matrix of pairs for mu")
-    p.set_defaults(func=cmd_moment)
-
-    p = sub.add_parser("fiber", help="sample a fiber and emit residual certificates")
-    p.add_argument("kind", choices=["mq7", "mq5", "m2", "m3"])
-    common(p)
-    p.add_argument("--orbit", choices=["minus", "plus"], default="minus")
-    p.add_argument("--tol", action="append", default=None, metavar="NAME=VALUE")
-    p.set_defaults(func=cmd_fiber)
-
-    p = sub.add_parser("jacobian", help="rank histogram of the chart Jacobian")
-    common(p, samples_default=200)
-    p.set_defaults(func=cmd_jacobian)
-
-    p = sub.add_parser("transition", help="chart transition cocycle report")
-    common(p, samples_default=200)
-    p.set_defaults(func=cmd_transition)
-
-    p = sub.add_parser("triangle", help="exact solution triangle of the moment system over q-")
-    p.set_defaults(func=cmd_triangle)
-
-    p = sub.add_parser("curve", help="edge curve residuals at one parameter point")
-    p.add_argument("--x0", required=True)
-    p.add_argument("--x1", required=True)
-    p.set_defaults(func=cmd_curve)
-
-    p = sub.add_parser("witness", help="largest chamber witness point")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("report", help="run the acceptance suite")
-    common(p)
-    p.add_argument("--only", default=None)
-    p.add_argument("--no-timings", action="store_true",
-                   help="omit per-criterion seconds, so the output is byte-stable")
-    p.set_defaults(func=cmd_report)
-
-    for p in sub.choices.values():
+    # The usage line, printed for an unrecognized argument, lists every command.
+    metavar = None if command is None else "{%s}" % ",".join(COMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_text, handler, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.add_argument("--json-out", default=None, help="also write the JSON to this file")
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -87,13 +87,16 @@ def weight_map(x: Sequence, n: int):
     Exact on Fraction input (returns a tuple of Fractions), floating point
     otherwise (returns an ndarray).
     """
-    expected = len(pairs_lex(n))
-    if len(x) != expected:
-        raise ValueError(f"expected a simplex point of length {expected}, got {len(x)}")
-    exact = any(isinstance(v, Fraction) for v in x)
-    xs = [Fraction(v) for v in x] if exact else x
-    image = np.asarray(xs, dtype=object if exact else float) @ weight_vectors(n)
-    return tuple(image) if exact else image
+    weights = weight_vectors(n)
+    if len(x) != len(weights):
+        raise ValueError(f"expected a simplex point of length {len(weights)}, got {len(x)}")
+    if not any(isinstance(v, Fraction) for v in x):
+        return np.asarray(x, dtype=float) @ weights
+    image = [Fraction(0)] * n
+    for v, (i, j) in zip(map(Fraction, x), pairs_lex(n)):
+        image[i - 1] += v
+        image[j - 1] += v
+    return tuple(image)
 
 
 __all__ = [

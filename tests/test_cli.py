@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import pathlib
@@ -574,6 +577,59 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         cli.main(["fiber", "mq9"])
     assert info.value.code == 2
+
+
+# -- main builds only the invoked subcommand's parser --------------------------
+
+PARSER_ARGVS = [
+    *(row["argv"] for row in json.loads(
+        pathlib.Path(__file__).with_name("cli_corpus.json").read_text())),
+    [], ["-h"], ["bogus"], ["fiber"], ["fiber", "--help"], ["fiber", "mq9"],
+    ["jacobian", "--samples", "0"],
+    # unrecognized arguments are reported with the top-level usage line
+    ["report", "--bogus"], ["fiber", "mq5", "extra"],
+]
+
+
+class _Built(Exception):
+    pass
+
+
+def _parsed(parser, argv):
+    """The Namespace, or the exit code and output, of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exit_:
+            return exit_.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_mains_parser_parses_as_the_full_one(monkeypatch, argv):
+    build_parser = cli.build_parser
+
+    def built(*args):  # main's choice of parser, stopped before it parses
+        raise _Built(*args)
+
+    monkeypatch.setattr(cli, "build_parser", built)
+    with pytest.raises(_Built) as choice:
+        cli.main(list(argv))
+    assert _parsed(build_parser(*choice.value.args), argv) == _parsed(build_parser(), argv)
+
+
+def test_command_errors_name_the_command_argument():
+    # The full parser's errors say "command", not the list of commands.
+    code, _, err = _parsed(cli.build_parser(), [])
+    assert code == 2 and err.endswith("error: the following arguments are required: command\n")
+    code, _, err = _parsed(cli.build_parser(), ["bogus"])
+    assert code == 2 and "error: argument command: invalid choice: 'bogus'" in err
+
+
+def test_the_command_table_is_the_full_parsers_subcommands():
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(cli.COMMANDS)
 
 
 def test_bad_point_is_usage_error(capsys):

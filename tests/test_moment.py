@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -138,6 +139,22 @@ def test_weight_map_exact_examples():
     assert weight_map(unit, 4) == (F(1), F(1), F(0), F(0))
     with pytest.raises(ValueError):
         weight_map(unit, 5)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_weight_map_exact_is_the_pair_sum(n):
+    # Coordinate i of the image sums the simplex coordinates of the pairs holding i.
+    rng = np.random.default_rng(100 + n)
+    pairs = list(itertools.combinations(range(n), 2))
+    for _ in range(25):
+        x = [F(int(a), int(b)) for a, b in zip(rng.integers(-50, 50, len(pairs)),
+                                                rng.integers(1, 30, len(pairs)))]
+        image = weight_map(x, n)
+        assert type(image) is tuple and all(type(v) is F for v in image)
+        assert image == tuple(sum((v for v, pair in zip(x, pairs) if i in pair), F(0))
+                              for i in range(n))
+    with pytest.raises(ValueError, match="need n >= 4"):
+        weight_map([F(1), F(0), F(0)], 3)
 
 
 def test_weight_map_float_path():
