@@ -234,14 +234,22 @@ def check_oracle_equivalence(seed: int, samples: int) -> tuple[bool, dict]:
 @_criterion(7, "5-fiber certificates", "fiber5")
 def check_fiber5(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 7: one seeded 5-fiber batch passes every check of its
-    certificate and round trips through both parametrizations; the base
-    projection collapses the circle and separates the batch's surface
-    sections, each paired with its other closure branch (its conjugate) and
-    with the section before it."""
+    certificate and round trips through both parametrizations; the sphere
+    section is the 3-sphere: the batch's sphere sections round trip through
+    to_three_sphere and from_three_sphere, and so do seeded S^3 points and
+    the Hopf-circle points (1, 0), (0, 1) and (1, 1)/sqrt(2) of the edge
+    circles the other way; the base projection collapses the circle and
+    separates the batch's surface sections, each paired with its conjugate
+    and with the section before it."""
     batch = _once(_certified, "mq5", seed, samples)
     points = batch.points
     max_f_round = float(np.max(fb.surface_roundtrip_error(points)))
     max_g_round = float(np.max(fb.sphere_roundtrip_error(points)))
+    spheres = fb.sphere_torus_preimage(points)[0]
+    max_section_round = float(np.max(np.abs(fb.from_three_sphere(fb.to_three_sphere(spheres)) - spheres)))
+    hopf_circles = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / np.sqrt([[1.0], [1.0], [2.0]])
+    g = np.concatenate([fb.random_three_sphere(np.random.default_rng(seed), samples), hopf_circles])
+    max_s3_round = float(np.max(np.abs(fb.to_three_sphere(fb.from_three_sphere(g)) - g)))
     circle = fb.surface_circle(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))
     max_circle = float(np.max(projective_distance(fb.base_projection(circle),
                                                   normalize_projective([1.0, 1.0]))))
@@ -251,7 +259,8 @@ def check_fiber5(seed: int, samples: int) -> tuple[bool, dict]:
     distinct = np.abs(first[:, 0] - second[:, 0]) + np.abs(first[:, 1] - second[:, 1]) >= 1e-8
     distances = projective_distance(fb.base_projection(first), fb.base_projection(second))
     min_pair_distance = float(np.min(distances[distinct], initial=np.inf))
-    passed = (np.all(batch.passed) and max_f_round <= 1e-10 and max_g_round <= 1e-10
+    rounds = (max_f_round, max_g_round, max_section_round, max_s3_round)
+    passed = (np.all(batch.passed) and all(error <= 1e-10 for error in rounds)
               and max_circle <= 1e-10 and min_pair_distance > 1e-12)
     details = {
         "samples_per_parametrization": samples,
@@ -259,6 +268,8 @@ def check_fiber5(seed: int, samples: int) -> tuple[bool, dict]:
         "max_moment_residual": float(np.max(batch.residuals["moment"])),
         "max_surface_roundtrip": max_f_round,
         "max_sphere_roundtrip": max_g_round,
+        "max_section_s3_section_roundtrip": max_section_round,
+        "max_s3_section_s3_roundtrip": max_s3_round,
         "max_circle_collapse_distance": max_circle,
         "min_offcircle_pair_distance": min_pair_distance,
     }

@@ -5,10 +5,12 @@ The moment fiber over q = (1/3, 5/9, 5/9, 5/9) inside CP^5 is the
 of the last three coordinates in terms of the first three; intersecting
 with the plane quadric z0*z5 + z2*z3 = z1*z4 gives the 5-dimensional
 fiber of the Grassmannian moment map.  This module provides the
-parametrizations of both fibers, their cross sections, the projections
-to CP^1/CP^2, the complete-intersection certificate in the affine chart,
-the chart-transition cocycle, and seeded samplers with residual
-certificates for all of it.
+parametrizations of both fibers, their cross sections, the projection to
+CP^1, the map of the sphere section onto S^3 and its closed-form inverse,
+the complete-intersection certificate in the affine chart, the
+chart-transition cocycle, and seeded samplers with residual certificates
+for all of it.  The 5-fiber's sections are drawn as the inverse images of
+uniform S^3 points, so no sampler rejects a draw.
 
 Every function here describes the fiber over q, in the chamber orbit C-.
 The fiber over the mirror point (2/3, 4/9, 4/9, 4/9) in C+ is its image
@@ -78,7 +80,6 @@ EMITTED_RESIDUALS = ("moment", "plucker", "surface")
 _UNIT_TOL = 1e-12
 _ZERO_TOL = 1e-12
 _COVERAGE_TOL = 1e-10
-_SURFACE_TRIALS = 10000
 #: Equipotential values (f1, f2, f3) of the chart quadrics on the fiber.
 F_TARGET = np.array([0.0, -1.0, 0.0])
 
@@ -205,8 +206,9 @@ def _curve_sides(x0: float, x1: float) -> tuple[float, float, float]:
     if x0 < -1e-15 or x1 < -1e-15 or x0 + x1 > HEAD_RADIUS2 + 1e-12:
         raise ValueError("curve parameters must satisfy x0, x1 >= 0, x0 + x1 <= 1/3")
     r0, r1 = math.sqrt(max(x0, 0.0)), math.sqrt(max(x1, 0.0))
-    big0, middle, _ = _closure_terms(r0, r1)
-    return float(big0), float(middle), float(_closure_terms(r1, r0)[0])
+    s2 = float(_third_square(r0 * r0, r1 * r1))
+    middle = math.sqrt(s2 * (s2 + TAIL_GAP))
+    return r0 * math.sqrt(r0 * r0 + TAIL_GAP), middle, r1 * math.sqrt(r1 * r1 + TAIL_GAP)
 
 
 # ---------------------------------------------------------------------------
@@ -228,32 +230,10 @@ def _section(z0, z1, z2=None) -> np.ndarray:
 def _third_square(s0, s1):
     """|z2|^2 = 1/3 - |z0|^2 - |z1|^2 on a surface point, with values up to
     1e-15 taken as 0: that is rounding noise, whose square root (up to 3e-8)
-    would break the 1e-10 surface equation next to the circle z2 = 0."""
+    would break the 1e-10 surface equation next to the circle z2 = 0.  The
+    edge curve reads its middle product |z2||z3| from it too."""
     s2 = HEAD_RADIUS2 - s0 - s1
     return np.where(s2 > 1e-15, s2, 0.0)
-
-
-def _closure_terms(r0, r1):
-    """Products |z0||z5| and |z2||z3| of the surface equation and the cosine
-    of the relative phase that closes it against |z1||z4| (law of cosines)."""
-    big0 = r0 * np.sqrt(r0 * r0 + TAIL_GAP)
-    big1 = r1 * np.sqrt(r1 * r1 + TAIL_GAP)
-    s2 = _third_square(r0 * r0, r1 * r1)
-    middle = np.sqrt(s2 * (s2 + TAIL_GAP))
-    with np.errstate(all="ignore"):
-        cos_phi = (big1 * big1 - big0 * big0 - middle * middle) / (2.0 * big0 * middle)
-    return big0, middle, cos_phi
-
-
-def _close_phase(r0, r1, branch) -> np.ndarray:
-    """Surface point |z0| = r0, |z1| = r1 closing R0*e^(i*phi) + C = R1*e^(i*psi) by the law
-    of cosines, sin(phi) of sign branch; _section refuses moduli with no closure."""
-    big0, middle, cos_phi = _closure_terms(r0, r1)
-    rotation = np.exp(1j * branch * np.arccos(np.clip(cos_phi, -1.0, 1.0)))
-    closing = middle + big0 * rotation
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):  # 0/0, x/subnormal: _section refuses
-        z1 = r1 * closing / np.abs(closing)
-    return _section(r0 * rotation, z1)
 
 
 def surface_circle(psi) -> np.ndarray:
@@ -263,56 +243,6 @@ def surface_circle(psi) -> np.ndarray:
     """
     z = np.exp(1j * np.asarray(psi, dtype=float)) / math.sqrt(2.0 / HEAD_RADIUS2)
     return _section(z, z)
-
-
-def sample_surface_section(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-    """Rejection sampler over the feasible magnitude region, off the circle.
-
-    Uniform pairs (r0, r1) are drawn in blocks and kept where r0^2 + r1^2
-    <= 1/3, |z2||z3| >= 1e-6, |z0||z5| >= 1e-9 and |cos(phi)| <= 1 - 1e-9,
-    each with a random branch.  About 18% are kept, so each block is sized
-    from the share kept so far (one half before any is kept) with a 10%
-    margin, and a batch takes two or three blocks.  The blocks are
-    consecutive draws of one uniform stream, so the kept pairs are its
-    first accepted ones whatever the block sizes.  One section, or a batch
-    of count; after _SURFACE_TRIALS candidates per section asked for,
-    RuntimeError.
-    """
-    wanted = 1 if count is None else count
-    budget = _SURFACE_TRIALS * wanted
-    kept = [np.empty((0, 2))]
-    accepted = trials = 0
-    while accepted < wanted:
-        if trials >= budget:
-            raise RuntimeError("surface sampler exhausted its trial budget")
-        rate = accepted / trials if accepted else 0.5
-        size = min(math.ceil(1.1 * (wanted - accepted) / rate) + 16, budget - trials)
-        block = rng.uniform(0.0, math.sqrt(HEAD_RADIUS2), size=(size, 2))
-        trials += size
-        r0, r1 = block.T
-        big0, middle, cos_phi = _closure_terms(r0, r1)
-        ok = ((r0 * r0 + r1 * r1 <= HEAD_RADIUS2) & (middle >= 1e-6) & (big0 >= 1e-9)
-              & (np.abs(cos_phi) <= 1.0 - 1e-9))
-        kept.append(block[ok])
-        accepted += len(kept[-1])
-    r0, r1 = np.concatenate(kept)[:wanted].T
-    branch = np.where(rng.uniform(size=wanted) < 0.5, 1.0, -1.0)
-    if count is None:
-        r0, r1, branch = r0[0], r1[0], branch[0]
-    return _close_phase(r0, r1, branch)
-
-
-def rotate_section(section, phase) -> np.ndarray:
-    """Apply a common phase to the head coordinates of a section point."""
-    phase = _check_unit_phases(phase)
-    return _section(*_split(as_coords6(section)[..., :3] * phase[..., None]))
-
-
-def sample_sphere_section(rng: np.random.Generator,
-                          count: int | None = None) -> np.ndarray:
-    """Surface sample pushed around by a uniform common phase."""
-    section = sample_surface_section(rng, count=count)
-    return rotate_section(section, random_phases(rng, _shape(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +283,19 @@ def sphere_torus_preimage(z):
 
 def sample_fiber5(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
     """5-fiber points, each from the surface or the sphere parametrization with
-    equal odds (one uniform draw per point, then the surface points, then the
-    sphere points); a public name because perfbench's tracer looks it up."""
-    surface = rng.uniform(size=_shape(count)) < 0.5
-    n_surface, n_sphere = int(surface.sum()), int((~surface).sum())
-    out = np.empty(surface.shape + (6,), dtype=complex)
-    out[surface] = surface_torus_param(sample_surface_section(rng, count=n_surface),
-                                       random_phases(rng, (n_surface, 3)))
-    t1, t2 = _split(random_phases(rng, (n_sphere, 2)))
-    out[~surface] = sphere_torus_param(sample_sphere_section(rng, count=n_sphere), t1, t2)
-    return out
+    equal odds: one uniform draw per point picks it, then each point takes a
+    uniform S^3 point (turned onto the surface section for the surface points)
+    through from_three_sphere and three uniform phases (t3 unused by the sphere
+    points).  One point is the row of a batch of one, so its bits are the
+    batch's.  A public name because perfbench's tracer looks it up."""
+    size = 1 if count is None else count
+    surface = (rng.uniform(size=size) < 0.5)[:, None]
+    g = random_three_sphere(rng, size)
+    sections = from_three_sphere(np.where(surface, _surface_turn(g), g))
+    phases = random_phases(rng, (size, 3))
+    points = np.where(surface, surface_torus_param(sections, phases),
+                      sphere_torus_param(sections, phases[:, 0], phases[:, 1]))
+    return points if count is not None else points[0]
 
 
 def surface_roundtrip_error(z):
@@ -378,17 +311,8 @@ def sphere_roundtrip_error(z):
 
 
 # ---------------------------------------------------------------------------
-# Projections to CP^1, CP^2 and the 3-sphere
+# Projections to CP^1 and the 3-sphere
 # ---------------------------------------------------------------------------
-
-def hopf_projection(point) -> np.ndarray:
-    """Hopf-style projection to CP^2: (z1*|z4| : z0*|z5| : z2*|z3|).
-
-    Images of section points satisfy c0 - c1 - c2 = 0.
-    """
-    z = as_coords6(point)
-    return normalize_projective(z[..., [1, 0, 2]] * np.abs(z[..., [4, 5, 3]]))
-
 
 def _base_products(point) -> np.ndarray:
     z = as_coords6(point)
@@ -404,7 +328,8 @@ def base_projection(point) -> np.ndarray:
 
 
 def to_three_sphere(section) -> np.ndarray:
-    """Homeomorphism of the sphere section onto the unit sphere in C^2.
+    """Homeomorphism of the sphere section onto the unit sphere in C^2;
+    ``from_three_sphere`` is its inverse.
 
     Returns (z1*a(z1), z0*a(z0)) with a(w) = sqrt(1/9 + |w|^2), which is
     (z1*|z4|, z0*|z5|) by the tail formula, divided by its Euclidean norm
@@ -415,6 +340,44 @@ def to_three_sphere(section) -> np.ndarray:
     if not np.all(norm > 0.0):
         raise ValueError("degenerate section: z0 = z1 = 0 cannot happen on the fiber")
     return g / norm
+
+
+def from_three_sphere(g) -> np.ndarray:
+    """The sphere section point over g = (u, v) on the unit sphere in C^2,
+    shape (..., 2): the inverse of ``to_three_sphere``.
+
+    By the surface equation a section point has (z1|z4|, z0|z5|, z2|z3|) =
+    t (u, v, u - v) for one t > 0, so z0, z1, z2 take the phases of v, u and
+    u - v.  Each product p = r sqrt(r^2 + c) fixes its modulus r, as
+    r^2 = 2p^2 / (sqrt(c^2 + 4p^2) + c), which keeps its precision where p
+    is small.  With p_k^2 = s a_k^2 for a = (|v|, |u|, |u - v|), the sphere
+    |z0|^2 + |z1|^2 + |z2|^2 = R reads sum_k sqrt(c^2 + 4 s a_k^2) = 2R + 3c.
+    Its left side is concave and increasing in s, so Newton's method from
+    s = 0 never passes the root; six steps reach it to rounding.
+    """
+    g = np.asarray(g, dtype=complex)
+    if g.shape[-1:] != (2,) or not np.all(np.abs(np.linalg.norm(g, axis=-1) - 1.0) <= _UNIT_TOL):
+        raise ValueError("expected points of the unit sphere in C^2")
+    u, v = _split(g)
+    w = np.stack([v, u, u - v])
+    a2 = w.real ** 2 + w.imag ** 2
+    s = np.zeros(a2.shape[1:])
+    for _ in range(6):
+        root = np.sqrt(TAIL_GAP * TAIL_GAP + 4.0 * s * a2)
+        s = s - (np.sum(root, axis=0) - 2.0 * HEAD_RADIUS2 - 3.0 * TAIL_GAP) / np.sum(2.0 * a2 / root, axis=0)
+    return _section(*(w * np.sqrt(2.0 * s / (np.sqrt(TAIL_GAP * TAIL_GAP + 4.0 * s * a2) + TAIL_GAP))))
+
+
+def random_three_sphere(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    """Uniform point (or count points) of the unit sphere in C^2, shape (2,) or (count, 2)."""
+    g = rng.normal(size=_shape(count, 2)) + 1j * rng.normal(size=_shape(count, 2))
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+
+
+def _surface_turn(g) -> np.ndarray:
+    """g = (u, v) turned by the common phase that makes u - v, and so the
+    section's z2, real and nonnegative: the surface section's S^3 point."""
+    return g * np.exp(-1j * np.angle(g[..., :1] - g[..., 1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -625,16 +588,23 @@ def tangent_fiber_dimension(z, include_quadric: bool = False):
     for r = regularity.orbit_dimension of the support of z.
     """
     z = as_coords6(z)
-    z = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    rows = _constraint_rows(z / np.linalg.norm(z, axis=-1, keepdims=True), include_quadric)
+    # SVD, not the Gram route: these rows have exact zero singular values, which Gram reads as ~1e-8.
+    return 12 - _rank(np.linalg.svd(rows, compute_uv=False), 1e-6) - 1
+
+
+def _constraint_rows(z, include_quadric: bool) -> np.ndarray:
+    """Differentials at z, as rows over (Re z, Im z), of the four moment
+    coordinates sum_j w_j |z_j|^2 (w a row of weight_vectors(4).T) and of |z|^2,
+    then with include_quadric of the real and imaginary parts of the plane
+    quadric z0*z5 + z2*z3 - z1*z4: shape (..., 5, 12) or (..., 7, 12)."""
     rows = [np.concatenate([2.0 * z.real * w, 2.0 * z.imag * w], axis=-1)
             for w in list(weight_vectors(4).T.astype(float)) + [np.ones(6)]]
     if include_quadric:
         qprime = z[..., ::-1] * np.array([1, -1, 1, 1, -1, 1])
         rows.append(np.concatenate([qprime.real, -qprime.imag], axis=-1))
         rows.append(np.concatenate([qprime.imag, qprime.real], axis=-1))
-    # SVD, not the Gram route: these rows have exact zero singular values, which Gram reads as ~1e-8.
-    singular = np.linalg.svd(np.stack(rows, axis=-2), compute_uv=False)
-    return 12 - _rank(singular, 1e-6) - 1
+    return np.stack(rows, axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -763,14 +733,14 @@ def sample_for_kind(kind: str, rng: np.random.Generator, count: int | None = Non
     """Draw one fiber point of the given kind, shape (6,), or count points, (count, 6).
 
     The one sampler entry of the CLI and the acceptance suite; for 'mq5'
-    see sample_fiber5.
+    see sample_fiber5.  The sections 'm3' and 'm2' are from_three_sphere of
+    uniform S^3 points, turned onto the surface section for 'm2'.
     """
     if kind == "mq7":
         return sample_fiber7(rng, count=count)
     if kind == "mq5":
         return sample_fiber5(rng, count=count)
-    if kind == "m2":
-        return sample_surface_section(rng, count=count)
-    if kind == "m3":
-        return sample_sphere_section(rng, count=count)
+    if kind in ("m2", "m3"):
+        g = random_three_sphere(rng, count)
+        return from_three_sphere(_surface_turn(g) if kind == "m2" else g)
     raise ValueError(f"unknown fiber kind {kind!r}")

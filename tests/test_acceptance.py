@@ -198,6 +198,21 @@ def test_criterion_07_fiber5_certificates():
     assert result.details["max_moment_residual"] <= 1e-10
     assert result.details["max_surface_roundtrip"] <= 1e-10
     assert result.details["max_sphere_roundtrip"] <= 1e-10
+    assert result.details["max_section_s3_section_roundtrip"] <= 1e-10
+    assert result.details["max_s3_section_s3_roundtrip"] <= 1e-10
+
+
+@pytest.mark.parametrize("name,mutant,detail", [
+    ("from_three_sphere", lambda real: lambda g: real(np.asarray(g)[..., ::-1]),
+     "max_section_s3_section_roundtrip"),
+    ("to_three_sphere", lambda real: lambda section: 1j * real(section), "max_s3_section_s3_roundtrip"),
+], ids=["inverse-swaps-u-and-v", "map-turns-by-i"])
+def test_criterion_07_fails_when_the_three_sphere_maps_disagree(monkeypatch, name, mutant, detail):
+    # A wrong inverse of the S^3 map, or a wrong map, shows in the round trip from its side.
+    monkeypatch.setattr(acceptance.fb, name, mutant(getattr(acceptance.fb, name)))
+    result = acceptance.check_fiber5(SEED, SAMPLES)
+    assert not result.passed
+    assert result.details[detail] > 1e-3
 
 
 def test_criterion_08_complete_intersection():
@@ -464,9 +479,6 @@ UNCONSUMED = {
                              "classify workload calls it",
     "projective_bruteforce_verdicts": "the brute-force oracle's Fraction entry; criterion 6 "
                                       "calls its integer core, _bruteforce_verdicts",
-    "hopf_projection": "the paper's projection of the sphere section to CP^2; ROADMAP item 1 (d) "
-                       "generalises it or moves it into the tests",
-    "to_three_sphere": "the sphere section onto S^3; ROADMAP item 1 (d), as hopf_projection",
     "build_certificate": "the one-point view of certify; perfbench's tracer looks it up",
     "jacobian_rank": "the one-point chart Jacobian rank; perfbench's tracer looks it up",
 }

@@ -222,15 +222,14 @@ def test_curve_domain_errors():
 
 # -- surface and sphere sections --------------------------------------------
 
-def close_phase(r0, r1, branch=1):
-    """fibers4._close_phase, or None where it refuses the moduli.  Moduli
-    with no closure give a point off the surface, or NaN (0/0 on the circle
-    and past the sphere bound), and the section check refuses either."""
-    with np.errstate(all="ignore"):
-        try:
-            return fb._close_phase(r0, r1, branch)
-        except ValueError:
-            return None
+#: The points of S^3 over the three edge circles z0 = 0, z1 = 0 and z2 = 0:
+#: the Hopf circles v = 0, u = 0 and u = v.
+HOPF_CIRCLE_POINTS = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]) / np.sqrt([[1.0], [1.0], [2.0]])
+
+
+def turned(section, lam):
+    """The sphere section with its head turned by the common phase lam, through S^3."""
+    return fb.from_three_sphere(lam * fb.to_three_sphere(section))
 
 
 def test_surface_section_circle_case():
@@ -238,28 +237,6 @@ def test_surface_section_circle_case():
     assert section[0] == pytest.approx(section[1])
     assert abs(section[0] - S6) < 1e-12
     assert on_circle(section)
-
-
-def test_surface_section_branches_conjugate():
-    plus = fb._close_phase(0.25, 0.30, 1)
-    minus = fb._close_phase(0.25, 0.30, -1)
-    assert plus[0] == pytest.approx(np.conj(minus[0]))
-    assert plus[1] == pytest.approx(np.conj(minus[1]))
-
-
-def test_surface_section_infeasible():
-    assert close_phase(0.05, 0.55) is None  # the three products violate the triangle bound
-    assert close_phase(0.7, 0.7) is None    # past the sphere bound
-
-
-@pytest.mark.parametrize("r0, r1", [(S6, S6), (0.7, 0.7), (2.225073858507203e-309, 0.59375)],
-                         ids=["circle", "past-sphere-bound", "subnormal"])
-def test_close_phase_refuses_degenerate_moduli_without_a_warning(r0, r1):
-    # The closing term is 0/0, or a subnormal over its own modulus; under
-    # filterwarnings = error a RuntimeWarning would reach the caller in place
-    # of the section check's ValueError.
-    with pytest.raises(ValueError):
-        fb._close_phase(r0, r1, 1)
 
 
 def test_surface_section_vanishing_first_coordinate():
@@ -286,10 +263,13 @@ def test_surface_section_vanishing_first_coordinate():
 
 
 def test_surface_sampler_residuals(rng):
-    for _ in range(200):
-        section = fb.sample_surface_section(rng)
-        assert plucker_relation_residual(section) <= 1e-10
-        assert not on_circle(section)
+    sections = fb.sample_for_kind("m2", rng, 3000)
+    assert sections.shape == (3000, 6)
+    assert np.max(plucker_relation_residual(sections)) <= 1e-10
+    assert not np.any(on_circle(sections))
+    assert np.min(np.abs(sections[:, 0])) > 0.0 and np.min(np.abs(sections[:, 2])) > 0.0
+    # the surface section's z2 is real and nonnegative, to rounding
+    assert np.max(np.abs(sections[:, 2].imag)) <= 1e-15 and np.min(sections[:, 2].real) > 0.0
 
 
 def test_surface_circle_structure():
@@ -303,20 +283,16 @@ def test_surface_circle_structure():
 
 
 def test_sphere_section_rotation_invariance(rng):
-    section = fb.sample_surface_section(rng)
-    rotated = fb.rotate_section(section, np.exp(1.3j))
+    section = fb.sample_for_kind("m3", rng)
+    rotated = turned(section, np.exp(1.3j))
     assert plucker_relation_residual(rotated) <= 1e-10
-    identity = fb.rotate_section(section, 1.0)
-    assert np.allclose(identity, section)
-
-
-def test_rotate_section_rejects_point_off_quadric(rng):
-    with pytest.raises(ValueError, match="surface equation"):
-        fb.rotate_section(fb.sample_fiber7(rng), np.exp(1.3j))
+    assert np.max(np.abs(rotated[:3] - np.exp(1.3j) * section[:3])) <= 1e-15
+    assert np.max(np.abs(rotated[3:] - section[3:])) <= 1e-15
+    assert np.max(np.abs(turned(section, 1.0) - section)) <= 1e-15
 
 
 def test_sphere_section_circle_point():
-    coords = fb.rotate_section(fb.surface_circle(0.7), np.exp(1.3j))
+    coords = turned(fb.surface_circle(0.7), np.exp(1.3j))
     phase = np.exp(2.0j)
     assert coords[0] == pytest.approx(phase / math.sqrt(6))
     assert coords[1] == pytest.approx(phase / math.sqrt(6))
@@ -328,15 +304,14 @@ def test_sphere_section_circle_point():
 # -- torus parametrizations of the 5-fiber -----------------------------------
 
 def test_surface_param_identity(rng):
-    section = fb.sample_surface_section(rng)
+    section = fb.sample_for_kind("m2", rng)
     point = fb.surface_torus_param(section, np.ones(3))
     assert np.allclose(point, section)
     assert fb.surface_roundtrip_error(point.tolist()) <= 1e-10
 
 
 def test_surface_param_invariants(rng):
-    for _ in range(200):
-        section = fb.sample_surface_section(rng)
+    for section in fb.sample_for_kind("m2", rng, 200):
         phases = fb.random_phases(rng, 3)
         point = fb.surface_torus_param(section, phases)
         res = fb.fiber5_residuals(point)
@@ -370,14 +345,13 @@ def test_torus_preimages_reject_points_off_quadric(rng):
 def test_sphere_param_preserves_quadric_for_distinct_phases(rng):
     # Regression guard: the torus weights on z4 and z5 must pair with t2
     # and t1 respectively, otherwise the quadric breaks.
-    section = fb.sample_sphere_section(rng)
+    section = fb.sample_for_kind("m3", rng)
     point = fb.sphere_torus_param(section, np.exp(0.9j), np.exp(-1.7j))
     assert plucker_relation_residual(point) <= 1e-12
 
 
 def test_sphere_param_invariants(rng):
-    for _ in range(200):
-        section = fb.sample_sphere_section(rng)
+    for section in fb.sample_for_kind("m3", rng, 200):
         t1, t2 = fb.random_phases(rng, 2)
         point = fb.sphere_torus_param(section, t1, t2)
         res = fb.fiber5_residuals(point)
@@ -389,7 +363,7 @@ def test_sphere_param_invariants(rng):
 
 def test_sphere_param_injectivity(rng):
     t1, t2 = fb.random_phases(rng, (2, 300))
-    points = fb.sphere_torus_param(fb.sample_sphere_section(rng, count=300), t1, t2)
+    points = fb.sphere_torus_param(fb.sample_for_kind("m3", rng, 300), t1, t2)
     flattened = points.reshape(len(points), -1)
     gram = np.abs(flattened.conj() @ flattened.T)
     np.fill_diagonal(gram, 0.0)
@@ -418,13 +392,10 @@ def test_base_projection_vanishing_z1():
 
 
 def test_base_projection_injective_off_circle(rng):
-    for _ in range(300):
-        first = fb.sample_surface_section(rng)
-        second = fb.sample_surface_section(rng)
-        if abs(first[0] - second[0]) + abs(first[1] - second[1]) < 1e-8:
-            continue
-        dist = projective_distance(fb.base_projection(first), fb.base_projection(second))
-        assert dist > 1e-12
+    first, second = (fb.sample_for_kind("m2", rng, 300) for _ in range(2))
+    distinct = np.abs(first[:, 0] - second[:, 0]) + np.abs(first[:, 1] - second[:, 1]) >= 1e-8
+    distances = projective_distance(fb.base_projection(first), fb.base_projection(second))
+    assert np.count_nonzero(distinct) == 300 and np.min(distances) > 1e-12
 
 
 def test_base_projection_degenerate_error():
@@ -432,24 +403,28 @@ def test_base_projection_degenerate_error():
         fb.base_projection(np.zeros(6, dtype=complex))
 
 
+def hopf_projection(point):
+    """The Hopf-style projection to CP^2, (z1|z4| : z0|z5| : z2|z3|): the
+    oracle of to_three_sphere's CP^1 class.  On section points the surface
+    equation makes it lie on the line c0 - c1 - c2 = 0."""
+    z = np.asarray(point)
+    return normalize_projective(z[..., [1, 0, 2]] * np.abs(z[..., [4, 5, 3]]))
+
+
 def test_hopf_projection_line(rng):
-    for _ in range(100):
-        section = fb.sample_sphere_section(rng)
-        c = fb.hopf_projection(section)
-        assert abs(c[0] - c[1] - c[2]) <= 1e-10
+    c = hopf_projection(fb.sample_for_kind("m3", rng, 100))
+    assert np.max(np.abs(c[:, 0] - c[:, 1] - c[:, 2])) <= 1e-10
 
 
 def test_hopf_projection_circle_point():
-    circle = fb.rotate_section(fb.surface_circle(0.4), np.exp(0.9j))
-    image = fb.hopf_projection(circle)
+    image = hopf_projection(turned(fb.surface_circle(0.4), np.exp(0.9j)))
     assert projective_distance(image, normalize_projective([1.0, 1.0, 0.0])) <= 1e-10
 
 
 def test_hopf_projection_phase_invariant(rng):
-    section = fb.sample_sphere_section(rng)
-    rotated = fb.rotate_section(section, np.exp(0.77j))
-    assert projective_distance(fb.hopf_projection(section),
-                               fb.hopf_projection(rotated)) <= 1e-10
+    section = fb.sample_for_kind("m3", rng)
+    assert projective_distance(hopf_projection(section),
+                               hopf_projection(turned(section, np.exp(0.77j)))) <= 1e-10
 
 
 def test_three_sphere_map(rng):
@@ -459,23 +434,62 @@ def test_three_sphere_map(rng):
     section = fb.edge_fibers()[1].base  # z1 = 0
     g = fb.to_three_sphere(section)
     assert abs(g[0]) < 1e-12 and abs(abs(g[1]) - 1.0) < 1e-12
-    for _ in range(100):
-        s = fb.sample_sphere_section(rng)
-        g = fb.to_three_sphere(s)
-        assert abs(np.linalg.norm(g) - 1.0) <= 1e-12
+    g = fb.to_three_sphere(fb.sample_for_kind("m3", rng, 100))
+    assert np.max(np.abs(np.linalg.norm(g, axis=-1) - 1.0)) <= 1e-12
 
 
 def test_three_sphere_equivariance_and_diagram(rng):
-    for _ in range(100):
-        section = fb.sample_sphere_section(rng)
-        lam = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        rotated = fb.rotate_section(section, lam)
-        left = fb.to_three_sphere(rotated)
-        right = lam * fb.to_three_sphere(section)
-        assert np.max(np.abs(left - right)) <= 1e-10
-        # the CP^1 class of the 3-sphere image is the truncated Hopf image
-        hopf = fb.hopf_projection(section)
-        assert projective_distance(fb.to_three_sphere(section), hopf[:2]) <= 1e-10
+    # Turning the head coordinates by lam turns the S^3 point by lam, both ways.
+    sections = fb.sample_for_kind("m3", rng, 100)
+    lam = np.exp(1j * rng.uniform(0, 2 * np.pi, size=(100, 1)))
+    heads_turned = np.concatenate([lam * sections[:, :3], sections[:, 3:]], axis=-1)
+    assert np.max(np.abs(fb.to_three_sphere(heads_turned) - lam * fb.to_three_sphere(sections))) <= 1e-10
+    assert np.max(np.abs(fb.from_three_sphere(lam * fb.to_three_sphere(sections)) - heads_turned)) <= 1e-10
+    # the CP^1 class of the 3-sphere image is the truncated Hopf image
+    hopf = hopf_projection(sections)
+    assert np.max(projective_distance(fb.to_three_sphere(sections), hopf[:, :2])) <= 1e-10
+
+
+# -- the inverse of the 3-sphere map -------------------------------------------
+
+def test_three_sphere_round_trips():
+    # S^3 -> section -> S^3 on uniform points, the Hopf-circle points, their
+    # negatives and points with one small component, where the cancelling form
+    # r^2 = (sqrt(c^2 + 4p^2) - c)/2 would lose 4.6e-13; section -> S^3 ->
+    # section on sampled sphere sections.
+    rng = np.random.default_rng(32)
+    small = np.array([[math.sqrt(1.0 - 1e-12), 1e-6], [1e-6j, math.sqrt(1.0 - 1e-12)], [1.0, 1e-12]])
+    g = np.concatenate([fb.random_three_sphere(rng, 20000), HOPF_CIRCLE_POINTS, -HOPF_CIRCLE_POINTS, small])
+    sections = fb.from_three_sphere(g)
+    assert np.max(np.abs(fb.to_three_sphere(sections) - g)) <= 1e-14
+    assert np.max(np.abs(np.sum(np.abs(sections[:, :3]) ** 2, axis=-1) - 1 / 3)) <= 1e-15
+    assert np.max(plucker_relation_residual(sections)) <= 1e-15
+    spheres = fb.sample_for_kind("m3", rng, 5000)
+    assert np.max(np.abs(fb.from_three_sphere(fb.to_three_sphere(spheres)) - spheres)) <= 1e-14
+
+
+def test_edge_circle_bases_are_the_hopf_circle_images():
+    # The hand-written bases of edge_fibers are the independent side.
+    bases = np.array([fiber.base for fiber in fb.edge_fibers()])
+    assert np.max(np.abs(fb.from_three_sphere(HOPF_CIRCLE_POINTS) - bases)) <= 2e-16
+
+
+def test_the_z1_zero_edge_point_is_a_section_point():
+    # Here the surface equation's triangle of products |z0||z5|, |z2||z3|,
+    # |z1||z4| is degenerate (the third is 0, the first two equal), the point
+    # where an angle closing that triangle is worst conditioned.
+    point = fb.from_three_sphere([0.0, 1.0])
+    assert point[1] == 0
+    assert abs(abs(point[0]) ** 2 - 1 / 6) <= 1e-16
+    assert plucker_relation_residual(point) <= 1e-15
+    assert np.max(np.abs(simplex_moment(point) - np.array(fb.EDGE_IMAGES[1], dtype=float))) <= 1e-15
+
+
+@pytest.mark.parametrize("g", [[1.0, 1.0], [0.6, 0.0], [float("nan"), 0.0], [1.0, 0.0, 0.0]],
+                         ids=["long", "short", "nan", "three-coordinates"])
+def test_from_three_sphere_refuses_points_off_the_sphere(g):
+    with pytest.raises(ValueError, match="unit sphere in C\\^2"):
+        fb.from_three_sphere(g)
 
 
 # -- edge fibers -------------------------------------------------------------
@@ -698,6 +712,13 @@ def gaussian_integers(rng, shape):
     return np.where(rng.random(shape) < 0.5, 0, values)
 
 
+def plucker_minors(planes):
+    """The six 2 x 2 minors, in pairs_lex order, of (N, 2, 4) plane matrices."""
+    u, v = planes[:, 0], planes[:, 1]
+    return np.stack([u[:, i - 1] * v[:, j - 1] - u[:, j - 1] * v[:, i - 1] for i, j in pairs_lex(4)],
+                    axis=-1)
+
+
 def test_tangent_dimension_is_the_exact_orbit_codimension():
     """The float tangent dimension against the exact one at every orbit
     dimension: with Gaussian-integer coordinates the support is exact, and
@@ -707,10 +728,7 @@ def test_tangent_dimension_is_the_exact_orbit_codimension():
     the Plücker minors have exact supports too."""
     rng = np.random.default_rng(16)
     general = gaussian_integers(rng, (5000, 6))
-    planes = gaussian_integers(rng, (5000, 2, 4))
-    u, v = planes[:, 0], planes[:, 1]
-    minors = np.stack([u[:, i - 1] * v[:, j - 1] - u[:, j - 1] * v[:, i - 1] for i, j in pairs_lex(4)],
-                      axis=-1)
+    minors = plucker_minors(gaussian_integers(rng, (5000, 2, 4)))
     rank = functools.cache(lambda support: orbit_dimension(support, 4))
     for points, quadric, top in ((general, False, 10), (minors, True, 8)):
         points = points[np.any(points != 0, axis=-1)]
@@ -720,6 +738,36 @@ def test_tangent_dimension_is_the_exact_orbit_codimension():
         counts = collections.Counter(expected)
         assert set(counts) == set(range(top - 3, top + 1))
         assert min(counts.values()) >= 400
+
+
+def constraint_values(x):
+    """The constraints of tangent_fiber_dimension at real points x = (Re z, Im z),
+    shape (..., 12): the moment coordinates, each the sum of |z_ij|^2 over the
+    pairs ij holding it, then |z|^2, then the real and imaginary parts of the
+    plane quadric z0*z5 + z2*z3 - z1*z4."""
+    z = x[..., :6] + 1j * x[..., 6:]
+    squares = np.abs(z) ** 2
+    moment = [sum(squares[..., k] for k, pair in enumerate(pairs_lex(4)) if i in pair) for i in range(1, 5)]
+    quadric = z[..., 0] * z[..., 5] + z[..., 2] * z[..., 3] - z[..., 1] * z[..., 4]
+    return np.stack([*moment, squares.sum(axis=-1), quadric.real, quadric.imag], axis=-1)
+
+
+def test_constraint_rows_match_finite_differences():
+    """The rows whose rank gives the tangent dimension against central differences
+    of the constraints, at seeded 5-fiber points and at unit-normalized Plücker
+    images of seeded Gaussian-integer planes, every orbit dimension among them."""
+    rng = np.random.default_rng(91)
+    minors = plucker_minors(gaussian_integers(rng, (400, 2, 4)))
+    minors = minors[np.any(minors != 0, axis=-1)]
+    points = np.concatenate([fb.sample_fiber5(rng, 200),
+                             minors / np.linalg.norm(minors, axis=-1, keepdims=True)])
+    x = np.concatenate([points.real, points.imag], axis=-1)[:, None, :]
+    step = 1e-6 * np.eye(12)
+    fd = ((constraint_values(x + step) - constraint_values(x - step)) / 2e-6).swapaxes(-1, -2)
+    rows = fb._constraint_rows(points, include_quadric=True)
+    assert rows.shape == fd.shape == (len(points), 7, 12)
+    assert np.max(np.abs(rows - fd)) <= 1e-8
+    assert np.array_equal(fb._constraint_rows(points, include_quadric=False), rows[:, :5])
 
 
 # -- the second orbit ---------------------------------------------------------
@@ -772,13 +820,13 @@ def test_second_orbit_fiber5(rng):
 
 def test_second_orbit_roundtrips(rng):
     # A mirror point swapped back recovers the parameters it was built from.
-    section = fb.sample_surface_section(rng)
+    section = fb.sample_for_kind("m2", rng)
     phases = fb.random_phases(rng, 3)
     mirror = fb.orbit_swap(fb.surface_torus_param(section, phases))
     recovered, t = fb.surface_torus_preimage(fb.orbit_swap(mirror))
     assert np.max(np.abs(recovered[:2] - section[:2])) <= 1e-10
     assert np.max(np.abs(t - phases)) <= 1e-10
-    sphere = fb.sample_sphere_section(rng)
+    sphere = fb.sample_for_kind("m3", rng)
     t1, t2 = fb.random_phases(rng, 2)
     mirror = fb.orbit_swap(fb.sphere_torus_param(sphere, t1, t2))
     recovered, s1, s2 = fb.sphere_torus_preimage(fb.orbit_swap(mirror))
@@ -908,52 +956,18 @@ def test_certificate_names_failed_checks(rng):
     assert ok and "failed_checks" not in passing
 
 
-def test_surface_sampler_batch_keeps_thresholds(rng, monkeypatch):
-    sections = fb.sample_surface_section(rng, count=3000)
-    assert sections.shape == (3000, 6)
-    assert not np.any(on_circle(sections))
-    assert np.max(plucker_relation_residual(sections)) <= 1e-10
-    assert np.min(np.abs(sections[:, 0])) > 0.0 and np.min(np.abs(sections[:, 2])) > 0.0
-    monkeypatch.setattr(fb, "_SURFACE_TRIALS", 0)
-    with pytest.raises(RuntimeError):
-        fb.sample_surface_section(rng)
-
-
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_surface_sampler_keeps_the_first_accepted_draws(monkeypatch, seed):
-    """A batch keeps the first 1,000 accepted pairs of one uniform stream, in
-    order, whatever the block sizes, and sizes its blocks from the share it
-    has kept: two or three blocks, not one per doubling of the rest."""
-    stream = np.random.default_rng(seed).uniform(0.0, math.sqrt(1.0 / 3.0), size=(20000, 2))
-    big0, middle, cos_phi = fb._closure_terms(*stream.T)
-    ok = ((np.sum(stream ** 2, axis=1) <= 1.0 / 3.0) & (middle >= 1e-6) & (big0 >= 1e-9)
-          & (np.abs(cos_phi) <= 1.0 - 1e-9))
-    blocks = []
-    closure_terms = fb._closure_terms
-
-    def counting(r0, r1):
-        blocks.append(np.size(r0))
-        return closure_terms(r0, r1)
-
-    monkeypatch.setattr(fb, "_closure_terms", counting)
-    sections = fb.sample_surface_section(np.random.default_rng(seed), count=1000)
-    np.testing.assert_allclose(np.abs(sections[:, :2]), stream[ok][:1000], rtol=1e-15, atol=0)
-    assert 2 <= len(blocks) - 1 <= 3  # the last call closes the phases of the kept pairs
-    assert sum(blocks[:-1]) <= 1.25 * np.flatnonzero(ok)[999]
-
-
-def test_surface_sampler_refuses_at_its_budget_when_nothing_is_kept(monkeypatch):
-    drawn = []
-
-    def rejecting(r0, r1):
-        drawn.append(np.size(r0))
-        return r0, r0, np.full_like(r0, 2.0)  # |cos(phi)| > 1: no closure
-
-    monkeypatch.setattr(fb, "_closure_terms", rejecting)
-    monkeypatch.setattr(fb, "_SURFACE_TRIALS", 50)
-    with pytest.raises(RuntimeError, match="trial budget"):
-        fb.sample_surface_section(np.random.default_rng(0), count=7)
-    assert sum(drawn) == 350 and len(drawn) > 1
+@pytest.mark.parametrize("kind", ["m2", "m3", "mq5"])
+def test_section_samplers_reject_no_draw(kind):
+    """Each point takes a fixed set of draws, so a batch of 1,000 leaves the
+    generator where those draws leave it: no candidate is drawn and refused."""
+    sampled, reference = np.random.default_rng(7), np.random.default_rng(7)
+    fb.sample_for_kind(kind, sampled, 1000)
+    if kind == "mq5":
+        reference.uniform(size=1000)
+    reference.normal(size=(2, 1000, 2))
+    if kind == "mq5":
+        reference.uniform(size=(1000, 3))
+    assert sampled.bit_generator.state == reference.bit_generator.state
 
 
 # -- NaN never passes a guard ---------------------------------------------------
@@ -968,7 +982,8 @@ def test_nan_head_is_refused():
         fb.tail_magnitudes(float("nan"), 0.0, 0.0)
     with pytest.raises(ValueError):
         fb.surface_circle(float("nan"))
-    assert close_phase(float("nan"), 0.1) is None
+    with pytest.raises(ValueError):
+        fb.from_three_sphere([float("nan"), 1.0])
 
 
 def test_nan_chart_point_is_refused_by_jacobian_rank():
@@ -986,13 +1001,11 @@ def test_nan_point_is_refused_by_certificates(rng):
         fb.build_certificate("mq5", points[1])
 
 
-# -- degenerate branches of the surface section ---------------------------------
+# -- degenerate points of the sections -----------------------------------------------
 
-ROOT_SIXTH = math.sqrt(1 / 6)
-near_root = st.one_of(st.just(ROOT_SIXTH),
-                      st.floats(ROOT_SIXTH - 1e-10, ROOT_SIXTH + 1e-10),
-                      st.floats(0.0, math.sqrt(1 / 3)))
 phase = st.floats(0.0, 2.0 * math.pi)
+angle = st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2]), st.floats(0.0, math.pi / 2),
+                  st.floats(math.pi / 4 - 1e-12, math.pi / 4 + 1e-12), st.floats(0.0, 1e-9))
 
 
 def _check_section(section, r0, r1):
@@ -1000,50 +1013,46 @@ def _check_section(section, r0, r1):
     assert plucker_relation_residual(section) <= 1e-10
 
 
-@given(r0=st.floats(0.0, 0.6), r1=st.floats(0.0, 0.6), branch=st.sampled_from([1, -1]))
+@given(theta=angle, alpha=phase, beta=phase)
 @settings(max_examples=200, deadline=None)
-def test_surface_section_valid_or_refused(r0, r1, branch):
-    section = close_phase(r0, r1, branch)
-    if section is not None:
-        _check_section(section, r0, r1)
+def test_three_sphere_inverse_at_every_point(theta, alpha, beta):
+    # g = (cos(theta) e^(i alpha), sin(theta) e^(i beta)), the Hopf circles
+    # and their neighbourhoods included: a section point that maps back to g,
+    # and conjugation commutes with the inverse.
+    g = np.array([math.cos(theta) * np.exp(1j * alpha), math.sin(theta) * np.exp(1j * beta)])
+    section = fb.from_three_sphere(g)
+    assert abs(np.sum(np.abs(section[:3]) ** 2) - 1 / 3) <= 1e-15
+    assert plucker_relation_residual(section) <= 1e-15
+    assert np.max(np.abs(fb.to_three_sphere(section) - g)) <= 1e-14
+    assert np.max(np.abs(fb.from_three_sphere(g.conj()) - section.conj())) <= 1e-15
 
 
-@given(theta=st.one_of(st.just(math.pi / 4), st.floats(0.0, math.pi / 2),
-                       st.floats(math.pi / 4 - 1e-12, math.pi / 4 + 1e-12)),
-       psi=phase)
+@given(psi=phase)
 @settings(max_examples=100, deadline=None)
-def test_surface_section_circle_branch(theta, psi):
-    # On r0^2 + r1^2 = 1/3 the middle product vanishes; closure needs r0 = r1,
-    # and the surface points there are the circle, which projects to (1 : 1).
+def test_surface_section_circle_branch(psi):
+    # The circle z2 = 0 of the surface section is the image of the Hopf
+    # circle u = v, and the base projection collapses it to (1 : 1).
     target = normalize_projective([1.0, 1.0])
-    r0, r1 = math.sqrt(1 / 3) * math.cos(theta), math.sqrt(1 / 3) * math.sin(theta)
-    section = close_phase(r0, r1)
-    if section is not None:
-        assert abs(r0 - r1) <= 1e-9
-        _check_section(section, r0, r1)
-        assert on_circle(section) and abs(section[2]) <= 1e-8
-        assert projective_distance(fb.base_projection(section), target) <= 1e-9
     circle = fb.surface_circle(psi)
     _check_section(circle, S6, S6)
     assert on_circle(circle) and abs(circle[2]) == 0.0
     assert projective_distance(fb.base_projection(circle), target) <= 1e-12
+    image = fb.from_three_sphere(np.exp(1j * psi) * HOPF_CIRCLE_POINTS[2])
+    assert np.max(np.abs(image - circle)) <= 1e-15
 
 
-@given(r=near_root, vanishing=st.sampled_from([0, 1]), taus=st.tuples(phase, phase, phase))
+@given(vanishing=st.sampled_from([0, 1]), taus=st.tuples(phase, phase, phase))
 @settings(max_examples=150, deadline=None)
-def test_surface_section_vanishing_head_branch(r, vanishing, taus):
-    # With one head modulus 0 the closure forces the other to |z|^2 = 1/6:
-    # those surface points are the edge circles, and the base projection
-    # lands on (1 : 0) or (0 : 1).
+def test_surface_section_vanishing_head_branch(vanishing, taus):
+    # Where one head coordinate vanishes, the other has |z|^2 = 1/6: those
+    # section points are the edge circles, the images of the Hopf circles
+    # v = 0 and u = 0, and the base projection lands on (1 : 0) or (0 : 1).
     target = normalize_projective([1.0, 0.0] if vanishing == 0 else [0.0, 1.0])
-    r0, r1 = (0.0, r) if vanishing == 0 else (r, 0.0)
-    on_edge = (0.0, ROOT_SIXTH) if vanishing == 0 else (ROOT_SIXTH, 0.0)
-    section = close_phase(r0, r1)
-    if section is not None:
-        _check_section(section, r0, r1)
-        assert abs(r * r - 1 / 6) <= 1e-9
-        assert section[vanishing] == 0
-        assert projective_distance(fb.base_projection(section), target) <= 1e-12
+    on_edge = (0.0, S6) if vanishing == 0 else (S6, 0.0)
+    section = fb.from_three_sphere(np.exp(1j * taus[0]) * HOPF_CIRCLE_POINTS[vanishing])
+    _check_section(section, *on_edge)
+    assert section[vanishing] == 0
+    assert projective_distance(fb.base_projection(section), target) <= 1e-12
     point = fb.edge_fibers()[vanishing].sample(np.exp(1j * np.array(taus)))
     _check_section(point, *on_edge)
     assert point[vanishing] == 0
