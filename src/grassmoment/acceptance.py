@@ -333,13 +333,16 @@ def check_center_parity(seed: int, samples: int) -> tuple[bool, dict]:
 @_criterion(11, "tangent dimension counts", "dimensions")
 def check_dimension_counts(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 11: tangent dimensions 7 and 5 at the first count points of
-    each seeded batch, drawn max(samples, count) long so none falls short."""
+    each seeded batch, drawn max(samples, count) long so none falls short, and
+    the 5-fiber's constraint rows within 1e-8 of central differences there."""
     count = max(samples // 10, 100)
+    mq5 = _once(_batch, "mq5", seed, max(samples, count))[:count]
     dims7 = set(fb.tangent_fiber_dimension(_once(_batch, "mq7", seed, max(samples, count))[:count]).tolist())
-    dims5 = set(fb.tangent_fiber_dimension(_once(_batch, "mq5", seed, max(samples, count))[:count],
-                                           include_quadric=True).tolist())
-    passed = dims7 == {7} and dims5 == {5}
-    details = {"points_each": count, "dims7": sorted(dims7), "dims5": sorted(dims5)}
+    dims5 = set(fb.tangent_fiber_dimension(mq5, include_quadric=True).tolist())
+    max_fd_gap = fb.constraint_fd_gap(mq5)
+    passed = dims7 == {7} and dims5 == {5} and max_fd_gap <= 1e-8
+    details = {"points_each": count, "dims7": sorted(dims7), "dims5": sorted(dims5),
+               "max_fd_gap": max_fd_gap}
     return passed, details
 
 

@@ -21,7 +21,9 @@ All numerics work along the last axis: one point has shape (6,) and N
 points (N, 6), section points included; a chart point is its four complex
 chart coordinates, shape (4,) or (N, 4).  A run is drawn by one
 ``sample_for_kind(kind, rng, count)`` and certified by one ``certify``;
-the one-point helpers are the N = 1 case of the same code.
+the one-point helpers are the N = 1 case of the same code.  A batch is
+handled by columns: per-point reductions fold its few columns elementwise
+(``plucker._fold``), and ``Certificates.json_rows`` encodes each column once.
 
 The level q enters only through c = 1 - q1 - q2 = 1/9 (``TAIL_GAP``) of the
 tail rule |z_(5-k)|^2 = |z_k|^2 + c and R = (1 - 3c)/2 = 1/3 (``HEAD_RADIUS2``),
@@ -32,15 +34,16 @@ sqrt(R) and sqrt(R/2) round to other floats and would move every sampled bit.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .exactgeom import Vector
+from .exactgeom import Vector, pairs_lex
 from .moment import hypersimplex_moment, weight_vectors
-from .plucker import as_coords6, chart_array, normalize_projective, plucker_relation_residual
+from .plucker import _fold, as_coords6, chart_array, normalize_projective, plucker_relation_residual
 from .regularity import CHAMBER_POINT_MINUS
 
 F = Fraction
@@ -120,7 +123,7 @@ def tail_magnitudes(z0, z1, z2, tol: float = 1e-10) -> tuple:
     by the one tail rule |z_(5-k)|^2 = |z_k|^2 + c (c = 1/9), on the head
     sphere |z0|^2 + |z1|^2 + |z2|^2 = R (R = 1/3), required to within tol."""
     s = np.abs(_stack(z0, z1, z2)) ** 2
-    if not np.all(np.abs(np.sum(s, axis=-1) - HEAD_RADIUS2) <= tol):
+    if not np.all(np.abs(_fold("sum", s) - HEAD_RADIUS2) <= tol):
         raise ValueError("head coordinates do not satisfy the sphere constraint")
     return _split(np.sqrt(s[..., ::-1] + TAIL_GAP))
 
@@ -148,7 +151,7 @@ def fiber7_preimage(z):
 def random_sphere_triple(rng: np.random.Generator, count: int | None = None) -> tuple:
     """Uniform point (or count points) of the radius 1/sqrt(3) sphere in C^3."""
     v = rng.normal(size=_shape(count, 3)) + 1j * rng.normal(size=_shape(count, 3))
-    v *= 1.0 / (math.sqrt(1.0 / HEAD_RADIUS2) * np.linalg.norm(v, axis=-1, keepdims=True))
+    v *= 1.0 / (math.sqrt(1.0 / HEAD_RADIUS2) * _fold("norm", v, keepdims=True))
     return _split(v)
 
 
@@ -172,8 +175,8 @@ def _roundtrip_error(z, preimage, param, recovered=True):
     rebuilt = param(*params)
     recovery = np.concatenate([np.reshape(again - first, z.shape[:-1] + (-1,))
                                for first, again in zip(params, preimage(rebuilt))], axis=-1)
-    error = np.max(np.abs(rebuilt - z), axis=-1)
-    return np.where(recovered, np.maximum(error, np.max(np.abs(recovery), axis=-1)), error)[()]
+    error = _fold("max", np.abs(rebuilt - z))
+    return np.where(recovered, np.maximum(error, _fold("max", np.abs(recovery))), error)[()]
 
 
 def fiber7_roundtrip_error(z):
@@ -286,15 +289,16 @@ def sample_fiber5(rng: np.random.Generator, count: int | None = None) -> np.ndar
     equal odds: one uniform draw per point picks it, then each point takes a
     uniform S^3 point (turned onto the surface section for the surface points)
     through from_three_sphere and three uniform phases (t3 unused by the sphere
-    points).  One point is the row of a batch of one, so its bits are the
-    batch's.  A public name because perfbench's tracer looks it up."""
+    points); each map runs on its own points only.  One point is the row of a batch
+    of one, so its bits are the batch's.  perfbench's tracer looks the name up."""
     size = 1 if count is None else count
-    surface = (rng.uniform(size=size) < 0.5)[:, None]
+    surface = rng.uniform(size=size) < 0.5
     g = random_three_sphere(rng, size)
-    sections = from_three_sphere(np.where(surface, _surface_turn(g), g))
-    phases = random_phases(rng, (size, 3))
-    points = np.where(surface, surface_torus_param(sections, phases),
-                      sphere_torus_param(sections, phases[:, 0], phases[:, 1]))
+    g[surface] = _surface_turn(g[surface])
+    sections, phases = from_three_sphere(g), random_phases(rng, (size, 3))
+    points = np.empty((size, 6), dtype=complex)
+    points[surface] = surface_torus_param(sections[surface], phases[surface])
+    points[~surface] = sphere_torus_param(sections[~surface], *phases[~surface, :2].T)
     return points if count is not None else points[0]
 
 
@@ -322,7 +326,7 @@ def _base_products(point) -> np.ndarray:
 def base_projection(point) -> np.ndarray:
     """Bundle projection to CP^1: (z1*|z4| : z0*|z5|), canonically normalized."""
     c = _base_products(point)
-    if not np.all(np.max(np.abs(c), axis=-1) >= 1e-14):
+    if not np.all(_fold("max", np.abs(c)) >= 1e-14):
         raise ValueError("degenerate projection: both products vanish")
     return normalize_projective(c)
 
@@ -336,7 +340,7 @@ def to_three_sphere(section) -> np.ndarray:
     so the image lies exactly on the unit sphere.
     """
     g = _base_products(section)
-    norm = np.linalg.norm(g, axis=-1, keepdims=True)
+    norm = _fold("norm", g, keepdims=True)
     if not np.all(norm > 0.0):
         raise ValueError("degenerate section: z0 = z1 = 0 cannot happen on the fiber")
     return g / norm
@@ -356,7 +360,7 @@ def from_three_sphere(g) -> np.ndarray:
     s = 0 never passes the root; six steps reach it to rounding.
     """
     g = np.asarray(g, dtype=complex)
-    if g.shape[-1:] != (2,) or not np.all(np.abs(np.linalg.norm(g, axis=-1) - 1.0) <= _UNIT_TOL):
+    if g.shape[-1:] != (2,) or not np.all(np.abs(_fold("norm", g) - 1.0) <= _UNIT_TOL):
         raise ValueError("expected points of the unit sphere in C^2")
     u, v = _split(g)
     w = np.stack([v, u, u - v])
@@ -371,7 +375,7 @@ def from_three_sphere(g) -> np.ndarray:
 def random_three_sphere(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
     """Uniform point (or count points) of the unit sphere in C^2, shape (2,) or (count, 2)."""
     g = rng.normal(size=_shape(count, 2)) + 1j * rng.normal(size=_shape(count, 2))
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+    return g / _fold("norm", g, keepdims=True)
 
 
 def _surface_turn(g) -> np.ndarray:
@@ -424,7 +428,7 @@ def affine_representative(z) -> np.ndarray:
     The pivot is coordinate 3, which never vanishes on the fiber.
     """
     w = as_coords6(z)
-    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
+    w = w / _fold("norm", w, keepdims=True)
     pivot = np.abs(w[..., 3])
     if not np.all(pivot > _ZERO_TOL):
         raise ValueError("pivot coordinate vanishes; not a fiber point")
@@ -456,7 +460,7 @@ def complete_intersection_f(a) -> tuple:
     On chart coordinates of fiber points the value is (0, -1, 0).
     """
     a, cross = _chart_cross(a)
-    f1, f2, f3 = _split(np.sum(_CI_WEIGHTS * (np.abs(a) ** 2)[..., None, :], axis=-1))
+    f1, f2, f3 = _split(_fold("sum", _CI_WEIGHTS * (np.abs(a) ** 2)[..., None, :]))
     return f1, f2, f3 + np.abs(cross) ** 2
 
 
@@ -495,14 +499,14 @@ def _chart_checks(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Gram eigenvalues (sigma3/sigma1 to relative error ~eps/(sigma3/sigma1)^2, a true 0 reads ~1e-8);
     raises ValueError for a point further than 1e-8 from (0, -1, 0), where no rank is meant (NaN too)."""
     f = np.stack(complete_intersection_f(a), axis=-1)
-    off = np.max(np.abs(f - F_TARGET), axis=-1)
+    off = _fold("max", np.abs(f - F_TARGET))
     if not np.all(off <= 1e-8):
         raise ValueError("point is not on the equipotential surface (0, -1, 0)")
     return f, off, _gram_singular_values(ci_jacobian(a))
 
 
 def _rank(singular: np.ndarray, tol: float):
-    return np.sum(singular > tol * singular[..., :1], axis=-1)
+    return _fold("sum", singular > tol * singular[..., :1])
 
 
 def jacobian_rank(a):
@@ -569,7 +573,7 @@ def chart_coverage(z) -> ChartCoverage:
     """Certify the chart picture: the tail minors never vanish, and the point
     lies over chart 0 iff z1 is nonzero, over chart 1 iff z0 is nonzero."""
     w = np.abs(as_coords6(z))
-    margin = np.minimum(np.min(w[..., 3:], axis=-1), np.maximum(w[..., 0], w[..., 1]))
+    margin = np.minimum(_fold("min", w[..., 3:]), np.maximum(w[..., 0], w[..., 1]))
     return ChartCoverage(in_chart_m0=w[..., 1] > _COVERAGE_TOL, in_chart_m1=w[..., 0] > _COVERAGE_TOL,
                          margin=margin, ok=margin > _COVERAGE_TOL)
 
@@ -588,7 +592,7 @@ def tangent_fiber_dimension(z, include_quadric: bool = False):
     for r = regularity.orbit_dimension of the support of z.
     """
     z = as_coords6(z)
-    rows = _constraint_rows(z / np.linalg.norm(z, axis=-1, keepdims=True), include_quadric)
+    rows = _constraint_rows(z / _fold("norm", z, keepdims=True), include_quadric)
     # SVD, not the Gram route: these rows have exact zero singular values, which Gram reads as ~1e-8.
     return 12 - _rank(np.linalg.svd(rows, compute_uv=False), 1e-6) - 1
 
@@ -607,6 +611,27 @@ def _constraint_rows(z, include_quadric: bool) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
+def constraint_values(x) -> np.ndarray:
+    """The constraints of tangent_fiber_dimension at real points x = (Re z, Im z),
+    shape (..., 12): the moment coordinates, each the sum of |z_ij|^2 over the
+    pairs ij holding it, then |z|^2, then the real and imaginary parts of the
+    plane quadric z0*z5 + z2*z3 - z1*z4.  The oracle of _constraint_rows."""
+    z = x[..., :6] + 1j * x[..., 6:]
+    squares = np.abs(z) ** 2
+    moment = [sum(squares[..., k] for k, pair in enumerate(pairs_lex(4)) if i in pair) for i in range(1, 5)]
+    quadric = z[..., 0] * z[..., 5] + z[..., 2] * z[..., 3] - z[..., 1] * z[..., 4]
+    return np.stack([*moment, _fold("sum", squares), quadric.real, quadric.imag], axis=-1)
+
+
+def constraint_fd_gap(z) -> float:
+    """Largest gap between the constraint rows, quadric included, and central
+    differences (step 1e-6) of constraint_values at the points z."""
+    z = as_coords6(z)
+    x = np.concatenate([z.real, z.imag], axis=-1)[..., None, :]
+    fd = (constraint_values(x + 1e-6 * np.eye(12)) - constraint_values(x - 1e-6 * np.eye(12))) / 2e-6
+    return float(np.max(np.abs(_constraint_rows(z, True) - fd.swapaxes(-1, -2)), initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # Residuals and certificates
 # ---------------------------------------------------------------------------
@@ -614,19 +639,20 @@ def _constraint_rows(z, include_quadric: bool) -> np.ndarray:
 def moment_residual(z, target):
     """Max-norm distance of the moment image from the chamber point target."""
     target = np.array(target, dtype=float)
-    return np.max(np.abs(hypersimplex_moment(as_coords6(z), 4) - target), axis=-1)
+    return _fold("max", np.abs(hypersimplex_moment(as_coords6(z), 4) - target))
 
 
 def fiber7_residuals(z) -> dict:
     """Norm and moment residuals, the tail rule's residual after unit
     normalization, and the smallest tail modulus."""
     z = as_coords6(z)
-    s = np.abs(z / np.linalg.norm(z, axis=-1, keepdims=True)) ** 2
+    norm = _fold("norm", z, keepdims=True)
+    s = np.abs(z / norm) ** 2
     return {
-        "norm": np.abs(np.linalg.norm(z, axis=-1) - 1.0),
+        "norm": np.abs(norm[..., 0] - 1.0),
         "moment": moment_residual(z, CHAMBER_POINT_MINUS),
-        "magnitudes": np.max(np.abs(s[..., :2:-1] - s[..., :3] - TAIL_GAP), axis=-1),
-        "min_tail": np.min(np.abs(z[..., 3:]), axis=-1),
+        "magnitudes": _fold("max", np.abs(s[..., :2:-1] - s[..., :3] - TAIL_GAP)),
+        "min_tail": _fold("min", np.abs(z[..., 3:])),
     }
 
 
@@ -641,7 +667,7 @@ def fiber5_residuals(z) -> dict:
 
 @dataclass(frozen=True)
 class Certificates:
-    """Certificates of N fiber points as arrays; ``to_json`` is their one JSON-ready tree.
+    """Certificates of N fiber points as arrays, column by column; ``json_rows`` is their JSON text.
 
     ``checks`` maps each check to (value, tolerance, pass mask): residuals and
     'f_values' (distance from (0, -1, 0)) pass at or below tolerance, 'min_tail'
@@ -659,35 +685,40 @@ class Certificates:
     def passed(self) -> np.ndarray:
         return np.logical_and.reduce([ok for _, _, ok in self.checks.values()])
 
-    def to_json(self) -> list[dict]:
-        """One certificate dict per point: the point as [re, im] pairs, the emitted
-        residuals (null where the kind has none), rank and f-values, and on failing
-        points ``failed_checks``.  Any non-finite value it would emit raises ValueError."""
-        null = [None] * len(self.points)
+    def json_rows(self) -> list[str]:
+        """One compact JSON certificate per point, as ``fiber`` emits them: the point as [re, im]
+        pairs, the emitted residuals (null where the kind has none), rank, f-values and on failing
+        points ``failed_checks``.  Each column is encoded once by ``orjson`` (shortest round-trip
+        floats, so each row parses to the arrays' exact bits) and cut into the rows' pieces, which
+        an f-string joins.  A non-finite value, which orjson would write as null, raises ValueError."""
+        import orjson
+
         residuals = [self.residuals.get(key) for key in EMITTED_RESIDUALS]
         emitted = [a for a in [self.points, *residuals, self.f_values] if a is not None]
         emitted += [np.append(value[~ok], tolerance)
                     for value, tolerance, ok in self.checks.values() if not ok.all()]
         if not all(np.all(np.isfinite(a)) for a in emitted):
             raise ValueError("certificate holds a non-finite value")
-        points = np.stack([self.points.real, self.points.imag], axis=-1).tolist()
-        moment, plucker, surface, ranks, f_values = (
-            null if a is None else a.tolist() for a in [*residuals, self.ranks, self.f_values])
-        rows = [{"point": p, "residuals": {"moment": m, "plucker": q, "surface": s},
-                 "jacobian_rank": r, "f_values": f}
-                for p, m, q, s, r, f in zip(points, moment, plucker, surface, ranks, f_values)]
+        if len(self.points) == 0:
+            return []
+
+        def cells(column: np.ndarray | None) -> list[str]:
+            """Each row of column as orjson writes it; null where the kind has none."""
+            if column is None:
+                return ["null"] * len(self.points)
+            text = orjson.dumps(np.ascontiguousarray(column), option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            cut = "]" * (column.ndim - 1) + "," + "[" * (column.ndim - 1)
+            return text[1:-1].replace(cut, cut.replace(",", "\0")).split("\0")
+
+        points = np.stack([self.points.real, self.points.imag], axis=-1)
+        rows = [f'{{"point":{p},"residuals":{{"moment":{m},"plucker":{q},"surface":{s}}},'
+                f'"jacobian_rank":{r},"f_values":{f}}}'
+                for p, m, q, s, r, f in zip(*map(cells, [points, *residuals, self.ranks, self.f_values]))]
         for index in np.flatnonzero(~self.passed).tolist():
-            rows[index]["failed_checks"] = [
-                {"check": name, "value": float(value[index]), "tolerance": tolerance}
-                for name, (value, tolerance, ok) in self.checks.items() if not ok[index]]
+            failed = [{"check": name, "value": float(value[index]), "tolerance": tolerance}
+                      for name, (value, tolerance, ok) in self.checks.items() if not ok[index]]
+            rows[index] = f'{rows[index][:-1]},"failed_checks":{orjson.dumps(failed).decode()}}}'
         return rows
-
-    def json_rows(self) -> list[str]:
-        """Each ``to_json`` certificate as compact JSON text written by ``orjson``: the
-        shortest round-trip float spelling, so each row parses to the arrays' exact bits."""
-        import orjson
-
-        return [orjson.dumps(row).decode() for row in self.to_json()]
 
 
 def certify(kind: str, z, tolerances: dict[str, float] | None = None) -> Certificates:
@@ -724,9 +755,10 @@ def certify(kind: str, z, tolerances: dict[str, float] | None = None) -> Certifi
 
 
 def build_certificate(kind: str, z, tolerances: dict[str, float] | None = None) -> tuple[dict, bool]:
-    """``certify`` at N = 1, its one ``to_json`` certificate; perfbench's tracer looks it up."""
+    """``certify`` at N = 1, its one certificate parsed from ``json_rows``; perfbench's
+    tracer looks it up."""
     batch = certify(kind, as_coords6(z)[None], tolerances)
-    return batch.to_json()[0], bool(batch.passed[0])
+    return json.loads(batch.json_rows()[0]), bool(batch.passed[0])
 
 
 def sample_for_kind(kind: str, rng: np.random.Generator, count: int | None = None) -> np.ndarray:

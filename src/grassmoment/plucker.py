@@ -9,6 +9,7 @@ coordinates used by the complete-intersection checks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,26 @@ from .exactgeom import pairs_lex
 
 RANK_TOL = 1e-12
 COORD_TOL = 1e-12
+
+
+def _fold(op: str, x, axis: int = -1, keepdims: bool = False):
+    """np.max, np.min, np.sum or np.linalg.norm along a negative axis, bit for bit, as one
+    elementwise ufunc call per entry: numpy reduces an (N, k) batch's short rows one by one,
+    ten times slower.  Sums (bools count) and norms, which sum (x.conj() * x).real, start at 0
+    as numpy's do; numpy sums 8 reals (4 complex) or more pairwise, so those go to numpy.
+    Past 8 entries numpy may break a max's or min's tie of 0.0 and -0.0 the other way."""
+    x = np.asarray(x)
+    x = (x.conj() * x).real if op == "norm" else x.astype(np.intp) if x.dtype == bool else x
+    tail = (slice(None),) * (-1 - axis)
+    columns = [x[(..., k, *tail)] for k in range(x.shape[axis])]
+    if op in ("max", "min"):
+        out = functools.reduce(np.maximum if op == "max" else np.minimum, columns)
+    elif len(columns) < (4 if x.dtype.kind == "c" else 8):
+        out = functools.reduce(np.add, columns, x.dtype.type(0))
+    else:
+        out = np.add.reduce(x, axis)
+    out = out[(..., None, *tail)] if keepdims else out
+    return np.sqrt(out) if op == "norm" else out
 
 
 def normalize_projective(coords) -> np.ndarray:
@@ -28,7 +49,7 @@ def normalize_projective(coords) -> np.ndarray:
     if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError("projective point must be a nonempty vector")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is reported below
-        norm = np.linalg.norm(v, axis=-1, keepdims=True)
+        norm = _fold("norm", v, keepdims=True)
     if not np.all(np.isfinite(norm)):
         raise ValueError("coordinates must be finite and must not overflow the norm "
                          "(moduli below about 1e154)")
@@ -54,10 +75,10 @@ def projective_distance(u, v) -> float:
     """
     a = np.asarray(u, dtype=complex)
     b = np.asarray(v, dtype=complex)
-    a = a / np.linalg.norm(a, axis=-1, keepdims=True)
-    b = b / np.linalg.norm(b, axis=-1, keepdims=True)
-    inner = np.sum(np.conj(b) * a, axis=-1, keepdims=True)
-    return np.linalg.norm(a - inner * b, axis=-1)
+    a = a / _fold("norm", a, keepdims=True)
+    b = b / _fold("norm", b, keepdims=True)
+    inner = _fold("sum", np.conj(b) * a, keepdims=True)
+    return _fold("norm", a - inner * b)
 
 
 @dataclass(frozen=True)

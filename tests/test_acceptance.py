@@ -6,6 +6,7 @@ acceptance record.
 
 import ast
 import dataclasses
+import json
 import pathlib
 from fractions import Fraction as F
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import grassmoment
-from grassmoment import acceptance
+from grassmoment import acceptance, cli
 
 SEED = acceptance.DEFAULT_SEED
 SAMPLES = acceptance.DEFAULT_SAMPLES
@@ -266,6 +267,7 @@ def test_criterion_11_dimension_counts():
     assert result.passed
     assert result.details["dims7"] == [7]
     assert result.details["dims5"] == [5]
+    assert result.details["max_fd_gap"] <= 1e-8
 
 
 @pytest.mark.parametrize("samples", [1, 50])
@@ -284,6 +286,27 @@ def test_criterion_11_checks_100_points_of_each_kind_below_100_samples(monkeypat
     assert result.passed
     assert result.details["points_each"] == 100
     assert shapes == [(100, 6), (100, 6)]
+
+
+def test_report_fails_criterion_11_alone_under_the_quadric_sign_mutant(monkeypatch, capsys):
+    # Rows of z0*z5 + z1*z4 + z2*z3 in place of the plane quadric's still count
+    # dimension 5 at generic fiber points: only the finite-difference gap sees them.
+    original = acceptance.fb._constraint_rows
+
+    def all_plus(z, include_quadric):
+        rows = original(z, include_quadric)
+        if include_quadric:
+            qprime = z[..., ::-1]
+            rows[..., 5, :] = np.concatenate([qprime.real, -qprime.imag], axis=-1)
+            rows[..., 6, :] = np.concatenate([qprime.imag, qprime.real], axis=-1)
+        return rows
+
+    monkeypatch.setattr(acceptance.fb, "_constraint_rows", all_plus)
+    assert cli.main(["report", "--no-timings"]) == 1
+    failed = [c for c in json.loads(capsys.readouterr().out)["criteria"] if not c["passed"]]
+    assert [c["number"] for c in failed] == [11]
+    assert failed[0]["details"]["dims5"] == [5]
+    assert failed[0]["details"]["max_fd_gap"] > 1e-8
 
 
 def test_criterion_12_second_orbit():

@@ -1,5 +1,6 @@
 import collections
 import functools
+import json
 import math
 import warnings
 from fractions import Fraction as F
@@ -740,18 +741,6 @@ def test_tangent_dimension_is_the_exact_orbit_codimension():
         assert min(counts.values()) >= 400
 
 
-def constraint_values(x):
-    """The constraints of tangent_fiber_dimension at real points x = (Re z, Im z),
-    shape (..., 12): the moment coordinates, each the sum of |z_ij|^2 over the
-    pairs ij holding it, then |z|^2, then the real and imaginary parts of the
-    plane quadric z0*z5 + z2*z3 - z1*z4."""
-    z = x[..., :6] + 1j * x[..., 6:]
-    squares = np.abs(z) ** 2
-    moment = [sum(squares[..., k] for k, pair in enumerate(pairs_lex(4)) if i in pair) for i in range(1, 5)]
-    quadric = z[..., 0] * z[..., 5] + z[..., 2] * z[..., 3] - z[..., 1] * z[..., 4]
-    return np.stack([*moment, squares.sum(axis=-1), quadric.real, quadric.imag], axis=-1)
-
-
 def test_constraint_rows_match_finite_differences():
     """The rows whose rank gives the tangent dimension against central differences
     of the constraints, at seeded 5-fiber points and at unit-normalized Plücker
@@ -761,12 +750,13 @@ def test_constraint_rows_match_finite_differences():
     minors = minors[np.any(minors != 0, axis=-1)]
     points = np.concatenate([fb.sample_fiber5(rng, 200),
                              minors / np.linalg.norm(minors, axis=-1, keepdims=True)])
-    x = np.concatenate([points.real, points.imag], axis=-1)[:, None, :]
-    step = 1e-6 * np.eye(12)
-    fd = ((constraint_values(x + step) - constraint_values(x - step)) / 2e-6).swapaxes(-1, -2)
     rows = fb._constraint_rows(points, include_quadric=True)
-    assert rows.shape == fd.shape == (len(points), 7, 12)
-    assert np.max(np.abs(rows - fd)) <= 1e-8
+    assert rows.shape == (len(points), 7, 12)
+    assert fb.constraint_fd_gap(points) <= 1e-8
+    # The oracle itself, at unit points: the moment image, |z|^2 = 1 and the quadric.
+    values = fb.constraint_values(np.concatenate([points.real, points.imag], axis=-1))
+    assert np.allclose(values[:, :4], hypersimplex_moment(points, 4)) and np.allclose(values[:, 4], 1.0)
+    assert np.allclose(np.abs(values[:, 5] + 1j * values[:, 6]), plucker_relation_residual(points))
     assert np.array_equal(fb._constraint_rows(points, include_quadric=False), rows[:, :5])
 
 
@@ -882,7 +872,7 @@ def test_certify_batch_equals_one_point_views(kind, mirror):
     points = fb.sample_for_kind(kind, rng, 1000)
     assert points.shape == (1000, 6)
     batch = fb.certify(kind, points)
-    certificates = batch.to_json()
+    certificates = [json.loads(row) for row in batch.json_rows()]
     assert batch.passed.all()
     if mirror:
         # `fiber --orbit plus` emits the swap images of certified C- points:
