@@ -172,8 +172,8 @@ def cmd_fiber(args) -> int:
         "second_orbit": second_orbit,
         "certificates": None,  # the batch's rows, filled in by _emit
         "aggregate": {
-            "max_residuals": {key: max(0.0, float(np.max(batch.residuals[key])))
-                              for key in fb.EMITTED_RESIDUALS if key in batch.residuals},
+            "max_residuals": {key: max(0.0, float(np.max(batch.checks[key][0])))
+                              for key in fb.EMITTED_RESIDUALS if key in batch.checks},
             "rank_histogram": {} if batch.ranks is None else _rank_histogram(batch.ranks.tolist()),
             "all_passed": failing.size == 0,
         },
@@ -184,7 +184,8 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    """Rank histogram and f-values of the ``mq5`` chart Jacobian.
+    """Rank histogram and f-values of the ``mq5`` chart Jacobian; it fails
+    unless every rank is 3 and every point passes its 'f_values' check.
 
     It reads only the f-values and ranks of ``certify``, yet runs all of its
     checks: the one certificate path that ``fiber`` and the report use is
@@ -207,7 +208,7 @@ def cmd_jacobian(args) -> int:
         "all_rank_3": all_rank3,
     }
     _emit(payload, args.json_out)
-    return 0 if all_rank3 else 1
+    return 0 if all_rank3 and np.all(batch.checks["f_values"][2]) else 1
 
 
 def cmd_transition(args) -> int:

@@ -20,10 +20,13 @@ callers swap points once, at the boundary.
 All numerics work along the last axis: one point has shape (6,) and N
 points (N, 6), section points included; a chart point is its four complex
 chart coordinates, shape (4,) or (N, 4).  A run is drawn by one
-``sample_for_kind(kind, rng, count)`` and certified by one ``certify``;
-the one-point helpers are the N = 1 case of the same code.  A batch is
-handled by columns: per-point reductions fold its few columns elementwise
-(``plucker._fold``), and ``Certificates.json_rows`` encodes each column once.
+``sample_for_kind(kind, rng, count)``, shape (count, 6), and certified by one
+``certify``, the one judge of a sampled point: a point off the fiber is a
+failed check, with its value and tolerance, not an error (non-finite input
+is).  The one-point helpers are the N = 1 case of the same code.  A
+batch is handled by columns: per-point reductions fold its few columns
+elementwise (``plucker._fold``), and ``Certificates.json_rows`` encodes each
+column once.
 
 The level q enters only through c = 1 - q1 - q2 = 1/9 (``TAIL_GAP``) of the
 tail rule |z_(5-k)|^2 = |z_k|^2 + c and R = (1 - 3c)/2 = 1/3 (``HEAD_RADIUS2``),
@@ -87,11 +90,6 @@ _COVERAGE_TOL = 1e-10
 F_TARGET = np.array([0.0, -1.0, 0.0])
 
 
-def _shape(count: int | None, *tail: int) -> tuple[int, ...]:
-    """Array shape of one draw (count None) or of count draws."""
-    return tail if count is None else (count, *tail)
-
-
 def _split(x) -> tuple:
     """The entries along the last axis, one scalar or array each."""
     return tuple(np.moveaxis(np.asarray(x), -1, 0))
@@ -118,19 +116,19 @@ def _check_unit_phases(phases) -> np.ndarray:
 # The 7-dimensional fiber in CP^5
 # ---------------------------------------------------------------------------
 
-def tail_magnitudes(z0, z1, z2, tol: float = 1e-10) -> tuple:
+def tail_magnitudes(z0, z1, z2) -> tuple:
     """Moduli (|z3|, |z4|, |z5|) of the fiber coordinates from the first three
     by the one tail rule |z_(5-k)|^2 = |z_k|^2 + c (c = 1/9), on the head
-    sphere |z0|^2 + |z1|^2 + |z2|^2 = R (R = 1/3), required to within tol."""
+    sphere |z0|^2 + |z1|^2 + |z2|^2 = R (R = 1/3), required to within 1e-10."""
     s = np.abs(_stack(z0, z1, z2)) ** 2
-    if not np.all(np.abs(_fold("sum", s) - HEAD_RADIUS2) <= tol):
+    if not np.all(np.abs(_fold("sum", s) - HEAD_RADIUS2) <= 1e-10):
         raise ValueError("head coordinates do not satisfy the sphere constraint")
     return _split(np.sqrt(s[..., ::-1] + TAIL_GAP))
 
 
-def lift_to_fiber(z0, z1, z2, tol: float = 1e-10) -> np.ndarray:
+def lift_to_fiber(z0, z1, z2) -> np.ndarray:
     """Lift sphere triples to the fiber points (z0, z1, z2, |z3|, |z4|, |z5|)."""
-    return _stack(z0, z1, z2, *tail_magnitudes(z0, z1, z2, tol))
+    return _stack(z0, z1, z2, *tail_magnitudes(z0, z1, z2))
 
 
 def fiber7_param(z0, z1, z2, t4, t5) -> np.ndarray:
@@ -148,9 +146,9 @@ def fiber7_preimage(z):
     return z0, z1, z2, z4 / np.abs(z4), z5 / np.abs(z5)
 
 
-def random_sphere_triple(rng: np.random.Generator, count: int | None = None) -> tuple:
-    """Uniform point (or count points) of the radius 1/sqrt(3) sphere in C^3."""
-    v = rng.normal(size=_shape(count, 3)) + 1j * rng.normal(size=_shape(count, 3))
+def random_sphere_triple(rng: np.random.Generator, count: int) -> tuple:
+    """count uniform points of the radius 1/sqrt(3) sphere in C^3, as three (count,) arrays."""
+    v = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
     v *= 1.0 / (math.sqrt(1.0 / HEAD_RADIUS2) * _fold("norm", v, keepdims=True))
     return _split(v)
 
@@ -160,9 +158,9 @@ def random_phases(rng: np.random.Generator, count) -> np.ndarray:
     return np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=count))
 
 
-def sample_fiber7(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+def sample_fiber7(rng: np.random.Generator, count: int) -> np.ndarray:
     z0, z1, z2 = random_sphere_triple(rng, count)
-    t4, t5 = _split(random_phases(rng, _shape(count, 2)))
+    t4, t5 = _split(random_phases(rng, (count, 2)))
     return fiber7_param(z0, z1, z2, t4, t5)
 
 
@@ -220,11 +218,11 @@ def _curve_sides(x0: float, x1: float) -> tuple[float, float, float]:
 
 def _section(z0, z1, z2=None) -> np.ndarray:
     """Section point (z0, z1, z2, |z3|, |z4|, |z5|), checked on the sphere
-    |z|^2 = 1/3 (1e-9) and the surface (1e-10).  Without z2 it is a surface
+    |z|^2 = 1/3 and the surface, each to 1e-10.  Without z2 it is a surface
     point: z2 is the real nonnegative root of 1/3 - |z0|^2 - |z1|^2."""
     if z2 is None:
         z2 = np.sqrt(_third_square(np.abs(z0) ** 2, np.abs(z1) ** 2))
-    z = lift_to_fiber(z0, z1, z2, tol=1e-9)
+    z = lift_to_fiber(z0, z1, z2)
     if not np.all(plucker_relation_residual(z) <= 1e-10):
         raise ValueError("point does not satisfy the surface equation")
     return z
@@ -284,22 +282,20 @@ def sphere_torus_preimage(z):
     return _section(w0 / t1, w1 / t2, w2), t1, t2
 
 
-def sample_fiber5(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-    """5-fiber points, each from the surface or the sphere parametrization with
+def sample_fiber5(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count 5-fiber points, each from the surface or the sphere parametrization with
     equal odds: one uniform draw per point picks it, then each point takes a
     uniform S^3 point (turned onto the surface section for the surface points)
     through from_three_sphere and three uniform phases (t3 unused by the sphere
-    points); each map runs on its own points only.  One point is the row of a batch
-    of one, so its bits are the batch's.  perfbench's tracer looks the name up."""
-    size = 1 if count is None else count
-    surface = rng.uniform(size=size) < 0.5
-    g = random_three_sphere(rng, size)
+    points); each map runs on its own points only.  perfbench's tracer looks the name up."""
+    surface = rng.uniform(size=count) < 0.5
+    g = random_three_sphere(rng, count)
     g[surface] = _surface_turn(g[surface])
-    sections, phases = from_three_sphere(g), random_phases(rng, (size, 3))
-    points = np.empty((size, 6), dtype=complex)
+    sections, phases = from_three_sphere(g), random_phases(rng, (count, 3))
+    points = np.empty((count, 6), dtype=complex)
     points[surface] = surface_torus_param(sections[surface], phases[surface])
     points[~surface] = sphere_torus_param(sections[~surface], *phases[~surface, :2].T)
-    return points if count is not None else points[0]
+    return points
 
 
 def surface_roundtrip_error(z):
@@ -372,9 +368,9 @@ def from_three_sphere(g) -> np.ndarray:
     return _section(*(w * np.sqrt(2.0 * s / (np.sqrt(TAIL_GAP * TAIL_GAP + 4.0 * s * a2) + TAIL_GAP))))
 
 
-def random_three_sphere(rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-    """Uniform point (or count points) of the unit sphere in C^2, shape (2,) or (count, 2)."""
-    g = rng.normal(size=_shape(count, 2)) + 1j * rng.normal(size=_shape(count, 2))
+def random_three_sphere(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count uniform points of the unit sphere in C^2, shape (count, 2)."""
+    g = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
     return g / _fold("norm", g, keepdims=True)
 
 
@@ -496,13 +492,10 @@ def _gram_singular_values(jacobian) -> np.ndarray:
 
 def _chart_checks(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f-values, their distance from (0, -1, 0), and the chart Jacobian's singular values from its
-    Gram eigenvalues (sigma3/sigma1 to relative error ~eps/(sigma3/sigma1)^2, a true 0 reads ~1e-8);
-    raises ValueError for a point further than 1e-8 from (0, -1, 0), where no rank is meant (NaN too)."""
+    Gram eigenvalues (sigma3/sigma1 to relative error ~eps/(sigma3/sigma1)^2, a true 0 reads ~1e-8),
+    at any chart point: judging the distance is ``certify``'s 'f_values' check."""
     f = np.stack(complete_intersection_f(a), axis=-1)
-    off = _fold("max", np.abs(f - F_TARGET))
-    if not np.all(off <= 1e-8):
-        raise ValueError("point is not on the equipotential surface (0, -1, 0)")
-    return f, off, _gram_singular_values(ci_jacobian(a))
+    return f, _fold("max", np.abs(f - F_TARGET)), _gram_singular_values(ci_jacobian(a))
 
 
 def _rank(singular: np.ndarray, tol: float):
@@ -510,9 +503,12 @@ def _rank(singular: np.ndarray, tol: float):
 
 
 def jacobian_rank(a):
-    """Numerical rank of the chart Jacobian at a fiber chart point: requires
-    (0, -1, 0) to hold to 1e-8, then counts the Gram singular values above
-    rank_tol times the largest.  A public name because perfbench's tracer looks it up."""
+    """Numerical rank of the chart Jacobian at chart points, on the fiber or off it:
+    the count of Gram singular values above rank_tol times the largest.  Non-finite
+    points raise ValueError.  A public name because perfbench's tracer looks it up."""
+    a = np.asarray(a, dtype=complex)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("chart point has non-finite coordinates")
     return _rank(_chart_checks(a)[2], DEFAULT_TOLERANCES["rank_tol"])
 
 
@@ -672,11 +668,11 @@ class Certificates:
     ``checks`` maps each check to (value, tolerance, pass mask): residuals and
     'f_values' (distance from (0, -1, 0)) pass at or below tolerance, 'min_tail'
     at or above, 'rank' (sigma3/sigma1 of the chart Jacobian, from its Gram eigenvalues)
-    and 'coverage' (ChartCoverage.margin) above.
+    and 'coverage' (ChartCoverage.margin) above.  The emitted residuals are the
+    values of their checks.
     """
 
     points: np.ndarray
-    residuals: dict[str, np.ndarray]
     f_values: np.ndarray | None
     ranks: np.ndarray | None
     checks: dict[str, tuple[np.ndarray, float, np.ndarray]]
@@ -693,7 +689,7 @@ class Certificates:
         an f-string joins.  A non-finite value, which orjson would write as null, raises ValueError."""
         import orjson
 
-        residuals = [self.residuals.get(key) for key in EMITTED_RESIDUALS]
+        residuals = [self.checks[key][0] if key in self.checks else None for key in EMITTED_RESIDUALS]
         emitted = [a for a in [self.points, *residuals, self.f_values] if a is not None]
         emitted += [np.append(value[~ok], tolerance)
                     for value, tolerance, ok in self.checks.values() if not ok.all()]
@@ -726,8 +722,9 @@ def certify(kind: str, z, tolerances: dict[str, float] | None = None) -> Certifi
 
     Kinds: 'mq7' (the 7-fiber in CP^5), 'mq5' (the Grassmannian 5-fiber),
     'm2' and 'm3' (its surface and sphere sections as fiber points).
-    Tolerances override DEFAULT_TOLERANCES per key.  Non-finite points, and
-    5-fiber points off the chart or the equipotential surface, raise
+    Tolerances override DEFAULT_TOLERANCES per key.  A point off the fiber,
+    the equipotential surface (0, -1, 0) included, fails its checks by name;
+    non-finite points, and 5-fiber points off the chart (|z3| <= 1e-12), raise
     ValueError.
     """
     if kind not in ("mq7", "mq5", "m2", "m3"):
@@ -743,7 +740,7 @@ def certify(kind: str, z, tolerances: dict[str, float] | None = None) -> Certifi
               for key, value in res.items() if key != "min_tail"}
     checks["min_tail"] = (res["min_tail"], tol["min_tail"], res["min_tail"] >= tol["min_tail"])
     if kind == "mq7":
-        return Certificates(z, res, None, None, checks)
+        return Certificates(z, None, None, checks)
     f_values, off, singular = _chart_checks(chart_array(z))
     ranks = _rank(singular, tol["rank_tol"])
     margin = singular[:, 2] / np.where(singular[:, 0] > 0.0, singular[:, 0], 1.0)
@@ -751,7 +748,7 @@ def certify(kind: str, z, tolerances: dict[str, float] | None = None) -> Certifi
     checks["f_values"] = (off, tol["f_values"], off <= tol["f_values"])
     checks["rank"] = (margin, tol["rank_tol"], ranks == 3)
     checks["coverage"] = (coverage.margin, _COVERAGE_TOL, coverage.ok)
-    return Certificates(z, res, f_values, ranks, checks)
+    return Certificates(z, f_values, ranks, checks)
 
 
 def build_certificate(kind: str, z, tolerances: dict[str, float] | None = None) -> tuple[dict, bool]:
@@ -761,17 +758,17 @@ def build_certificate(kind: str, z, tolerances: dict[str, float] | None = None) 
     return json.loads(batch.json_rows()[0]), bool(batch.passed[0])
 
 
-def sample_for_kind(kind: str, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-    """Draw one fiber point of the given kind, shape (6,), or count points, (count, 6).
+def sample_for_kind(kind: str, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw count fiber points of the given kind, shape (count, 6).
 
     The one sampler entry of the CLI and the acceptance suite; for 'mq5'
     see sample_fiber5.  The sections 'm3' and 'm2' are from_three_sphere of
     uniform S^3 points, turned onto the surface section for 'm2'.
     """
     if kind == "mq7":
-        return sample_fiber7(rng, count=count)
+        return sample_fiber7(rng, count)
     if kind == "mq5":
-        return sample_fiber5(rng, count=count)
+        return sample_fiber5(rng, count)
     if kind in ("m2", "m3"):
         g = random_three_sphere(rng, count)
         return from_three_sphere(_surface_turn(g) if kind == "m2" else g)

@@ -309,6 +309,44 @@ def test_report_fails_criterion_11_alone_under_the_quadric_sign_mutant(monkeypat
     assert failed[0]["details"]["max_fd_gap"] > 1e-8
 
 
+def _second_row_shifted(weights):
+    shifted = weights.copy()
+    shifted[1, 3] = -3.0  # the -4 of the second chart quadric
+    return shifted
+
+
+#: Mutants of fibers4 that move its fiber off the equipotential surface: the
+#: name replaced, its replacement, the criteria `report` fails under it, and
+#: whether `fiber mq5 --tol f_values=1e-6` admits the moved points.
+FIBER_MUTANTS = {
+    "F_TARGET": (lambda target: target + np.array([0.0, 1e-7, 0.0]), [7, 8], True),
+    "_CI_WEIGHTS": (_second_row_shifted, [7, 8], False),
+    "TAIL_GAP": (lambda gap: gap + 1e-6, [3, 4, 7, 8, 12], False),
+}
+
+
+@pytest.mark.parametrize("name", list(FIBER_MUTANTS))
+def test_fiber_mutants_fail_by_name(monkeypatch, capsys, name):
+    # An off-surface point is a failed 'f_values' check (exit 1, the check named
+    # with its value and tolerance), never a usage error (exit 2), and --tol
+    # f_values is the only bound on the f-values.
+    mutate, criteria, admitted = FIBER_MUTANTS[name]
+    monkeypatch.setattr(acceptance.fb, name, mutate(getattr(acceptance.fb, name)))
+
+    def run(*argv):
+        code = cli.main(list(argv))
+        return code, json.loads(capsys.readouterr().out)
+
+    code, report = run("report", "--no-timings")
+    assert code == 1 and [c["number"] for c in report["criteria"] if not c["passed"]] == criteria
+    code, fiber = run("fiber", "mq5")
+    failed = {c["check"]: c for c in fiber["failing_sample"]["failed_checks"]}
+    assert code == 1 and failed["f_values"]["value"] > failed["f_values"]["tolerance"] == 1e-9
+    code, jacobian = run("jacobian")
+    assert code == 1 and jacobian["all_rank_3"]
+    assert run("fiber", "mq5", "--tol", "f_values=1e-6")[0] == (0 if admitted else 1)
+
+
 def test_criterion_12_second_orbit():
     result = _run(acceptance.check_second_orbit)
     assert result.passed
@@ -416,7 +454,7 @@ def test_run_all_draws_each_fiber_kind_once(monkeypatch):
     real, certify, grid_verdicts = (acceptance.fb.sample_for_kind, acceptance.fb.certify,
                                     acceptance._grid_verdicts)
 
-    def recording(kind, rng, count=None):
+    def recording(kind, rng, count):
         calls.append((kind, count))
         return real(kind, rng, count)
 
@@ -467,7 +505,7 @@ def test_shared_batches_are_read_only_and_live_for_one_run(monkeypatch):
     with pytest.raises(dataclasses.FrozenInstanceError):
         store[certified].points = None
     shared = store[certified]
-    arrays = [*shared.residuals.values(), shared.f_values, shared.ranks,
+    arrays = [shared.f_values, shared.ranks,
               *(array for value, _, ok in shared.checks.values() for array in (value, ok))]
     for array in arrays:
         with pytest.raises(ValueError):

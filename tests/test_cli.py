@@ -251,7 +251,8 @@ def certificate_tree(batch):
     def column(values):
         return [None] * len(batch.points) if values is None else values.tolist()
 
-    moment, plucker, surface = (column(batch.residuals.get(key)) for key in fb.EMITTED_RESIDUALS)
+    moment, plucker, surface = (column(batch.checks[key][0] if key in batch.checks else None)
+                                for key in fb.EMITTED_RESIDUALS)
     ranks, f_values = column(batch.ranks), column(batch.f_values)
     points = np.stack([batch.points.real, batch.points.imag], axis=-1).tolist()
     certs = [{"point": p, "residuals": {"moment": m, "plucker": q, "surface": s},
@@ -317,10 +318,10 @@ def hand_built(values, f_values=None, failing=()):
     ok = ~np.isin(np.arange(count), failing)
     checks = {"moment": (moment, 1e-10, ok), "min_tail": (np.full(count, 0.5), 0.33, np.full(count, True))}
     if f_values is None:
-        return fb.Certificates(points, {"moment": moment}, None, None, checks)
-    residuals = {"moment": moment, "plucker": moment[::-1].copy(), "surface": moment.copy()}
-    return fb.Certificates(points, residuals, np.array(f_values, dtype=float),
-                           np.full(count, 3), checks)
+        return fb.Certificates(points, None, None, checks)
+    for key, column in (("plucker", moment[::-1].copy()), ("surface", moment.copy())):
+        checks[key] = (column, 1e-10, np.full(count, True))
+    return fb.Certificates(points, np.array(f_values, dtype=float), np.full(count, 3), checks)
 
 
 ZEROS_AND_REPEATS = [0.0, -0.0, 1e-17, 0.0, -0.0, 1e-17, 2.5e-11, 2.5e-11]
@@ -356,7 +357,8 @@ def test_json_rows_hold_the_exact_bits_of_extreme_floats(chart):
     parsed = [json.loads(row) for row in batch.json_rows()]
     assert [[[float.hex(x) for x in pair] for pair in row["point"]] for row in parsed] == [
         [[float.hex(z.real), float.hex(z.imag)] for z in point] for point in batch.points]
-    for key, column in batch.residuals.items():
+    for key in fb.EMITTED_RESIDUALS if chart else ["moment"]:
+        column = batch.checks[key][0]
         assert [float.hex(row["residuals"][key]) for row in parsed] == list(map(float.hex, column))
     assert [hexed(row["f_values"]) for row in parsed] == (
         [[float.hex(v) for v in row] for row in batch.f_values] if chart else [None] * count)

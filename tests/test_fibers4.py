@@ -66,7 +66,7 @@ def test_tail_magnitudes_two_forms_agree(rng):
     # On the sphere the tail rule agrees with the magnitude system
     # |z3|^2 = (|z0|^2 + |z1|^2 + 4|z2|^2)/3 (cyclic).
     for _ in range(100):
-        z0, z1, z2 = fb.random_sphere_triple(rng)
+        (z0,), (z1,), (z2,) = fb.random_sphere_triple(rng, 1)
         m3, m4, m5 = fb.tail_magnitudes(z0, z1, z2)
         s0, s1, s2 = abs(z0) ** 2, abs(z1) ** 2, abs(z2) ** 2
         assert m3 == pytest.approx(math.sqrt((s0 + s1 + 4 * s2) / 3), abs=1e-13)
@@ -97,7 +97,7 @@ def test_fiber7_param_reduces_to_lift():
 
 def test_fiber7_moment_and_roundtrip(rng):
     for _ in range(300):
-        z0, z1, z2 = fb.random_sphere_triple(rng)
+        (z0,), (z1,), (z2,) = fb.random_sphere_triple(rng, 1)
         t4, t5 = fb.random_phases(rng, 2)
         point = fb.fiber7_param(z0, z1, z2, t4, t5)
         res = fb.fiber7_residuals(point)
@@ -111,7 +111,7 @@ def test_fiber7_torus_equivariance(rng):
     # Scaling the inputs by (tau0..tau2, tau4, tau5) multiplies the image
     # coordinates by (tau0, tau1, tau2, 1, tau4, tau5).
     for _ in range(50):
-        z0, z1, z2 = fb.random_sphere_triple(rng)
+        (z0,), (z1,), (z2,) = fb.random_sphere_triple(rng, 1)
         t4, t5 = fb.random_phases(rng, 2)
         tau = fb.random_phases(rng, 5)
         left = fb.fiber7_param(tau[0] * z0, tau[1] * z1, tau[2] * z2,
@@ -284,7 +284,7 @@ def test_surface_circle_structure():
 
 
 def test_sphere_section_rotation_invariance(rng):
-    section = fb.sample_for_kind("m3", rng)
+    section = fb.sample_for_kind("m3", rng, 1)[0]
     rotated = turned(section, np.exp(1.3j))
     assert plucker_relation_residual(rotated) <= 1e-10
     assert np.max(np.abs(rotated[:3] - np.exp(1.3j) * section[:3])) <= 1e-15
@@ -305,7 +305,7 @@ def test_sphere_section_circle_point():
 # -- torus parametrizations of the 5-fiber -----------------------------------
 
 def test_surface_param_identity(rng):
-    section = fb.sample_for_kind("m2", rng)
+    section = fb.sample_for_kind("m2", rng, 1)[0]
     point = fb.surface_torus_param(section, np.ones(3))
     assert np.allclose(point, section)
     assert fb.surface_roundtrip_error(point.tolist()) <= 1e-10
@@ -335,7 +335,7 @@ def test_surface_preimage_on_circle(rng):
 def test_torus_preimages_reject_points_off_quadric(rng):
     # A generic 7-fiber point has its head on the sphere but is off the
     # plane quadric, so neither preimage is a section point.
-    point = fb.sample_fiber7(rng)
+    point = fb.sample_fiber7(rng, 1)[0]
     assert plucker_relation_residual(point) > 1e-3
     with pytest.raises(ValueError, match="surface equation"):
         fb.surface_torus_preimage(point)
@@ -346,7 +346,7 @@ def test_torus_preimages_reject_points_off_quadric(rng):
 def test_sphere_param_preserves_quadric_for_distinct_phases(rng):
     # Regression guard: the torus weights on z4 and z5 must pair with t2
     # and t1 respectively, otherwise the quadric breaks.
-    section = fb.sample_for_kind("m3", rng)
+    section = fb.sample_for_kind("m3", rng, 1)[0]
     point = fb.sphere_torus_param(section, np.exp(0.9j), np.exp(-1.7j))
     assert plucker_relation_residual(point) <= 1e-12
 
@@ -423,7 +423,7 @@ def test_hopf_projection_circle_point():
 
 
 def test_hopf_projection_phase_invariant(rng):
-    section = fb.sample_for_kind("m3", rng)
+    section = fb.sample_for_kind("m3", rng, 1)[0]
     assert projective_distance(hopf_projection(section),
                                hopf_projection(turned(section, np.exp(0.77j)))) <= 1e-10
 
@@ -573,7 +573,7 @@ def test_complete_intersection_on_samples(rng):
 
 
 def test_jacobian_against_finite_differences(rng):
-    a = chart_array(np.array([fb.sample_fiber5(rng) for _ in range(25)]))
+    a = chart_array(np.array([fb.sample_fiber5(rng, 1)[0] for _ in range(25)]))
     batch = fb.ci_jacobian_fd(a)
     assert batch.shape == (25, 3, 8)
     assert np.max(np.abs(fb.ci_jacobian(a) - batch)) <= 1e-6
@@ -582,9 +582,10 @@ def test_jacobian_against_finite_differences(rng):
         fb.ci_jacobian_fd(np.zeros((2, 5)))
 
 
-def test_jacobian_rank_precondition():
-    with pytest.raises(ValueError):
-        fb.jacobian_rank(np.zeros(4))
+def test_jacobian_rank_off_the_surface():
+    # The origin has f = (0, 0, 0), off (0, -1, 0): it gets its rank, the zero
+    # matrix's 0; judging the f-values is certify's 'f_values' check.
+    assert fb.jacobian_rank(np.zeros(4)) == 0
 
 
 RATIOS = (1.0, 1e-2, 1e-4, 2e-6, 5e-7, 1e-9, 0.0)
@@ -647,7 +648,7 @@ def test_chart_coordinates_never_degenerate(rng):
     # On fiber points a2 and a4 never vanish and no two chart coordinates
     # vanish simultaneously.
     for _ in range(100):
-        a = chart_array(fb.sample_fiber5(rng))
+        a = chart_array(fb.sample_fiber5(rng, 1)[0])
         assert abs(a[1]) > 1e-6 and abs(a[3]) > 1e-6
         for i in range(4):
             for j in range(i + 1, 4):
@@ -657,7 +658,7 @@ def test_chart_coordinates_never_degenerate(rng):
 def test_chart_consistency_with_plucker_chart(rng):
     from grassmoment.plucker import from_chart, plucker_embed
 
-    point = fb.sample_fiber5(rng)
+    point = fb.sample_fiber5(rng, 1)[0]
     chart = chart_array(point)
     rebuilt = plucker_embed(from_chart(chart))
     assert projective_distance(rebuilt, point) <= 1e-10
@@ -693,7 +694,7 @@ def test_chart_coverage_classification(rng):
     assert cov1.in_chart_m1 and not cov1.in_chart_m0
     assert np.array_equal(np.abs(fibers[1].base[:3]) <= 1e-10, [False, True, False])
     for _ in range(50):
-        point = fb.sample_fiber5(rng)
+        point = fb.sample_fiber5(rng, 1)[0]
         cov = fb.chart_coverage(point)
         assert cov.ok and cov.in_chart_m0 and cov.in_chart_m1
         assert np.min(np.abs(point[3:])) > 1 / 3 - 1e-9
@@ -703,8 +704,8 @@ def test_chart_coverage_classification(rng):
 
 def test_tangent_dimensions(rng):
     for _ in range(20):
-        assert fb.tangent_fiber_dimension(fb.sample_fiber7(rng)) == 7
-        assert fb.tangent_fiber_dimension(fb.sample_fiber5(rng), include_quadric=True) == 5
+        assert fb.tangent_fiber_dimension(fb.sample_fiber7(rng, 1)[0]) == 7
+        assert fb.tangent_fiber_dimension(fb.sample_fiber5(rng, 1)[0], include_quadric=True) == 5
 
 
 def gaussian_integers(rng, shape):
@@ -763,12 +764,12 @@ def test_constraint_rows_match_finite_differences():
 # -- the second orbit ---------------------------------------------------------
 
 def test_orbit_swap_is_involution(rng):
-    z = fb.sample_fiber7(rng)
+    z = fb.sample_fiber7(rng, 1)[0]
     assert np.allclose(fb.orbit_swap(fb.orbit_swap(z)), z)
 
 
 def test_affine_representative_idempotent(rng):
-    point = fb.sample_fiber5(rng)
+    point = fb.sample_fiber5(rng, 1)[0]
     skewed = point * np.exp(0.9j) * 1.7
     fixed = fb.affine_representative(skewed)
     assert np.max(np.abs(fixed - point)) <= 1e-12
@@ -782,7 +783,7 @@ def test_affine_representative_idempotent(rng):
 
 
 def test_second_orbit_moment_target(rng):
-    point = fb.orbit_swap(fb.sample_fiber7(rng))
+    point = fb.orbit_swap(fb.sample_fiber7(rng, 1)[0])
     image = hypersimplex_moment(point, 4)
     assert np.max(np.abs(image - Q_PLUS)) <= 1e-10
     assert fb.moment_residual(point, Q_PLUS) <= 1e-10
@@ -793,7 +794,7 @@ def test_second_orbit_satisfies_mirror_system(rng):
     # In its own coordinates the mirror fiber fixes the head moduli in
     # terms of the tail: |z0|^2 = (|z3|^2 + |z4|^2 + 4|z5|^2)/3 and cyclic.
     for _ in range(50):
-        z = fb.orbit_swap(fb.sample_fiber7(rng))
+        z = fb.orbit_swap(fb.sample_fiber7(rng, 1)[0])
         s = np.abs(z / np.linalg.norm(z)) ** 2
         assert abs(s[0] - (s[3] + s[4] + 4 * s[5]) / 3) <= 1e-10
         assert abs(s[1] - (s[3] + 4 * s[4] + s[5]) / 3) <= 1e-10
@@ -810,19 +811,19 @@ def test_second_orbit_fiber5(rng):
 
 def test_second_orbit_roundtrips(rng):
     # A mirror point swapped back recovers the parameters it was built from.
-    section = fb.sample_for_kind("m2", rng)
+    section = fb.sample_for_kind("m2", rng, 1)[0]
     phases = fb.random_phases(rng, 3)
     mirror = fb.orbit_swap(fb.surface_torus_param(section, phases))
     recovered, t = fb.surface_torus_preimage(fb.orbit_swap(mirror))
     assert np.max(np.abs(recovered[:2] - section[:2])) <= 1e-10
     assert np.max(np.abs(t - phases)) <= 1e-10
-    sphere = fb.sample_for_kind("m3", rng)
+    sphere = fb.sample_for_kind("m3", rng, 1)[0]
     t1, t2 = fb.random_phases(rng, 2)
     mirror = fb.orbit_swap(fb.sphere_torus_param(sphere, t1, t2))
     recovered, s1, s2 = fb.sphere_torus_preimage(fb.orbit_swap(mirror))
     assert np.max(np.abs(recovered[:3] - sphere[:3])) <= 1e-10
     assert max(abs(s1 - t1), abs(s2 - t2)) <= 1e-10
-    z0, z1, z2 = fb.random_sphere_triple(rng)
+    (z0,), (z1,), (z2,) = fb.random_sphere_triple(rng, 1)
     t4, t5 = fb.random_phases(rng, 2)
     mirror = fb.orbit_swap(fb.fiber7_param(z0, z1, z2, t4, t5))
     recovered = fb.fiber7_preimage(fb.orbit_swap(mirror))
@@ -832,13 +833,13 @@ def test_second_orbit_roundtrips(rng):
 # -- certificates -------------------------------------------------------------
 
 def test_certificate_schema(rng):
-    point = fb.sample_fiber5(rng)
+    point = fb.sample_fiber5(rng, 1)[0]
     cert, passed = fb.build_certificate("mq5", point)
     assert passed
     assert set(cert) == {"point", "residuals", "jacobian_rank", "f_values"}
     assert set(cert["residuals"]) == {"moment", "plucker", "surface"}
     assert cert["jacobian_rank"] == 3
-    cert7, passed7 = fb.build_certificate("mq7", fb.sample_fiber7(rng))
+    cert7, passed7 = fb.build_certificate("mq7", fb.sample_fiber7(rng, 1)[0])
     assert passed7
     assert cert7["residuals"]["plucker"] is None
     assert cert7["jacobian_rank"] is None
@@ -847,7 +848,7 @@ def test_certificate_schema(rng):
 
 
 def test_certificate_tolerance_overrides(rng):
-    point = fb.sample_fiber7(rng)
+    point = fb.sample_fiber7(rng, 1)[0]
     # the tail moduli share squared norm 2/3, so min_tail can never reach 0.9
     _, passed = fb.build_certificate("mq7", point, tolerances={"min_tail": 0.9})
     assert not passed
@@ -855,10 +856,9 @@ def test_certificate_tolerance_overrides(rng):
 
 def test_sample_for_kind(rng):
     for kind in ("mq7", "mq5", "m2", "m3"):
-        point = fb.sample_for_kind(kind, rng)
-        assert point.shape == (6,)
+        assert fb.sample_for_kind(kind, rng, 3).shape == (3, 6)
     with pytest.raises(ValueError):
-        fb.sample_for_kind("mq3", rng)
+        fb.sample_for_kind("mq3", rng, 1)
 
 
 # -- the batch kernel and its one-point views ---------------------------------
@@ -880,7 +880,7 @@ def test_certify_batch_equals_one_point_views(kind, mirror):
         mirrored = fb.orbit_swap(points)
         assert np.array_equal(fb.orbit_swap(mirrored), points)
         residual = fb.moment_residual(mirrored, Q_PLUS)
-        assert np.max(np.abs(residual - batch.residuals["moment"])) <= 1e-15
+        assert np.max(np.abs(residual - batch.checks["moment"][0])) <= 1e-15
     for point, batched in zip(points, certificates):
         single, passed = fb.build_certificate(kind, point)
         assert passed
@@ -893,16 +893,6 @@ def test_certify_batch_equals_one_point_views(kind, mirror):
                 assert abs(value - batched["residuals"][key]) <= 1e-15
         if kind != "mq7":
             assert max(abs(a - b) for a, b in zip(single["f_values"], batched["f_values"])) <= 1e-15
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_sampler_one_point_view(kind):
-    # Without a count the sampler is the count = 1 case: same draws, same point.
-    for seed in range(20):
-        one = fb.sample_for_kind(kind, np.random.default_rng(seed))
-        batch = fb.sample_for_kind(kind, np.random.default_rng(seed), 1)
-        assert one.shape == (6,) and batch.shape == (1, 6)
-        assert np.array_equal(one, batch[0])
 
 
 def test_batched_helpers_equal_their_one_point_views(rng):
@@ -934,7 +924,7 @@ def test_batched_helpers_equal_their_one_point_views(rng):
 
 
 def test_certificate_names_failed_checks(rng):
-    point = fb.sample_fiber5(rng)
+    point = fb.sample_fiber5(rng, 1)[0]
     cert, passed = fb.build_certificate("mq5", point, tolerances={"moment": -1.0, "rank_tol": 0.5})
     assert not passed
     named = {entry["check"]: entry for entry in cert["failed_checks"]}
@@ -989,6 +979,28 @@ def test_nan_point_is_refused_by_certificates(rng):
             fb.certify(kind, points)
     with pytest.raises(ValueError):
         fb.build_certificate("mq5", points[1])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_certify_judges_off_fiber_points_without_raising(kind):
+    # Finite points in the chart (|z3| >= 0.1), whether far off the fiber (Gaussian
+    # points at scales 1e-2 to 1e2) or near it (fiber points moved by 1e-12 to 1e-2),
+    # are certified, and each row that fails names exactly its failed checks.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-2.0, 2.0, size=(40, 1))
+        far = scale * (rng.normal(size=(40, 6)) + 1j * rng.normal(size=(40, 6)))
+        near = fb.sample_for_kind(kind, rng, 40)
+        near += 10.0 ** rng.uniform(-12.0, -2.0, size=(40, 1)) * rng.normal(size=(40, 6))
+        points = np.concatenate([far, near])
+        points[:, 3] *= np.maximum(1.0, 0.1 / np.abs(points[:, 3]))
+        batch = fb.certify(kind, points)
+        assert not batch.passed[:40].any()
+        for row, passed, failing in zip(batch.json_rows(), batch.passed,
+                                        np.transpose([~ok for _, _, ok in batch.checks.values()])):
+            named = [check["check"] for check in json.loads(row).get("failed_checks", [])]
+            assert named == [name for name, fails in zip(batch.checks, failing) if fails]
+            assert bool(named) != passed
 
 
 # -- degenerate points of the sections -----------------------------------------------

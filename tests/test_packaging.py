@@ -1,4 +1,5 @@
-"""Every third-party module the package imports is a declared dependency."""
+"""Every third-party module the package imports is a declared dependency, and
+the README's Python examples run against the package as it is."""
 
 import ast
 import pathlib
@@ -32,3 +33,11 @@ def test_third_party_imports_are_declared_dependencies():
     imported = third_party_imports(ROOT / "src" / "grassmoment")
     assert imported, "the scan found no third-party import at all"
     assert imported <= declared, f"imported but not declared: {sorted(imported - declared)}"
+
+
+def test_readme_python_blocks_run():
+    # An API change that leaves an example stale fails here, not in a reader's hands.
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks, "the README holds no python block"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
