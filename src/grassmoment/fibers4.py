@@ -512,10 +512,10 @@ def jacobian_rank(a):
     return _rank(_chart_checks(a)[2], DEFAULT_TOLERANCES["rank_tol"])
 
 
-def jacobian_fd_gap(points, every: int = 25) -> float:
+def jacobian_fd_gap(points) -> float:
     """Largest gap between the closed-form and the finite-difference chart
-    Jacobian over every ``every``-th fiber point."""
-    a = chart_array(as_coords6(points)[::every])
+    Jacobian over every 25th fiber point."""
+    a = chart_array(as_coords6(points)[::25])
     return float(np.max(np.abs(ci_jacobian(a) - ci_jacobian_fd(a)), initial=0.0))
 
 
@@ -551,6 +551,13 @@ def transition_determinant() -> int:
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def transition_check(t) -> tuple[int, float, bool]:
+    """The transition's determinant, its cocycle error over torus elements t, and
+    the bundle verdict on both: determinant -1 and the cocycle identity to 1e-12."""
+    determinant, max_cocycle = transition_determinant(), cocycle_error(t)
+    return determinant, max_cocycle, determinant == -1 and max_cocycle <= 1e-12
 
 
 @dataclass(frozen=True)

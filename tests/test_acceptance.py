@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import grassmoment
-from grassmoment import acceptance, cli
+from grassmoment import acceptance, cli, regularity
 
 SEED = acceptance.DEFAULT_SEED
 SAMPLES = acceptance.DEFAULT_SAMPLES
@@ -79,16 +79,6 @@ def test_criterion_06_oracle_equivalence():
     assert result.details["points"] == 200
 
 
-def test_criterion_05_fails_when_the_projective_verdict_flips(monkeypatch):
-    from grassmoment import regularity
-
-    split_walls = regularity._off_split_walls
-    monkeypatch.setattr(regularity, "_off_split_walls", lambda *args: not split_walls(*args))
-    result = acceptance.check_regular_dichotomy(SEED, SAMPLES)
-    assert not result.passed
-    assert result.details["mismatches"] > 0
-
-
 def test_criterion_05_validates_only_the_gap_point(monkeypatch):
     # The grid's verdicts come from regularity._grid_verdicts, so the one
     # _integer_subset_sums call left is classify_point's, at the n = 5 gap point.
@@ -139,22 +129,6 @@ def test_criterion_06_fails_against_a_constant_closed_form(monkeypatch):
     result = acceptance.check_oracle_equivalence(SEED, SAMPLES)
     assert not result.passed
     assert result.details["disagreements"] == 86  # the critical points among the 200
-
-
-def test_criterion_06_checks_the_walk_criterion_05_reads(monkeypatch):
-    # A walker that calls every point with a zero coordinate regular under both
-    # notions keeps criterion 5's two verdicts equal; criterion 6 must see it.
-    grid_verdicts = acceptance._grid_verdicts
-
-    def boundary_blind(n, d):
-        return tuple((k, regular or 0 in k, regular_tilde or 0 in k)
-                     for k, regular, regular_tilde in grid_verdicts(n, d))
-
-    monkeypatch.setattr(acceptance, "_grid_verdicts", boundary_blind)
-    results = {result.number: result for result in acceptance.run_all(SEED, SAMPLES)}
-    assert results[5].passed
-    assert not results[6].passed
-    assert results[6].details["disagreements"] == 32  # the 200 points with a zero coordinate
 
 
 #: Each phase a torus preimage recovers: (preimage, position in its result,
@@ -220,7 +194,7 @@ def test_criterion_08_complete_intersection():
     result = _run(acceptance.check_complete_intersection)
     assert result.passed
     assert result.details["max_f_deviation"] <= 1e-9
-    assert result.details["all_ranks_3"]
+    assert result.details["all_f_values_ok"] and result.details["all_ranks_3"]
     assert result.details["max_fd_deviation"] <= 1e-6
 
 
@@ -288,41 +262,98 @@ def test_criterion_11_checks_100_points_of_each_kind_below_100_samples(monkeypat
     assert shapes == [(100, 6), (100, 6)]
 
 
-def test_report_fails_criterion_11_alone_under_the_quadric_sign_mutant(monkeypatch, capsys):
-    # Rows of z0*z5 + z1*z4 + z2*z3 in place of the plane quadric's still count
-    # dimension 5 at generic fiber points: only the finite-difference gap sees them.
-    original = acceptance.fb._constraint_rows
-
-    def all_plus(z, include_quadric):
-        rows = original(z, include_quadric)
-        if include_quadric:
-            qprime = z[..., ::-1]
-            rows[..., 5, :] = np.concatenate([qprime.real, -qprime.imag], axis=-1)
-            rows[..., 6, :] = np.concatenate([qprime.imag, qprime.real], axis=-1)
-        return rows
-
-    monkeypatch.setattr(acceptance.fb, "_constraint_rows", all_plus)
-    assert cli.main(["report", "--no-timings"]) == 1
-    failed = [c for c in json.loads(capsys.readouterr().out)["criteria"] if not c["passed"]]
-    assert [c["number"] for c in failed] == [11]
-    assert failed[0]["details"]["dims5"] == [5]
-    assert failed[0]["details"]["max_fd_gap"] > 1e-8
-
-
 def _second_row_shifted(weights):
     shifted = weights.copy()
     shifted[1, 3] = -3.0  # the -4 of the second chart quadric
     return shifted
 
 
-#: Mutants of fibers4 that move its fiber off the equipotential surface: the
-#: name replaced, its replacement, the criteria `report` fails under it, and
-#: whether `fiber mq5 --tol f_values=1e-6` admits the moved points.
-FIBER_MUTANTS = {
-    "F_TARGET": (lambda target: target + np.array([0.0, 1e-7, 0.0]), [7, 8], True),
-    "_CI_WEIGHTS": (_second_row_shifted, [7, 8], False),
-    "TAIL_GAP": (lambda gap: gap + 1e-6, [3, 4, 7, 8, 12], False),
+def _cross_term_flipped(ci_jacobian):
+    def flipped(a):  # the gradient of |a1*a4 - a2*a3|^2 in the third row, negated
+        a, cross = acceptance.fb._chart_cross(a)
+        grad = np.conj(cross)[..., None] * a[..., ::-1] * np.array([1, -1, -1, 1])
+        jacobian = ci_jacobian(a)
+        jacobian[..., 2, :] -= 4.0 * np.concatenate([grad.real, -grad.imag], axis=-1)
+        return jacobian
+    return flipped
+
+
+def _quadric_all_plus(constraint_rows):
+    def all_plus(z, include_quadric):  # rows of z0*z5 + z1*z4 + z2*z3 for the plane quadric's
+        rows = constraint_rows(z, include_quadric)
+        if include_quadric:
+            qprime = z[..., ::-1]
+            rows[..., 5, :] = np.concatenate([qprime.real, -qprime.imag], axis=-1)
+            rows[..., 6, :] = np.concatenate([qprime.imag, qprime.real], axis=-1)
+        return rows
+    return all_plus
+
+
+def _off_surface(failed):
+    return not failed[8]["all_f_values_ok"]
+
+
+def _directions_swapped(solve_moment_triangle):
+    def swapped():  # the solution with the directions of x4 and x5 exchanged
+        triangle = solve_moment_triangle()
+        return dataclasses.replace(triangle, direction_x4=triangle.direction_x5,
+                                   direction_x5=triangle.direction_x4)
+    return swapped
+
+
+def _boundary_blind(grid_verdicts):
+    def blind(n, d):  # every grid point with a zero coordinate regular under both notions
+        return tuple((k, regular or 0 in k, regular_tilde or 0 in k)
+                     for k, regular, regular_tilde in grid_verdicts(n, d))
+    return blind
+
+
+#: Mutants of library code, at least one for each criterion: the name replaced,
+#: its module, its replacement (a function of the original), the criteria
+#: `report` fails under it, and what the failed criteria's details, by number,
+#: show of the fault.
+MUTANTS = {
+    "enumerate_chambers": (regularity, lambda enumerate_chambers: lambda: enumerate_chambers()[:-1],
+                           [1], lambda failed: failed[1] == {"error": "KeyError: (1, 1, 1)"}),
+    "solve_moment_triangle": (acceptance, _directions_swapped, [2],
+                              lambda failed: not failed[2]["vertices_exact"]),
+    "_off_split_walls": (regularity, lambda off_walls: lambda *args: not off_walls(*args), [5, 6],
+                         lambda failed: failed[5]["mismatches"] > 0),
+    # criterion 5 compares the walk's two verdicts, which stay equal: only the oracle sees it
+    "_grid_verdicts": (acceptance, _boundary_blind, [6],
+                       lambda failed: failed[6]["disagreements"] == 32),
+    "TRANSITION_EXPONENTS_INVERSE": (acceptance.fb, lambda inverse: ((1, 0, 0), (1, -1, 1), (0, 0, 1)),
+                                     [9], lambda failed: failed[9]["max_cocycle_error"] > 1e-12),
+    "F_TARGET": (acceptance.fb, lambda target: target + np.array([0.0, 1e-7, 0.0]), [7, 8],
+                 _off_surface),
+    "_CI_WEIGHTS": (acceptance.fb, _second_row_shifted, [7, 8], _off_surface),
+    "TAIL_GAP": (acceptance.fb, lambda gap: gap + 1e-6, [3, 4, 7, 8, 12], _off_surface),
+    # an exception inside criterion 3 fails it by name; the other criteria still run
+    "HEAD_RADIUS2": (acceptance.fb, lambda radius2: 0.3, [3, 4, 7, 8, 12],
+                     lambda failed: failed[3]["error"].startswith("ValueError: ")),
+    "ci_jacobian": (acceptance.fb, _cross_term_flipped, [8],
+                    lambda failed: failed[8]["all_ranks_3"] and failed[8]["max_fd_deviation"] > 1e-6),
+    "center_point_regular": (acceptance, lambda regular: lambda n: True, [10],
+                             lambda failed: failed[10]["verdicts"]["4"]),
+    # generic fiber points still count dimension 5: only the finite-difference gap sees it
+    "_constraint_rows": (acceptance.fb, _quadric_all_plus, [11],
+                         lambda failed: failed[11]["dims5"] == [5] and failed[11]["max_fd_gap"] > 1e-8),
 }
+
+
+@pytest.mark.parametrize("name", list(MUTANTS))
+def test_report_fails_each_mutant_by_name(monkeypatch, capsys, name):
+    module, mutate, criteria, shows_fault = MUTANTS[name]
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    assert cli.main(["report", "--no-timings"]) == 1
+    failed = {c["number"]: c["details"] for c in json.loads(capsys.readouterr().out)["criteria"]
+              if not c["passed"]}
+    assert list(failed) == criteria and shows_fault(failed)
+
+
+#: The MUTANTS that move the fiber off the equipotential surface, and whether
+#: `fiber mq5 --tol f_values=1e-6` admits the moved points.
+FIBER_MUTANTS = {"F_TARGET": True, "_CI_WEIGHTS": False, "TAIL_GAP": False}
 
 
 @pytest.mark.parametrize("name", list(FIBER_MUTANTS))
@@ -330,21 +361,19 @@ def test_fiber_mutants_fail_by_name(monkeypatch, capsys, name):
     # An off-surface point is a failed 'f_values' check (exit 1, the check named
     # with its value and tolerance), never a usage error (exit 2), and --tol
     # f_values is the only bound on the f-values.
-    mutate, criteria, admitted = FIBER_MUTANTS[name]
-    monkeypatch.setattr(acceptance.fb, name, mutate(getattr(acceptance.fb, name)))
+    module, mutate, _, _ = MUTANTS[name]
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
 
     def run(*argv):
         code = cli.main(list(argv))
         return code, json.loads(capsys.readouterr().out)
 
-    code, report = run("report", "--no-timings")
-    assert code == 1 and [c["number"] for c in report["criteria"] if not c["passed"]] == criteria
     code, fiber = run("fiber", "mq5")
     failed = {c["check"]: c for c in fiber["failing_sample"]["failed_checks"]}
     assert code == 1 and failed["f_values"]["value"] > failed["f_values"]["tolerance"] == 1e-9
     code, jacobian = run("jacobian")
-    assert code == 1 and jacobian["all_rank_3"]
-    assert run("fiber", "mq5", "--tol", "f_values=1e-6")[0] == (0 if admitted else 1)
+    assert code == 1 and jacobian["details"]["all_ranks_3"] and not jacobian["details"]["all_f_values_ok"]
+    assert run("fiber", "mq5", "--tol", "f_values=1e-6")[0] == (0 if FIBER_MUTANTS[name] else 1)
 
 
 def test_criterion_12_second_orbit():

@@ -30,7 +30,7 @@ def run_cli(capsys, argv):
 
 
 def test_chambers_enumeration(capsys):
-    code, payload = run_cli(capsys, ["chambers", "--n", "4"])
+    code, payload = run_cli(capsys, ["chambers"])
     assert code == 0
     assert len(payload["chambers"]) == 8
     assert payload["orbit_count"] == 2
@@ -42,30 +42,21 @@ def test_chambers_enumeration(capsys):
     assert by_id["[1,1,1]"]["orbit"] == "C+"
 
 
-def test_chambers_classify(capsys):
+def test_regular_classify(capsys):
     code, payload = run_cli(
-        capsys, ["chambers", "--n", "4", "--classify", "1/3,5/9,5/9,5/9"])
+        capsys, ["regular", "--n", "4", "--classify", "1/3,5/9,5/9,5/9"])
     assert code == 0
     assert payload["id"] == "[-1,-1,-1]"
     assert payload["regular_mu"] is True
     assert payload["regular_mu_tilde"] is True
 
 
-def test_chambers_classify_n5_gap_point(capsys):
+def test_regular_classify_n5_gap_point(capsys):
     code, payload = run_cli(
-        capsys, ["chambers", "--n", "5", "--classify", "7/10,6/10,5/10,1/10,1/10"])
+        capsys, ["regular", "--n", "5", "--classify", "7/10,6/10,5/10,1/10,1/10"])
     assert code == 0
     assert payload["regular_mu"] is True
     assert payload["regular_mu_tilde"] is False
-
-
-def test_chambers_unsupported_n(capsys):
-    code = cli.main(["chambers", "--n", "5"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert "chamber enumeration supports n = 4 only" in captured.err
 
 
 def test_regular_command(capsys):
@@ -102,8 +93,8 @@ def test_regular_answers_beyond_n6(capsys):
     assert payload["regular_mu_tilde"] is False
 
 
-def test_chambers_classify_checks_the_length(capsys):
-    code = cli.main(["chambers", "--n", "5", "--classify", "1/2,1/2,1/2,1/2"])
+def test_regular_refuses_a_short_point(capsys):
+    code = cli.main(["regular", "--n", "5", "--classify", "1/2,1/2,1/2,1/2"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -407,9 +398,25 @@ def test_rank_histogram_hints_resolve():
 
 def test_jacobian_command(capsys):
     code, payload = run_cli(capsys, ["jacobian", "--samples", "10"])
-    assert code == 0
-    assert payload["rank_histogram"] == {"3": 10}
-    assert payload["max_fd_deviation"] <= 1e-6
+    assert code == 0 and payload["passed"]
+    assert payload["details"]["points"] == 13  # the three edge-circle bases and the batch
+    assert payload["details"]["all_ranks_3"] and payload["details"]["all_f_values_ok"]
+    assert payload["details"]["max_fd_deviation"] <= 1e-6
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-7])
+def test_jacobian_is_criterion_8(capsys, monkeypatch, shift):
+    # jacobian prints criterion 8's details and verdict, as report does, and
+    # exits by that verdict; F_TARGET moved by 1e-7 fails it by its f-values.
+    monkeypatch.setattr(fb, "F_TARGET", fb.F_TARGET + np.array([0.0, shift, 0.0]))
+    seeded = ["--seed", "7", "--samples", "40"]
+    code, jacobian = run_cli(capsys, ["jacobian", *seeded])
+    report_code, report = run_cli(capsys, ["report", "--only", "intersection", "--no-timings", *seeded])
+    [criterion] = report["criteria"]
+    assert criterion["number"] == 8 and criterion["passed"] == (shift == 0.0)
+    assert jacobian == {"seed": 7, "samples": 40, "details": criterion["details"],
+                        "passed": criterion["passed"]}
+    assert code == report_code == (0 if criterion["passed"] else 1)
 
 
 def test_transition_command(capsys):
@@ -437,8 +444,11 @@ def test_triangle_points_map_to_target(capsys):
 
 @pytest.mark.parametrize("argv", [["triangle", "--orbit", "plus"],
                                   ["transition", "--orbit", "minus"],
-                                  ["jacobian", "--orbit", "plus"]])
-def test_orbit_is_only_for_fiber(capsys, argv):
+                                  ["jacobian", "--orbit", "plus"],
+                                  ["chambers", "--n", "4"],
+                                  ["chambers", "--classify", "1/3,5/9,5/9,5/9"]])
+def test_options_of_other_commands_are_refused(capsys, argv):
+    # --orbit is fiber's alone, and regular alone classifies a point.
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == 2
@@ -484,6 +494,12 @@ def test_curve_infinite_parameter_is_usage_error(capsys):
     code, err = _usage_error_without_warnings(capsys, ["curve", "--x0", "0", "--x1", "inf"])
     assert code == 2
     assert "curve parameters must be finite, got x0=0.0, x1=inf" in err
+
+
+def test_moment_bad_json_is_usage_error(capsys):
+    # json.JSONDecodeError is a ValueError, so cli.main maps it to exit 2.
+    code, err = _usage_error_without_warnings(capsys, ["moment", "--map", "mu_hat", "--point", "[[1, 0]"])
+    assert code == 2 and err.startswith("error: Expecting ")
 
 
 def test_moment_nan_modulus_is_usage_error(capsys):
@@ -586,7 +602,7 @@ PARSER_ARGVS = [
     *(row["argv"] for row in json.loads(
         pathlib.Path(__file__).with_name("cli_corpus.json").read_text())),
     [], ["-h"], ["bogus"], ["fiber"], ["fiber", "--help"], ["fiber", "mq9"],
-    ["jacobian", "--samples", "0"],
+    ["jacobian", "--samples", "0"], ["chambers", "--n", "5"],
     # unrecognized arguments are reported with the top-level usage line
     ["report", "--bogus"], ["fiber", "mq5", "extra"],
 ]
@@ -634,7 +650,7 @@ def test_the_command_table_is_the_full_parsers_subcommands():
 
 
 def test_bad_point_is_usage_error(capsys):
-    code = cli.main(["chambers", "--n", "4", "--classify", "1/3,5/9"])
+    code = cli.main(["regular", "--n", "4", "--classify", "1/3,5/9"])
     capsys.readouterr()
     assert code == 2
 
@@ -682,7 +698,7 @@ def test_chambers_stdout_is_pinned(capsys, monkeypatch):
     for module in (regularity, cli):  # wherever the name is bound
         monkeypatch.setattr(module, "enumerate_chambers",
                             lambda: calls.append(None) or enumerate_chambers(), raising=False)
-    assert cli.main(["chambers", "--n", "4"]) == 0
+    assert cli.main(["chambers"]) == 0
     assert capsys.readouterr().out == CHAMBERS_N4_STDOUT
     assert len(calls) == 1
 

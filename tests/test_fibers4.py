@@ -677,6 +677,8 @@ def test_transition_examples():
 
 def test_transition_determinant_and_cocycle(rng):
     assert fb.transition_determinant() == -1
+    t = fb.random_phases(rng, (20, 3))
+    assert fb.transition_check(t) == (-1, fb.cocycle_error(t), True)
     for _ in range(100):
         t = fb.random_phases(rng, 3)
         back = fb.bundle_transition(fb.bundle_transition(t, "01"), "10")
@@ -912,7 +914,7 @@ def test_batched_helpers_equal_their_one_point_views(rng):
         assert single.in_chart_m1 == coverage.in_chart_m1[k] == (abs(point[0]) > 1e-10)
         a = chart_array(point)
         gap = float(np.max(np.abs(fb.ci_jacobian(a) - fb.ci_jacobian_fd(a))))
-        assert fb.jacobian_fd_gap(point[None], every=1) == gap
+        assert fb.jacobian_fd_gap(point[None]) == gap
     gaps = [fb.jacobian_fd_gap(point[None]) for point in points[::25]]
     assert fb.jacobian_fd_gap(points) == max(gaps) and fb.jacobian_fd_gap(points) <= 1e-6
     t = fb.random_phases(rng, (100, 3))
