@@ -205,7 +205,8 @@ def _curve_sides(x0: float, x1: float) -> tuple[float, float, float]:
     if not (math.isfinite(x0) and math.isfinite(x1)):
         raise ValueError(f"curve parameters must be finite, got x0={x0}, x1={x1}")
     if x0 < -1e-15 or x1 < -1e-15 or x0 + x1 > HEAD_RADIUS2 + 1e-12:
-        raise ValueError("curve parameters must satisfy x0, x1 >= 0, x0 + x1 <= 1/3")
+        raise ValueError(f"curve parameters must satisfy x0, x1 >= 0, x0 + x1 <= {HEAD_RADIUS2}, "
+                         "the head sphere's radius^2")
     r0, r1 = math.sqrt(max(x0, 0.0)), math.sqrt(max(x1, 0.0))
     s2 = float(_third_square(r0 * r0, r1 * r1))
     middle = math.sqrt(s2 * (s2 + TAIL_GAP))

@@ -330,7 +330,8 @@ MUTANTS = {
     "TAIL_GAP": (acceptance.fb, lambda gap: gap + 1e-6, [3, 4, 7, 8, 12], _off_surface),
     # an exception inside criterion 3 fails it by name; the other criteria still run
     "HEAD_RADIUS2": (acceptance.fb, lambda radius2: 0.3, [3, 4, 7, 8, 12],
-                     lambda failed: failed[3]["error"].startswith("ValueError: ")),
+                     lambda failed: failed[3]["error"].startswith("ValueError: ")
+                     and "x0 + x1 <= 0.3, " in failed[3]["error"]),
     "ci_jacobian": (acceptance.fb, _cross_term_flipped, [8],
                     lambda failed: failed[8]["all_ranks_3"] and failed[8]["max_fd_deviation"] > 1e-6),
     "center_point_regular": (acceptance, lambda regular: lambda n: True, [10],

@@ -2,6 +2,7 @@ import collections
 import functools
 import json
 import math
+import re
 import warnings
 from fractions import Fraction as F
 
@@ -215,9 +216,9 @@ def test_curve_fixed_sign_branch_fails_where_closure_holds():
 
 
 def test_curve_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"x0, x1 >= 0"):
         fb.curve_residual(-0.1, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"x0 + x1 <= {fb.HEAD_RADIUS2}, ")):
         fb.curve_residual(0.3, 0.3)
 
 
