@@ -14,7 +14,13 @@ from grassmoment.moment import (
     weight_map,
     weight_vectors,
 )
-from grassmoment.plucker import GrassmannPoint, from_chart, plucker_embed
+from grassmoment.plucker import (
+    GrassmannPoint,
+    from_chart,
+    normalize_projective,
+    plucker_embed,
+    projective_distance,
+)
 
 RNG = np.random.default_rng(0xC0FFEE)
 
@@ -85,6 +91,31 @@ def test_a_non_finite_row_of_a_batch_is_refused():
     batch[1, 2] = 1e200
     with pytest.raises(ValueError, match="sum to inf"):
         simplex_moment(batch)
+
+
+#: Functions that work along the last axis, called as f(z, w, n) on a batch or on one of its rows.
+ROW_FUNCTIONS = {
+    "simplex_moment": lambda z, w, n: simplex_moment(z),
+    "hypersimplex_moment": lambda z, w, n: hypersimplex_moment(z, n),
+    "normalize_projective": lambda z, w, n: normalize_projective(z),
+    "projective_distance": lambda z, w, n: projective_distance(z, w),
+}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("name", list(ROW_FUNCTIONS))
+def test_batch_rows_equal_one_point_results_bit_for_bit(name, n):
+    rng = np.random.default_rng(n)
+    shape = (500, math.comb(n, 2))
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    z[::4, 0] = 0.0  # normalize_projective pivots on a later coordinate
+    w = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    w[::2] = z[::2] * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(250, 1)))  # same class
+    batch = ROW_FUNCTIONS[name](z, w, n)
+    assert batch.shape[0] == 500
+    for k in range(500):
+        one = np.asarray(ROW_FUNCTIONS[name](z[k], w[k], n))
+        assert one.shape == batch.shape[1:] and one.tobytes() == batch[k].tobytes()
 
 
 def test_grassmann_moment_vertex():
