@@ -24,9 +24,8 @@ chart coordinates, shape (4,) or (N, 4).  A run is drawn by one
 ``certify``, the one judge of a sampled point: a point off the fiber is a
 failed check, with its value and tolerance, not an error (non-finite input
 is).  The one-point helpers are the N = 1 case of the same code.  A
-batch is handled by columns: per-point reductions fold its few columns
-elementwise (``plucker._fold``), and ``Certificates.json_rows`` encodes each
-column once.
+batch is handled by columns: per-point reductions are numpy's along the
+last axis, and ``Certificates.json_rows`` encodes each column once.
 
 The level q enters only through c = 1 - q1 - q2 = 1/9 (``TAIL_GAP``) of the
 tail rule |z_(5-k)|^2 = |z_k|^2 + c and R = (1 - 3c)/2 = 1/3 (``HEAD_RADIUS2``),
@@ -46,7 +45,7 @@ import numpy as np
 
 from .exactgeom import Vector, pairs_lex
 from .moment import hypersimplex_moment, weight_vectors
-from .plucker import _fold, as_coords6, chart_array, normalize_projective, plucker_relation_residual
+from .plucker import as_coords6, chart_array, normalize_projective, plucker_relation_residual
 from .regularity import CHAMBER_POINT_MINUS
 
 F = Fraction
@@ -121,7 +120,7 @@ def tail_magnitudes(z0, z1, z2) -> tuple:
     by the one tail rule |z_(5-k)|^2 = |z_k|^2 + c (c = 1/9), on the head
     sphere |z0|^2 + |z1|^2 + |z2|^2 = R (R = 1/3), required to within 1e-10."""
     s = np.abs(_stack(z0, z1, z2)) ** 2
-    if not np.all(np.abs(_fold("sum", s) - HEAD_RADIUS2) <= 1e-10):
+    if not np.all(np.abs(np.sum(s, axis=-1) - HEAD_RADIUS2) <= 1e-10):
         raise ValueError("head coordinates do not satisfy the sphere constraint")
     return _split(np.sqrt(s[..., ::-1] + TAIL_GAP))
 
@@ -149,7 +148,7 @@ def fiber7_preimage(z):
 def random_sphere_triple(rng: np.random.Generator, count: int) -> tuple:
     """count uniform points of the radius 1/sqrt(3) sphere in C^3, as three (count,) arrays."""
     v = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
-    v *= 1.0 / (math.sqrt(1.0 / HEAD_RADIUS2) * _fold("norm", v, keepdims=True))
+    v *= 1.0 / (math.sqrt(1.0 / HEAD_RADIUS2) * np.linalg.norm(v, axis=-1, keepdims=True))
     return _split(v)
 
 
@@ -173,8 +172,8 @@ def _roundtrip_error(z, preimage, param, recovered=True):
     rebuilt = param(*params)
     recovery = np.concatenate([np.reshape(again - first, z.shape[:-1] + (-1,))
                                for first, again in zip(params, preimage(rebuilt))], axis=-1)
-    error = _fold("max", np.abs(rebuilt - z))
-    return np.where(recovered, np.maximum(error, _fold("max", np.abs(recovery))), error)[()]
+    error = np.max(np.abs(rebuilt - z), axis=-1)
+    return np.where(recovered, np.maximum(error, np.max(np.abs(recovery), axis=-1)), error)[()]
 
 
 def fiber7_roundtrip_error(z):
@@ -323,7 +322,7 @@ def _base_products(point) -> np.ndarray:
 def base_projection(point) -> np.ndarray:
     """Bundle projection to CP^1: (z1*|z4| : z0*|z5|), canonically normalized."""
     c = _base_products(point)
-    if not np.all(_fold("max", np.abs(c)) >= 1e-14):
+    if not np.all(np.max(np.abs(c), axis=-1) >= 1e-14):
         raise ValueError("degenerate projection: both products vanish")
     return normalize_projective(c)
 
@@ -337,7 +336,7 @@ def to_three_sphere(section) -> np.ndarray:
     so the image lies exactly on the unit sphere.
     """
     g = _base_products(section)
-    norm = _fold("norm", g, keepdims=True)
+    norm = np.linalg.norm(g, axis=-1, keepdims=True)
     if not np.all(norm > 0.0):
         raise ValueError("degenerate section: z0 = z1 = 0 cannot happen on the fiber")
     return g / norm
@@ -357,7 +356,7 @@ def from_three_sphere(g) -> np.ndarray:
     s = 0 never passes the root; six steps reach it to rounding.
     """
     g = np.asarray(g, dtype=complex)
-    if g.shape[-1:] != (2,) or not np.all(np.abs(_fold("norm", g) - 1.0) <= _UNIT_TOL):
+    if g.shape[-1:] != (2,) or not np.all(np.abs(np.linalg.norm(g, axis=-1) - 1.0) <= _UNIT_TOL):
         raise ValueError("expected points of the unit sphere in C^2")
     u, v = _split(g)
     w = np.stack([v, u, u - v])
@@ -372,7 +371,7 @@ def from_three_sphere(g) -> np.ndarray:
 def random_three_sphere(rng: np.random.Generator, count: int) -> np.ndarray:
     """count uniform points of the unit sphere in C^2, shape (count, 2)."""
     g = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
-    return g / _fold("norm", g, keepdims=True)
+    return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
 def _surface_turn(g) -> np.ndarray:
@@ -425,7 +424,7 @@ def affine_representative(z) -> np.ndarray:
     The pivot is coordinate 3, which never vanishes on the fiber.
     """
     w = as_coords6(z)
-    w = w / _fold("norm", w, keepdims=True)
+    w = w / np.linalg.norm(w, axis=-1, keepdims=True)
     pivot = np.abs(w[..., 3])
     if not np.all(pivot > _ZERO_TOL):
         raise ValueError("pivot coordinate vanishes; not a fiber point")
@@ -457,7 +456,7 @@ def complete_intersection_f(a) -> tuple:
     On chart coordinates of fiber points the value is (0, -1, 0).
     """
     a, cross = _chart_cross(a)
-    f1, f2, f3 = _split(_fold("sum", _CI_WEIGHTS * (np.abs(a) ** 2)[..., None, :]))
+    f1, f2, f3 = _split(np.sum(_CI_WEIGHTS * (np.abs(a) ** 2)[..., None, :], axis=-1))
     return f1, f2, f3 + np.abs(cross) ** 2
 
 
@@ -496,11 +495,11 @@ def _chart_checks(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Gram eigenvalues (sigma3/sigma1 to relative error ~eps/(sigma3/sigma1)^2, a true 0 reads ~1e-8),
     at any chart point: judging the distance is ``certify``'s 'f_values' check."""
     f = np.stack(complete_intersection_f(a), axis=-1)
-    return f, _fold("max", np.abs(f - F_TARGET)), _gram_singular_values(ci_jacobian(a))
+    return f, np.max(np.abs(f - F_TARGET), axis=-1), _gram_singular_values(ci_jacobian(a))
 
 
 def _rank(singular: np.ndarray, tol: float):
-    return _fold("sum", singular > tol * singular[..., :1])
+    return np.sum(singular > tol * singular[..., :1], axis=-1)
 
 
 def jacobian_rank(a):
@@ -577,7 +576,7 @@ def chart_coverage(z) -> ChartCoverage:
     """Certify the chart picture: the tail minors never vanish, and the point
     lies over chart 0 iff z1 is nonzero, over chart 1 iff z0 is nonzero."""
     w = np.abs(as_coords6(z))
-    margin = np.minimum(_fold("min", w[..., 3:]), np.maximum(w[..., 0], w[..., 1]))
+    margin = np.minimum(np.min(w[..., 3:], axis=-1), np.maximum(w[..., 0], w[..., 1]))
     return ChartCoverage(in_chart_m0=w[..., 1] > _COVERAGE_TOL, in_chart_m1=w[..., 0] > _COVERAGE_TOL,
                          margin=margin, ok=margin > _COVERAGE_TOL)
 
@@ -596,7 +595,7 @@ def tangent_fiber_dimension(z, include_quadric: bool = False):
     for r = regularity.orbit_dimension of the support of z.
     """
     z = as_coords6(z)
-    rows = _constraint_rows(z / _fold("norm", z, keepdims=True), include_quadric)
+    rows = _constraint_rows(z / np.linalg.norm(z, axis=-1, keepdims=True), include_quadric)
     # SVD, not the Gram route: these rows have exact zero singular values, which Gram reads as ~1e-8.
     return 12 - _rank(np.linalg.svd(rows, compute_uv=False), 1e-6) - 1
 
@@ -624,7 +623,7 @@ def constraint_values(x) -> np.ndarray:
     squares = np.abs(z) ** 2
     moment = [sum(squares[..., k] for k, pair in enumerate(pairs_lex(4)) if i in pair) for i in range(1, 5)]
     quadric = z[..., 0] * z[..., 5] + z[..., 2] * z[..., 3] - z[..., 1] * z[..., 4]
-    return np.stack([*moment, _fold("sum", squares), quadric.real, quadric.imag], axis=-1)
+    return np.stack([*moment, np.sum(squares, axis=-1), quadric.real, quadric.imag], axis=-1)
 
 
 def constraint_fd_gap(z) -> float:
@@ -643,20 +642,20 @@ def constraint_fd_gap(z) -> float:
 def moment_residual(z, target):
     """Max-norm distance of the moment image from the chamber point target."""
     target = np.array(target, dtype=float)
-    return _fold("max", np.abs(hypersimplex_moment(as_coords6(z), 4) - target))
+    return np.max(np.abs(hypersimplex_moment(as_coords6(z), 4) - target), axis=-1)
 
 
 def fiber7_residuals(z) -> dict:
     """Norm and moment residuals, the tail rule's residual after unit
     normalization, and the smallest tail modulus."""
     z = as_coords6(z)
-    norm = _fold("norm", z, keepdims=True)
+    norm = np.linalg.norm(z, axis=-1, keepdims=True)
     s = np.abs(z / norm) ** 2
     return {
         "norm": np.abs(norm[..., 0] - 1.0),
         "moment": moment_residual(z, CHAMBER_POINT_MINUS),
-        "magnitudes": _fold("max", np.abs(s[..., :2:-1] - s[..., :3] - TAIL_GAP)),
-        "min_tail": _fold("min", np.abs(z[..., 3:])),
+        "magnitudes": np.max(np.abs(s[..., :2:-1] - s[..., :3] - TAIL_GAP), axis=-1),
+        "min_tail": np.min(np.abs(z[..., 3:]), axis=-1),
     }
 
 

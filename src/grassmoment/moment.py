@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .exactgeom import pairs_lex
-from .plucker import GrassmannPoint, _fold, plucker_embed
+from .plucker import GrassmannPoint, plucker_embed
 
 
 def weight_vectors(n: int) -> np.ndarray:
@@ -50,7 +50,7 @@ def simplex_moment(point) -> np.ndarray:
     coords = np.asarray(point, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         profile = np.abs(coords) ** 2
-        total = _fold("sum", profile, keepdims=True)
+        total = np.sum(profile, axis=-1, keepdims=True)
     if not np.all(np.isfinite(total)):
         raise ValueError(f"squared moduli of the point sum to {total[~np.isfinite(total)][0]}: "
                          "coordinates must be finite and below about 1e154")
@@ -71,7 +71,7 @@ def hypersimplex_moment(point, n: int) -> np.ndarray:
             f"point has {profile.shape[-1]} coordinates, expected {weights.shape[0]} for n={n}")
     # An elementwise sum rather than a matrix product, so that a batch
     # row equals the same point's image bit for bit.
-    return _fold("sum", profile[..., :, None] * weights, axis=-2)
+    return np.sum(profile[..., :, None] * weights, axis=-2)
 
 
 def grassmann_moment(plane: GrassmannPoint, n: int) -> np.ndarray:
