@@ -23,9 +23,16 @@ chart coordinates, shape (4,) or (N, 4).  A run is drawn by one
 ``sample_for_kind(kind, rng, count)``, shape (count, 6), and certified by one
 ``certify``, the one judge of a sampled point: a point off the fiber is a
 failed check, with its value and tolerance, not an error (non-finite input
-is).  The one-point helpers are the N = 1 case of the same code.  A
-batch is handled by columns: per-point reductions are numpy's along the
-last axis, and ``Certificates.json_rows`` encodes each column once.
+is).  A batch row has the bits of the same point as a batch of one.  Batches
+are handled and stored by columns: each is a column-major (Fortran-ordered)
+(N, k) array, namely ``_stack``'s, ``sample_fiber5``'s buffer, the Gaussian
+draws of ``random_sphere_triple`` and ``random_three_sphere``, the f-values of
+``_chart_checks``, the eigenvalues of ``_gram_singular_values``, plucker's
+``chart_array`` and moment's ``hypersimplex_moment``.  Per-point reductions are
+numpy's along the last axis and read contiguous columns, and no bit moves: a
+max or min is exact, and each sum or norm spans at most 6 real entries, which
+numpy adds left to right in either memory order (8 or more contiguous ones
+pairwise).  ``Certificates.json_rows`` encodes each column once.
 
 The level q enters only through c = 1 - q1 - q2 = 1/9 (``TAIL_GAP``) of the
 tail rule |z_(5-k)|^2 = |z_k|^2 + c and R = (1 - 3c)/2 = 1/3 (``HEAD_RADIUS2``),
@@ -95,8 +102,8 @@ def _split(x) -> tuple:
 
 
 def _stack(*values) -> np.ndarray:
-    """Broadcast complex values to one shape and stack them along a new last axis."""
-    return np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in values)), -1)
+    """Broadcast complex values to one shape and stack them along a new last axis, column-major."""
+    return np.moveaxis(np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in values))), 0, -1)
 
 
 def orbit_swap(z) -> np.ndarray:
@@ -147,7 +154,7 @@ def fiber7_preimage(z):
 
 def random_sphere_triple(rng: np.random.Generator, count: int) -> tuple:
     """count uniform points of the radius 1/sqrt(3) sphere in C^3, as three (count,) arrays."""
-    v = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
+    v = np.asfortranarray(rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3)))
     v *= 1.0 / (math.sqrt(1.0 / HEAD_RADIUS2) * np.linalg.norm(v, axis=-1, keepdims=True))
     return _split(v)
 
@@ -292,7 +299,7 @@ def sample_fiber5(rng: np.random.Generator, count: int) -> np.ndarray:
     g = random_three_sphere(rng, count)
     g[surface] = _surface_turn(g[surface])
     sections, phases = from_three_sphere(g), random_phases(rng, (count, 3))
-    points = np.empty((count, 6), dtype=complex)
+    points = np.empty((count, 6), dtype=complex, order="F")
     points[surface] = surface_torus_param(sections[surface], phases[surface])
     points[~surface] = sphere_torus_param(sections[~surface], *phases[~surface, :2].T)
     return points
@@ -370,7 +377,7 @@ def from_three_sphere(g) -> np.ndarray:
 
 def random_three_sphere(rng: np.random.Generator, count: int) -> np.ndarray:
     """count uniform points of the unit sphere in C^2, shape (count, 2)."""
-    g = rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2))
+    g = np.asfortranarray(rng.normal(size=(count, 2)) + 1j * rng.normal(size=(count, 2)))
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
@@ -487,14 +494,15 @@ def ci_jacobian_fd(a) -> np.ndarray:
 
 def _gram_singular_values(jacobian) -> np.ndarray:
     """Descending singular values of (..., 3, 8) matrices: roots of the Gram eigenvalues, clipped at 0."""
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(jacobian @ jacobian.swapaxes(-1, -2))[..., ::-1], 0.0))
+    gram = jacobian @ jacobian.swapaxes(-1, -2)
+    return np.sqrt(np.maximum(np.asfortranarray(np.linalg.eigvalsh(gram))[..., ::-1], 0.0))
 
 
 def _chart_checks(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f-values, their distance from (0, -1, 0), and the chart Jacobian's singular values from its
     Gram eigenvalues (sigma3/sigma1 to relative error ~eps/(sigma3/sigma1)^2, a true 0 reads ~1e-8),
     at any chart point: judging the distance is ``certify``'s 'f_values' check."""
-    f = np.stack(complete_intersection_f(a), axis=-1)
+    f = np.moveaxis(np.stack(complete_intersection_f(a)), 0, -1)
     return f, np.max(np.abs(f - F_TARGET), axis=-1), _gram_singular_values(ci_jacobian(a))
 
 
@@ -706,16 +714,17 @@ class Certificates:
             return []
 
         def cells(column: np.ndarray | None) -> list[str]:
-            """Each row of column as orjson writes it; null where the kind has none."""
+            """Each row of column as orjson writes it, less ndim - 1 outer brackets; null where none."""
             if column is None:
                 return ["null"] * len(self.points)
             text = orjson.dumps(np.ascontiguousarray(column), option=orjson.OPT_SERIALIZE_NUMPY).decode()
-            cut = "]" * (column.ndim - 1) + "," + "[" * (column.ndim - 1)
-            return text[1:-1].replace(cut, cut.replace(",", "\0")).split("\0")
+            ndim = column.ndim
+            return text[ndim:-ndim].split("]" * (ndim - 1) + "," + "[" * (ndim - 1))
 
         points = np.stack([self.points.real, self.points.imag], axis=-1)
-        rows = [f'{{"point":{p},"residuals":{{"moment":{m},"plucker":{q},"surface":{s}}},'
-                f'"jacobian_rank":{r},"f_values":{f}}}'
+        f_open, f_close = ("", "") if self.f_values is None else ("[", "]")
+        rows = [f'{{"point":[[{p}]],"residuals":{{"moment":{m},"plucker":{q},"surface":{s}}},'
+                f'"jacobian_rank":{r},"f_values":{f_open}{f}{f_close}}}'
                 for p, m, q, s, r, f in zip(*map(cells, [points, *residuals, self.ranks, self.f_values]))]
         for index in np.flatnonzero(~self.passed).tolist():
             failed = [{"check": name, "value": float(value[index]), "tolerance": tolerance}

@@ -47,7 +47,7 @@ def symmetric_power_phases(t: Sequence[complex], n: int) -> np.ndarray:
 
 def simplex_moment(point) -> np.ndarray:
     """Standard moment map CP^N -> Delta^N: normalized squared moduli, along the last axis."""
-    coords = np.asarray(point, dtype=complex)
+    coords = np.asarray(point, dtype=complex, order="C")  # one memory order, so one summation order
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         profile = np.abs(coords) ** 2
         total = np.sum(profile, axis=-1, keepdims=True)
@@ -69,9 +69,9 @@ def hypersimplex_moment(point, n: int) -> np.ndarray:
     if profile.shape[-1] != weights.shape[0]:
         raise ValueError(
             f"point has {profile.shape[-1]} coordinates, expected {weights.shape[0]} for n={n}")
-    # An elementwise sum rather than a matrix product, so that a batch
-    # row equals the same point's image bit for bit.
-    return np.sum(profile[..., :, None] * weights, axis=-2)
+    # Each coordinate adds its n - 1 pair columns left to right in lex order, not
+    # by a matrix product, so that a batch row equals a batch of one bit for bit.
+    return np.moveaxis(np.stack([sum(profile[..., k] for k in np.flatnonzero(w)) for w in weights.T]), 0, -1)
 
 
 def grassmann_moment(plane: GrassmannPoint, n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ def normalize_projective(coords) -> np.ndarray:
 
     Works along the last axis: an (N, k) array gives N representatives.
     """
-    v = np.array(coords, dtype=complex)
+    v = np.array(coords, dtype=complex, order="C")  # one memory order, so one summation order
     if v.ndim == 0 or v.shape[-1] == 0:
         raise ValueError("projective point must be a nonempty vector")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is reported below
@@ -52,8 +52,8 @@ def projective_distance(u, v) -> float:
     the same number but does not lose precision when the classes agree.
     Works along the last axis, so batches of points broadcast.
     """
-    a = np.asarray(u, dtype=complex)
-    b = np.asarray(v, dtype=complex)
+    a = np.asarray(u, dtype=complex, order="C")  # one memory order, so one summation order
+    b = np.asarray(v, dtype=complex, order="C")
     a = a / np.linalg.norm(a, axis=-1, keepdims=True)
     b = b / np.linalg.norm(b, axis=-1, keepdims=True)
     inner = np.sum(np.conj(b) * a, axis=-1, keepdims=True)
@@ -127,7 +127,7 @@ def chart_array(z) -> np.ndarray:
     z = as_coords6(z)
     if not np.all(np.abs(z[..., 3]) > COORD_TOL):
         raise ValueError("outside chart: the {2,3}-minor vanishes")
-    return np.stack([z[..., 1], -z[..., 5], -z[..., 0], z[..., 4]], axis=-1) / z[..., 3:4]
+    return np.moveaxis(np.stack([z[..., 1], -z[..., 5], -z[..., 0], z[..., 4]]), 0, -1) / z[..., 3:4]
 
 
 def from_chart(coords) -> GrassmannPoint:

@@ -1,9 +1,13 @@
 """Per-point reductions are numpy's along the last axis: each row of a batch
-gives the bits it gives as a batch of one, at every batch size, so a fiber
-point's certificate does not depend on how many points were certified with it.
+gives the bits it gives as a batch of one, at every batch size and in either
+memory order, so a fiber point's certificate does not depend on how many points
+were certified with it, nor on how their array is laid out.
 
 A batch of one, not a single point: numpy multiplies complex scalars by
-another routine than complex arrays, which rounds some products differently."""
+another routine than complex arrays, which rounds some products differently.
+Either memory order: numpy adds a contiguous run of 8 or more reals pairwise
+and a strided one left to right, so only reductions over fewer entries, as all
+of fibers4's are, may take either order (test_moment covers the longer ones)."""
 
 import numpy as np
 import pytest
@@ -72,6 +76,14 @@ def _parts(out):
     return list(out) if isinstance(out, (tuple, list)) else [out]
 
 
+def _same_bits(a, b):
+    """Equal dtype, shape and bytes for arrays; equality for lists of JSON rows."""
+    if isinstance(a, list):
+        return a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("count", [2, 17, 300])
 @pytest.mark.parametrize("name", list(ROW_FUNCTIONS))
 def test_batch_rows_equal_batches_of_one_bit_for_bit(name, count):
@@ -81,10 +93,20 @@ def test_batch_rows_equal_batches_of_one_bit_for_bit(name, count):
     for k in range(count):
         one = _parts(function(x[k:k + 1]))
         assert len(one) == len(batch)
-        for single, column in zip(one, batch):
-            if isinstance(column, list):  # JSON rows
-                assert single == column[k:k + 1]
-                continue
-            single, row = np.asarray(single), np.asarray(column)[k:k + 1]
-            assert single.dtype == row.dtype and single.shape == row.shape
-            assert single.tobytes() == row.tobytes()
+        assert all(_same_bits(single, column[k:k + 1]) for single, column in zip(one, batch))
+
+
+@pytest.mark.parametrize("name", list(ROW_FUNCTIONS))
+def test_batch_bits_do_not_depend_on_memory_order(name):
+    kind, function = ROW_FUNCTIONS[name]
+    x = _inputs(kind, np.random.default_rng(7), 300)
+    c_order = _parts(function(np.ascontiguousarray(x)))
+    f_order = _parts(function(np.asfortranarray(x)))
+    assert len(c_order) == len(f_order)
+    assert all(_same_bits(c, f) for c, f in zip(c_order, f_order))
+
+
+@pytest.mark.parametrize("kind", ["mq7", "mq5", "m2", "m3"])
+def test_samples_are_column_major(kind):
+    points = fb.sample_for_kind(kind, np.random.default_rng(3), 40)
+    assert points.shape == (40, 6) and points.flags.f_contiguous

@@ -102,9 +102,12 @@ ROW_FUNCTIONS = {
 }
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 @pytest.mark.parametrize("name", list(ROW_FUNCTIONS))
 def test_batch_rows_equal_one_point_results_bit_for_bit(name, n):
+    """In C and Fortran order alike.  numpy adds 8 or more contiguous reals pairwise and strided
+    ones left to right, and a point's C(n,2) coordinates are 12 or more reals as complex numbers
+    and, at n >= 5, 10 or more squared moduli."""
     rng = np.random.default_rng(n)
     shape = (500, math.comb(n, 2))
     z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -113,6 +116,9 @@ def test_batch_rows_equal_one_point_results_bit_for_bit(name, n):
     w[::2] = z[::2] * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=(250, 1)))  # same class
     batch = ROW_FUNCTIONS[name](z, w, n)
     assert batch.shape[0] == 500
+    fortran = ROW_FUNCTIONS[name](np.asfortranarray(z), np.asfortranarray(w), n)
+    assert fortran.dtype == batch.dtype and fortran.shape == batch.shape
+    assert fortran.tobytes() == batch.tobytes()
     for k in range(500):
         one = np.asarray(ROW_FUNCTIONS[name](z[k], w[k], n))
         assert one.shape == batch.shape[1:] and one.tobytes() == batch[k].tobytes()
