@@ -21,6 +21,7 @@ from .regularity import (
     CHAMBER_POINT_MINUS,
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    STAR,
     chamber_orbits,
     classify_point,
     largest_chamber_witness,
@@ -158,8 +159,8 @@ def cmd_fiber(args) -> int:
     rng = np.random.default_rng(args.seed)
     points = fb.sample_for_kind(args.kind, rng, args.samples)
     batch = fb.certify(args.kind, points, tolerances=overrides)
-    if second_orbit:  # the C+ fiber is the swap image of the certified C- points
-        batch = dataclasses.replace(batch, points=fb.orbit_swap(batch.points))
+    if second_orbit:  # the C+ fiber over q+ is the star image of the certified C- points
+        batch = dataclasses.replace(batch, points=fb.symmetry_images([STAR], batch.points))
     failing = np.flatnonzero(~batch.passed)
     payload = {
         "kind": args.kind,

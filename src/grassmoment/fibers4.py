@@ -12,10 +12,10 @@ chart-transition cocycle, and seeded samplers with residual certificates
 for all of it.  The 5-fiber's sections are drawn as the inverse images of
 uniform S^3 points, so no sampler rejects a draw.
 
-Every function here describes the fiber over q, in the chamber orbit C-.
-The fiber over the mirror point (2/3, 4/9, 4/9, 4/9) in C+ is its image
-under the coordinate swap (z0,z1,z2) <-> (z3,z4,z5), ``orbit_swap``:
-callers swap points once, at the boundary.
+Every function here describes the fiber over q, in the chamber orbit C-.  The
+fiber over another chamber's level g.q is its image under the symmetry g of
+regularity.SYMMETRIES, which ``symmetry_images`` applies exactly by g's pair table:
+callers move points once, at the boundary.  The star reverses z0..z5 (q+ in C+).
 
 All numerics work along the last axis: one point has shape (6,) and N
 points (N, 6), section points included; a chart point is its four complex
@@ -53,7 +53,7 @@ import numpy as np
 from .exactgeom import Vector, pairs_lex
 from .moment import hypersimplex_moment, weight_vectors
 from .plucker import as_coords6, chart_array, normalize_projective, plucker_relation_residual
-from .regularity import CHAMBER_POINT_MINUS
+from .regularity import CHAMBER_POINT_MINUS, pair_table, solve_moment_triangle
 
 F = Fraction
 
@@ -61,15 +61,8 @@ _GAP = 1 - CHAMBER_POINT_MINUS[0] - CHAMBER_POINT_MINUS[1]
 #: The level q as the tail gap c and the head sphere's radius^2 R, exact until rounded.
 TAIL_GAP, HEAD_RADIUS2 = float(_GAP), float((1 - 3 * _GAP) / 2)
 
-#: Coordinate swap exchanging the two chamber orbits; it is an involution.
-ORBIT_SWAP = np.array([3, 4, 5, 0, 1, 2])
-
-#: Simplex images of the three edge circles, exact.
-EDGE_IMAGES: tuple[Vector, ...] = (
-    (F(0), F(1, 6), F(1, 6), F(5, 18), F(5, 18), F(1, 9)),
-    (F(1, 6), F(0), F(1, 6), F(5, 18), F(1, 9), F(5, 18)),
-    (F(1, 6), F(1, 6), F(0), F(1, 9), F(5, 18), F(5, 18)),
-)
+#: Simplex images of the three edge circles, exact: the triangle's edge points at t = 1/6.
+EDGE_IMAGES: tuple[Vector, ...] = tuple(solve_moment_triangle().edge_point(k, F(1, 6)) for k in range(3))
 
 #: Exponent matrix of the chart transition on the torus fiber, unimodular.
 TRANSITION_EXPONENTS = ((1, 1, -1), (1, 0, 0), (0, 0, 1))
@@ -106,9 +99,14 @@ def _stack(*values) -> np.ndarray:
     return np.moveaxis(np.stack(np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in values))), 0, -1)
 
 
-def orbit_swap(z) -> np.ndarray:
-    """Apply the coordinate swap between the two chamber orbits."""
-    return as_coords6(z)[..., ORBIT_SWAP]
+def symmetry_images(symmetries, z) -> np.ndarray:
+    """Row i of the (N, 6) batch z moved by symmetries[i % len(symmetries)] of
+    regularity.SYMMETRIES: coordinate m of g.z is sign[m] * z[source[m]] by g's
+    pair_table, exact (a gather, and a negation where the sign is -1)."""
+    source, sign = map(np.array, zip(*map(pair_table, symmetries)))
+    rows = np.arange(len(z)) % len(symmetries)
+    moved = np.take_along_axis(as_coords6(z), source[rows], axis=-1)
+    return np.asfortranarray(np.where((sign < 0)[rows], -moved, moved))
 
 
 def _check_unit_phases(phases) -> np.ndarray:

@@ -22,6 +22,10 @@ walls as pairs of disjoint masks of equal subset sum.  For n = 4 no
 the chamber id and both verdicts from one table of the 2^n integer subset
 sums of x (exactgeom._subset_sums).  A scan of the definition over every
 flat spanned by vertices cross-checks them.
+
+At n = 4 one exact action of the 48 symmetries (sigma, star) of Delta_{4,2}
+moves levels (act_on_level) and Plucker coordinates (pair_table); the chambers,
+their orbits and q+ = star q- are read from the images of q-.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from typing import Iterator, Sequence
+from functools import cache, lru_cache, reduce
+from typing import Sequence
 
 from .exactgeom import (
     Vector,
@@ -55,9 +59,36 @@ DEFAULT_SAMPLES = 1000
 #: disjoint masks of equal sum, 0.4 s at n = 14 and 1.5 s at n = 15 (2-CPU host).
 PROJECTIVE_MAX_N = 14
 
-#: Canonical interior points of the two reference chambers.
+#: A symmetry (sigma, star) of Delta_{4,2}: sigma a permutation of range(4), star whether the star acts first.
+Symmetry = tuple[tuple[int, ...], bool]
+#: The 48 symmetries S_4 x <star>: the permutations in itertools order (the identity first), then with star.
+SYMMETRIES = tuple((sigma, star) for star in (False, True) for sigma in itertools.permutations(range(4)))
+#: The star alone, x -> 1 - x, which exchanges C- and C+; ``fiber --orbit plus`` applies it.
+STAR: Symmetry = ((0, 1, 2, 3), True)
+
+
+def act_on_level(g: Symmetry, x: Sequence[Fraction]) -> Vector:
+    """g . x for a level x: x, or 1 - x when g is starred, with coordinate i moved to sigma(i)."""
+    sigma, star = g
+    return tuple(1 - x[sigma.index(i)] if star else x[sigma.index(i)] for i in range(4))
+
+
+@cache
+def pair_table(g: Symmetry) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """g on the Plucker coordinates z0..z5 = P_ij (ij in lex order) as (source, sign), built once:
+    coordinate m of g . z is sign[m] * z[source[m]].  The star reverses z0..z5, then sigma sends P_ij
+    to P_sigma(i)sigma(j), negated where sigma reverses the pair's order; the moment of g . z is g . x."""
+    sigma, star = g
+    pairs = list(itertools.combinations(range(4), 2))
+    preimages = [(sigma.index(a), sigma.index(b)) for a, b in pairs]  # sigma sends (i, j) to (a, b)
+    source = [pairs.index((min(i, j), max(i, j))) for i, j in preimages]
+    return tuple(5 - k if star else k for k in source), tuple(1 if i < j else -1 for i, j in preimages)
+
+
+#: The reference levels q- of the chamber (-1, -1, -1) and q+ = star q- of (1, 1, 1); every
+#: chamber's representative is an image of q-.
 CHAMBER_POINT_MINUS: Vector = (Fraction(1, 3), Fraction(5, 9), Fraction(5, 9), Fraction(5, 9))
-CHAMBER_POINT_PLUS: Vector = (Fraction(2, 3), Fraction(4, 9), Fraction(4, 9), Fraction(4, 9))
+CHAMBER_POINT_PLUS: Vector = act_on_level(STAR, CHAMBER_POINT_MINUS)
 
 
 @dataclass(frozen=True)
@@ -119,6 +150,8 @@ class ChamberReport:
     id: tuple[int, ...]
     dimension: int
     representative: Vector
+    #: The first of SYMMETRIES that carries q- into the chamber; representative is that image.
+    symmetry: Symmetry
 
 
 @dataclass(frozen=True)
@@ -294,29 +327,22 @@ def is_regular_projective_bruteforce(x: Sequence[Fraction], n: int) -> bool:
     return all(convex_membership(x, hull) is None for hull in _list_flats(n))
 
 
-def _representative_candidates() -> Iterator[Vector]:
-    """The eight reference points: the coordinate permutations of q- and q+."""
-    for base in (CHAMBER_POINT_MINUS, CHAMBER_POINT_PLUS):
-        special, common = base[0], base[1]
-        for position in range(4):
-            point = [common] * 4
-            point[position] = special
-            yield tuple(point)
-
-
-def enumerate_chambers() -> list[ChamberReport]:
-    """The eight maximal chambers of the n=4 decomposition, with exact representatives."""
-    found: dict[tuple[int, ...], Vector] = {}
-    for x in _representative_candidates():
+@cache
+def enumerate_chambers() -> tuple[ChamberReport, ...]:
+    """The eight maximal chambers of the n = 4 decomposition in id order, those the images of
+    q- under SYMMETRIES lie in, each with the first as its representative; computed once."""
+    found: dict[tuple[int, ...], tuple[Symmetry, Vector]] = {}
+    for g in SYMMETRIES:
+        x = act_on_level(g, CHAMBER_POINT_MINUS)
         signs, regular, _ = classify_point(x, 4)
         if regular:
-            found.setdefault(signs, x)
-    return [ChamberReport(id=signs, dimension=3, representative=x)
-            for signs, x in sorted(found.items())]
+            found.setdefault(signs, (g, x))
+    return tuple(ChamberReport(id=signs, dimension=3, representative=x, symmetry=g)
+                 for signs, (g, x) in sorted(found.items()))
 
 
 def chamber_orbits() -> tuple[ChamberOrbit, ChamberOrbit]:
-    """The orbits of the eight chambers under coordinate permutations.
+    """The orbits of the eight chambers under S_4, the unstarred symmetries.
 
     Two orbits of four chambers each; the orbit of the all-minus chamber
     is labeled C- and the orbit of the all-plus chamber C+.  An orbit is
@@ -328,8 +354,8 @@ def chamber_orbits() -> tuple[ChamberOrbit, ChamberOrbit]:
     orbits = []
     for label, rep_id in (("C-", (-1, -1, -1)), ("C+", (1, 1, 1))):
         representative = by_id[rep_id].representative
-        ids = {sign_vector(tuple(representative[p] for p in perm), arrangement)
-               for perm in itertools.permutations(range(4))}
+        ids = {sign_vector(act_on_level(g, representative), arrangement)
+               for g in SYMMETRIES if not g[1]}
         orbits.append(ChamberOrbit(label=label, representative=by_id[rep_id],
                                    chambers=tuple(by_id[i] for i in sorted(ids))))
     return tuple(orbits)

@@ -308,6 +308,10 @@ def _boundary_blind(grid_verdicts):
     return blind
 
 
+#: The residuals criterion 12 reports: its two moment residuals, then its Plucker residual.
+RESIDUALS_12 = ("max_moment_residual_mq7", "max_moment_residual_mq5", "max_plucker_residual")
+
+
 #: Mutants of library code, at least one for each criterion: the name replaced,
 #: its module, its replacement (a function of the original), the criteria
 #: `report` fails under it, and what the failed criteria's details, by number,
@@ -339,6 +343,10 @@ MUTANTS = {
     # generic fiber points still count dimension 5: only the finite-difference gap sees it
     "_constraint_rows": (acceptance.fb, _quadric_all_plus, [11],
                          lambda failed: failed[11]["dims5"] == [5] and failed[11]["max_fd_gap"] > 1e-8),
+    # unsigned, a permutation of the pairs moves the points to the right levels but off the quadric
+    "pair_table": (acceptance.fb, lambda table: lambda g: (table(g)[0], (1,) * 6), [12],
+                   lambda failed: failed[12]["chamber_ids_exact"] and failed[12]["max_plucker_residual"] > 0.4
+                   and max(failed[12][key] for key in RESIDUALS_12[:2]) <= 1e-10),
 }
 
 
@@ -377,21 +385,40 @@ def test_fiber_mutants_fail_by_name(monkeypatch, capsys, name):
     assert run("fiber", "mq5", "--tol", "f_values=1e-6")[0] == (0 if FIBER_MUTANTS[name] else 1)
 
 
-def test_criterion_12_second_orbit():
+def test_criterion_12_symmetry_images():
     result = _run(acceptance.check_second_orbit)
     assert result.passed
-    assert result.name == "second orbit swap images"
-    residuals = ("max_moment_residual_mq7", "max_moment_residual_mq5", "max_plucker_residual")
-    assert set(result.details) == {"samples", *residuals}
+    assert result.name == "symmetry images in every chamber"
+    assert set(result.details) == {"samples", "chambers", "chamber_ids_exact", *RESIDUALS_12}
     assert result.details["samples"] == SAMPLES
-    assert all(result.details[key] <= 1e-10 for key in residuals)
+    assert result.details["chambers"] == 8 and result.details["chamber_ids_exact"]
+    assert all(result.details[key] <= 1e-10 for key in RESIDUALS_12)
 
 
-def test_criterion_12_fails_without_the_swap(monkeypatch):
+@pytest.mark.parametrize("samples", [1, 7])
+def test_criterion_12_checks_every_chamber_at_few_samples(samples, monkeypatch):
+    # Fewer rows than chambers wrap around the batch, so every chamber's symmetry moves a row.
+    images, moved = acceptance.fb.symmetry_images, []
+
+    def moving(symmetries, z):
+        moved.append((list(symmetries), len(z)))
+        return images(symmetries, z)
+
+    monkeypatch.setattr(acceptance.fb, "symmetry_images", moving)
+    result = acceptance.check_second_orbit(SEED, samples)
+    assert result.passed and result.details["samples"] == samples
+    assert result.details["chambers"] == 8 and result.details["chamber_ids_exact"]
+    symmetries = [c.symmetry for c in regularity.enumerate_chambers()]
+    assert len(set(symmetries)) == 8 and moved == [(symmetries, 8)] * 2
+
+
+def test_criterion_12_fails_with_the_identity_for_each_chamber(monkeypatch):
     # The C- points themselves map to q-, a max-norm distance 1/3 from q+.
-    monkeypatch.setattr(acceptance.fb, "orbit_swap", lambda z: z)
+    identity = regularity.SYMMETRIES[0]
+    chambers = tuple(dataclasses.replace(c, symmetry=identity) for c in regularity.enumerate_chambers())
+    monkeypatch.setattr(acceptance, "enumerate_chambers", lambda: chambers)
     result = acceptance.check_second_orbit(SEED, SAMPLES)
-    assert not result.passed
+    assert not result.passed and not result.details["chamber_ids_exact"]
     assert result.details["max_moment_residual_mq7"] > 0.3
     assert result.details["max_moment_residual_mq5"] > 0.3
 
@@ -437,7 +464,7 @@ DECLARED_CRITERIA = [
     ("transition", 9, "bundle structure", "check_bundle_structure"),
     ("parity", 10, "center point parity", "check_center_parity"),
     ("dimensions", 11, "tangent dimension counts", "check_dimension_counts"),
-    ("secondorbit", 12, "second orbit swap images", "check_second_orbit"),
+    ("symmetry", 12, "symmetry images in every chamber", "check_second_orbit"),
 ]
 
 

@@ -14,13 +14,13 @@ import numpy as np
 import orjson
 import pytest
 
-from grassmoment import cli
+from grassmoment import cli, regularity
 from grassmoment import fibers4 as fb
 from grassmoment.exactgeom import vector
 from grassmoment.moment import hypersimplex_moment, weight_map
 
 Q_PLUS = np.array([2 / 3, 4 / 9, 4 / 9, 4 / 9])
-SWAP = (3, 4, 5, 0, 1, 2)  # (z0, z1, z2) <-> (z3, z4, z5)
+STAR = (5, 4, 3, 2, 1, 0)  # the star reverses z0..z5, with no sign
 
 
 def run_cli(capsys, argv):
@@ -171,7 +171,7 @@ def test_fiber_certificates_pass(capsys):
 
 
 def test_fiber_second_orbit(capsys):
-    # `--orbit plus` emits the swap images of the C- points drawn at the same
+    # `--orbit plus` emits the star images of the C- points drawn at the same
     # seed, each checked here against q+ without the library's residuals.
     for kind in ("mq7", "mq5", "m2", "m3"):
         argv = ["fiber", kind, "--samples", "20", "--seed", "11"]
@@ -181,7 +181,7 @@ def test_fiber_second_orbit(capsys):
         assert payload["second_orbit"] is True
         assert payload["aggregate"]["rank_histogram"] == minus["aggregate"]["rank_histogram"]
         for mirror, cert in zip(payload["certificates"], minus["certificates"], strict=True):
-            assert mirror["point"] == [cert["point"][k] for k in SWAP]
+            assert mirror["point"] == [cert["point"][k] for k in STAR]
             assert (mirror["jacobian_rank"], mirror["f_values"]) == (cert["jacobian_rank"],
                                                                      cert["f_values"])
             z = np.array([complex(re, im) for re, im in mirror["point"]])
@@ -281,7 +281,7 @@ def test_fiber_stdout_is_the_dumped_dict_tree(capsys, kind, orbit, tol):
     tolerances = cli._parse_tolerances([tol] if tol else [], fb.DEFAULT_TOLERANCES)
     batch = fb.certify(kind, fb.sample_for_kind(kind, np.random.default_rng(5), 60), tolerances)
     if orbit == "plus":
-        batch = dataclasses.replace(batch, points=fb.orbit_swap(batch.points))
+        batch = dataclasses.replace(batch, points=fb.symmetry_images([regularity.STAR], batch.points))
     certs = certificate_tree(batch)
     failing = np.flatnonzero(~batch.passed)
     assert code == (1 if tol else 0) and (failing.size > 0) == bool(tol)

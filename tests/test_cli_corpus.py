@@ -13,8 +13,9 @@ A change that moves output on purpose regenerates the digests with
 
     PYTHONPATH=src python tests/test_cli_corpus.py
 
-and the corpus diff then names the rows that moved.  A new row is an
-``{"argv": [...]}`` entry; the script fills in the rest.
+which prints the argv of each row whose digests or exit code it changed,
+one row a line, and nothing when no row moved.  A new row is an
+``{"argv": [...]}`` entry; the script fills in the rest and prints it.
 """
 
 import contextlib
@@ -80,5 +81,8 @@ def test_every_subcommand_has_a_corpus_row():
 
 
 if __name__ == "__main__":
-    rows = [json.dumps(run_row(row["argv"])) for row in ROWS]
-    CORPUS.write_text("[\n" + ",\n".join(rows) + "\n]\n")
+    rows = [run_row(row["argv"]) for row in ROWS]
+    for old, new in zip(ROWS, rows):
+        if old != new:
+            print(" ".join(new["argv"]))
+    CORPUS.write_text("[\n" + ",\n".join(map(json.dumps, rows)) + "\n]\n")

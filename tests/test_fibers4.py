@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grassmoment import fibers4 as fb
+from grassmoment import regularity
 from grassmoment.exactgeom import pairs_lex
 from grassmoment.moment import hypersimplex_moment, simplex_moment
 from grassmoment.plucker import (
@@ -165,10 +166,12 @@ def test_triangle_edge_zero_coordinates():
 
 
 def test_triangle_edge_curve_crossing():
-    tri = solve_moment_triangle()
-    assert tri.edge_point(0, F(1, 6)) == tuple(fb.EDGE_IMAGES[0])
-    assert tri.edge_point(1, F(1, 6)) == tuple(fb.EDGE_IMAGES[1])
-    assert tri.edge_point(2, F(1, 6)) == tuple(fb.EDGE_IMAGES[2])
+    # EDGE_IMAGES is read off the triangle; pinned here as the table worked out by hand.
+    assert fb.EDGE_IMAGES == (
+        (F(0), F(1, 6), F(1, 6), F(5, 18), F(5, 18), F(1, 9)),
+        (F(1, 6), F(0), F(1, 6), F(5, 18), F(1, 9), F(5, 18)),
+        (F(1, 6), F(1, 6), F(0), F(1, 9), F(5, 18), F(5, 18)),
+    )
 
 
 def test_triangle_region_matches_inequalities():
@@ -764,11 +767,61 @@ def test_constraint_rows_match_finite_differences():
     assert np.array_equal(fb._constraint_rows(points, include_quadric=False), rows[:, :5])
 
 
-# -- the second orbit ---------------------------------------------------------
+# -- the symmetries S_4 x <star> --------------------------------------------
 
-def test_orbit_swap_is_involution(rng):
-    z = fb.sample_fiber7(rng, 1)[0]
-    assert np.allclose(fb.orbit_swap(fb.orbit_swap(z)), z)
+def _quadric(z):
+    return z[..., 0] * z[..., 5] + z[..., 2] * z[..., 3] - z[..., 1] * z[..., 4]
+
+
+def test_symmetries_keep_the_quadric_up_to_one_sign():
+    # Gaussian-integer vectors: every product and sum below is an integer under 2^53, so exact.
+    re, im = np.random.default_rng(38).integers(-40, 41, size=(2, 200, 6))
+    z, value = re + 1j * im, _quadric(re + 1j * im)
+    assert np.all(value != 0) and np.array_equal(value, np.round(value))
+    assert regularity.SYMMETRIES[0] == (tuple(range(4)), False) and len(set(regularity.SYMMETRIES)) == 48
+    for g in regularity.SYMMETRIES:
+        moved = _quadric(fb.symmetry_images([g], z))
+        assert np.array_equal(moved, value) or np.array_equal(moved, -value), g
+        source, sign = regularity.pair_table(g)
+        assert sorted(source) == list(range(6)) and set(sign) <= {1, -1}
+
+
+def test_symmetries_carry_q_minus_into_every_chamber():
+    images = {regularity.classify_point(regularity.act_on_level(g, CHAMBER_POINT_MINUS), 4)
+              for g in regularity.SYMMETRIES}
+    assert len(images) == 8 and all(regular and projective for _, regular, projective in images)
+    assert {signs for signs, _, _ in images} == {c.id for c in regularity.enumerate_chambers()}
+    for c in regularity.enumerate_chambers():
+        assert regularity.act_on_level(c.symmetry, CHAMBER_POINT_MINUS) == c.representative
+
+
+def test_permutations_keep_each_orbit_and_the_star_exchanges_them():
+    orbit_of = {c.id: o.label for o in regularity.chamber_orbits() for c in o.chambers}
+    assert sorted(orbit_of.values()) == ["C+"] * 4 + ["C-"] * 4
+    for c in regularity.enumerate_chambers():
+        for g in regularity.SYMMETRIES:
+            signs, _, _ = regularity.classify_point(regularity.act_on_level(g, c.representative), 4)
+            assert (orbit_of[signs] == orbit_of[c.id]) == (not g[1])
+
+
+def test_q_plus_is_the_star_of_q_minus():
+    assert regularity.CHAMBER_POINT_PLUS == regularity.act_on_level(regularity.STAR, CHAMBER_POINT_MINUS)
+    assert regularity.CHAMBER_POINT_PLUS == (F(2, 3), F(4, 9), F(4, 9), F(4, 9))
+    assert regularity.pair_table(regularity.STAR) == ((5, 4, 3, 2, 1, 0), (1,) * 6)
+
+
+def test_symmetry_images_move_the_moment_with_the_level(rng):
+    z = fb.sample_fiber5(rng, 200)
+    for g in regularity.SYMMETRIES:
+        moved = fb.symmetry_images([g], z)
+        level = np.array(regularity.act_on_level(g, CHAMBER_POINT_MINUS), dtype=float)
+        assert np.max(fb.moment_residual(moved, level)) <= 1e-12
+        assert np.max(plucker_relation_residual(normalize_projective(moved))) <= 1e-12
+    # a batch of several symmetries moves row i by the (i mod k)-th
+    symmetries = regularity.SYMMETRIES[5:8]
+    together = fb.symmetry_images(symmetries, z)
+    for i in (0, 1, 2, 3, 199):
+        assert np.array_equal(together[i], fb.symmetry_images([symmetries[i % 3]], z[i:i + 1])[0])
 
 
 def test_affine_representative_idempotent(rng):
@@ -777,60 +830,64 @@ def test_affine_representative_idempotent(rng):
     fixed = fb.affine_representative(skewed)
     assert np.max(np.abs(fixed - point)) <= 1e-12
     assert np.max(np.abs(fb.affine_representative(fixed) - fixed)) <= 1e-15
-    # The mirror representative, taken through the swap, pivots on slot 0.
-    swapped = fb.orbit_swap(skewed)
-    back = fb.orbit_swap(fb.affine_representative(fb.orbit_swap(swapped)))
-    assert np.max(np.abs(back - fb.orbit_swap(point))) <= 1e-12
-    assert back[0].imag == 0.0 and back[0].real > 0.0
+    # The mirror representative, taken through the star, pivots on slot 2 (the star is an involution).
+    starred = _star(skewed[None])
+    back = _star(fb.affine_representative(_star(starred)))[0]
+    assert np.max(np.abs(back - _star(point[None])[0])) <= 1e-12
+    assert back[2].imag == 0.0 and back[2].real > 0.0
     assert abs(np.linalg.norm(back) - 1.0) <= 1e-15
 
 
+def _star(z):
+    """The symmetry `fiber --orbit plus` applies."""
+    return fb.symmetry_images([regularity.STAR], z)
+
+
 def test_second_orbit_moment_target(rng):
-    point = fb.orbit_swap(fb.sample_fiber7(rng, 1)[0])
+    point = _star(fb.sample_fiber7(rng, 1))
     image = hypersimplex_moment(point, 4)
     assert np.max(np.abs(image - Q_PLUS)) <= 1e-10
     assert fb.moment_residual(point, Q_PLUS) <= 1e-10
-    assert fb.fiber7_residuals(fb.orbit_swap(point))["magnitudes"] <= 1e-10
+    assert fb.fiber7_residuals(_star(point))["magnitudes"] <= 1e-10
 
 
 def test_second_orbit_satisfies_mirror_system(rng):
     # In its own coordinates the mirror fiber fixes the head moduli in
     # terms of the tail: |z0|^2 = (|z3|^2 + |z4|^2 + 4|z5|^2)/3 and cyclic.
-    for _ in range(50):
-        z = fb.orbit_swap(fb.sample_fiber7(rng, 1)[0])
-        s = np.abs(z / np.linalg.norm(z)) ** 2
-        assert abs(s[0] - (s[3] + s[4] + 4 * s[5]) / 3) <= 1e-10
-        assert abs(s[1] - (s[3] + 4 * s[4] + s[5]) / 3) <= 1e-10
-        assert abs(s[2] - (4 * s[3] + s[4] + s[5]) / 3) <= 1e-10
+    z = _star(fb.sample_fiber7(rng, 50))
+    s = np.abs(z / np.linalg.norm(z, axis=-1, keepdims=True)) ** 2
+    assert np.max(np.abs(s[:, 0] - (s[:, 3] + s[:, 4] + 4 * s[:, 5]) / 3)) <= 1e-10
+    assert np.max(np.abs(s[:, 1] - (s[:, 3] + 4 * s[:, 4] + s[:, 5]) / 3)) <= 1e-10
+    assert np.max(np.abs(s[:, 2] - (4 * s[:, 3] + s[:, 4] + s[:, 5]) / 3)) <= 1e-10
 
 
 def test_second_orbit_fiber5(rng):
-    for point in fb.orbit_swap(fb.sample_fiber5(rng, count=20)):
-        assert plucker_relation_residual(point) <= 1e-10
-        assert fb.moment_residual(point, Q_PLUS) <= 1e-10
-        f1, f2, f3 = fb.complete_intersection_f(chart_array(fb.orbit_swap(point)))
-        assert max(abs(f1), abs(f2 + 1), abs(f3)) <= 1e-9
+    points = _star(fb.sample_fiber5(rng, count=20))
+    assert np.max(plucker_relation_residual(points)) <= 1e-10
+    assert np.max(fb.moment_residual(points, Q_PLUS)) <= 1e-10
+    f1, f2, f3 = fb.complete_intersection_f(chart_array(_star(points)))
+    assert max(np.max(np.abs(f1)), np.max(np.abs(f2 + 1)), np.max(np.abs(f3))) <= 1e-9
 
 
 def test_second_orbit_roundtrips(rng):
-    # A mirror point swapped back recovers the parameters it was built from.
-    section = fb.sample_for_kind("m2", rng, 1)[0]
-    phases = fb.random_phases(rng, 3)
-    mirror = fb.orbit_swap(fb.surface_torus_param(section, phases))
-    recovered, t = fb.surface_torus_preimage(fb.orbit_swap(mirror))
-    assert np.max(np.abs(recovered[:2] - section[:2])) <= 1e-10
+    # A mirror point starred back recovers the parameters it was built from.
+    section = fb.sample_for_kind("m2", rng, 1)
+    phases = fb.random_phases(rng, (1, 3))
+    mirror = _star(fb.surface_torus_param(section, phases))
+    recovered, t = fb.surface_torus_preimage(_star(mirror))
+    assert np.max(np.abs(recovered[:, :2] - section[:, :2])) <= 1e-10
     assert np.max(np.abs(t - phases)) <= 1e-10
-    sphere = fb.sample_for_kind("m3", rng, 1)[0]
-    t1, t2 = fb.random_phases(rng, 2)
-    mirror = fb.orbit_swap(fb.sphere_torus_param(sphere, t1, t2))
-    recovered, s1, s2 = fb.sphere_torus_preimage(fb.orbit_swap(mirror))
-    assert np.max(np.abs(recovered[:3] - sphere[:3])) <= 1e-10
-    assert max(abs(s1 - t1), abs(s2 - t2)) <= 1e-10
-    (z0,), (z1,), (z2,) = fb.random_sphere_triple(rng, 1)
-    t4, t5 = fb.random_phases(rng, 2)
-    mirror = fb.orbit_swap(fb.fiber7_param(z0, z1, z2, t4, t5))
-    recovered = fb.fiber7_preimage(fb.orbit_swap(mirror))
-    assert max(abs(a - b) for a, b in zip(recovered, (z0, z1, z2, t4, t5))) <= 1e-10
+    sphere = fb.sample_for_kind("m3", rng, 1)
+    t1, t2 = fb.random_phases(rng, (2, 1))
+    mirror = _star(fb.sphere_torus_param(sphere, t1, t2))
+    recovered, s1, s2 = fb.sphere_torus_preimage(_star(mirror))
+    assert np.max(np.abs(recovered[:, :3] - sphere[:, :3])) <= 1e-10
+    assert max(np.max(np.abs(s1 - t1)), np.max(np.abs(s2 - t2))) <= 1e-10
+    z0, z1, z2 = fb.random_sphere_triple(rng, 1)
+    t4, t5 = fb.random_phases(rng, (2, 1))
+    mirror = _star(fb.fiber7_param(z0, z1, z2, t4, t5))
+    recovered = fb.fiber7_preimage(_star(mirror))
+    assert max(np.max(np.abs(a - b)) for a, b in zip(recovered, (z0, z1, z2, t4, t5))) <= 1e-10
 
 
 # -- certificates -------------------------------------------------------------
@@ -878,10 +935,10 @@ def test_certify_batch_equals_one_point_views(kind, mirror):
     certificates = [json.loads(row) for row in batch.json_rows()]
     assert batch.passed.all()
     if mirror:
-        # `fiber --orbit plus` emits the swap images of certified C- points:
-        # the swap is exact, and their moment residuals against q+ agree.
-        mirrored = fb.orbit_swap(points)
-        assert np.array_equal(fb.orbit_swap(mirrored), points)
+        # `fiber --orbit plus` emits the star images of certified C- points:
+        # the star is exact, and their moment residuals against q+ agree.
+        mirrored = _star(points)
+        assert np.array_equal(_star(mirrored), points)
         residual = fb.moment_residual(mirrored, Q_PLUS)
         assert np.max(np.abs(residual - batch.checks["moment"][0])) <= 1e-15
     for point, batched in zip(points, certificates):
