@@ -773,6 +773,11 @@ def _quadric(z):
     return z[..., 0] * z[..., 5] + z[..., 2] * z[..., 3] - z[..., 1] * z[..., 4]
 
 
+def _star(z):
+    """The symmetry `fiber --orbit plus` applies."""
+    return fb.symmetry_images([regularity.STAR], z)
+
+
 def test_symmetries_keep_the_quadric_up_to_one_sign():
     # Gaussian-integer vectors: every product and sum below is an integer under 2^53, so exact.
     re, im = np.random.default_rng(38).integers(-40, 41, size=(2, 200, 6))
@@ -836,11 +841,6 @@ def test_affine_representative_idempotent(rng):
     assert np.max(np.abs(back - _star(point[None])[0])) <= 1e-12
     assert back[2].imag == 0.0 and back[2].real > 0.0
     assert abs(np.linalg.norm(back) - 1.0) <= 1e-15
-
-
-def _star(z):
-    """The symmetry `fiber --orbit plus` applies."""
-    return fb.symmetry_images([regularity.STAR], z)
 
 
 def test_second_orbit_moment_target(rng):
