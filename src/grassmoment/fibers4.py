@@ -12,10 +12,10 @@ chart-transition cocycle, and seeded samplers with residual certificates
 for all of it.  The 5-fiber's sections are drawn as the inverse images of
 uniform S^3 points, so no sampler rejects a draw.
 
-Every function here describes the fiber over q, in the chamber orbit C-.  The
-fiber over another chamber's level g.q is its image under the symmetry g of
-regularity.SYMMETRIES, which ``symmetry_images`` applies exactly by g's pair table:
-callers move points once, at the boundary.  The star reverses z0..z5 (q+ in C+).
+Every function here describes the fiber over q, in the chamber orbit C-.  The fiber
+over another chamber's level g.q is its image under the symmetry g of regularity.SYMMETRIES,
+which ``symmetry_images`` applies exactly, row by row into a C-order array (the order the
+moment maps read): callers move points once, at the boundary.  The star reverses z0..z5.
 
 All numerics work along the last axis: one point has shape (6,) and N
 points (N, 6), section points included; a chart point is its four complex
@@ -100,13 +100,14 @@ def _stack(*values) -> np.ndarray:
 
 
 def symmetry_images(symmetries, z) -> np.ndarray:
-    """Row i of the (N, 6) batch z moved by symmetries[i % len(symmetries)] of
-    regularity.SYMMETRIES: coordinate m of g.z is sign[m] * z[source[m]] by g's
-    pair_table, exact (a gather, and a negation where the sign is -1)."""
-    source, sign = map(np.array, zip(*map(pair_table, symmetries)))
-    rows = np.arange(len(z)) % len(symmetries)
-    moved = np.take_along_axis(as_coords6(z), source[rows], axis=-1)
-    return np.asfortranarray(np.where((sign < 0)[rows], -moved, moved))
+    """Row i of the batch z (a point (6,) as row 0) moved by the (i mod k)-th of k symmetries of
+    regularity.SYMMETRIES, exactly: coordinate m of g.z is sign[m] * z[source[m]] by g's pair_table."""
+    rows = as_coords6(z).reshape(-1, 6)
+    moved = np.empty(rows.shape, complex)
+    for j, (source, sign) in enumerate(map(pair_table, symmetries)):
+        part = rows[j::len(symmetries), source]
+        moved[j::len(symmetries)] = np.negative(part, out=part, where=np.array(sign) < 0)
+    return moved.reshape(np.shape(z))
 
 
 def _check_unit_phases(phases) -> np.ndarray:

@@ -23,9 +23,8 @@ the chamber id and both verdicts from one table of the 2^n integer subset
 sums of x (exactgeom._subset_sums).  A scan of the definition over every
 flat spanned by vertices cross-checks them.
 
-At n = 4 one exact action of the 48 symmetries (sigma, star) of Delta_{4,2}
-moves levels (act_on_level) and Plucker coordinates (pair_table); the chambers,
-their orbits and q+ = star q- are read from the images of q-.
+At n = 4 one exact action of the 48 symmetries (sigma, star) of Delta_{4,2} moves levels
+(act_on_level) and Plucker coordinates (pair_table); the chambers are the images of q-.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 from .exactgeom import (
@@ -47,7 +46,6 @@ from .exactgeom import (
     arrangement_for_n,
     convex_membership,
     hypersimplex_vertices,
-    sign_vector,
     solve_exact,
 )
 
@@ -73,20 +71,18 @@ def act_on_level(g: Symmetry, x: Sequence[Fraction]) -> Vector:
     return tuple(1 - x[sigma.index(i)] if star else x[sigma.index(i)] for i in range(4))
 
 
-@cache
 def pair_table(g: Symmetry) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """g on the Plucker coordinates z0..z5 = P_ij (ij in lex order) as (source, sign), built once:
-    coordinate m of g . z is sign[m] * z[source[m]].  The star reverses z0..z5, then sigma sends P_ij
-    to P_sigma(i)sigma(j), negated where sigma reverses the pair's order; the moment of g . z is g . x."""
+    """g on the Plucker coordinates z0..z5 = P_ij (ij in lex order) as (source, sign): coordinate
+    m of g . z is sign[m] * z[source[m]].  The star reverses z0..z5, then sigma sends P_ij to
+    P_sigma(i)sigma(j), negated where sigma reverses the pair's order; the moment of g . z is g . x."""
     sigma, star = g
     pairs = list(itertools.combinations(range(4), 2))
     preimages = [(sigma.index(a), sigma.index(b)) for a, b in pairs]  # sigma sends (i, j) to (a, b)
-    source = [pairs.index((min(i, j), max(i, j))) for i, j in preimages]
+    source = [pairs.index((i, j) if i < j else (j, i)) for i, j in preimages]
     return tuple(5 - k if star else k for k in source), tuple(1 if i < j else -1 for i, j in preimages)
 
 
-#: The reference levels q- of the chamber (-1, -1, -1) and q+ = star q- of (1, 1, 1); every
-#: chamber's representative is an image of q-.
+#: The reference levels q- of the chamber (-1, -1, -1) and q+ = star q- of (1, 1, 1).
 CHAMBER_POINT_MINUS: Vector = (Fraction(1, 3), Fraction(5, 9), Fraction(5, 9), Fraction(5, 9))
 CHAMBER_POINT_PLUS: Vector = act_on_level(STAR, CHAMBER_POINT_MINUS)
 
@@ -327,38 +323,32 @@ def is_regular_projective_bruteforce(x: Sequence[Fraction], n: int) -> bool:
     return all(convex_membership(x, hull) is None for hull in _list_flats(n))
 
 
-@cache
-def enumerate_chambers() -> tuple[ChamberReport, ...]:
-    """The eight maximal chambers of the n = 4 decomposition in id order, those the images of
-    q- under SYMMETRIES lie in, each with the first as its representative; computed once."""
+def enumerate_chambers() -> list[ChamberReport]:
+    """The eight maximal chambers of the n = 4 decomposition in id order, those the images
+    of q- under SYMMETRIES lie in, each with the first as its representative."""
     found: dict[tuple[int, ...], tuple[Symmetry, Vector]] = {}
-    for g in SYMMETRIES:
-        x = act_on_level(g, CHAMBER_POINT_MINUS)
+    for sigma, star in SYMMETRIES:  # the star acts first: a starred g . q- is sigma . q+
+        x = act_on_level((sigma, False), CHAMBER_POINT_PLUS if star else CHAMBER_POINT_MINUS)
         signs, regular, _ = classify_point(x, 4)
         if regular:
-            found.setdefault(signs, (g, x))
-    return tuple(ChamberReport(id=signs, dimension=3, representative=x, symmetry=g)
-                 for signs, (g, x) in sorted(found.items()))
+            found.setdefault(signs, ((sigma, star), x))
+    return [ChamberReport(id=signs, dimension=3, representative=x, symmetry=g)
+            for signs, (g, x) in sorted(found.items())]
 
 
 def chamber_orbits() -> tuple[ChamberOrbit, ChamberOrbit]:
     """The orbits of the eight chambers under S_4, the unstarred symmetries.
 
     Two orbits of four chambers each; the orbit of the all-minus chamber
-    is labeled C- and the orbit of the all-plus chamber C+.  An orbit is
-    the set of chambers the 24 permutations carry its representative to,
-    closed because S_4 is a group.
+    is labeled C- and the orbit of the all-plus chamber C+.  C- holds the chambers
+    S_4 carries q- to, those whose first symmetry is unstarred; C+ those only sigma . star
+    reaches, the orbit of q+ = star q- unless it meets C- (then C+ is empty).
     """
-    by_id = {c.id: c for c in enumerate_chambers()}
-    arrangement = arrangement_for_n(4)
-    orbits = []
-    for label, rep_id in (("C-", (-1, -1, -1)), ("C+", (1, 1, 1))):
-        representative = by_id[rep_id].representative
-        ids = {sign_vector(act_on_level(g, representative), arrangement)
-               for g in SYMMETRIES if not g[1]}
-        orbits.append(ChamberOrbit(label=label, representative=by_id[rep_id],
-                                   chambers=tuple(by_id[i] for i in sorted(ids))))
-    return tuple(orbits)
+    chambers = enumerate_chambers()
+    by_id = {c.id: c for c in chambers}
+    return tuple(ChamberOrbit(label=label, representative=by_id[rep_id],
+                              chambers=tuple(c for c in chambers if c.symmetry[1] == star))
+                 for label, rep_id, star in (("C-", (-1, -1, -1), False), ("C+", (1, 1, 1), True)))
 
 
 def center_point_regular(n: int) -> bool:

@@ -34,7 +34,8 @@ def test_criterion_01_chambers_and_orbits():
 
 
 def test_criterion_01_enumerates_the_chambers_once(monkeypatch):
-    # The count and the orbits come from one chamber_orbits() call.
+    # The count and the orbits come from one chamber_orbits() call, and a run of all
+    # criteria shares it with criterion 12.
     from grassmoment import regularity
 
     calls = []
@@ -45,6 +46,7 @@ def test_criterion_01_enumerates_the_chambers_once(monkeypatch):
     result = acceptance.check_chambers(SEED, SAMPLES)
     assert result.passed and result.details["chamber_count"] == 8
     assert len(calls) == 1
+    assert all(result.passed for result in acceptance.run_all(SEED, 8)) and len(calls) == 2
 
 
 def test_criterion_02_solution_triangle():
@@ -317,8 +319,9 @@ RESIDUALS_12 = ("max_moment_residual_mq7", "max_moment_residual_mq5", "max_pluck
 #: `report` fails under it, and what the failed criteria's details, by number,
 #: show of the fault.
 MUTANTS = {
+    # criterion 12 moves the batches by the chambers' symmetries, so it fails with criterion 1
     "enumerate_chambers": (regularity, lambda enumerate_chambers: lambda: enumerate_chambers()[:-1],
-                           [1], lambda failed: failed[1] == {"error": "KeyError: (1, 1, 1)"}),
+                           [1, 12], lambda failed: failed[1] == failed[12] == {"error": "KeyError: (1, 1, 1)"}),
     "solve_moment_triangle": (acceptance, _directions_swapped, [2],
                               lambda failed: not failed[2]["vertices_exact"]),
     "_off_split_walls": (regularity, lambda off_walls: lambda *args: not off_walls(*args), [5, 6],
@@ -345,7 +348,7 @@ MUTANTS = {
                          lambda failed: failed[11]["dims5"] == [5] and failed[11]["max_fd_gap"] > 1e-8),
     # unsigned, a permutation of the pairs moves the points to the right levels but off the quadric
     "pair_table": (acceptance.fb, lambda table: lambda g: (table(g)[0], (1,) * 6), [12],
-                   lambda failed: failed[12]["chamber_ids_exact"] and failed[12]["max_plucker_residual"] > 0.4
+                   lambda failed: failed[12]["max_plucker_residual"] > 0.4
                    and max(failed[12][key] for key in RESIDUALS_12[:2]) <= 1e-10),
 }
 
@@ -389,9 +392,8 @@ def test_criterion_12_symmetry_images():
     result = _run(acceptance.check_second_orbit)
     assert result.passed
     assert result.name == "symmetry images in every chamber"
-    assert set(result.details) == {"samples", "chambers", "chamber_ids_exact", *RESIDUALS_12}
-    assert result.details["samples"] == SAMPLES
-    assert result.details["chambers"] == 8 and result.details["chamber_ids_exact"]
+    assert set(result.details) == {"samples", "chambers", *RESIDUALS_12}
+    assert result.details["samples"] == SAMPLES and result.details["chambers"] == 8
     assert all(result.details[key] <= 1e-10 for key in RESIDUALS_12)
 
 
@@ -407,7 +409,7 @@ def test_criterion_12_checks_every_chamber_at_few_samples(samples, monkeypatch):
     monkeypatch.setattr(acceptance.fb, "symmetry_images", moving)
     result = acceptance.check_second_orbit(SEED, samples)
     assert result.passed and result.details["samples"] == samples
-    assert result.details["chambers"] == 8 and result.details["chamber_ids_exact"]
+    assert result.details["chambers"] == 8
     symmetries = [c.symmetry for c in regularity.enumerate_chambers()]
     assert len(set(symmetries)) == 8 and moved == [(symmetries, 8)] * 2
 
@@ -415,10 +417,12 @@ def test_criterion_12_checks_every_chamber_at_few_samples(samples, monkeypatch):
 def test_criterion_12_fails_with_the_identity_for_each_chamber(monkeypatch):
     # The C- points themselves map to q-, a max-norm distance 1/3 from q+.
     identity = regularity.SYMMETRIES[0]
-    chambers = tuple(dataclasses.replace(c, symmetry=identity) for c in regularity.enumerate_chambers())
-    monkeypatch.setattr(acceptance, "enumerate_chambers", lambda: chambers)
+    orbits = tuple(dataclasses.replace(o, chambers=tuple(dataclasses.replace(c, symmetry=identity)
+                                                         for c in o.chambers))
+                   for o in regularity.chamber_orbits())
+    monkeypatch.setattr(acceptance, "chamber_orbits", lambda: orbits)
     result = acceptance.check_second_orbit(SEED, SAMPLES)
-    assert not result.passed and not result.details["chamber_ids_exact"]
+    assert not result.passed and result.details["chambers"] == 8
     assert result.details["max_moment_residual_mq7"] > 0.3
     assert result.details["max_moment_residual_mq5"] > 0.3
 
@@ -599,6 +603,8 @@ UNCONSUMED = {
                                       "calls its integer core, _bruteforce_verdicts",
     "build_certificate": "the one-point view of certify; perfbench's tracer looks it up",
     "jacobian_rank": "the one-point chart Jacobian rank; perfbench's tracer looks it up",
+    "sign_vector": "the chamber id on its own; tests check classify_point's ids and the "
+                   "chambers' representatives against it",
 }
 
 

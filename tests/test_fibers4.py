@@ -822,11 +822,13 @@ def test_symmetry_images_move_the_moment_with_the_level(rng):
         level = np.array(regularity.act_on_level(g, CHAMBER_POINT_MINUS), dtype=float)
         assert np.max(fb.moment_residual(moved, level)) <= 1e-12
         assert np.max(plucker_relation_residual(normalize_projective(moved))) <= 1e-12
-    # a batch of several symmetries moves row i by the (i mod k)-th
+    # a batch of several symmetries moves row i by the (i mod k)-th, a point (6,) by the first
     symmetries = regularity.SYMMETRIES[5:8]
     together = fb.symmetry_images(symmetries, z)
     for i in (0, 1, 2, 3, 199):
         assert np.array_equal(together[i], fb.symmetry_images([symmetries[i % 3]], z[i:i + 1])[0])
+        assert np.array_equal(together[i], fb.symmetry_images(symmetries[i % 3:], z[i]))
+    assert fb.symmetry_images(symmetries, z[0]).shape == (6,)
 
 
 def test_affine_representative_idempotent(rng):
@@ -836,15 +838,15 @@ def test_affine_representative_idempotent(rng):
     assert np.max(np.abs(fixed - point)) <= 1e-12
     assert np.max(np.abs(fb.affine_representative(fixed) - fixed)) <= 1e-15
     # The mirror representative, taken through the star, pivots on slot 2 (the star is an involution).
-    starred = _star(skewed[None])
-    back = _star(fb.affine_representative(_star(starred)))[0]
-    assert np.max(np.abs(back - _star(point[None])[0])) <= 1e-12
+    starred = _star(skewed)
+    back = _star(fb.affine_representative(_star(starred)))
+    assert np.max(np.abs(back - _star(point))) <= 1e-12
     assert back[2].imag == 0.0 and back[2].real > 0.0
     assert abs(np.linalg.norm(back) - 1.0) <= 1e-15
 
 
 def test_second_orbit_moment_target(rng):
-    point = _star(fb.sample_fiber7(rng, 1))
+    point = _star(fb.sample_fiber7(rng, 1)[0])
     image = hypersimplex_moment(point, 4)
     assert np.max(np.abs(image - Q_PLUS)) <= 1e-10
     assert fb.moment_residual(point, Q_PLUS) <= 1e-10
@@ -854,40 +856,41 @@ def test_second_orbit_moment_target(rng):
 def test_second_orbit_satisfies_mirror_system(rng):
     # In its own coordinates the mirror fiber fixes the head moduli in
     # terms of the tail: |z0|^2 = (|z3|^2 + |z4|^2 + 4|z5|^2)/3 and cyclic.
-    z = _star(fb.sample_fiber7(rng, 50))
-    s = np.abs(z / np.linalg.norm(z, axis=-1, keepdims=True)) ** 2
-    assert np.max(np.abs(s[:, 0] - (s[:, 3] + s[:, 4] + 4 * s[:, 5]) / 3)) <= 1e-10
-    assert np.max(np.abs(s[:, 1] - (s[:, 3] + 4 * s[:, 4] + s[:, 5]) / 3)) <= 1e-10
-    assert np.max(np.abs(s[:, 2] - (4 * s[:, 3] + s[:, 4] + s[:, 5]) / 3)) <= 1e-10
+    for _ in range(50):
+        z = _star(fb.sample_fiber7(rng, 1)[0])
+        s = np.abs(z / np.linalg.norm(z)) ** 2
+        assert abs(s[0] - (s[3] + s[4] + 4 * s[5]) / 3) <= 1e-10
+        assert abs(s[1] - (s[3] + 4 * s[4] + s[5]) / 3) <= 1e-10
+        assert abs(s[2] - (4 * s[3] + s[4] + s[5]) / 3) <= 1e-10
 
 
 def test_second_orbit_fiber5(rng):
-    points = _star(fb.sample_fiber5(rng, count=20))
-    assert np.max(plucker_relation_residual(points)) <= 1e-10
-    assert np.max(fb.moment_residual(points, Q_PLUS)) <= 1e-10
-    f1, f2, f3 = fb.complete_intersection_f(chart_array(_star(points)))
-    assert max(np.max(np.abs(f1)), np.max(np.abs(f2 + 1)), np.max(np.abs(f3))) <= 1e-9
+    for point in _star(fb.sample_fiber5(rng, count=20)):
+        assert plucker_relation_residual(point) <= 1e-10
+        assert fb.moment_residual(point, Q_PLUS) <= 1e-10
+        f1, f2, f3 = fb.complete_intersection_f(chart_array(_star(point)))
+        assert max(abs(f1), abs(f2 + 1), abs(f3)) <= 1e-9
 
 
 def test_second_orbit_roundtrips(rng):
     # A mirror point starred back recovers the parameters it was built from.
-    section = fb.sample_for_kind("m2", rng, 1)
-    phases = fb.random_phases(rng, (1, 3))
+    section = fb.sample_for_kind("m2", rng, 1)[0]
+    phases = fb.random_phases(rng, 3)
     mirror = _star(fb.surface_torus_param(section, phases))
     recovered, t = fb.surface_torus_preimage(_star(mirror))
-    assert np.max(np.abs(recovered[:, :2] - section[:, :2])) <= 1e-10
+    assert np.max(np.abs(recovered[:2] - section[:2])) <= 1e-10
     assert np.max(np.abs(t - phases)) <= 1e-10
-    sphere = fb.sample_for_kind("m3", rng, 1)
-    t1, t2 = fb.random_phases(rng, (2, 1))
+    sphere = fb.sample_for_kind("m3", rng, 1)[0]
+    t1, t2 = fb.random_phases(rng, 2)
     mirror = _star(fb.sphere_torus_param(sphere, t1, t2))
     recovered, s1, s2 = fb.sphere_torus_preimage(_star(mirror))
-    assert np.max(np.abs(recovered[:, :3] - sphere[:, :3])) <= 1e-10
-    assert max(np.max(np.abs(s1 - t1)), np.max(np.abs(s2 - t2))) <= 1e-10
-    z0, z1, z2 = fb.random_sphere_triple(rng, 1)
-    t4, t5 = fb.random_phases(rng, (2, 1))
+    assert np.max(np.abs(recovered[:3] - sphere[:3])) <= 1e-10
+    assert max(abs(s1 - t1), abs(s2 - t2)) <= 1e-10
+    (z0,), (z1,), (z2,) = fb.random_sphere_triple(rng, 1)
+    t4, t5 = fb.random_phases(rng, 2)
     mirror = _star(fb.fiber7_param(z0, z1, z2, t4, t5))
     recovered = fb.fiber7_preimage(_star(mirror))
-    assert max(np.max(np.abs(a - b)) for a, b in zip(recovered, (z0, z1, z2, t4, t5))) <= 1e-10
+    assert max(abs(a - b) for a, b in zip(recovered, (z0, z1, z2, t4, t5))) <= 1e-10
 
 
 # -- certificates -------------------------------------------------------------
