@@ -27,7 +27,7 @@ is).  A batch row has the bits of the same point as a batch of one.  Batches
 are handled and stored by columns: each is a column-major (Fortran-ordered)
 (N, k) array, namely ``_stack``'s, ``sample_fiber5``'s buffer, the Gaussian
 draws of ``random_sphere_triple`` and ``random_three_sphere``, the f-values of
-``_chart_checks``, the eigenvalues of ``_gram_singular_values``, plucker's
+``_chart_checks``, the singular values of ``_gram_singular_values``, plucker's
 ``chart_array`` and moment's ``hypersimplex_moment``.  Per-point reductions are
 numpy's along the last axis and read contiguous columns, and no bit moves: a
 max or min is exact, and each sum or norm spans at most 6 real entries, which
@@ -491,16 +491,63 @@ def ci_jacobian_fd(a) -> np.ndarray:
     return (f_plus - f_minus) / 2e-6
 
 
+def _dot3(s, t):
+    """s[0] * t[0] + s[1] * t[1] + s[2] * t[2], added left to right: for a stacked symmetric
+    matrix s, shape (3, 3, N), and vectors t, shape (3, N), the products s t."""
+    return s[0] * t[0] + s[1] * t[1] + s[2] * t[2]
+
+
+def _cofactors(d0, d1, d2, o01, o02, o12) -> tuple:
+    """Cofactors 00, 11, 22, 01, 02, 12 of the symmetric 3 x 3 matrices with diagonal d and off-diagonal o."""
+    return (d1 * d2 - o12 * o12, d0 * d2 - o02 * o02, d0 * d1 - o01 * o01,
+            o02 * o12 - o01 * d2, o01 * o12 - o02 * d1, o01 * o02 - o12 * d0)
+
+
 def _gram_singular_values(jacobian) -> np.ndarray:
-    """Descending singular values of (..., 3, 8) matrices: roots of the Gram eigenvalues, clipped at 0."""
-    gram = jacobian @ jacobian.swapaxes(-1, -2)
-    return np.sqrt(np.maximum(np.asfortranarray(np.linalg.eigvalsh(gram))[..., ::-1], 0.0))
+    """Descending singular values of (..., 3, 8) matrices J, column-major: the roots of the eigenvalues
+    of G = J J^T, rounding below 0 read as 0, in closed form over the batch (Smith 1961, after Eberly's
+    robust 3 x 3 solver).  On G scaled by its largest diagonal entry, the trigonometric formula gives
+    the eigenvalue alpha set apart from the other two: the largest where det(G - tr(G) I/3) >= 0, else
+    the smallest.  Its eigenvector is the longest row of adj(G - alpha I), each row a cross product of two
+    rows of G - alpha I, and the other two eigenvalues are the roots of G's 2 x 2 block on that vector's
+    complement: the larger mid + hypot, the smaller det / larger."""
+    gram = (jacobian @ jacobian.swapaxes(-1, -2)).reshape(-1, 9).T
+    scale = np.maximum(np.maximum(gram[0], gram[4]), gram[8])
+    scale = np.where(scale > 0.0, scale, 1.0)
+    x0, x1, x2, y01, y02, y12 = gram[[0, 4, 8, 1, 2, 5]] / scale
+    q = (x0 + x1 + x2) / 3.0
+    b = np.array([x0 - q, x1 - q, x2 - q, y01, y02, y12])
+    p = np.sqrt((_dot3(b, b) + 2.0 * _dot3(b[3:], b[3:])) / 6.0)
+    c = b * np.divide(1.0, p, out=np.zeros_like(p), where=p > 0.0)
+    c00, _, _, c01, c02, _ = _cofactors(*c)
+    half = np.clip((c[0] * c00 + c[3] * c01 + c[4] * c02) / 2.0, -1.0, 1.0)
+    alpha = q + 2.0 * p * np.cos(np.arccos(half) / 3.0 + np.where(half >= 0.0, 0.0, 2.0 * np.pi / 3.0))
+    k00, k11, k22, k01, k02, k12 = _cofactors(x0 - alpha, x1 - alpha, x2 - alpha, y01, y02, y12)
+    adj = np.array([[k00, k01, k02], [k01, k11, k12], [k02, k12, k22]])
+    l0, l1, l2 = _dot3(adj, adj)
+    length = np.sqrt(np.maximum(np.maximum(l0, l1), l2))
+    v = np.where(l0 >= np.maximum(l1, l2), adj[0], np.where(l1 >= l2, adj[1], adj[2]))
+    v = np.where(length > 0.0, v / np.where(length > 0.0, length, 1.0), [[1.0], [0.0], [0.0]])
+    zero = np.zeros_like(q)
+    u = np.where(np.abs(v[0]) > np.abs(v[1]), np.array([-v[2], zero, v[0]]), np.array([zero, v[2], -v[1]]))
+    u = u / np.sqrt(_dot3(u, u))
+    w = np.array([v[1] * u[2] - v[2] * u[1], v[2] * u[0] - v[0] * u[2], v[0] * u[1] - v[1] * u[0]])
+    a = np.array([[x0, y01, y02], [y01, x1, y12], [y02, y12, x2]])
+    au, aw = _dot3(a, u), _dot3(a, w)
+    d0, d1, off = _dot3(u, au), _dot3(w, aw), _dot3(w, au)
+    larger = (d0 + d1) / 2.0 + np.hypot((d0 - d1) / 2.0, off)
+    smaller = np.minimum(np.divide(d0 * d1 - off * off, larger, out=np.zeros_like(larger), where=larger > 0.0),
+                         larger)
+    top, low = np.maximum(alpha, larger), np.minimum(alpha, smaller)
+    eigenvalues = np.array([top, np.maximum(np.minimum(alpha, larger), smaller), low])
+    return np.sqrt(np.maximum(eigenvalues, 0.0) * scale).T.reshape(np.shape(jacobian)[:-2] + (3,))
 
 
 def _chart_checks(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f-values, their distance from (0, -1, 0), and the chart Jacobian's singular values from its
-    Gram eigenvalues (sigma3/sigma1 to relative error ~eps/(sigma3/sigma1)^2, a true 0 reads ~1e-8),
-    at any chart point: judging the distance is ``certify``'s 'f_values' check."""
+    """f-values, their distance from (0, -1, 0), and the chart Jacobian's singular values from the
+    closed-form eigenvalues of its 3 x 3 Gram matrix (sigma3/sigma1 to relative error
+    ~eps/(sigma3/sigma1)^2, a true 0 reads below 2e-8), at any chart point: judging the distance is
+    ``certify``'s 'f_values' check."""
     f = np.moveaxis(np.stack(complete_intersection_f(a)), 0, -1)
     return f, np.max(np.abs(f - F_TARGET), axis=-1), _gram_singular_values(ci_jacobian(a))
 
@@ -681,7 +728,7 @@ class Certificates:
 
     ``checks`` maps each check to (value, tolerance, pass mask): residuals and
     'f_values' (distance from (0, -1, 0)) pass at or below tolerance, 'min_tail'
-    at or above, 'rank' (sigma3/sigma1 of the chart Jacobian, from its Gram eigenvalues)
+    at or above, 'rank' (sigma3/sigma1 of the chart Jacobian, from its closed-form Gram eigenvalues)
     and 'coverage' (ChartCoverage.margin) above.  The emitted residuals are the
     values of their checks.
     """

@@ -97,13 +97,3 @@ def weight_map(x: Sequence, n: int):
         image[i - 1] += v
         image[j - 1] += v
     return tuple(image)
-
-
-__all__ = [
-    "weight_vectors",
-    "symmetric_power_phases",
-    "simplex_moment",
-    "hypersimplex_moment",
-    "grassmann_moment",
-    "weight_map",
-]

@@ -595,14 +595,18 @@ def test_jacobian_rank_off_the_surface():
 RATIOS = (1.0, 1e-2, 1e-4, 2e-6, 5e-7, 1e-9, 0.0)
 
 
-def conditioned_matrices(ratio, rng, count=20):
-    """3 x 8 matrices U diag(s) V^T with random orthonormal U, V and
-    s = scale * (1, (1 + ratio) / 2, ratio), scales 1e-3 to 1e3."""
+def spectrum_matrices(sigma, rng, count=20):
+    """3 x 8 matrices U diag(scale * sigma) V^T with random orthonormal U, V, scales 1e-3 to 1e3."""
     scales = np.repeat(10.0 ** np.arange(-3, 4), count)
     u = np.linalg.qr(rng.standard_normal((len(scales), 3, 3)))[0]
     v = np.linalg.qr(rng.standard_normal((len(scales), 8, 3)))[0]
-    s = scales[:, None] * np.array([1.0, (1.0 + ratio) / 2.0, ratio])
+    s = scales[:, None] * np.array(sigma, dtype=float)
     return u * s[:, None, :] @ v.swapaxes(-1, -2)
+
+
+def conditioned_matrices(ratio, rng, count=20):
+    """spectrum_matrices with sigma = (1, (1 + ratio) / 2, ratio)."""
+    return spectrum_matrices([1.0, (1.0 + ratio) / 2.0, ratio], rng, count)
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
@@ -624,6 +628,34 @@ def test_gram_singular_values_decide_ranks_like_the_svd(ratio):
         bound = {1.0: 1e-12, 1e-2: 1e-10, 1e-4: 1e-6}.get(ratio, 1e-2)
         assert np.max(np.abs(margin - expected) / expected) <= bound
         assert np.all(fb._rank(gram, 1e-6) == (3 if ratio > 1e-6 else 2))
+
+
+#: Spectra where closed forms for 3 x 3 eigenvalues lose accuracy: repeated, nearly repeated and
+#: vanishing singular values.
+SPECTRA = ((1.0, 1.0, 1.0), (1.0, 1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1e-9, 1e-9), (1.0, 1.0, 1.0 - 1e-9),
+           (1.0, 1.0, 5e-7))
+
+
+@pytest.mark.parametrize("sigma", SPECTRA)
+def test_gram_singular_values_at_repeated_and_vanishing_singular_values(sigma):
+    # The eigenvalue the closed form sets apart must be the simple one: at (1, 1, 0) the largest is
+    # double and its eigenvector undefined.  Each ratio sigma_k/sigma_1 keeps the bound of
+    # test_gram_singular_values_decide_ranks_like_the_svd for that ratio, and a true zero reads below 1e-7.
+    jacobians = spectrum_matrices(sigma, np.random.default_rng(29))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gram = fb._gram_singular_values(jacobians)
+    reference = np.linalg.svd(jacobians, compute_uv=False)
+    assert not np.any(np.isnan(gram)) and np.all(np.diff(gram, axis=-1) <= 0.0)
+    assert np.array_equal(fb._rank(gram, 1e-6), fb._rank(reference, 1e-6))
+    for k in (1, 2):
+        ratio = sigma[k] / sigma[0]
+        margin, expected = gram[:, k] / gram[:, 0], reference[:, k] / reference[:, 0]
+        if ratio < 1e-7:
+            assert np.all(margin < 1e-7)
+        else:
+            bound = 1e-12 if ratio > 0.5 else 1e-2
+            assert np.max(np.abs(margin - expected) / expected) <= bound
 
 
 def test_gram_singular_values_of_the_zero_matrix():
