@@ -20,10 +20,8 @@ from .exactgeom import (
 from .regularity import (
     CHAMBER_POINT_MINUS,
     CHAMBER_POINT_PLUS,
-    ChamberOrbit,
     ChamberReport,
     center_point_regular,
-    chamber_orbits,
     classify_point,
     enumerate_chambers,
     is_regular_grassmann,

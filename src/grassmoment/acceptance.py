@@ -33,8 +33,8 @@ from .regularity import (
     _bruteforce_verdicts,
     _grid_verdicts,
     center_point_regular,
-    chamber_orbits,
     classify_point,
+    enumerate_chambers,
     solve_moment_triangle,
 )
 
@@ -121,20 +121,18 @@ def _criterion(number: int, name: str, short: str):
 
 @_criterion(1, "chamber count and orbits", "chambers")
 def check_chambers(seed: int, samples: int) -> tuple[bool, dict]:
-    """Criterion 1: eight maximal chambers in two orbits of four; two
-    disjoint orbits of four are the eight chambers."""
-    minus, plus = _once(chamber_orbits)
-    chambers = {c.id for c in minus.chambers + plus.chambers}
-    reps_ok = (minus.representative.representative == CHAMBER_POINT_MINUS
-               and plus.representative.representative == CHAMBER_POINT_PLUS)
-    passed = len(chambers) == 8 and {len(minus.chambers), len(plus.chambers)} == {4} and reps_ok
+    """Criterion 1: eight maximal chambers in two orbits of four, read off
+    their labels, with q- and q+ in the chambers (-1, -1, -1) and (1, 1, 1)."""
+    chambers = _once(enumerate_chambers)
+    by_id = {c.id: c for c in chambers}
+    minus, plus = by_id[(-1, -1, -1)].representative, by_id[(1, 1, 1)].representative
+    sizes = [sum(c.orbit == label for c in chambers) for label in ("C-", "C+")]
+    reps_ok = (minus, plus) == (CHAMBER_POINT_MINUS, CHAMBER_POINT_PLUS)
+    passed = len(by_id) == 8 and sizes == [4, 4] and reps_ok
     details = {
-        "chamber_count": len(chambers),
-        "orbit_sizes": [len(minus.chambers), len(plus.chambers)],
-        "representatives": {
-            "C-": format_vector(minus.representative.representative),
-            "C+": format_vector(plus.representative.representative),
-        },
+        "chamber_count": len(by_id),
+        "orbit_sizes": sizes,
+        "representatives": {"C-": format_vector(minus), "C+": format_vector(plus)},
     }
     return passed, details
 
@@ -352,10 +350,9 @@ def check_second_orbit(seed: int, samples: int) -> tuple[bool, dict]:
     chamber i mod 8 (criterion 1's chambers in id order; rows repeat below 8), maps to that chamber's
     representative, the mq5 rows on the Plucker quadric.  What the symmetries keep (round trips, tail
     moduli, chart quadrics, ranks) criteria 4, 7 and 8 check on C-."""
-    minus, plus = _once(chamber_orbits)
-    chambers = sorted(minus.chambers + plus.chambers, key=lambda c: c.id)
+    chambers = _once(enumerate_chambers)
     rows = np.arange(max(samples, len(chambers)))
-    levels = np.asfortranarray(np.array([c.representative for c in chambers], float)[rows % len(chambers)])
+    levels = np.array([c.representative for c in chambers], float)[rows % len(chambers)]
     batches = [_once(_batch, kind, seed, samples) for kind in ("mq7", "mq5")]
     if samples < len(rows):  # fewer rows than chambers: repeat them
         batches = [z[rows % samples] for z in batches]

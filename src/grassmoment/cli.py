@@ -22,8 +22,8 @@ from .regularity import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     STAR,
-    chamber_orbits,
     classify_point,
+    enumerate_chambers,
     largest_chamber_witness,
     solve_moment_triangle,
 )
@@ -88,22 +88,15 @@ def _emit(payload: dict, path: str | None, batch=None) -> None:
 
 
 def cmd_chambers(args) -> int:
-    orbits = chamber_orbits()
-    chambers = [
-        {
-            "id": format_sign_vector(c.id),
-            "dim": c.dimension,
-            "representative": format_vector(c.representative),
-            "orbit": label,
-        }
-        for c, label in sorted(((c, o.label) for o in orbits for c in o.chambers),
-                               key=lambda item: item[0].id)
-    ]
+    chambers = enumerate_chambers()
+    sizes = Counter(c.orbit for c in chambers)
     payload = {
         "n": 4,
-        "chambers": chambers,
-        "orbit_count": len(orbits),
-        "orbit_sizes": [len(o.chambers) for o in orbits],
+        "chambers": [{"id": format_sign_vector(c.id), "dim": 3,
+                      "representative": format_vector(c.representative), "orbit": c.orbit}
+                     for c in chambers],
+        "orbit_count": len(sizes),
+        "orbit_sizes": list(sizes.values()),
     }
     _emit(payload, args.json_out)
     return 0

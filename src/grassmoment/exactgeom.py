@@ -211,12 +211,6 @@ def _row_echelon(rows: list[list[int]], width: int | None = None) -> tuple[list[
     return rows, pivots, det
 
 
-def _affine_rank(points: Sequence[Sequence[int]]) -> int:
-    base = points[0]
-    _, pivots, _ = _row_echelon([[a - b for a, b in zip(p, base)] for p in points[1:]])
-    return len(pivots)
-
-
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     """Rank over Q of {v - v0 : v in points}, by exact elimination."""
     if not points:
@@ -225,8 +219,9 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     for p in points:
         if len(p) != length:
             raise ValueError("mixed vector lengths")
-    cleared, _ = clear_denominators(points)
-    return _affine_rank(cleared)
+    (base, *rest), _ = clear_denominators(points)
+    _, pivots, _ = _row_echelon([[a - b for a, b in zip(p, base)] for p in rest])
+    return len(pivots)
 
 
 def solve_exact(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:

@@ -591,26 +591,19 @@ def bundle_transition(t, direction: str = "01"):
     return np.prod(t[..., None, :] ** np.array(matrix), axis=-1)
 
 
-def cocycle_error(t) -> float:
-    """Largest deviation from the identity of the round trips '01' then '10'
-    and '10' then '01', over torus elements t of shape (N, 3)."""
+def transition_check(t) -> tuple[int, float, bool]:
+    """The transition's determinant, its cocycle error (the largest deviation from the
+    identity of the round trips '01' then '10' and '10' then '01' over torus elements t
+    of shape (N, 3)), and the bundle verdict on both: determinant -1 and the cocycle
+    identity to 1e-12."""
+    m = TRANSITION_EXPONENTS
+    determinant = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                   - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                   + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
     t = np.asarray(t, dtype=complex)
     forward = bundle_transition(bundle_transition(t, "01"), "10")
     backward = bundle_transition(bundle_transition(t, "10"), "01")
-    return float(np.max(np.abs(np.concatenate([forward - t, backward - t], axis=-1)), initial=0.0))
-
-
-def transition_determinant() -> int:
-    m = TRANSITION_EXPONENTS
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def transition_check(t) -> tuple[int, float, bool]:
-    """The transition's determinant, its cocycle error over torus elements t, and
-    the bundle verdict on both: determinant -1 and the cocycle identity to 1e-12."""
-    determinant, max_cocycle = transition_determinant(), cocycle_error(t)
+    max_cocycle = float(np.max(np.abs(np.concatenate([forward - t, backward - t], axis=-1)), initial=0.0))
     return determinant, max_cocycle, determinant == -1 and max_cocycle <= 1e-12
 
 

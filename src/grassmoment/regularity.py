@@ -144,17 +144,15 @@ def solve_moment_triangle() -> MomentTriangle:
 @dataclass(frozen=True)
 class ChamberReport:
     id: tuple[int, ...]
-    dimension: int
     representative: Vector
     #: The first of SYMMETRIES that carries q- into the chamber; representative is that image.
     symmetry: Symmetry
 
-
-@dataclass(frozen=True)
-class ChamberOrbit:
-    label: str
-    representative: ChamberReport
-    chambers: tuple[ChamberReport, ...]
+    @property
+    def orbit(self) -> str:
+        """The chamber's S_4 orbit: C- when S_4 carries q- to it (its first symmetry is
+        unstarred), else C+, which only sigma . star reaches; the star exchanges the two."""
+        return "C+" if self.symmetry[1] else "C-"
 
 
 def orbit_dimension(support: Sequence[int], n: int) -> int:
@@ -332,23 +330,8 @@ def enumerate_chambers() -> list[ChamberReport]:
         signs, regular, _ = classify_point(x, 4)
         if regular:
             found.setdefault(signs, ((sigma, star), x))
-    return [ChamberReport(id=signs, dimension=3, representative=x, symmetry=g)
+    return [ChamberReport(id=signs, representative=x, symmetry=g)
             for signs, (g, x) in sorted(found.items())]
-
-
-def chamber_orbits() -> tuple[ChamberOrbit, ChamberOrbit]:
-    """The orbits of the eight chambers under S_4, the unstarred symmetries.
-
-    Two orbits of four chambers each; the orbit of the all-minus chamber
-    is labeled C- and the orbit of the all-plus chamber C+.  C- holds the chambers
-    S_4 carries q- to, those whose first symmetry is unstarred; C+ those only sigma . star
-    reaches, the orbit of q+ = star q- unless it meets C- (then C+ is empty).
-    """
-    chambers = enumerate_chambers()
-    by_id = {c.id: c for c in chambers}
-    return tuple(ChamberOrbit(label=label, representative=by_id[rep_id],
-                              chambers=tuple(c for c in chambers if c.symmetry[1] == star))
-                 for label, rep_id, star in (("C-", (-1, -1, -1), False), ("C+", (1, 1, 1), True)))
 
 
 def center_point_regular(n: int) -> bool:

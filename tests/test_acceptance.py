@@ -34,7 +34,7 @@ def test_criterion_01_chambers_and_orbits():
 
 
 def test_criterion_01_enumerates_the_chambers_once(monkeypatch):
-    # The count and the orbits come from one chamber_orbits() call, and a run of all
+    # The count and the orbits come from one enumerate_chambers() call, and a run of all
     # criteria shares it with criterion 12.
     from grassmoment import regularity
 
@@ -320,8 +320,9 @@ RESIDUALS_12 = ("max_moment_residual_mq7", "max_moment_residual_mq5", "max_pluck
 #: show of the fault.
 MUTANTS = {
     # criterion 12 moves the batches by the chambers' symmetries, so it fails with criterion 1
-    "enumerate_chambers": (regularity, lambda enumerate_chambers: lambda: enumerate_chambers()[:-1],
-                           [1, 12], lambda failed: failed[1] == failed[12] == {"error": "KeyError: (1, 1, 1)"}),
+    "enumerate_chambers": (acceptance, lambda enumerate_chambers: lambda: enumerate_chambers()[:-1],
+                           [1, 12], lambda failed: failed[1] == {"error": "KeyError: (1, 1, 1)"}
+                           and failed[12]["chambers"] == 7),
     "solve_moment_triangle": (acceptance, _directions_swapped, [2],
                               lambda failed: not failed[2]["vertices_exact"]),
     "_off_split_walls": (regularity, lambda off_walls: lambda *args: not off_walls(*args), [5, 6],
@@ -417,10 +418,8 @@ def test_criterion_12_checks_every_chamber_at_few_samples(samples, monkeypatch):
 def test_criterion_12_fails_with_the_identity_for_each_chamber(monkeypatch):
     # The C- points themselves map to q-, a max-norm distance 1/3 from q+.
     identity = regularity.SYMMETRIES[0]
-    orbits = tuple(dataclasses.replace(o, chambers=tuple(dataclasses.replace(c, symmetry=identity)
-                                                         for c in o.chambers))
-                   for o in regularity.chamber_orbits())
-    monkeypatch.setattr(acceptance, "chamber_orbits", lambda: orbits)
+    chambers = [dataclasses.replace(c, symmetry=identity) for c in regularity.enumerate_chambers()]
+    monkeypatch.setattr(acceptance, "enumerate_chambers", lambda: chambers)
     result = acceptance.check_second_orbit(SEED, SAMPLES)
     assert not result.passed and result.details["chambers"] == 8
     assert result.details["max_moment_residual_mq7"] > 0.3
@@ -649,8 +648,8 @@ def test_every_export_has_a_consumer_in_src():
 
 #: The public names of grassmoment; loading the float layer lazily keeps them all.
 PUBLIC_NAMES = {
-    "CHAMBER_POINT_MINUS", "CHAMBER_POINT_PLUS", "ChamberOrbit", "ChamberReport", "GrassmannPoint",
-    "acceptance", "affine_rank", "arrangement_for_n", "center_point_regular", "chamber_orbits",
+    "CHAMBER_POINT_MINUS", "CHAMBER_POINT_PLUS", "ChamberReport", "GrassmannPoint",
+    "acceptance", "affine_rank", "arrangement_for_n", "center_point_regular",
     "classify_point", "convex_membership", "enumerate_chambers", "fibers4", "format_rational",
     "format_sign_vector", "format_vector", "from_chart", "grassmann_moment", "hypersimplex_moment",
     "hypersimplex_vertices", "is_regular_grassmann", "is_regular_projective",

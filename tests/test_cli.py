@@ -690,7 +690,7 @@ CHAMBERS_N4_STDOUT = (
 
 
 def test_chambers_stdout_is_pinned(capsys, monkeypatch):
-    # The listing reads the chambers of the two orbits; they are enumerated once.
+    # The listing reads the chambers and their orbits from one enumeration.
     from grassmoment import regularity
 
     calls = []
