@@ -278,21 +278,22 @@ def check_fiber5(seed: int, samples: int) -> tuple[bool, dict]:
 def check_complete_intersection(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 8: equipotential values (0, -1, 0) and Jacobian rank 3, read from
     the certificates of the three edge-circle bases and of criterion 7's batch,
-    and the FD cross-check, all on the chart quadrics of the C- fiber over q-."""
+    and the FD and Gram cross-checks, all on the chart quadrics of the C- fiber over q-."""
     bases = np.array([fiber.sample(np.ones(3, dtype=complex)) for fiber in fb.edge_fibers()])
     certificates = (fb.certify("mq5", bases), _once(_certified, "mq5", seed, samples))
     max_f_dev = max(float(np.max(batch.checks["f_values"][0])) for batch in certificates)
     f_ok = all(np.all(batch.checks["f_values"][2]) for batch in certificates)
     ranks_ok = all(bool(np.all(batch.ranks == 3)) for batch in certificates)
     points = np.concatenate([batch.points for batch in certificates])
-    max_fd_dev = fb.jacobian_fd_gap(points)
-    passed = f_ok and ranks_ok and max_fd_dev <= 1e-6
+    max_fd_dev, max_gram_gap = fb.jacobian_gaps(points)
+    passed = f_ok and ranks_ok and max_fd_dev <= 1e-6 and max_gram_gap <= 1e-12
     details = {
         "points": len(points),
         "max_f_deviation": max_f_dev,
         "all_f_values_ok": f_ok,
         "all_ranks_3": ranks_ok,
         "max_fd_deviation": max_fd_dev,
+        "max_gram_gap": max_gram_gap,
     }
     return passed, details
 

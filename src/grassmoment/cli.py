@@ -1,9 +1,9 @@
 """Command line front end: JSON certificates and reports for every operation.
 
-Exit codes: 0 all checks passed, 1 a certificate or criterion failed,
-2 usage error.  Output is JSON only, with full float precision, so the
-numbers can be re-verified downstream.  Only the float commands import
-numpy and the float layer, so the exact ones start without them.
+Exit codes: 0 all checks passed, 1 a certificate or criterion failed, 2 usage error,
+141 stdout closed early by its reader (128 + SIGPIPE), with no traceback.  Output is
+JSON only, with full float precision, so the numbers can be re-verified downstream.
+Only the float commands import numpy and the float layer, so the exact ones start without them.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -84,7 +85,7 @@ def _emit(payload: dict, path: str | None, batch=None) -> None:
                 handle.write(text + "\n")
         except OSError as error:
             raise ValueError(f"cannot write --json-out: {error}") from None
-    print(text)
+    print(text, flush=True)  # a reader that closed early shows here, not in the flush at interpreter exit
 
 
 def cmd_chambers(args) -> int:
@@ -325,6 +326,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:  # stdout now writes to devnull, so the flush at interpreter exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as error:  # a json.JSONDecodeError is a ValueError
         print(f"error: {error}", file=sys.stderr)
         return 2

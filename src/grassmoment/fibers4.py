@@ -1,16 +1,14 @@
 """Explicit n=4 fiber machinery over the reference chamber point.
 
-The moment fiber over q = (1/3, 5/9, 5/9, 5/9) inside CP^5 is the
-7-dimensional manifold carved out by fixing the squared-modulus profile
-of the last three coordinates in terms of the first three; intersecting
-with the plane quadric z0*z5 + z2*z3 = z1*z4 gives the 5-dimensional
-fiber of the Grassmannian moment map.  This module provides the
-parametrizations of both fibers, their cross sections, the projection to
-CP^1, the map of the sphere section onto S^3 and its closed-form inverse,
-the complete-intersection certificate in the affine chart, the
-chart-transition cocycle, and seeded samplers with residual certificates
-for all of it.  The 5-fiber's sections are drawn as the inverse images of
-uniform S^3 points, so no sampler rejects a draw.
+The moment fiber over q = (1/3, 5/9, 5/9, 5/9) inside CP^5 is the 7-dimensional manifold carved
+out by fixing the squared-modulus profile of the last three coordinates in terms of the first three;
+intersecting with the plane quadric z0*z5 + z2*z3 = z1*z4 gives the 5-dimensional fiber of the
+Grassmannian moment map.  This module provides the parametrizations of both fibers, their cross
+sections, the projection to CP^1, the map of the sphere section onto S^3 and its closed-form inverse,
+the complete-intersection certificate in the affine chart, the chart-transition cocycle, and seeded
+samplers with residual certificates for all of it.  The 5-fiber's sections are drawn as the inverse
+images of uniform S^3 points, so no sampler rejects a draw.  The ranks come from the chart Jacobian's
+Gram matrix, read off |a_k|^2 and |a1*a4 - a2*a3|^2 by ``_chart_gram``: no Jacobian is built.
 
 Every function here describes the fiber over q, in the chamber orbit C-.  The fiber
 over another chamber's level g.q is its image under the symmetry g of regularity.SYMMETRIES,
@@ -27,7 +25,7 @@ is).  A batch row has the bits of the same point as a batch of one.  Batches
 are handled and stored by columns: each is a column-major (Fortran-ordered)
 (N, k) array, namely ``_stack``'s, ``sample_fiber5``'s buffer, the Gaussian
 draws of ``random_sphere_triple`` and ``random_three_sphere``, the f-values of
-``_chart_checks``, the singular values of ``_gram_singular_values``, plucker's
+``_chart_invariants``, the singular values of ``_gram_singular_values``, plucker's
 ``chart_array`` and moment's ``hypersimplex_moment``.  Per-point reductions are
 numpy's along the last axis and read contiguous columns, and no bit moves: a
 max or min is exact, and each sum or norm spans at most 6 real entries, which
@@ -456,14 +454,18 @@ def _chart_cross(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def complete_intersection_f(a) -> tuple:
-    """The three defining quadrics of the fiber in the affine chart:
-    f = W |a|^2 + (0, 0, |a1*a4 - a2*a3|^2) with W = _CI_WEIGHTS.
+    """The three defining quadrics of the fiber in the affine chart, (0, -1, 0) on it: ``_chart_invariants``' f."""
+    return _split(_chart_invariants(a)[0])
 
-    On chart coordinates of fiber points the value is (0, -1, 0).
-    """
+
+def _chart_invariants(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f = W |a|^2 + (0, 0, |C|^2) for W = _CI_WEIGHTS and C = a1*a4 - a2*a3, shape (..., 3) in a's memory
+    order, and the torus invariants it is read from, r = |a|^2 along the last axis and rho = |C|^2."""
     a, cross = _chart_cross(a)
-    f1, f2, f3 = _split(np.sum(_CI_WEIGHTS * (np.abs(a) ** 2)[..., None, :], axis=-1))
-    return f1, f2, f3 + np.abs(cross) ** 2
+    r, rho = np.abs(a) ** 2, np.abs(cross) ** 2
+    f = np.sum(_CI_WEIGHTS * r[..., None, :], axis=-1)
+    f[..., 2] += rho
+    return f, r, rho
 
 
 def ci_jacobian(a) -> np.ndarray:
@@ -491,6 +493,20 @@ def ci_jacobian_fd(a) -> np.ndarray:
     return (f_plus - f_minus) / 2e-6
 
 
+def _chart_gram(r, rho) -> np.ndarray:
+    """Entries 11, 22, 33, 12, 13, 23 of G = J J^T for the chart Jacobian J, stacked first, from r and rho
+    with W = _CI_WEIGHTS, each sum added left to right: G_ij = 4 sum_k W_ik W_jk r_k, plus
+    kappa_i = 2[(r1 r4 - r2 r3 + rho)(W_i1 + W_i4) + (r2 r3 - r1 r4 + rho)(W_i2 + W_i3)] in G_13 and G_23,
+    and twice kappa_3 and 4 rho sum_k r_k in G_33."""
+    w, (r1, r2, r3, r4) = _CI_WEIGHTS, _split(r)
+    u, v = r1 * r4 - r2 * r3 + rho, r2 * r3 - r1 * r4 + rho
+    kappa = np.multiply.outer(2.0 * (w[:, 0] + w[:, 3]), u) + np.multiply.outer(2.0 * (w[:, 1] + w[:, 2]), v)
+    gram = np.moveaxis(np.sum(r[..., None, :] * (4.0 * w[[0, 1, 2, 0, 0, 1]] * w[[0, 1, 2, 1, 2, 2]]), -1), -1, 0)
+    gram[[4, 5, 2]] += kappa
+    gram[2] += kappa[2] + 4.0 * rho * (r1 + r2 + r3 + r4)
+    return gram
+
+
 def _dot3(s, t):
     """s[0] * t[0] + s[1] * t[1] + s[2] * t[2], added left to right: for a stacked symmetric
     matrix s, shape (3, 3, N), and vectors t, shape (3, N), the products s t."""
@@ -503,18 +519,19 @@ def _cofactors(d0, d1, d2, o01, o02, o12) -> tuple:
             o02 * o12 - o01 * d2, o01 * o12 - o02 * d1, o01 * o02 - o12 * d0)
 
 
-def _gram_singular_values(jacobian) -> np.ndarray:
-    """Descending singular values of (..., 3, 8) matrices J, column-major: the roots of the eigenvalues
-    of G = J J^T, rounding below 0 read as 0, in closed form over the batch (Smith 1961, after Eberly's
-    robust 3 x 3 solver).  On G scaled by its largest diagonal entry, the trigonometric formula gives
-    the eigenvalue alpha set apart from the other two: the largest where det(G - tr(G) I/3) >= 0, else
-    the smallest.  Its eigenvector is the longest row of adj(G - alpha I), each row a cross product of two
-    rows of G - alpha I, and the other two eigenvalues are the roots of G's 2 x 2 block on that vector's
-    complement: the larger mid + hypot, the smaller det / larger."""
-    gram = (jacobian @ jacobian.swapaxes(-1, -2)).reshape(-1, 9).T
-    scale = np.maximum(np.maximum(gram[0], gram[4]), gram[8])
+def _gram_singular_values(gram) -> np.ndarray:
+    """Descending singular values of 3 x n matrices J, column-major, from the entries 11, 22, 33, 12, 13, 23
+    of their Gram matrices G = J J^T, stacked first: the roots of G's eigenvalues, rounding below 0 read as 0,
+    in closed form over the batch (Smith 1961, after Eberly's robust 3 x 3 solver); sigma3/sigma1 has relative
+    error ~eps/(sigma3/sigma1)^2, and a true 0 reads below 2e-8.  On G scaled by its largest diagonal entry,
+    the trigonometric formula gives the eigenvalue alpha set apart from the other two: the largest where
+    det(G - tr(G) I/3) >= 0, else the smallest.  Its eigenvector is the longest row of adj(G - alpha I), each
+    row a cross product of two rows of G - alpha I, and the other two eigenvalues are the roots of G's 2 x 2
+    block on that vector's complement: the larger mid + hypot, the smaller det / larger."""
+    shape, gram = np.shape(gram)[1:], np.reshape(gram, (6, -1))
+    scale = np.maximum(np.maximum(gram[0], gram[1]), gram[2])
     scale = np.where(scale > 0.0, scale, 1.0)
-    x0, x1, x2, y01, y02, y12 = gram[[0, 4, 8, 1, 2, 5]] / scale
+    x0, x1, x2, y01, y02, y12 = gram / scale
     q = (x0 + x1 + x2) / 3.0
     b = np.array([x0 - q, x1 - q, x2 - q, y01, y02, y12])
     p = np.sqrt((_dot3(b, b) + 2.0 * _dot3(b[3:], b[3:])) / 6.0)
@@ -540,16 +557,7 @@ def _gram_singular_values(jacobian) -> np.ndarray:
                          larger)
     top, low = np.maximum(alpha, larger), np.minimum(alpha, smaller)
     eigenvalues = np.array([top, np.maximum(np.minimum(alpha, larger), smaller), low])
-    return np.sqrt(np.maximum(eigenvalues, 0.0) * scale).T.reshape(np.shape(jacobian)[:-2] + (3,))
-
-
-def _chart_checks(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f-values, their distance from (0, -1, 0), and the chart Jacobian's singular values from the
-    closed-form eigenvalues of its 3 x 3 Gram matrix (sigma3/sigma1 to relative error
-    ~eps/(sigma3/sigma1)^2, a true 0 reads below 2e-8), at any chart point: judging the distance is
-    ``certify``'s 'f_values' check."""
-    f = np.moveaxis(np.stack(complete_intersection_f(a)), 0, -1)
-    return f, np.max(np.abs(f - F_TARGET), axis=-1), _gram_singular_values(ci_jacobian(a))
+    return np.sqrt(np.maximum(eigenvalues, 0.0) * scale).T.reshape(shape + (3,))
 
 
 def _rank(singular: np.ndarray, tol: float):
@@ -563,14 +571,17 @@ def jacobian_rank(a):
     a = np.asarray(a, dtype=complex)
     if not np.all(np.isfinite(a)):
         raise ValueError("chart point has non-finite coordinates")
-    return _rank(_chart_checks(a)[2], DEFAULT_TOLERANCES["rank_tol"])
+    return _rank(_gram_singular_values(_chart_gram(*_chart_invariants(a)[1:])), DEFAULT_TOLERANCES["rank_tol"])
 
 
-def jacobian_fd_gap(points) -> float:
-    """Largest gap between the closed-form and the finite-difference chart
-    Jacobian over every 25th fiber point."""
+def jacobian_gaps(points) -> tuple[float, float]:
+    """Over every 25th fiber point, the largest gap of the closed-form chart Jacobian from finite differences,
+    and of its Gram matrix from ``_chart_gram``'s, relative to the largest entry, on which the ranks rest."""
     a = chart_array(as_coords6(points)[::25])
-    return float(np.max(np.abs(ci_jacobian(a) - ci_jacobian_fd(a)), initial=0.0))
+    jacobian = ci_jacobian(a)
+    gram = (jacobian @ jacobian.swapaxes(-1, -2)).reshape(-1, 9).T[[0, 4, 8, 1, 2, 5]]
+    gap = np.max(np.abs(_chart_gram(*_chart_invariants(a)[1:]) - gram), axis=0) / np.max(gram[:3], axis=0)
+    return float(np.max(np.abs(jacobian - ci_jacobian_fd(a)), initial=0.0)), float(np.max(gap, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -719,11 +730,10 @@ def fiber5_residuals(z) -> dict:
 class Certificates:
     """Certificates of N fiber points as arrays, column by column; ``json_rows`` is their JSON text.
 
-    ``checks`` maps each check to (value, tolerance, pass mask): residuals and
-    'f_values' (distance from (0, -1, 0)) pass at or below tolerance, 'min_tail'
-    at or above, 'rank' (sigma3/sigma1 of the chart Jacobian, from its closed-form Gram eigenvalues)
-    and 'coverage' (ChartCoverage.margin) above.  The emitted residuals are the
-    values of their checks.
+    ``checks`` maps each check to (value, tolerance, pass mask): residuals and 'f_values' (distance
+    from (0, -1, 0)) pass at or below tolerance, 'min_tail' at or above, 'rank' (sigma3/sigma1 of the
+    chart Jacobian, from the closed-form eigenvalues of its Gram matrix, read off |a_k|^2 and |C|^2)
+    and 'coverage' (ChartCoverage.margin) above.  The emitted residuals are the values of their checks.
     """
 
     points: np.ndarray
@@ -760,7 +770,7 @@ class Certificates:
             ndim = column.ndim
             return text[ndim:-ndim].split("]" * (ndim - 1) + "," + "[" * (ndim - 1))
 
-        points = np.stack([self.points.real, self.points.imag], axis=-1)
+        points = np.ascontiguousarray(self.points).view(float).reshape(len(self.points), 6, 2)
         f_open, f_close = ("", "") if self.f_values is None else ("[", "]")
         rows = [f'{{"point":[[{p}]],"residuals":{{"moment":{m},"plucker":{q},"surface":{s}}},'
                 f'"jacobian_rank":{r},"f_values":{f_open}{f}{f_close}}}'
@@ -796,7 +806,8 @@ def certify(kind: str, z, tolerances: dict[str, float] | None = None) -> Certifi
     checks["min_tail"] = (res["min_tail"], tol["min_tail"], res["min_tail"] >= tol["min_tail"])
     if kind == "mq7":
         return Certificates(z, None, None, checks)
-    f_values, off, singular = _chart_checks(chart_array(z))
+    f_values, r, rho = _chart_invariants(chart_array(z))
+    off, singular = np.max(np.abs(f_values - F_TARGET), axis=-1), _gram_singular_values(_chart_gram(r, rho))
     ranks = _rank(singular, tol["rank_tol"])
     margin = singular[:, 2] / np.where(singular[:, 0] > 0.0, singular[:, 0], 1.0)
     coverage = chart_coverage(z)

@@ -197,7 +197,7 @@ def test_criterion_08_complete_intersection():
     assert result.passed
     assert result.details["max_f_deviation"] <= 1e-9
     assert result.details["all_f_values_ok"] and result.details["all_ranks_3"]
-    assert result.details["max_fd_deviation"] <= 1e-6
+    assert result.details["max_fd_deviation"] <= 1e-6 and result.details["max_gram_gap"] <= 1e-12
 
 
 def test_criterion_09_bundle_structure():
@@ -280,6 +280,14 @@ def _cross_term_flipped(ci_jacobian):
     return flipped
 
 
+def _gradient_norm_dropped(chart_gram):
+    def dropped(r, rho):  # the closed-form Gram matrix without 4 rho sum_k r_k in G_22
+        gram = chart_gram(r, rho)
+        gram[2] -= 4.0 * rho * np.sum(r, axis=-1)
+        return gram
+    return dropped
+
+
 def _quadric_all_plus(constraint_rows):
     def all_plus(z, include_quadric):  # rows of z0*z5 + z1*z4 + z2*z3 for the plane quadric's
         rows = constraint_rows(z, include_quadric)
@@ -342,6 +350,9 @@ MUTANTS = {
                      and "x0 + x1 <= 0.3, " in failed[3]["error"]),
     "ci_jacobian": (acceptance.fb, _cross_term_flipped, [8],
                     lambda failed: failed[8]["all_ranks_3"] and failed[8]["max_fd_deviation"] > 1e-6),
+    # every rank still reads 3: only the comparison with the Jacobian's own Gram matrix sees it
+    "_chart_gram": (acceptance.fb, _gradient_norm_dropped, [8],
+                    lambda failed: failed[8]["all_ranks_3"] and failed[8]["max_gram_gap"] > 0.1),
     "center_point_regular": (acceptance, lambda regular: lambda n: True, [10],
                              lambda failed: failed[10]["verdicts"]["4"]),
     # generic fiber points still count dimension 5: only the finite-difference gap sees it

@@ -51,6 +51,7 @@ ROW_FUNCTIONS = {
     "affine_representative": ("mq5", fb.affine_representative),
     "complete_intersection_f": ("mq5", lambda z: fb.complete_intersection_f(chart_array(z))),
     "jacobian_rank": ("mq5", lambda z: fb.jacobian_rank(chart_array(z))),
+    "_chart_gram": ("mq5", lambda z: fb._chart_gram(*fb._chart_invariants(chart_array(z))[1:]).T),
     "chart_coverage": ("mq5", _coverage),
     "tangent_fiber_dimension": ("mq7", fb.tangent_fiber_dimension),
     "tangent_fiber_dimension_quadric": ("mq5", lambda z: fb.tangent_fiber_dimension(z, include_quadric=True)),

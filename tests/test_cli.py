@@ -401,7 +401,7 @@ def test_jacobian_command(capsys):
     assert code == 0 and payload["passed"]
     assert payload["details"]["points"] == 13  # the three edge-circle bases and the batch
     assert payload["details"]["all_ranks_3"] and payload["details"]["all_f_values_ok"]
-    assert payload["details"]["max_fd_deviation"] <= 1e-6
+    assert payload["details"]["max_fd_deviation"] <= 1e-6 and payload["details"]["max_gram_gap"] <= 1e-12
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e-7])
@@ -742,6 +742,22 @@ def test_the_exact_path_loads_no_float_module():
                      "print(sorted({'numpy', 'orjson', 'grassmoment.fibers4',"
                      " 'grassmoment.acceptance'} & set(sys.modules)))")
     assert loaded == b"[]\n"
+
+
+@pytest.mark.parametrize("argv, read", [(["fiber", "mq5", "--samples", "2000"], 10), (["chambers"], 0)])
+def test_a_closed_stdout_exits_141_without_a_traceback(argv, read):
+    # fiber's megabyte fills the pipe, so its reader closes after 10 bytes, mid-write; chambers' text
+    # fits stdout's buffer, so its reader closes before it starts.  Buffered, as in a shell pipeline, a
+    # write that failed stays pending for the flush at interpreter exit, which must not fail again.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    reader, writer = os.pipe()
+    with subprocess.Popen([sys.executable, "-m", "grassmoment", *argv], stdout=writer,
+                          stderr=subprocess.PIPE, env=env) as process:
+        os.close(writer)
+        with os.fdopen(reader, "rb") as stdout:
+            assert len(stdout.read(read)) == read
+        assert process.wait(timeout=60) == 141 and process.stderr.read() == b""
 
 
 def test_jacobian_runs_without_orjson(capsys):

@@ -592,6 +592,51 @@ def test_jacobian_rank_off_the_surface():
     assert fb.jacobian_rank(np.zeros(4)) == 0
 
 
+def gram_entries(jacobians):
+    """Entries 00, 11, 22, 01, 02, 12 of J J^T for (..., 3, n) matrices J, stacked first, by matmul."""
+    gram = jacobians @ jacobians.swapaxes(-1, -2)
+    return np.stack([gram[..., i, j] for i, j in [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]])
+
+
+def test_chart_gram_expands_the_gram_matrix_of_the_chart_quadrics():
+    # The Gram matrix of the chart Jacobian depends only on r_k = |a_k|^2 and rho = |C|^2: sympy
+    # differentiates the chart quadrics in the real coordinates a = u + i v and expands J J^T, which
+    # must equal _chart_gram's closed form entry by entry, at today's weights and at symbolic ones.
+    import sympy as sp
+
+    u, v = sp.symbols("u1:5", real=True), sp.symbols("v1:5", real=True)
+    a = [x + sp.I * y for x, y in zip(u, v)]
+    cross = a[0] * a[3] - a[1] * a[2]
+    r = np.array([x * x + y * y for x, y in zip(u, v)], dtype=object)
+    rho = sp.expand(sp.re(cross) ** 2 + sp.im(cross) ** 2)
+    for weights in (fb._CI_WEIGHTS, np.array(sp.symbols("w0:3_0:4")).reshape(3, 4)):
+        f = [sum(weights[i, k] * r[k] for k in range(4)) + (rho if i == 2 else 0) for i in range(3)]
+        jacobian = sp.Matrix([[sp.diff(fi, x) for x in (*u, *v)] for fi in f])
+        gram = jacobian * jacobian.T
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fb, "_CI_WEIGHTS", weights)
+            closed = fb._chart_gram(r, rho)
+        for entry, (i, j) in zip(closed, [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]):
+            assert sp.expand(sp.nsimplify(entry) - gram[i, j]) == 0
+
+
+def test_chart_gram_matches_the_jacobian_gram_in_floats(monkeypatch):
+    # To 1e-14 of each matrix's largest entry: on seeded fiber points, on Gaussian chart points off
+    # the fiber, and with the second quadric's weights shifted (the _CI_WEIGHTS mutant of test_acceptance).
+    rng = np.random.default_rng(41)
+    fiber = chart_array(fb.sample_fiber5(rng, 2000))
+    gaussian = rng.standard_normal((2000, 4)) + 1j * rng.standard_normal((2000, 4))
+    shifted = fb._CI_WEIGHTS.copy()
+    shifted[1, 3] = -3.0
+    for weights in (fb._CI_WEIGHTS, shifted):
+        monkeypatch.setattr(fb, "_CI_WEIGHTS", weights)
+        for a in (fiber, gaussian):
+            expected = gram_entries(fb.ci_jacobian(a))
+            closed = fb._chart_gram(*fb._chart_invariants(a)[1:])
+            assert closed.shape == (6, 2000)
+            assert np.max(np.abs(closed - expected) / np.max(expected[:3], axis=0)) <= 1e-14
+
+
 RATIOS = (1.0, 1e-2, 1e-4, 2e-6, 5e-7, 1e-9, 0.0)
 
 
@@ -617,7 +662,7 @@ def test_gram_singular_values_decide_ranks_like_the_svd(ratio):
     jacobians = conditioned_matrices(ratio, np.random.default_rng(23))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gram = fb._gram_singular_values(jacobians)
+        gram = fb._gram_singular_values(gram_entries(jacobians))
     reference = np.linalg.svd(jacobians, compute_uv=False)
     assert not np.any(np.isnan(gram))
     assert np.array_equal(fb._rank(gram, 1e-6), fb._rank(reference, 1e-6))
@@ -644,7 +689,7 @@ def test_gram_singular_values_at_repeated_and_vanishing_singular_values(sigma):
     jacobians = spectrum_matrices(sigma, np.random.default_rng(29))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        gram = fb._gram_singular_values(jacobians)
+        gram = fb._gram_singular_values(gram_entries(jacobians))
     reference = np.linalg.svd(jacobians, compute_uv=False)
     assert not np.any(np.isnan(gram)) and np.all(np.diff(gram, axis=-1) <= 0.0)
     assert np.array_equal(fb._rank(gram, 1e-6), fb._rank(reference, 1e-6))
@@ -661,7 +706,7 @@ def test_gram_singular_values_at_repeated_and_vanishing_singular_values(sigma):
 def test_gram_singular_values_of_the_zero_matrix():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.array_equal(fb._gram_singular_values(np.zeros((2, 3, 8))), np.zeros((2, 3)))
+        assert np.array_equal(fb._gram_singular_values(gram_entries(np.zeros((2, 3, 8)))), np.zeros((2, 3)))
     assert np.array_equal(fb._rank(np.zeros((2, 3)), 1e-6), [0, 0])
 
 
@@ -1007,9 +1052,10 @@ def test_batched_helpers_equal_their_one_point_views(rng):
         assert single.in_chart_m1 == coverage.in_chart_m1[k] == (abs(point[0]) > 1e-10)
         a = chart_array(point)
         gap = float(np.max(np.abs(fb.ci_jacobian(a) - fb.ci_jacobian_fd(a))))
-        assert fb.jacobian_fd_gap(point[None]) == gap
-    gaps = [fb.jacobian_fd_gap(point[None]) for point in points[::25]]
-    assert fb.jacobian_fd_gap(points) == max(gaps) and fb.jacobian_fd_gap(points) <= 1e-6
+        assert fb.jacobian_gaps(point[None])[0] == gap
+    gaps = [fb.jacobian_gaps(point[None]) for point in points[::25]]
+    fd_gap, gram_gap = fb.jacobian_gaps(points)
+    assert (fd_gap, gram_gap) == tuple(map(max, zip(*gaps))) and fd_gap <= 1e-6 and gram_gap <= 1e-12
     t = fb.random_phases(rng, (100, 3))
     forward = fb.bundle_transition(t, "01")
     for k in range(100):
