@@ -36,6 +36,7 @@ from .regularity import (
     classify_point,
     enumerate_chambers,
     solve_moment_triangle,
+    transition_check,
 )
 
 F = Fraction
@@ -300,10 +301,9 @@ def check_complete_intersection(seed: int, samples: int) -> tuple[bool, dict]:
 
 @_criterion(9, "bundle structure", "transition")
 def check_bundle_structure(seed: int, samples: int) -> tuple[bool, dict]:
-    """Criterion 9: unimodular transition, cocycle identity at seeded phases,
-    chart coverage read from the certificate of the mq5 batch of criteria 7 and 8."""
-    phases = fb.random_phases(np.random.default_rng(seed), (max(samples // 10, 10), 3))
-    determinant, max_cocycle, transition_ok = fb.transition_check(phases)
+    """Criterion 9: unimodular transition and the cocycle identity, decided on the integer
+    exponent matrices, and chart coverage read from the certificate of the mq5 batch of criteria 7 and 8."""
+    determinant, max_cocycle, transition_ok = transition_check()
     coverage_ok = bool(np.all(_once(_certified, "mq5", seed, samples).checks["coverage"][2]))
     fibers = fb.edge_fibers()
     cov0 = fb.chart_coverage(fibers[0].base)

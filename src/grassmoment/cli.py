@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from collections import Counter
-from fractions import Fraction
 
 from .exactgeom import format_sign_vector, format_vector, parse_vector, rational
 from .regularity import (
@@ -23,10 +22,12 @@ from .regularity import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     STAR,
+    TRANSITION_EXPONENTS,
     classify_point,
     enumerate_chambers,
     largest_chamber_witness,
     solve_moment_triangle,
+    transition_check,
 )
 
 
@@ -186,16 +187,11 @@ def cmd_jacobian(args) -> int:
 
 
 def cmd_transition(args) -> int:
-    import numpy as np
-    from . import fibers4 as fb
-
-    rng = np.random.default_rng(args.seed)
-    determinant, max_cocycle, ok = fb.transition_check(fb.random_phases(rng, (args.samples, 3)))
+    determinant, max_cocycle, ok = transition_check()
     payload = {
-        "exponent_matrix": [list(row) for row in fb.TRANSITION_EXPONENTS],
+        "exponent_matrix": [list(row) for row in TRANSITION_EXPONENTS],
         "determinant": determinant,
         "cocycle_max_error": max_cocycle,
-        "samples": args.samples,
         "ok": ok,
     }
     _emit(payload, args.json_out)
@@ -206,8 +202,8 @@ def cmd_triangle(args) -> int:
     triangle = solve_moment_triangle()
     edges = {}
     for edge in range(3):
-        endpoints = [triangle.edge_point(edge, Fraction(0)),
-                     triangle.edge_point(edge, Fraction(1, 3))]
+        endpoints = [triangle.edge_point(edge, 0),
+                     triangle.edge_point(edge, CHAMBER_POINT_MINUS[0])]
         edges[f"I{edge}"] = {
             "vanishing_coordinate": edge,
             "endpoints": [format_vector(p) for p in endpoints],
@@ -286,7 +282,7 @@ COMMANDS = {
         ("--orbit", dict(choices=["minus", "plus"], default="minus")),
         ("--tol", dict(action="append", default=None, metavar="NAME=VALUE")))),
     "jacobian": ("complete intersection check, criterion 8", cmd_jacobian, _seeded(200)),
-    "transition": ("chart transition cocycle report", cmd_transition, _seeded(200)),
+    "transition": ("chart transition cocycle report", cmd_transition, ()),
     "triangle": ("exact solution triangle of the moment system over q-", cmd_triangle, ()),
     "curve": ("edge curve residuals at one parameter point", cmd_curve, (
         ("--x0", dict(required=True)),
@@ -323,8 +319,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        finally:  # --help prints, then exits here: a reader that closed early shows in this flush
+            sys.stdout.flush()
         return args.func(args)
     except BrokenPipeError:  # stdout now writes to devnull, so the flush at interpreter exit cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -5,7 +5,7 @@ out by fixing the squared-modulus profile of the last three coordinates in terms
 intersecting with the plane quadric z0*z5 + z2*z3 = z1*z4 gives the 5-dimensional fiber of the
 Grassmannian moment map.  This module provides the parametrizations of both fibers, their cross
 sections, the projection to CP^1, the map of the sphere section onto S^3 and its closed-form inverse,
-the complete-intersection certificate in the affine chart, the chart-transition cocycle, and seeded
+the complete-intersection certificate in the affine chart, the chart coverage, and seeded
 samplers with residual certificates for all of it.  The 5-fiber's sections are drawn as the inverse
 images of uniform S^3 points, so no sampler rejects a draw.  The ranks come from the chart Jacobian's
 Gram matrix, read off |a_k|^2 and |a1*a4 - a2*a3|^2 by ``_chart_gram``: no Jacobian is built.
@@ -61,10 +61,6 @@ TAIL_GAP, HEAD_RADIUS2 = float(_GAP), float((1 - 3 * _GAP) / 2)
 
 #: Simplex images of the three edge circles, exact: the triangle's edge points at t = 1/6.
 EDGE_IMAGES: tuple[Vector, ...] = tuple(solve_moment_triangle().edge_point(k, F(1, 6)) for k in range(3))
-
-#: Exponent matrix of the chart transition on the torus fiber, unimodular.
-TRANSITION_EXPONENTS = ((1, 1, -1), (1, 0, 0), (0, 0, 1))
-TRANSITION_EXPONENTS_INVERSE = ((0, 1, 0), (1, -1, 1), (0, 0, 1))
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "moment": 1e-10,
@@ -585,38 +581,8 @@ def jacobian_gaps(points) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Chart transition cocycle and chart coverage
+# Chart coverage
 # ---------------------------------------------------------------------------
-
-def bundle_transition(t, direction: str = "01"):
-    """Chart transition on the torus fiber; '01' and '10' are mutually inverse.
-
-    Works along the last axis.
-    """
-    if direction not in ("01", "10"):
-        raise ValueError("direction must be '01' or '10'")
-    t = _check_unit_phases(t)
-    if t.shape[-1:] != (3,):
-        raise ValueError("expected a three-torus element")
-    matrix = TRANSITION_EXPONENTS if direction == "01" else TRANSITION_EXPONENTS_INVERSE
-    return np.prod(t[..., None, :] ** np.array(matrix), axis=-1)
-
-
-def transition_check(t) -> tuple[int, float, bool]:
-    """The transition's determinant, its cocycle error (the largest deviation from the
-    identity of the round trips '01' then '10' and '10' then '01' over torus elements t
-    of shape (N, 3)), and the bundle verdict on both: determinant -1 and the cocycle
-    identity to 1e-12."""
-    m = TRANSITION_EXPONENTS
-    determinant = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                   - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                   + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-    t = np.asarray(t, dtype=complex)
-    forward = bundle_transition(bundle_transition(t, "01"), "10")
-    backward = bundle_transition(bundle_transition(t, "10"), "01")
-    max_cocycle = float(np.max(np.abs(np.concatenate([forward - t, backward - t], axis=-1)), initial=0.0))
-    return determinant, max_cocycle, determinant == -1 and max_cocycle <= 1e-12
-
 
 @dataclass(frozen=True)
 class ChartCoverage:
@@ -698,8 +664,8 @@ def constraint_fd_gap(z) -> float:
 # ---------------------------------------------------------------------------
 
 def moment_residual(z, target):
-    """Max-norm distance of the moment image from the chamber point target."""
-    target = np.array(target, dtype=float)
+    """Max-norm distance of the moment image from the chamber point target, column-major like the image."""
+    target = np.array(target, dtype=float, order="F")
     return np.max(np.abs(hypersimplex_moment(as_coords6(z), 4) - target), axis=-1)
 
 

@@ -1,6 +1,6 @@
-"""Torus orbit dimensions (orbit_dimension), regular values, the chamber
-combinatorics, and the exact solution triangle of the moment system over
-the chamber point q- (solve_moment_triangle); nothing here uses a float.
+"""Torus orbit dimensions (orbit_dimension), regular values, the chamber combinatorics, the exact
+solution triangle of the moment system over the chamber point q- (solve_moment_triangle), and the
+torus bundle's chart transition t -> t^M (transition_check); nothing here uses a float.
 
 Two regularity notions live side by side.  A point of the hypersimplex is
 a regular value for the Grassmannian moment map iff it avoids the
@@ -114,17 +114,18 @@ class MomentTriangle:
         return self.point(x4, x5)
 
     def edge_point(self, edge: int, t: Fraction) -> Vector:
-        """Point of edge 0, 1 or 2 (where x0, x1 or x2 vanishes), 0 <= t <= 1/3."""
-        t = Fraction(t)
-        if not 0 <= t <= Fraction(1, 3):
-            raise ValueError("edge parameter must lie in [0, 1/3]")
+        """Point of edge 0, 1 or 2 (where x0, x1 or x2 vanishes), 0 <= t <= R, the head sphere's
+        radius^2 and x0 + x1 + x2 on the triangle: R = q1, read off the level."""
+        t, radius2 = Fraction(t), CHAMBER_POINT_MINUS[0]
+        if not 0 <= t <= radius2:
+            raise ValueError(f"edge parameter must lie in [0, {radius2}]")
         if edge not in (0, 1, 2):
             raise ValueError("edge must be 0, 1 or 2")
-        return self.point_from_head(*((0, t), (t, 0), (t, Fraction(1, 3) - t))[edge])
+        return self.point_from_head(*((0, t), (t, 0), (t, radius2 - t))[edge])
 
     @property
     def vertices(self) -> dict[str, Vector]:
-        heads = {"X01": (0, 0), "X02": (0, Fraction(1, 3)), "X12": (Fraction(1, 3), 0)}
+        heads = {"X01": (0, 0), "X02": (0, CHAMBER_POINT_MINUS[0]), "X12": (CHAMBER_POINT_MINUS[0], 0)}
         return {name: self.point_from_head(*head) for name, head in heads.items()}
 
 
@@ -139,6 +140,23 @@ def solve_moment_triangle() -> MomentTriangle:
     return MomentTriangle(constant=tuple(constant),
                           direction_x4=tuple(dir4),
                           direction_x5=tuple(dir5))
+
+
+#: The chart transition t -> t^M on the torus fiber: M, and M^-1 typed by hand as the datum M is checked on.
+TRANSITION_EXPONENTS = ((1, 1, -1), (1, 0, 0), (0, 0, 1))
+TRANSITION_EXPONENTS_INVERSE = ((0, 1, 0), (1, -1, 1), (0, 0, 1))
+
+
+def transition_check() -> tuple[int, int, bool]:
+    """M's determinant, the largest entry of |M M^-1 - I|, and whether they are -1 and 0, in integers.
+    Monomial maps compose by multiplying exponents: M M^-1 = I is the cocycle identity on every torus element."""
+    m, inverse = TRANSITION_EXPONENTS, TRANSITION_EXPONENTS_INVERSE
+    determinant = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                   - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                   + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    max_cocycle = max(abs(sum(m[i][k] * inverse[k][j] for k in range(3)) - (i == j))
+                      for i in range(3) for j in range(3))
+    return determinant, max_cocycle, determinant == -1 and max_cocycle == 0
 
 
 @dataclass(frozen=True)

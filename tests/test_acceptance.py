@@ -204,7 +204,7 @@ def test_criterion_09_bundle_structure():
     result = _run(acceptance.check_bundle_structure)
     assert result.passed
     assert result.details["determinant"] == -1
-    assert result.details["max_cocycle_error"] <= 1e-12
+    assert result.details["max_cocycle_error"] == 0
 
 
 def test_criterion_09_checks_coverage_at_one_sample(monkeypatch):
@@ -338,8 +338,11 @@ MUTANTS = {
     # criterion 5 compares the walk's two verdicts, which stay equal: only the oracle sees it
     "_grid_verdicts": (acceptance, _boundary_blind, [6],
                        lambda failed: failed[6]["disagreements"] == 32),
-    "TRANSITION_EXPONENTS_INVERSE": (acceptance.fb, lambda inverse: ((1, 0, 0), (1, -1, 1), (0, 0, 1)),
+    "TRANSITION_EXPONENTS_INVERSE": (regularity, lambda inverse: ((1, 0, 0), (1, -1, 1), (0, 0, 1)),
                                      [9], lambda failed: failed[9]["max_cocycle_error"] > 1e-12),
+    # the last row negated: the determinant reads +1, and M M^-1 misses I by 2 at (2, 2)
+    "TRANSITION_EXPONENTS": (regularity, lambda m: (*m[:2], tuple(-e for e in m[2])), [9],
+                             lambda failed: failed[9]["determinant"] == 1 and failed[9]["max_cocycle_error"] == 2),
     "F_TARGET": (acceptance.fb, lambda target: target + np.array([0.0, 1e-7, 0.0]), [7, 8],
                  _off_surface),
     "_CI_WEIGHTS": (acceptance.fb, _second_row_shifted, [7, 8], _off_surface),

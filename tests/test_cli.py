@@ -420,10 +420,10 @@ def test_jacobian_is_criterion_8(capsys, monkeypatch, shift):
 
 
 def test_transition_command(capsys):
-    code, payload = run_cli(capsys, ["transition", "--samples", "20"])
+    code, payload = run_cli(capsys, ["transition"])
     assert code == 0
-    assert payload["determinant"] == -1
-    assert payload["cocycle_max_error"] <= 1e-12
+    assert payload == {"exponent_matrix": [[1, 1, -1], [1, 0, 0], [0, 0, 1]], "determinant": -1,
+                       "cocycle_max_error": 0, "ok": True}
 
 
 def test_triangle_command(capsys):
@@ -444,11 +444,13 @@ def test_triangle_points_map_to_target(capsys):
 
 @pytest.mark.parametrize("argv", [["triangle", "--orbit", "plus"],
                                   ["transition", "--orbit", "minus"],
+                                  ["transition", "--samples", "5"],
+                                  ["transition", "--seed", "1"],
                                   ["jacobian", "--orbit", "plus"],
                                   ["chambers", "--n", "4"],
                                   ["chambers", "--classify", "1/3,5/9,5/9,5/9"]])
 def test_options_of_other_commands_are_refused(capsys, argv):
-    # --orbit is fiber's alone, and regular alone classifies a point.
+    # --orbit is fiber's alone, regular alone classifies a point, and transition samples nothing.
     with pytest.raises(SystemExit) as info:
         cli.main(argv)
     assert info.value.code == 2
@@ -710,6 +712,7 @@ EXACT_COMMANDS = [
     ["chambers"],
     ["witness", "--n", "6"],
     ["triangle"],
+    ["transition"],
 ]
 
 
@@ -744,11 +747,13 @@ def test_the_exact_path_loads_no_float_module():
     assert loaded == b"[]\n"
 
 
-@pytest.mark.parametrize("argv, read", [(["fiber", "mq5", "--samples", "2000"], 10), (["chambers"], 0)])
+@pytest.mark.parametrize("argv, read", [(["fiber", "mq5", "--samples", "2000"], 10), (["chambers"], 0),
+                                        (["--help"], 0), (["fiber", "--help"], 0)])
 def test_a_closed_stdout_exits_141_without_a_traceback(argv, read):
     # fiber's megabyte fills the pipe, so its reader closes after 10 bytes, mid-write; chambers' text
-    # fits stdout's buffer, so its reader closes before it starts.  Buffered, as in a shell pipeline, a
-    # write that failed stays pending for the flush at interpreter exit, which must not fail again.
+    # and argparse's help fit stdout's buffer, so their reader closes before they start.  Buffered, as
+    # in a shell pipeline, a write that failed stays pending for the flush at interpreter exit, which
+    # must not fail again; argparse prints --help and exits inside parse_args.
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).resolve().parents[1])
     reader, writer = os.pipe()
