@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .regularity import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     _bruteforce_verdicts,
+    _grid_stride,
     _grid_verdicts,
     center_point_regular,
     classify_point,
@@ -197,19 +199,18 @@ def check_fiber7(seed: int, samples: int) -> tuple[bool, dict]:
 def check_regular_dichotomy(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 5: the two regularity notions coincide on the full n=4 grid
     and split at the reference n=5 point.  _grid_verdicts walks the grid k/18
-    as numerators at denominator 18, one head row at a time, once per run_all
-    call.  At n = 4 no split wall fits, so the grid half compares two closed
-    forms that agree by construction; criterion 6 checks the walk's verdicts
-    against the definition."""
+    once per run_all call, one record of two verdict tuples per head row.  At
+    n = 4 no split wall fits, so the grid half compares two closed forms that
+    agree by construction; criterion 6 checks them against the definition."""
     grid = _once(_grid_verdicts, 4, 18)
-    mismatched = [regular_mu != regular_mu_tilde for _, regular_mu, regular_mu_tilde in grid]
+    mismatches = sum(sum(map(operator.ne, mu, mu_tilde)) for _, _, mu, mu_tilde in grid if mu != mu_tilde)
     gap_point = vector(["7/10", "6/10", "5/10", "1/10", "1/10"])
     _, regular_mu, regular_mu_tilde = classify_point(gap_point, 5)
     gap_ok = regular_mu and not regular_mu_tilde
-    passed = not any(mismatched) and gap_ok
+    passed = mismatches == 0 and gap_ok
     details = {
-        "grid_points": len(mismatched),
-        "mismatches": sum(mismatched),
+        "grid_points": sum(len(ks) for _, ks, _, _ in grid),
+        "mismatches": mismatches,
         "n5_point_grassmann_regular_projective_nonregular": gap_ok,
     }
     return passed, details
@@ -218,13 +219,12 @@ def check_regular_dichotomy(seed: int, samples: int) -> tuple[bool, dict]:
 @_criterion(6, "brute-force oracle equivalence", "oracle")
 def check_oracle_equivalence(seed: int, samples: int) -> tuple[bool, dict]:
     """Criterion 6: the projective verdicts of criterion 5's grid walk agree
-    with the brute-force oracle, one batch that tests each of 200 strided grid
-    points against every vertex-spanned flat.  The oracle's integer core reads
-    the walk's numerators at denominator 18, so no Fraction is built."""
-    grid = _once(_grid_verdicts, 4, 18)
-    chosen = grid[::len(grid) // 200][:200]
-    oracle = _bruteforce_verdicts([(point, 18) for point, _, _ in chosen], 4)
-    disagreements = sum(regular != verdict for (_, _, regular), verdict in zip(chosen, oracle))
+    with the brute-force oracle on 200 strided grid points (_grid_stride), one
+    batch against every vertex-spanned flat, read as numerators at denominator
+    18, so no Fraction is built; a grid of fewer than 200 points fails."""
+    chosen = _grid_stride(_once(_grid_verdicts, 4, 18), 18, 200)
+    oracle = _bruteforce_verdicts([(point, 18) for point, _ in chosen], 4)
+    disagreements = sum(regular != verdict for (_, regular), verdict in zip(chosen, oracle))
     passed = disagreements == 0 and len(chosen) == 200
     details = {"points": len(chosen), "disagreements": disagreements}
     return passed, details

@@ -29,10 +29,11 @@ At n = 4 one exact action of the 48 symmetries (sigma, star) of Delta_{4,2} move
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Sequence
 
 from .exactgeom import (
@@ -40,6 +41,7 @@ from .exactgeom import (
     _check_point,
     _cleared,
     _hull_weights,
+    _integer_subset_sums,
     _signs,
     _subset_sums,
     affine_rank,
@@ -380,29 +382,47 @@ def largest_chamber_witness(n: int) -> Vector:
     return tuple(center + eps * (2 ** i - mean) for i in range(n))
 
 
-def _grid_verdicts(n: int, d: int) -> tuple[tuple[tuple[int, ...], bool, bool | None], ...]:
-    """(k, *_verdicts(*_integer_subset_sums(k, d, n), n)) for each point k / d of the
-    hypersimplex in lexicographic order, unvalidated, decided by head row: the points with
-    head k[:n-2] are (*head, k, rest - k) with rest = 2d - sum(head) and k, rest - k in [0, d].
-    With h over the head's table a point's sums are h, h + k, h + rest - k and h + rest.  The
-    table holds 2d - rest - h with each h (the complement), so h + rest = d for some h iff d is
-    in it, and h + rest - k = d iff k = d - h for some h: the row is critical if 0 in head or d
-    in table, else k is iff k in {0, rest} + {d - h}.  Only _off_split_walls reads a point's own
-    2^n table, built at 5 <= n <= PROJECTIVE_MAX_N only."""
+GridRow = tuple[tuple[int, ...], range, tuple[bool, ...], tuple[bool | None, ...]]
+
+
+def _grid_verdicts(n: int, d: int) -> tuple[GridRow, ...]:
+    """The points k / d of the hypersimplex in lexicographic order as one record (head, ks, regular,
+    projective) per head row k[:n-2]: its points are (*head, k, rest - k) for k in ks, rest = 2d -
+    sum(head), and point i's verdicts are regular[i] and projective[i], as _verdicts gives them; at
+    n < 5 projective is regular.  With h over the head's table a point's sums are h, h + k,
+    h + rest - k and h + rest.  The table holds 2d - rest - h with each h (the complement), so
+    h + rest = d for some h iff d is in it, and h + rest - k = d iff k = d - h for some h: the row
+    is critical if 0 in head or d in table, else k is iff k in {0, rest} + {d - h}.  A point's own 2^n
+    table is built, and the point validated, only for _off_split_walls, 5 <= n <= PROJECTIVE_MAX_N."""
     if d < 1 or n < 2:
         raise ValueError(f"a hypersimplex grid needs n >= 2 and d >= 1, got n={n}, d={d}")
-    walk, sums = [], None
+    rows = []
     for head in itertools.product(range(d + 1), repeat=n - 2):
         rest = 2 * d - sum(head)
         ks = range(max(0, rest - d), min(d, rest) + 1)
-        table = reduce(lambda t, v: t + [s + v for s in t], head, [0])
-        # a critical row has every k of ks critical
-        critical = ks if 0 in head or d in table else {0, rest, *(d - h for h in table)}
-        for k in ks:
-            point, regular = (*head, k, rest - k), k not in critical
-            if regular and 5 <= n <= PROJECTIVE_MAX_N:
-                half = table + [s + k for s in table]
-                sums = half + [s + rest - k for s in half]
-            walk.append((point, regular, (regular and _off_split_walls(point, sums, n)
-                                          if n <= PROJECTIVE_MAX_N else None)))
-    return tuple(walk)
+        table = [0]
+        for value in head:
+            table += [s + value for s in table]
+        if 0 in head or d in table:  # a critical row has every k of ks critical
+            regular = (False,) * len(ks)
+        else:
+            critical = {0, rest, *(d - h for h in table)}
+            regular = tuple(k not in critical for k in ks)
+        projective = (None,) * len(ks) if n > PROJECTIVE_MAX_N else regular
+        if 5 <= n <= PROJECTIVE_MAX_N:
+            projective = tuple(r and _off_split_walls(x, _integer_subset_sums(x, d, n)[2], n)
+                               for x, r in zip([(*head, k, rest - k) for k in ks], regular))
+        rows.append((head, ks, regular, projective))
+    return tuple(rows)
+
+
+def _grid_stride(rows: Sequence[GridRow], d: int, count: int) -> list[tuple[tuple[int, ...], bool | None]]:
+    """(numerators, projective verdict) of the walk's points[::max(1, len(points) // count)][:count],
+    each found in its row by bisecting the rows' end offsets: only those numerators are built."""
+    ends = list(itertools.accumulate(len(ks) for _, ks, _, _ in rows))
+    chosen = []
+    for j in range(0, ends[-1], max(1, ends[-1] // count))[:count]:
+        head, ks, _, projective = rows[row := bisect.bisect_right(ends, j)]
+        i = j - ends[row] + len(ks)
+        chosen.append(((*head, ks[i], 2 * d - sum(head) - ks[i]), projective[i]))
+    return chosen

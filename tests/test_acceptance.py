@@ -85,7 +85,7 @@ def test_criterion_05_validates_only_the_gap_point(monkeypatch):
     # The grid's verdicts come from regularity._grid_verdicts, so the one
     # _integer_subset_sums call left is classify_point's, at the n = 5 gap point.
     from grassmoment import exactgeom, regularity
-    from test_regularity import hypersimplex_grid
+    from test_regularity import grid_points, hypersimplex_grid
 
     validated, read = [], []
     integer_subset_sums, grid_verdicts = exactgeom._integer_subset_sums, acceptance._grid_verdicts
@@ -96,7 +96,7 @@ def test_criterion_05_validates_only_the_gap_point(monkeypatch):
 
     def reading(n, d):
         walk = grid_verdicts(n, d)
-        read.extend((tuple(F(v, d) for v in k), regular_mu) for k, regular_mu, _ in walk)
+        read.extend((tuple(F(v, d) for v in k), regular_mu) for k, regular_mu, _ in grid_points(walk, d))
         return walk
 
     for module in (exactgeom, regularity, acceptance):  # wherever the name is bound
@@ -126,11 +126,19 @@ def test_criterion_06_tests_the_strided_grid(monkeypatch):
 
 def test_criterion_06_fails_against_a_constant_closed_form(monkeypatch):
     grid_verdicts = acceptance._grid_verdicts
-    monkeypatch.setattr(acceptance, "_grid_verdicts",
-                        lambda n, d: tuple((k, True, True) for k, _, _ in grid_verdicts(n, d)))
+    monkeypatch.setattr(acceptance, "_grid_verdicts", lambda n, d: tuple(
+        (head, ks, (True,) * len(ks), (True,) * len(ks)) for head, ks, _, _ in grid_verdicts(n, d)))
     result = acceptance.check_oracle_equivalence(SEED, SAMPLES)
     assert not result.passed
     assert result.details["disagreements"] == 86  # the critical points among the 200
+
+
+def test_criterion_06_fails_on_a_grid_of_fewer_than_200_points(monkeypatch):
+    grid_verdicts = acceptance._grid_verdicts
+    monkeypatch.setattr(acceptance, "_grid_verdicts", lambda n, d: grid_verdicts(n, d)[:10])
+    result = acceptance.check_oracle_equivalence(SEED, SAMPLES)
+    assert not result.passed  # the first 10 rows hold 55 points, every one checked
+    assert result.details == {"points": 55, "disagreements": 0}
 
 
 #: Each phase a torus preimage recovers: (preimage, position in its result,
@@ -312,9 +320,12 @@ def _directions_swapped(solve_moment_triangle):
 
 
 def _boundary_blind(grid_verdicts):
+    def row(d, head, ks, *verdicts):
+        on_boundary = [0 in (*head, k, 2 * d - sum(head) - k) for k in ks]
+        return (head, ks, *(tuple(v or zero for v, zero in zip(vs, on_boundary)) for vs in verdicts))
+
     def blind(n, d):  # every grid point with a zero coordinate regular under both notions
-        return tuple((k, regular or 0 in k, regular_tilde or 0 in k)
-                     for k, regular, regular_tilde in grid_verdicts(n, d))
+        return tuple(row(d, *record) for record in grid_verdicts(n, d))
     return blind
 
 
@@ -333,8 +344,10 @@ MUTANTS = {
                            and failed[12]["chambers"] == 7),
     "solve_moment_triangle": (acceptance, _directions_swapped, [2],
                               lambda failed: not failed[2]["vertices_exact"]),
-    "_off_split_walls": (regularity, lambda off_walls: lambda *args: not off_walls(*args), [5, 6],
-                         lambda failed: failed[5]["mismatches"] > 0),
+    # no split wall fits at n = 4, so the grid walk never asks: only criterion 5's n = 5 gap point sees it
+    "_off_split_walls": (regularity, lambda off_walls: lambda *args: not off_walls(*args), [5],
+                         lambda failed: failed[5]["mismatches"] == 0
+                         and not failed[5]["n5_point_grassmann_regular_projective_nonregular"]),
     # criterion 5 compares the walk's two verdicts, which stay equal: only the oracle sees it
     "_grid_verdicts": (acceptance, _boundary_blind, [6],
                        lambda failed: failed[6]["disagreements"] == 32),
@@ -587,6 +600,8 @@ def test_shared_batches_are_read_only_and_live_for_one_run(monkeypatch):
     np.testing.assert_array_equal(store[certified].passed,
                                   acceptance._certified("mq5", SEED, SAMPLES).passed)
     assert type(store[walk]) is tuple and store[walk] == acceptance._grid_verdicts(4, 18)
+    for head, ks, regular, projective in store[walk]:  # read-only records of read-only members
+        assert type(head) is type(regular) is type(projective) is tuple and type(ks) is range
     acceptance.run_all(SEED, 1, only="fiber5")
     assert acceptance._shared.get() is None
 

@@ -40,12 +40,21 @@ from test_exactgeom import _defect, _sympy_matrix, _vertex, rational_matrices
 N5_GAP_POINT = vector(["7/10", "6/10", "5/10", "1/10", "1/10"])
 
 
+def grid_points(rows, d):
+    """The row records of a denominator-d grid walk expanded to one (numerators, regular,
+    projective) triple per point, in walk order, every point of every row."""
+    return [((*head, k, 2 * d - sum(head) - k), regular, projective)
+            for head, ks, regulars, projectives in rows
+            for k, regular, projective in zip(ks, regulars, projectives, strict=True)]
+
+
 def hypersimplex_grid(n, d):
     """All exact points k / d of the hypersimplex, in lexicographic order, as
     the grid walker lists them; test_grid_walk_gives_the_fraction_grid_in_order
     checks its order against _recursive_grid and _filtered_grid."""
     values = [F(k, d) for k in range(d + 1)]
-    return (tuple(values[k] for k in point) for point, _, _ in regularity._grid_verdicts(n, d))
+    walk = grid_points(regularity._grid_verdicts(n, d), d)
+    return (tuple(values[k] for k in point) for point, _, _ in walk)
 
 
 #: The coordinates, as lex indices, of the n = 5 stratum whose hull holds
@@ -180,18 +189,33 @@ def _filtered_grid(n, d):
 @pytest.mark.parametrize("n, d", [(4, 18), (5, 10), (2, 1), (2, 4), (3, 1), (3, 5), (4, 1), (6, 3)])
 def test_grid_walk_gives_the_fraction_grid_in_order(n, d):
     walk = regularity._grid_verdicts(n, d)
-    assert type(walk) is tuple  # criteria 5 and 6 share it, so it must be read-only
-    numerators = [k for k, _, _ in walk]
+    # criteria 5 and 6 share it, so it must be read-only: one tuple record per head row
+    assert type(walk) is tuple and len(walk) == (d + 1) ** (n - 2)
+    for head, ks, regular, projective in walk:
+        assert type(head) is tuple and type(ks) is range
+        assert type(regular) is tuple and type(projective) is tuple
+        assert projective is regular if n < 5 else len(projective) == len(ks)
+    numerators = [k for k, _, _ in grid_points(walk, d)]
     assert numerators == _filtered_grid(n, d)
     assert list(hypersimplex_grid(n, d)) == _recursive_grid(n, d)
 
 
 @pytest.mark.parametrize("n, d", [(2, 1), (2, 4), (3, 1), (3, 5), (4, 1), (4, 7), (4, 18),
-                                  (5, 3), (5, 10), (6, 3), (6, 6), (6, 7)])
+                                  (5, 3), (5, 10), (6, 3), (6, 6), (6, 7), (PROJECTIVE_MAX_N + 1, 1)])
 def test_grid_verdicts_match_the_per_point_verdicts(n, d):
     # (6, 7) is the smallest n = 6 grid with Grassmann-regular points; its split walls refuse them all.
-    assert list(regularity._grid_verdicts(n, d)) == [
+    # Past the guard every projective verdict is None.
+    assert grid_points(regularity._grid_verdicts(n, d), d) == [
         (k, *regularity._verdicts(*_integer_subset_sums(k, d, n), n)) for k in _filtered_grid(n, d)]
+
+
+@pytest.mark.parametrize("n, d", [(4, 7), (4, 18), (5, 10), (6, 7)])
+def test_grid_stride_is_the_strided_slice_of_the_points(n, d):
+    # the rows straddle the stride: (4, 7) takes each of its first 200 points, (4, 18) every 22nd
+    walk = regularity._grid_verdicts(n, d)
+    points = [(k, projective) for k, _, projective in grid_points(walk, d)]
+    assert len(points) >= 200
+    assert regularity._grid_stride(walk, d, 200) == points[::len(points) // 200][:200]
 
 
 @pytest.mark.parametrize("n, d", [(4, 0), (4, -1), (1, 5), (0, 3)])
